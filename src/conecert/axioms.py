@@ -458,7 +458,7 @@ def _check_scalarized_metric(s, n, ops):
         return _payload(x=x, y=y, why="asymmetric")
     rho_xz = mink_norm(inst.distance(x, z), g)
     rho_yz = mink_norm(inst.distance(y, z), g)
-    if rho_xz > rho_xy + rho_yz + _TRIANGLE_TOL:
+    if rho_xz > rho_xy + rho_yz + _TRIANGLE_TOL * max(1.0, rho_xy + rho_yz):
         return _payload(x=x, y=y, z=z, why="triangle inequality failed")
 
 

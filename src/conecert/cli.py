@@ -145,7 +145,6 @@ def _problem_from_config(cfg: dict, args) -> Problem:
         stop_c=stop_c,
         max_iter=int(max_iter),
         lam=cfg.get("lambda"),
-        mode=cfg.get("mode", "banach"),
         domain=domain,
     )
 

@@ -19,7 +19,6 @@ yields ``heuristic``; a domain checked only pointwise on iterates yields
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -77,7 +76,6 @@ class Problem:
     stop_c: Vec
     max_iter: int = 200
     lam: Optional[float] = None
-    mode: str = "banach"
     domain: object = None
 
     def __post_init__(self):
@@ -92,8 +90,6 @@ class Problem:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if self.lam is not None:
             self.lam = _check_lambda(self.lam)
-        if self.mode not in ("banach", "iterated"):
-            raise ValueError(f"mode must be 'banach' or 'iterated', got {self.mode!r}")
         if isinstance(self.domain, Ball) and not self.domain.closed:
             raise ValueError("a ball domain must be closed")
 
@@ -102,8 +98,6 @@ class Problem:
 class IterationTrace:
     iterates: list = field(default_factory=list)
     step_dists: list[Vec] = field(default_factory=list)
-    in_domain_flags: list[bool] = field(default_factory=list)
-    domain_checked_at: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -111,11 +105,12 @@ class Certificate:
     lambda_used: float
     lambda_source: str  # "given" | "estimated"
     radius_r: Vec
-    apriori: list[Vec]
-    apost_forward: list[Vec]  # entry k bounds the error at iterate k
-    apost_backward: list[Vec]  # entry k bounds the error at iterate k + 1
+    apriori: list[Vec]  # entry k bounds the error at iterate start + k
+    apost_forward: list[Vec]  # entry k bounds the error at iterate start + k
+    apost_backward: list[Vec]  # entry k bounds the error at iterate start + k + 1
     status: str  # "certified" | "conditional" | "heuristic"
     residual: Optional[Vec]
+    start: int = 0  # first iterate the families cover; 0 for engine runs
 
 
 @dataclass
@@ -258,19 +253,14 @@ def run_picard(p: Problem) -> PicardResult:
     if not _in_domain(p, x):
         raise ValueError("the start point is outside the declared domain")
     trace.iterates.append(x)
-    trace.in_domain_flags.append(True)
-    trace.domain_checked_at.append(time.monotonic())
 
     converged = False
     for _ in range(p.max_iter):
         x_next = inst.validate_point(p.map_fn(x))
-        ok = _in_domain(p, x_next)
         trace.iterates.append(x_next)
-        trace.in_domain_flags.append(ok)
-        trace.domain_checked_at.append(time.monotonic())
         s = inst.distance(x, x_next)
         trace.step_dists.append(s)
-        if not ok:
+        if not _in_domain(p, x_next):
             raise DomainEscape(
                 f"iterate {len(trace.iterates) - 1} left the domain", trace
             )
@@ -283,7 +273,7 @@ def run_picard(p: Problem) -> PicardResult:
         if converged:
             break
 
-    cert = _build_certificate(p, trace, converged)
+    cert = _build_certificate(p, trace)
     return PicardResult(
         trace=trace,
         certificate=cert,
@@ -292,9 +282,8 @@ def run_picard(p: Problem) -> PicardResult:
     )
 
 
-def _build_certificate(
-    p: Problem, trace: IterationTrace, converged: bool
-) -> Optional[Certificate]:
+def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificate]:
+    """Choose the factor, its source and the status for an engine run."""
     steps = trace.step_dists
     if not steps:
         return None
@@ -311,35 +300,38 @@ def _build_certificate(
             return None
         source = "estimated"
 
-    d01 = steps[0]
-    radius = apriori_bound(0, lam, d01)
-    apriori = [apriori_bound(n, lam, d01) for n in range(len(trace.iterates))]
-    fwd = [apost_forward_bound(s, lam) for s in steps]
-    bwd = [apost_backward_bound(s, lam) for s in steps]
-
     if source == "given":
+        radius = apriori_bound(0, lam, steps[0])
         status = "certified" if check_domain_condition(p, radius) == "verified" else "conditional"
         if len(steps) >= 2 and not verify_step_contraction(trace, lam):
             # Observed steps contradict the supplied factor: do not certify.
             status = "heuristic"
     else:
         status = "heuristic"
+    return _certificate(p, trace, 0, lam, source, status)
 
+
+def _certificate(
+    p: Problem, trace: IterationTrace, start: int, lam: float, source: str, status: str
+) -> Certificate:
+    """Radius, bound families from iterate ``start`` on, and final residual."""
+    steps = trace.step_dists[start:]
+    d01 = steps[0]
     residual = None
     try:
         residual = residual_check(trace.iterates[-1], p)
     except (ValueError, ArithmeticError, OverflowError, ZeroDivisionError):
         pass
-
     return Certificate(
         lambda_used=lam,
         lambda_source=source,
-        radius_r=radius,
-        apriori=apriori,
-        apost_forward=fwd,
-        apost_backward=bwd,
+        radius_r=apriori_bound(0, lam, d01),
+        apriori=[apriori_bound(k, lam, d01) for k in range(len(steps) + 1)],
+        apost_forward=[apost_forward_bound(s, lam) for s in steps],
+        apost_backward=[apost_backward_bound(s, lam) for s in steps],
         status=status,
         residual=residual,
+        start=start,
     )
 
 
@@ -372,9 +364,11 @@ def write_trace_csv(
     """Deterministic per-iterate table: point, step distance, bound families.
 
     Floats are written with 17 significant digits and a '.' decimal
-    separator, so identical runs produce byte-identical files.  Cells whose
-    quantity is undefined at an iterate (the step at the last row, the
-    backward bound at the first) stay empty.
+    separator, so identical runs produce byte-identical files.  Each bound
+    sits on the row of the iterate it bounds.  Cells whose quantity is
+    undefined at an iterate (the step at the last row, the backward bound at
+    the certificate's first row, every bound before the certificate's
+    ``start``) stay empty.
     """
     m = inst.dim
     writer = csv.writer(fh, lineterminator="\n")
@@ -391,10 +385,11 @@ def write_trace_csv(
         row += _coord_values(inst, point)
         steps = trace.step_dists
         row += [_fmt(c) for c in steps[n]] if n < len(steps) else blank
-        if cert is not None:
-            row += [_fmt(c) for c in cert.apriori[n]] if n < len(cert.apriori) else blank
-            row += [_fmt(c) for c in cert.apost_forward[n]] if n < len(cert.apost_forward) else blank
-            row += [_fmt(c) for c in cert.apost_backward[n - 1]] if 1 <= n <= len(cert.apost_backward) else blank
+        k = n - cert.start if cert is not None else -1
+        if k >= 0:
+            row += [_fmt(c) for c in cert.apriori[k]] if k < len(cert.apriori) else blank
+            row += [_fmt(c) for c in cert.apost_forward[k]] if k < len(cert.apost_forward) else blank
+            row += [_fmt(c) for c in cert.apost_backward[k - 1]] if 1 <= k <= len(cert.apost_backward) else blank
         else:
             row += blank + blank + blank
         writer.writerow(row)

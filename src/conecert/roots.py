@@ -25,9 +25,8 @@ from .picard import (
     IterationTrace,
     LAMBDA_CEILING,
     Problem,
-    apost_backward_bound,
+    _certificate,
     apost_forward_bound,
-    apriori_bound,
     run_picard,
 )
 from .solid import SpaceSpec, Vec
@@ -152,7 +151,6 @@ class ComparisonReport:
 
 def compare_bounds(
     trace: IterationTrace,
-    g_component: Sequence[GaugeNorm],
     g_scalar: GaugeNorm,
     lam: float,
     start: int = 0,
@@ -166,10 +164,6 @@ def compare_bounds(
     broadcast one; rows where it is strictly smaller in some coordinate are
     counted as improvements.
     """
-    if len(g_component) != g_scalar.spec.n:
-        raise ValueError(
-            f"{len(g_component)} coordinate gauges for dimension {g_scalar.spec.n}"
-        )
     report = ComparisonReport()
     base = g_scalar.spec.base
     # Shared factor so both pipelines round identically at the max coordinate.
@@ -177,10 +171,7 @@ def compare_bounds(
     for k in range(start, len(trace.step_dists)):
         s = trace.step_dists[k]
         comp = apost_forward_bound(s, lam)
-        per_coord = [
-            mink_norm(Vec([s[j]]), g_component[j]) for j in range(len(g_component))
-        ]
-        scalar = max(per_coord) * q
+        scalar = mink_norm(s, g_scalar) * q
         broadcast = scalar * base
         exceeded = any(c > b for c, b in zip(comp.coords, broadcast.coords))
         improved = any(c < b for c, b in zip(comp.coords, broadcast.coords))
@@ -235,34 +226,6 @@ def _contraction_tail(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optiona
     return start, max(tail)
 
 
-def _tail_certificate(
-    trace: IterationTrace, start: int, lam: float, p: Problem
-) -> Certificate:
-    steps = trace.step_dists[start:]
-    d01 = steps[0]
-    radius = apriori_bound(0, lam, d01)
-    apriori = [apriori_bound(k, lam, d01) for k in range(len(steps) + 1)]
-    fwd = [apost_forward_bound(s, lam) for s in steps]
-    bwd = [apost_backward_bound(s, lam) for s in steps]
-    residual = None
-    try:
-        residual = p.metric.distance(
-            trace.iterates[-1], p.map_fn(trace.iterates[-1])
-        )
-    except (ValueError, ArithmeticError, OverflowError, ZeroDivisionError):
-        pass
-    return Certificate(
-        lambda_used=lam,
-        lambda_source="estimated",
-        radius_r=radius,
-        apriori=apriori,
-        apost_forward=fwd,
-        apost_backward=bwd,
-        status="heuristic",
-        residual=residual,
-    )
-
-
 def solve_roots(
     p: Polynomial,
     z0: Optional[Sequence[complex]] = None,
@@ -293,7 +256,6 @@ def solve_roots(
         stop_c=stop_c,
         max_iter=max_iter,
         lam=lam,
-        mode="iterated",
     )
     result = run_picard(problem)
     trace = result.trace
@@ -302,16 +264,13 @@ def solve_roots(
         cert = result.certificate
         tail_start, lam_used = 0, lam
     else:
-        tail_start, lam_hat = _contraction_tail(trace, g)
-        if lam_hat is None or lam_hat > LAMBDA_CEILING:
-            cert, lam_used = None, None
-        else:
-            cert = _tail_certificate(trace, tail_start, lam_hat, problem)
-            lam_used = lam_hat
+        tail_start, lam_used = _contraction_tail(trace, g)
+        cert = None
+        if lam_used is not None:
+            cert = _certificate(problem, trace, tail_start, lam_used, "estimated", "heuristic")
 
-    g_component = [GaugeNorm(SpaceSpec(1, Vec([g.spec.base[j]]))) for j in range(n)]
     if lam_used is not None:
-        report = compare_bounds(trace, g_component, g, lam_used, start=tail_start)
+        report = compare_bounds(trace, g, lam_used, start=tail_start)
     else:
         report = ComparisonReport()
 

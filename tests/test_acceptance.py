@@ -196,7 +196,7 @@ def test_criterion_5_uniqueness_probe(affine_suite):
             tuple(rng.uniform(-3.0, 3.0) for _ in range(n)) for _ in range(4)
         ]
         for start in starts:
-            p = make_affine_problem(lams, offset, start, mode="banach")
+            p = make_affine_problem(lams, offset, start)
             finals.append(run_picard(p).fixed_point)
         inst = WeightedConeMetric([1.0] * n)
         for i in range(len(finals)):

@@ -21,6 +21,12 @@ class TestHealthySuites:
         b = report_dict(run(), seed=0, samples=120)
         assert a == b
 
+    def test_scalarized_triangle_no_rounding_false_alarm(self):
+        # At seed 5 the scalarized gauges reach ~1e4, where one rounding in
+        # the triangle sum exceeds an absolute 1e-12 pad.
+        failed = [r.name for r in run_all(seed=5, samples=1000) if not r.passed]
+        assert failed == []
+
     def test_report_shape(self):
         report = report_dict(run(samples=5), seed=0, samples=5)
         assert report["all_passed"] is True

@@ -218,7 +218,6 @@ class TestRunPicard:
         with pytest.raises(DomainEscape) as exc_info:
             run_picard(p)
         trace = exc_info.value.trace
-        assert trace.in_domain_flags[-1] is False
         assert trace.iterates[-1] == (3.0,)
 
     def test_start_outside_domain(self):

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 
@@ -6,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert.gauge import GaugeNorm
+from conecert.metrics import WeightedConeMetric
 from conecert.picard import (
     IterationTrace,
     apost_forward_bound,
     verify_step_contraction,
+    write_trace_csv,
 )
 from conecert.roots import (
     Polynomial,
@@ -217,7 +221,6 @@ class TestSolveRoots:
 
 
 class TestCompareBounds:
-    G1 = [GaugeNorm(SpaceSpec(1, Vec([1.0]))), GaugeNorm(SpaceSpec(1, Vec([1.0])))]
     GS = GaugeNorm(SpaceSpec(2, Vec([1.0, 1.0])))
 
     def make_trace(self, steps):
@@ -227,13 +230,13 @@ class TestCompareBounds:
         return t
 
     def test_empty_trace(self):
-        report = compare_bounds(self.make_trace([]), self.G1, self.GS, 0.5)
+        report = compare_bounds(self.make_trace([]), self.GS, 0.5)
         assert report.rows == []
         assert not report.any_exceeded
 
     def test_equal_components_coincide(self):
         trace = self.make_trace([[0.5, 0.5], [0.25, 0.25]])
-        report = compare_bounds(trace, self.G1, self.GS, 0.5)
+        report = compare_bounds(trace, self.GS, 0.5)
         for row in report.rows:
             assert row.componentwise.coords == row.broadcast.coords
         assert report.strict_improvement_rows == 0
@@ -241,7 +244,7 @@ class TestCompareBounds:
 
     def test_fast_component_strictly_better(self):
         trace = self.make_trace([[0.5, 0.001]])
-        report = compare_bounds(trace, self.G1, self.GS, 0.5)
+        report = compare_bounds(trace, self.GS, 0.5)
         row = report.rows[0]
         assert row.componentwise.coords == (1.0, 0.002)
         assert row.broadcast.coords == (1.0, 1.0)
@@ -250,7 +253,7 @@ class TestCompareBounds:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compare_bounds(self.make_trace([]), self.G1[:1], self.GS, 0.5)
+            compare_bounds(self.make_trace([[0.5]]), self.GS, 0.5)
 
     @settings(max_examples=200)
     @given(
@@ -263,7 +266,41 @@ class TestCompareBounds:
     )
     def test_domination_never_exceeded(self, steps, lam):
         trace = self.make_trace(steps)
-        report = compare_bounds(trace, self.G1, self.GS, lam)
+        report = compare_bounds(trace, self.GS, lam)
         assert not report.any_exceeded
         for row in report.rows:
             assert leq(row.componentwise, row.broadcast)
+
+
+class TestTailTraceCsv:
+    # Roots {0, +-1, +-2, +-i}: from the default starts the steps contract
+    # only from iterate 10 on, so the tail certificate starts late.
+    SEPTIC = Polynomial([0.0, 4.0, 0.0, -1.0, 0.0, -4.0, 0.0, 1.0])
+    ROOTS = [0, 1, -1, 2, -2, 1j, -1j]
+
+    def test_bounds_sit_on_the_iterates_they_bound(self):
+        result = solve_roots(self.SEPTIC)
+        cert = result.certificate
+        start = result.tail_start
+        assert result.converged and start == 10 and cert.start == start
+        buf = io.StringIO()
+        write_trace_csv(buf, result.trace, cert, WeightedConeMetric([1.0] * 7, field="complex"))
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert len(rows) == len(result.trace.iterates)
+        for n, row in enumerate(rows):
+            cells = {
+                fam: [row[f"{fam}_{j}"] for j in range(7)]
+                for fam in ("apriori", "apost_fwd", "apost_bwd")
+            }
+            if n < start:
+                assert all(c == "" for col in cells.values() for c in col)
+                continue
+            k = n - start
+            assert [float(c) for c in cells["apriori"]] == list(cert.apriori[k].coords)
+            if n == start:
+                assert cells["apost_bwd"] == [""] * 7
+            # Each bound must dominate the distance to the nearest true root.
+            nearest = [min(abs(z - w) for w in self.ROOTS) for z in result.trace.iterates[n]]
+            for col in cells.values():
+                if col[0]:
+                    assert all(float(c) >= d for c, d in zip(col, nearest))
