@@ -41,6 +41,7 @@ from .roots import (
     weierstrass_step,
 )
 from .solid import (
+    NonFiniteError,
     SpaceSpec,
     Vec,
     bounding_scale,

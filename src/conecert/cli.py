@@ -1,9 +1,10 @@
 """Command line front door: JSON config in, CSV/JSON artifacts out.
 
 Subcommands: axioms, gauge, picard, roots, demo-normality.  Exit codes:
-0 on success or convergence, 2 when an iteration fails to converge or
-escapes its domain, 1 on any input error.  All runs are single-threaded and
-all emitted files are byte-identical for identical config and seed.
+0 on success or convergence, 2 when an iteration fails to converge,
+diverges to a non-finite value or escapes its domain, 1 on any input
+error.  All runs are single-threaded and all emitted files are
+byte-identical for identical config and seed.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .gauge import GaugeNorm, mink_norm
-from .solid import Vec, in_cone, in_interior, leq, lt, vec_from_json
+from .solid import NonFiniteError, Vec, in_cone, in_interior, leq, lt, vec_from_json
 
 __all__ = [
     "WeightedConeMetric",
@@ -62,6 +62,14 @@ class WeightedConeMetric:
         coords = tuple(p)
         if len(coords) != self.dim:
             raise ValueError(f"point has {len(coords)} coordinates, expected {self.dim}")
+        # Fast path: a real point of exact finite floats is already what the
+        # loop below would return.  Everything else takes the loop.
+        if (
+            self.field == "real"
+            and set(map(type, coords)) == {float}
+            and all(map(math.isfinite, coords))
+        ):
+            return coords
         out = []
         for c in coords:
             if isinstance(c, bool):
@@ -71,23 +79,25 @@ class WeightedConeMetric:
                     raise ValueError(f"complex coordinate {c!r} in a real instance")
                 c = float(c)
                 if not math.isfinite(c):
-                    raise ValueError(f"non-finite coordinate: {c!r}")
+                    raise NonFiniteError(f"non-finite coordinate: {c!r}")
             else:
                 c = complex(c)
                 if not cmath.isfinite(c):
-                    raise ValueError(f"non-finite coordinate: {c!r}")
+                    raise NonFiniteError(f"non-finite coordinate: {c!r}")
             out.append(c)
         return tuple(out)
 
     def norm(self, x) -> Vec:
         """Cone norm of a point: the weighted vector of moduli."""
         x = self.validate_point(x)
-        return Vec(a * abs(c) for a, c in zip(self.alpha, x))
+        return Vec([a * abs(c) for a, c in zip(self.alpha, x)])
 
     def distance(self, x, y) -> Vec:
-        x = self.validate_point(x)
-        y = self.validate_point(y)
-        return Vec(a * abs(cx - cy) for a, cx, cy in zip(self.alpha, x, y))
+        return self._distance(self.validate_point(x), self.validate_point(y))
+
+    def _distance(self, x, y) -> Vec:
+        """Distance between points that already passed ``validate_point``."""
+        return Vec([a * abs(cx - cy) for a, cx, cy in zip(self.alpha, x, y)])
 
 
 class DiscreteConeMetric:
@@ -110,6 +120,9 @@ class DiscreteConeMetric:
         return p
 
     def distance(self, x, y) -> Vec:
+        return self._distance(self.validate_point(x), self.validate_point(y))
+
+    def _distance(self, x, y) -> Vec:
         return Vec.zeros(self.dim) if x == y else self.a
 
 
@@ -137,8 +150,9 @@ class PlusConeMetric:
         return p
 
     def distance(self, x, y) -> Vec:
-        x = self.validate_point(x)
-        y = self.validate_point(y)
+        return self._distance(self.validate_point(x), self.validate_point(y))
+
+    def _distance(self, x, y) -> Vec:
         return Vec.zeros(self.n) if x == y else x + y
 
 

@@ -9,22 +9,34 @@ trace), emits the standard certificate family in cone-vector form:
 * forward a posteriori bound   d(x_n, x_{n+1}) / (1 - lam),
 * backward a posteriori bound  lam / (1 - lam) * d(x_{n-1}, x_n).
 
+A :class:`Certificate` stores only the factor and the step distances; each
+bound family is a read-only sequence whose entries are computed from those
+closed forms when read.
+
 A certificate is marked ``certified`` only when the factor was supplied by
 the caller, the invariance ball fits inside the declared domain, and the
 observed steps never contradict the factor.  An estimated factor always
 yields ``heuristic``; a domain checked only pointwise on iterates yields
 ``conditional``.
+
+The start point and every map output are validated once, on entry; steps
+are measured between already validated points.  An iteration whose map
+output, step distance or halting bound overflows ends like one that runs
+out of iterations: not converged, with the trace up to the last iterate
+before the overflow.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .gauge import GaugeNorm, mink_norm
 from .metrics import Ball, ConeMetric, WeightedConeMetric, ball_contains
-from .solid import Vec, in_interior, leq, lt
+from .solid import NonFiniteError, Vec, in_interior, leq, lt
 
 __all__ = [
     "LAMBDA_CEILING",
@@ -100,17 +112,70 @@ class IterationTrace:
     step_dists: list[Vec] = field(default_factory=list)
 
 
+class _BoundFamily(Sequence):
+    """Read-only sequence of bound vectors, entry k computed when read.
+
+    An entry whose value overflows raises :class:`NonFiniteError` on access.
+    Slicing returns a list of the selected entries.
+    """
+
+    __slots__ = ("_len", "_entry")
+
+    def __init__(self, length: int, entry: Callable[[int], Vec]):
+        self._len = length
+        self._entry = entry
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._entry(i) for i in range(*k.indices(self._len))]
+        i = operator.index(k)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"bound index {k} out of range for {self._len} entries")
+        return self._entry(i)
+
+    def __iter__(self):
+        return map(self._entry, range(self._len))
+
+
 @dataclass
 class Certificate:
+    """Factor, status and steps of a run; the bound families derive from them.
+
+    ``apriori``, ``apost_forward`` and ``apost_backward`` are read-only
+    sequences computed on access from (``lambda_used``, ``steps``,
+    ``start``), so building a certificate costs no per-iterate bound work.
+    """
+
     lambda_used: float
     lambda_source: str  # "given" | "estimated"
     radius_r: Vec
-    apriori: list[Vec]  # entry k bounds the error at iterate start + k
-    apost_forward: list[Vec]  # entry k bounds the error at iterate start + k
-    apost_backward: list[Vec]  # entry k bounds the error at iterate start + k + 1
+    steps: list[Vec]  # step distances d(x_k, x_{k+1}) for k >= start
     status: str  # "certified" | "conditional" | "heuristic"
     residual: Optional[Vec]
     start: int = 0  # first iterate the families cover; 0 for engine runs
+
+    @property
+    def apriori(self) -> _BoundFamily:
+        """Entry k bounds the error at iterate start + k (k = 0..len(steps))."""
+        lam, d01 = self.lambda_used, self.steps[0]
+        return _BoundFamily(len(self.steps) + 1, lambda k: apriori_bound(k, lam, d01))
+
+    @property
+    def apost_forward(self) -> _BoundFamily:
+        """Entry k bounds the error at iterate start + k."""
+        lam, steps = self.lambda_used, self.steps
+        return _BoundFamily(len(steps), lambda k: apost_forward_bound(steps[k], lam))
+
+    @property
+    def apost_backward(self) -> _BoundFamily:
+        """Entry k bounds the error at iterate start + k + 1."""
+        lam, steps = self.lambda_used, self.steps
+        return _BoundFamily(len(steps), lambda k: apost_backward_bound(steps[k], lam))
 
 
 @dataclass
@@ -245,7 +310,9 @@ def run_picard(p: Problem) -> PicardResult:
     step distance does.  Every iterate is checked against the domain and an
     escape raises :class:`DomainEscape` carrying the partial trace.  Reaching
     ``max_iter`` is not an error: the result comes back with
-    ``converged=False`` and whatever certificate the trace supports.
+    ``converged=False`` and whatever certificate the trace supports.  Nor is
+    a map output, step distance or halting bound that overflows: the run
+    ends the same way, its trace stopping at the last iterate before it.
     """
     inst = p.metric
     trace = IterationTrace()
@@ -256,21 +323,22 @@ def run_picard(p: Problem) -> PicardResult:
 
     converged = False
     for _ in range(p.max_iter):
-        x_next = inst.validate_point(p.map_fn(x))
+        image = p.map_fn(x)
+        try:
+            x_next = inst.validate_point(image)
+            s = inst._distance(x, x_next)
+            halt = s if p.lam is None else apost_backward_bound(s, p.lam)
+        except NonFiniteError:
+            break
         trace.iterates.append(x_next)
-        s = inst.distance(x, x_next)
         trace.step_dists.append(s)
         if not _in_domain(p, x_next):
             raise DomainEscape(
                 f"iterate {len(trace.iterates) - 1} left the domain", trace
             )
-        if p.lam is not None:
-            if lt(apost_backward_bound(s, p.lam), p.stop_c):
-                converged = True
-        elif lt(s, p.stop_c):
-            converged = True
         x = x_next
-        if converged:
+        if lt(halt, p.stop_c):
+            converged = True
             break
 
     cert = _build_certificate(p, trace)
@@ -314,9 +382,8 @@ def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificat
 def _certificate(
     p: Problem, trace: IterationTrace, start: int, lam: float, source: str, status: str
 ) -> Certificate:
-    """Radius, bound families from iterate ``start`` on, and final residual."""
+    """Radius, steps from iterate ``start`` on, and final residual."""
     steps = trace.step_dists[start:]
-    d01 = steps[0]
     residual = None
     try:
         residual = residual_check(trace.iterates[-1], p)
@@ -325,10 +392,8 @@ def _certificate(
     return Certificate(
         lambda_used=lam,
         lambda_source=source,
-        radius_r=apriori_bound(0, lam, d01),
-        apriori=[apriori_bound(k, lam, d01) for k in range(len(steps) + 1)],
-        apost_forward=[apost_forward_bound(s, lam) for s in steps],
-        apost_backward=[apost_backward_bound(s, lam) for s in steps],
+        radius_r=apriori_bound(0, lam, steps[0]),
+        steps=steps,
         status=status,
         residual=residual,
         start=start,
@@ -380,6 +445,8 @@ def write_trace_csv(
     header += [f"apost_bwd_{j}" for j in range(m)]
     writer.writerow(header)
     blank = [""] * m
+    if cert is not None:
+        apriori, fwd, bwd = cert.apriori, cert.apost_forward, cert.apost_backward
     for n, point in enumerate(trace.iterates):
         row = [str(n)]
         row += _coord_values(inst, point)
@@ -387,9 +454,9 @@ def write_trace_csv(
         row += [_fmt(c) for c in steps[n]] if n < len(steps) else blank
         k = n - cert.start if cert is not None else -1
         if k >= 0:
-            row += [_fmt(c) for c in cert.apriori[k]] if k < len(cert.apriori) else blank
-            row += [_fmt(c) for c in cert.apost_forward[k]] if k < len(cert.apost_forward) else blank
-            row += [_fmt(c) for c in cert.apost_backward[k - 1]] if 1 <= k <= len(cert.apost_backward) else blank
+            row += [_fmt(c) for c in apriori[k]] if k < len(apriori) else blank
+            row += [_fmt(c) for c in fwd[k]] if k < len(fwd) else blank
+            row += [_fmt(c) for c in bwd[k - 1]] if 1 <= k <= len(bwd) else blank
         else:
             row += blank + blank + blank
         writer.writerow(row)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
+    "NonFiniteError",
     "Vec",
     "SpaceSpec",
     "in_cone",
@@ -27,6 +28,10 @@ __all__ = [
 ]
 
 
+class NonFiniteError(ValueError):
+    """A coordinate is NaN or infinite, typically after a float overflow."""
+
+
 class Vec:
     """Immutable vector in R^n, used both for points and for distance values.
 
@@ -37,12 +42,12 @@ class Vec:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[float]):
-        cs = tuple(float(c) for c in coords)
+        cs = tuple(map(float, coords))
         if not cs:
             raise ValueError("a vector needs at least one coordinate")
-        for c in cs:
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coordinate: {c!r}")
+        if not all(map(math.isfinite, cs)):
+            bad = next(c for c in cs if not math.isfinite(c))
+            raise NonFiniteError(f"non-finite coordinate: {bad!r}")
         self.coords = cs
 
     @classmethod
@@ -85,29 +90,30 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         self._same_dim(other)
-        return Vec(a + b for a, b in zip(self.coords, other.coords))
+        return Vec([a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._same_dim(other)
-        return Vec(a - b for a, b in zip(self.coords, other.coords))
+        return Vec([a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self) -> "Vec":
-        return Vec(-a for a in self.coords)
+        return Vec([-a for a in self.coords])
 
     def __mul__(self, scalar: float) -> "Vec":
-        return Vec(a * scalar for a in self.coords)
+        return Vec([a * scalar for a in self.coords])
 
     __rmul__ = __mul__
 
 
 def in_cone(x: Vec) -> bool:
     """True iff every coordinate of x is >= 0 (x lies in the positive cone)."""
-    return all(c >= 0.0 for c in x.coords)
+    # A Vec holds no NaN, so its minimum decides the whole comparison.
+    return min(x.coords) >= 0.0
 
 
 def in_interior(x: Vec) -> bool:
     """True iff every coordinate of x is > 0 (x lies in the cone's interior)."""
-    return all(c > 0.0 for c in x.coords)
+    return min(x.coords) > 0.0
 
 
 def leq(x: Vec, y: Vec) -> bool:

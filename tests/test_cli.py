@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -17,6 +18,19 @@ EXPANDING = {
     "x0": [1.0],
     "metric": {"kind": "weighted_norm", "alpha": [1.0]},
     "max_iter": 30,
+}
+# Valid configs whose iterates overflow: the step distance |1e308 - (-1e308)|
+# in the first, the map output 2 * 2**27 * 1e300 in the second.
+OVERFLOWING_STEP = {
+    "map": {"name": "affine", "matrix": [[-1.0]], "offset": [0.0]},
+    "metric": {"kind": "weighted", "alpha": [1.0]},
+    "x0": [1e308],
+    "lambda": 0.5,
+}
+OVERFLOWING_MAP = {
+    "map": {"name": "affine", "matrix": [[2.0]], "offset": [0.0]},
+    "metric": {"kind": "weighted", "alpha": [1.0]},
+    "x0": [1e300],
 }
 CUBIC_ROOTS = {
     "coefficients": [-6.0, 11.0, -6.0, 1.0],
@@ -64,6 +78,25 @@ class TestPicardCommand:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["converged"] is False
         assert cert["certificate"] is None
+
+    @pytest.mark.parametrize(
+        "payload, iterations",
+        [(OVERFLOWING_STEP, 0), (OVERFLOWING_MAP, 27)],
+        ids=["step", "map"],
+    )
+    def test_divergence_to_overflow_exits_two(self, tmp_path, capsys, payload, iterations):
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 2
+        assert "error" not in capsys.readouterr().err
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["converged"] is False
+        assert cert["iterations"] == iterations
+        assert cert["certificate"] is None
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == iterations + 1
+        # The trace stops at the last finite iterate.
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",") if v)
 
     def test_domain_escape_exits_two_with_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(

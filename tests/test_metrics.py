@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from conecert.metrics import (
     parse_point,
     scalarize,
 )
-from conecert.solid import SpaceSpec, Vec, in_cone, leq
+from conecert.solid import NonFiniteError, SpaceSpec, Vec, in_cone, leq
 
 from helpers import dims, dyadic_coord, dyadic_pos_coord, vec_st
 
@@ -61,6 +64,73 @@ class TestWeighted:
         assert (d == Vec.zeros(n)) == (x == y)
         assert d == inst.distance(y, x)
         assert leq(inst.distance(x, z), inst.distance(x, y) + inst.distance(y, z))
+
+
+class _Float(float):
+    pass
+
+
+def loop_validate(field, coords):
+    """The per-coordinate validation loop that the fast path must agree with."""
+    out = []
+    for c in coords:
+        if isinstance(c, bool):
+            raise ValueError(f"not a scalar: {c!r}")
+        if field == "real":
+            if isinstance(c, complex):
+                raise ValueError(f"complex coordinate {c!r} in a real instance")
+            c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coordinate: {c!r}")
+        else:
+            c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coordinate: {c!r}")
+        out.append(c)
+    return tuple(out)
+
+
+def typed_bits(point):
+    return [(type(c), c.hex() if isinstance(c, float) else repr(c)) for c in point]
+
+
+class TestValidatePoint:
+    @pytest.mark.parametrize(
+        "field, point",
+        [
+            ("real", (1.5, -0.0)),
+            ("real", (1, 2.5)),
+            ("real", (_Float(0.1), -0.0)),
+            ("real", (-0.0, 3)),
+            ("complex", (1.5, -0.0)),
+            ("complex", (1, 2j)),
+        ],
+    )
+    def test_accepted_points_match_the_loop(self, field, point):
+        got = WeightedConeMetric([1.0, 1.0], field=field).validate_point(point)
+        assert typed_bits(got) == typed_bits(loop_validate(field, point))
+
+    @pytest.mark.parametrize(
+        "point, error, message",
+        [
+            ((True, 1.0), ValueError, "not a scalar: True"),
+            ((1.0, 1j), ValueError, "complex coordinate 1j in a real instance"),
+            ((math.nan, 1.0), NonFiniteError, "non-finite coordinate: nan"),
+            ((1.0, -math.inf), NonFiniteError, "non-finite coordinate: -inf"),
+            ((1, math.inf), NonFiniteError, "non-finite coordinate: inf"),
+        ],
+    )
+    def test_rejected_points_keep_type_and_message(self, point, error, message):
+        with pytest.raises(ValueError) as reference:
+            loop_validate("real", point)
+        with pytest.raises(error) as info:
+            WeightedConeMetric([1.0, 1.0]).validate_point(point)
+        assert str(info.value) == str(reference.value) == message
+        assert isinstance(info.value, NonFiniteError) == (error is NonFiniteError)
+
+    def test_complex_non_finite(self):
+        with pytest.raises(NonFiniteError, match="non-finite coordinate"):
+            WeightedConeMetric([1.0], field="complex").validate_point((complex(math.inf, 0),))
 
 
 class TestDiscrete:

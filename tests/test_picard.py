@@ -1,4 +1,6 @@
 import io
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 from conecert.gauge import GaugeNorm
 from conecert.metrics import Ball, WeightedConeMetric
 from conecert.picard import (
+    LAMBDA_CEILING,
     DomainEscape,
     IterationTrace,
     Problem,
     apost_backward_bound,
     apost_forward_bound,
     apriori_bound,
+    certificate_to_dict,
     check_domain_condition,
     estimate_lambda,
     rate_check,
@@ -22,7 +26,8 @@ from conecert.picard import (
     verify_step_contraction,
     write_trace_csv,
 )
-from conecert.solid import SpaceSpec, Vec, leq
+from conecert.roots import Polynomial, solve_roots
+from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq
 
 from helpers import geometric_tail
 
@@ -263,6 +268,109 @@ class TestRunPicard:
             )
             limits.append(run_picard(p).fixed_point[0])
         assert abs(limits[0] - limits[1]) <= 1e-8
+
+
+class CountingMetric(WeightedConeMetric):
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        self.validations = 0
+
+    def validate_point(self, p):
+        self.validations += 1
+        return super().validate_point(p)
+
+
+class TestEngineBoundary:
+    @pytest.mark.parametrize("lam", [0.5, None])
+    def test_each_point_validated_once(self, lam):
+        inst = CountingMetric([1.0, 1.0])
+        result = run_picard(affine_problem(metric=inst, lam=lam))
+        k = len(result.trace.step_dists)
+        assert result.converged and k > 10
+        # x0, one per map output, and the two points of the final residual.
+        assert inst.validations <= k + 3
+
+    @pytest.mark.parametrize(
+        "map_fn, x0, lam, steps",
+        [
+            (lambda x: (-x[0],), 1e308, 0.5, 0),  # the step distance overflows
+            (lambda x: (2.0 * x[0],), 1e300, None, 27),  # the map output overflows
+            (lambda x: (-x[0],), 1e297, LAMBDA_CEILING, 0),  # the halting bound overflows
+        ],
+    )
+    def test_overflow_ends_the_run_unconverged(self, map_fn, x0, lam, steps):
+        result = run_picard(halve_problem(map_fn=map_fn, x0=(x0,), lam=lam))
+        assert not result.converged
+        assert result.fixed_point is None
+        assert len(result.trace.step_dists) == steps
+        assert len(result.trace.iterates) == steps + 1
+        assert all(math.isfinite(x[0]) for x in result.trace.iterates)
+
+    @pytest.mark.parametrize("image", [(1.0, 2.0), (1j,), (True,)])
+    def test_malformed_map_output_stays_an_input_error(self, image):
+        with pytest.raises(ValueError) as info:
+            run_picard(halve_problem(map_fn=lambda x: image))
+        assert not isinstance(info.value, NonFiniteError)
+
+
+def bits(v):
+    return [c.hex() for c in v.coords]
+
+
+def eager_families(steps, lam):
+    return {
+        "apriori": [apriori_bound(k, lam, steps[0]) for k in range(len(steps) + 1)],
+        "apost_forward": [apost_forward_bound(s, lam) for s in steps],
+        "apost_backward": [apost_backward_bound(s, lam) for s in steps],
+    }
+
+
+class TestBoundFamilies:
+    # Roots {0, +-1, +-2, +-i}: from the default starts the contracting tail
+    # begins at iterate 10.
+    SEPTIC = Polynomial([0.0, 4.0, 0.0, -1.0, 0.0, -4.0, 0.0, 1.0])
+
+    def certificate(self, case):
+        if case == "given":
+            result = run_picard(affine_problem())
+            cert = result.certificate
+            assert cert.lambda_source == "given" and cert.start == 0
+        else:
+            result = solve_roots(self.SEPTIC)
+            cert = result.certificate
+            assert cert.start == result.tail_start == 10
+        steps = result.trace.step_dists[cert.start:]
+        assert [bits(s) for s in cert.steps] == [bits(s) for s in steps]
+        return cert, eager_families(steps, cert.lambda_used)
+
+    @pytest.mark.parametrize("case", ["given", "tail"])
+    def test_views_match_the_closed_forms(self, case):
+        cert, eager = self.certificate(case)
+        for name, ref in eager.items():
+            view = getattr(cert, name)
+            n = len(ref)
+            assert len(view) == n > 5
+            assert [bits(v) for v in view] == [bits(v) for v in ref]
+            for k in range(-n, n):
+                assert bits(view[k]) == bits(ref[k])
+            for sl in (slice(None), slice(2, 5), slice(-3, None), slice(None, None, -2), slice(5, 2)):
+                assert [bits(v) for v in view[sl]] == [bits(v) for v in ref[sl]]
+            for k in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[k]
+
+    @pytest.mark.parametrize("case", ["given", "tail"])
+    def test_certificate_to_dict_matches_eager_lists(self, case):
+        cert, eager = self.certificate(case)
+        expected = {
+            "lambda_used": cert.lambda_used,
+            "lambda_source": cert.lambda_source,
+            "radius_r": list(cert.radius_r.coords),
+            **{name: [list(v.coords) for v in ref] for name, ref in eager.items()},
+            "status": cert.status,
+            "residual": list(cert.residual.coords),
+        }
+        assert json.dumps(certificate_to_dict(cert)) == json.dumps(expected)
 
 
 class TestTraceCsv:

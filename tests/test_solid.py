@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conecert.solid import (
+    NonFiniteError,
     SpaceSpec,
     Vec,
     bounding_scale,
@@ -34,6 +35,30 @@ class TestVecBasics:
             Vec([math.inf])
         with pytest.raises(ValueError):
             Vec([])
+
+    @pytest.mark.parametrize(
+        "coords, error, message",
+        [
+            ([1.0, math.nan], NonFiniteError, "non-finite coordinate: nan"),
+            ([2, -math.inf, math.nan], NonFiniteError, "non-finite coordinate: -inf"),
+            ([], ValueError, "a vector needs at least one coordinate"),
+        ],
+    )
+    def test_rejection_type_and_message(self, coords, error, message):
+        with pytest.raises(error) as info:
+            Vec(coords)
+        assert str(info.value) == message
+        assert isinstance(info.value, NonFiniteError) == (error is NonFiniteError)
+        with pytest.raises(error):
+            Vec(iter(coords))
+
+    def test_coordinates_become_plain_floats(self):
+        class F(float):
+            pass
+
+        v = Vec(iter([1, F(0.1), -0.0, True]))
+        assert [type(c) for c in v.coords] == [float] * 4
+        assert [c.hex() for c in v.coords] == [c.hex() for c in (1.0, 0.1, -0.0, 1.0)]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
