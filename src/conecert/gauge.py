@@ -9,6 +9,7 @@ the test suite and cross-checks the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import truediv
 
 from .solid import SpaceSpec, Vec, lt
 
@@ -30,7 +31,7 @@ def mink_norm(x: Vec, g: GaugeNorm) -> float:
     b = g.spec.base
     if len(x) != g.spec.n:
         raise ValueError(f"dimension mismatch: {len(x)} vs {g.spec.n}")
-    return max(abs(c) / bi for c, bi in zip(x.coords, b.coords))
+    return max(map(truediv, map(abs, x.coords), b.coords))
 
 
 def strict_ball_test(x: Vec, eps: float, g: GaugeNorm) -> bool:

@@ -62,13 +62,14 @@ class WeightedConeMetric:
         coords = tuple(p)
         if len(coords) != self.dim:
             raise ValueError(f"point has {len(coords)} coordinates, expected {self.dim}")
-        # Fast path: a real point of exact finite floats is already what the
-        # loop below would return.  Everything else takes the loop.
-        if (
-            self.field == "real"
-            and set(map(type, coords)) == {float}
-            and all(map(math.isfinite, coords))
-        ):
+        # Fast path: a point of exact finite floats (real field) or exact
+        # finite complexes (complex field) is already what the loop below
+        # would return.  Everything else takes the loop.
+        if self.field == "real":
+            exact, isfinite = float, math.isfinite
+        else:
+            exact, isfinite = complex, cmath.isfinite
+        if set(map(type, coords)) == {exact} and all(map(isfinite, coords)):
             return coords
         out = []
         for c in coords:

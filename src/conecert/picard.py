@@ -21,9 +21,10 @@ yields ``heuristic``; a domain checked only pointwise on iterates yields
 
 The start point and every map output are validated once, on entry; steps
 are measured between already validated points.  An iteration whose map
-output, step distance or halting bound overflows ends like one that runs
-out of iterations: not converged, with the trace up to the last iterate
-before the overflow.
+output, step distance or halting bound overflows, or whose map raises
+:class:`NonFiniteError` itself, ends like one that runs out of iterations:
+not converged, with the trace up to the last iterate before the overflow.
+Any other exception from the map propagates.
 """
 
 from __future__ import annotations
@@ -311,8 +312,9 @@ def run_picard(p: Problem) -> PicardResult:
     escape raises :class:`DomainEscape` carrying the partial trace.  Reaching
     ``max_iter`` is not an error: the result comes back with
     ``converged=False`` and whatever certificate the trace supports.  Nor is
-    a map output, step distance or halting bound that overflows: the run
-    ends the same way, its trace stopping at the last iterate before it.
+    a map output, step distance or halting bound that overflows, or a map
+    that raises :class:`NonFiniteError`: the run ends the same way, its
+    trace stopping at the last iterate before it.
     """
     inst = p.metric
     trace = IterationTrace()
@@ -323,9 +325,8 @@ def run_picard(p: Problem) -> PicardResult:
 
     converged = False
     for _ in range(p.max_iter):
-        image = p.map_fn(x)
         try:
-            x_next = inst.validate_point(image)
+            x_next = inst.validate_point(p.map_fn(x))
             s = inst._distance(x, x_next)
             halt = s if p.lam is None else apost_backward_bound(s, p.lam)
         except NonFiniteError:

@@ -15,6 +15,7 @@ max-norm bound broadcast to all roots.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -29,7 +30,7 @@ from .picard import (
     apost_forward_bound,
     run_picard,
 )
-from .solid import SpaceSpec, Vec
+from .solid import NonFiniteError, SpaceSpec, Vec
 
 __all__ = [
     "Polynomial",
@@ -75,15 +76,18 @@ class Polynomial:
 
 
 def as_root_vector(values: Sequence) -> tuple[complex, ...]:
-    z = tuple(complex(v) for v in values)
+    z = tuple(map(complex, values))
     if not z:
         raise ValueError("root vector must be nonempty")
-    if any(not cmath.isfinite(c) for c in z):
+    if not all(map(cmath.isfinite, z)):
         raise ValueError("root vector entries must be finite")
-    for i in range(len(z)):
-        for j in range(i + 1, len(z)):
-            if z[i] == z[j]:
-                raise ValueError(f"coincident entries at positions {i} and {j}")
+    # Complex hashing agrees with ==, so +0.0 and -0.0 parts collide here
+    # exactly as they compare; the pairwise scan only names the positions.
+    if len(set(z)) != len(z):
+        for i in range(len(z)):
+            for j in range(i + 1, len(z)):
+                if z[i] == z[j]:
+                    raise ValueError(f"coincident entries at positions {i} and {j}")
     return z
 
 
@@ -106,22 +110,25 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
 
     The denominator factors are multiplied in a canonical order (sorted by
     the other entries' coordinates), so permuting the input permutes the
-    output exactly, with no float drift.
+    output exactly, with no float drift.  The entries are distinct, so their
+    ``(re, im)`` keys are too and the sort order is unique: sorting once per
+    sweep and dropping root ``i``'s own entry leaves exactly the other
+    entries in the order a per-root sort would give.
+
+    An update that is not finite raises :class:`NonFiniteError`, which the
+    engine treats as divergence.
     """
     z = as_root_vector(z)
     if len(z) != p.degree:
         raise ValueError(f"{len(z)} approximations for degree {p.degree}")
+    order = sorted(z, key=lambda w: (w.real, w.imag))
     out = []
     for i, zi in enumerate(z):
-        others = sorted(
-            (z[j] for j in range(len(z)) if j != i), key=lambda w: (w.real, w.imag)
-        )
-        denom = 1 + 0j
-        for w in others:
-            denom *= zi - w
+        k = order.index(zi)
+        denom = math.prod(map(zi.__sub__, order[:k] + order[k + 1 :]), start=1 + 0j)
         wi = zi - p(zi) / denom
         if not cmath.isfinite(wi):
-            raise ArithmeticError(f"update overflowed at position {i}")
+            raise NonFiniteError(f"update overflowed at position {i}")
         out.append(wi)
     return tuple(out)
 

@@ -28,8 +28,12 @@ __all__ = [
 ]
 
 
-class NonFiniteError(ValueError):
-    """A coordinate is NaN or infinite, typically after a float overflow."""
+class NonFiniteError(ValueError, ArithmeticError):
+    """A coordinate is NaN or infinite, typically after a float overflow.
+
+    A ``ValueError`` because the value is unusable as input, and an
+    ``ArithmeticError`` because it is what an overflowing computation leaves.
+    """
 
 
 class Vec:

@@ -32,6 +32,8 @@ OVERFLOWING_MAP = {
     "metric": {"kind": "weighted", "alpha": [1.0]},
     "x0": [1e300],
 }
+# Default starts of radius 1 + 1e200: the first correction overflows.
+OVERFLOW_CUBIC = {"coefficients": [1e200, 0, 0, 1]}
 CUBIC_ROOTS = {
     "coefficients": [-6.0, 11.0, -6.0, 1.0],
     "z0": [[1.3, 0.0], [1.8, 0.0], [3.4, 0.0]],
@@ -225,6 +227,23 @@ class TestRootsCommand:
         roots = sorted(re for re, _ in report["roots"])
         assert roots[0] == pytest.approx(-1.0, abs=1e-8)
         assert roots[1] == pytest.approx(1.0, abs=1e-8)
+
+    def test_overflow_exits_two_with_repeatable_artifacts(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, OVERFLOW_CUBIC)
+        blobs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["roots", "--config", cfg, "--out", str(out)]) == 2
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert capsys.readouterr().err == ""
+        assert blobs[0] == blobs[1]
+        assert sorted(blobs[0]) == ["certificate.json", "report.json", "trace.csv"]
+        report = json.loads(blobs[0]["report.json"])
+        assert report["converged"] is False
+        assert report["roots"] is None
+        assert json.loads(blobs[0]["certificate.json"])["certificate"] is None
+        rows = blobs[0]["trace.csv"].decode().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("0,")
 
 
 class TestAxiomsCommand:

@@ -70,6 +70,10 @@ class _Float(float):
     pass
 
 
+class _Complex(complex):
+    pass
+
+
 def loop_validate(field, coords):
     """The per-coordinate validation loop that the fast path must agree with."""
     out = []
@@ -127,6 +131,43 @@ class TestValidatePoint:
             WeightedConeMetric([1.0, 1.0]).validate_point(point)
         assert str(info.value) == str(reference.value) == message
         assert isinstance(info.value, NonFiniteError) == (error is NonFiniteError)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (1.5 + 2j, complex(-0.0, -0.0)),
+            (0j, complex(0.0, -0.0)),
+            (1, 2),
+            (2.5, -0.0),
+            (_Complex(1 + 1j), 3j),
+            (_Float(0.1), 1 - 1j),
+        ],
+    )
+    def test_complex_field_accepts_like_the_loop(self, point):
+        got = WeightedConeMetric([1.0, 1.0], field="complex").validate_point(point)
+        assert typed_bits(got) == typed_bits(loop_validate("complex", point))
+
+    @pytest.mark.parametrize(
+        "point, error, message",
+        [
+            ((True, 1j), ValueError, "not a scalar: True"),
+            ((1j, True), ValueError, "not a scalar: True"),
+            ((complex(math.nan, 0.0), 1j), NonFiniteError, "non-finite coordinate: (nan+0j)"),
+            ((0j, complex(0.0, -math.inf)), NonFiniteError, "non-finite coordinate: -infj"),
+            ((math.inf, 1j), NonFiniteError, "non-finite coordinate: (inf+0j)"),
+        ],
+    )
+    def test_complex_field_rejects_like_the_loop(self, point, error, message):
+        with pytest.raises(ValueError) as reference:
+            loop_validate("complex", point)
+        with pytest.raises(error) as info:
+            WeightedConeMetric([1.0, 1.0], field="complex").validate_point(point)
+        assert str(info.value) == str(reference.value) == message
+        assert isinstance(info.value, NonFiniteError) == (error is NonFiniteError)
+
+    def test_exact_complex_point_is_returned_unchanged(self):
+        point = (1 + 2j, -0.0j)
+        assert WeightedConeMetric([1.0, 1.0], field="complex").validate_point(point) is point
 
     def test_complex_non_finite(self):
         with pytest.raises(NonFiniteError, match="non-finite coordinate"):

@@ -306,6 +306,27 @@ class TestEngineBoundary:
         assert len(result.trace.iterates) == steps + 1
         assert all(math.isfinite(x[0]) for x in result.trace.iterates)
 
+    def test_map_raising_non_finite_ends_the_run_unconverged(self):
+        def overflowing(x):
+            if x[0] < 0.25:
+                raise NonFiniteError("update overflowed at position 0")
+            return (x[0] / 2,)
+
+        result = run_picard(halve_problem(map_fn=overflowing, x0=(1.0,)))
+        assert not result.converged
+        assert [x[0] for x in result.trace.iterates] == [1.0, 0.5, 0.25, 0.125]
+
+    @pytest.mark.parametrize(
+        "error", [OverflowError("math range error"), ArithmeticError("map failed")]
+    )
+    def test_other_arithmetic_errors_from_the_map_propagate(self, error):
+        def failing(x):
+            raise error
+
+        with pytest.raises(type(error)) as info:
+            run_picard(halve_problem(map_fn=failing))
+        assert info.value is error
+
     @pytest.mark.parametrize("image", [(1.0, 2.0), (1j,), (True,)])
     def test_malformed_map_output_stays_an_input_error(self, image):
         with pytest.raises(ValueError) as info:

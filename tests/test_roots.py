@@ -1,3 +1,4 @@
+import cmath
 import csv
 import io
 import itertools
@@ -23,7 +24,7 @@ from conecert.roots import (
     solve_roots,
     weierstrass_step,
 )
-from conecert.solid import SpaceSpec, Vec, leq
+from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq
 
 from helpers import greedy_match
 
@@ -68,6 +69,14 @@ class TestRootVector:
         with pytest.raises(ValueError):
             as_root_vector([1.0, 2.0, 1.0])
 
+    def test_names_the_first_coincident_pair(self):
+        with pytest.raises(ValueError, match="^coincident entries at positions 0 and 2$"):
+            as_root_vector([1, 2, 1])
+
+    def test_signed_zeros_coincide(self):
+        with pytest.raises(ValueError, match="^coincident entries at positions 0 and 1$"):
+            as_root_vector([0j, complex(-0.0, 0.0)])
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             as_root_vector([])
@@ -99,6 +108,11 @@ class TestWeierstrassStep:
         with pytest.raises(ArithmeticError):
             weierstrass_step(QUAD_REAL, [1e200, 0.0])
 
+    def test_overflow_is_non_finite_and_arithmetic(self):
+        with pytest.raises(NonFiniteError, match="^update overflowed at position 0$") as info:
+            weierstrass_step(QUAD_REAL, [1e200, 0.0])
+        assert isinstance(info.value, ArithmeticError)
+
     @settings(max_examples=100)
     @given(
         st.lists(
@@ -115,6 +129,69 @@ class TestWeierstrassStep:
             permuted = tuple(z[i] for i in perm)
             expect = tuple(base[i] for i in perm)
             assert weierstrass_step(CUBIC, permuted) == expect
+
+
+def per_root_sort_step(p, z):
+    """The sweep as first written: one sort of the other entries per root.
+
+    Kept as the reference the one-sort kernel must match bit for bit; only
+    the overflow error is raised as ``NonFiniteError``, as the kernel does.
+    """
+    z = as_root_vector(z)
+    if len(z) != p.degree:
+        raise ValueError(f"{len(z)} approximations for degree {p.degree}")
+    out = []
+    for i, zi in enumerate(z):
+        others = sorted(
+            (z[j] for j in range(len(z)) if j != i), key=lambda w: (w.real, w.imag)
+        )
+        denom = 1 + 0j
+        for w in others:
+            denom *= zi - w
+        wi = zi - p(zi) / denom
+        if not cmath.isfinite(wi):
+            raise NonFiniteError(f"update overflowed at position {i}")
+        out.append(wi)
+    return tuple(out)
+
+
+def outcome(step, p, z):
+    """repr of the sweep (so signed zeros count), or the error's type and text."""
+    try:
+        return repr(step(p, z))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A monic polynomial and approximations of degree 1-12.
+
+    Parts mix signed zeros and small exact values with magnitudes from 1e-300
+    up to a per-example ceiling of at most 1e150.  The exact pool makes equal
+    real parts (ties broken by the imaginary part) and coincident entries
+    common; real-line examples give signed-zero imaginary parts.
+    """
+    n = draw(st.integers(1, 12))
+    top = draw(st.sampled_from([1.0, 1e3, 1e20, 1e150]))
+    magnitude = st.floats(min_value=1e-300, max_value=top)
+    real = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300]),
+        magnitude,
+        magnitude.map(lambda m: -m),
+    )
+    imag = st.sampled_from([0.0, -0.0]) if draw(st.booleans()) else real
+    entry = st.builds(complex, real, imag)
+    coeffs = draw(st.lists(entry, min_size=n, max_size=n)) + [1.0]
+    return Polynomial(coeffs), draw(st.lists(entry, min_size=n, max_size=n))
+
+
+class TestOneSortKernel:
+    @settings(max_examples=400)
+    @given(sweep_inputs())
+    def test_bit_identical_to_per_root_sort(self, inputs):
+        p, z = inputs
+        assert outcome(weierstrass_step, p, z) == outcome(per_root_sort_step, p, z)
 
 
 class TestDefaultStarts:
@@ -179,6 +256,16 @@ class TestSolveRoots:
         assert result.certificate is None
         assert result.lambda_used is None
         assert result.report.rows == []
+
+    def test_overflow_cubic_ends_unconverged(self):
+        # Default starts of radius 1 + 1e200: the first correction overflows.
+        result = solve_roots(Polynomial([1e200, 0.0, 0.0, 1.0]))
+        assert result.converged is False
+        assert result.roots is None
+        assert result.residuals is None
+        assert result.certificate is None
+        assert len(result.trace.iterates) == 1
+        assert result.trace.step_dists == []
 
     def test_estimated_certificate_is_heuristic(self):
         result = solve_roots(CUBIC, z0=(1.3, 1.8, 3.4))
