@@ -32,7 +32,7 @@ from .picard import (
     run_picard,
     write_trace_csv,
 )
-from .roots import Polynomial, solve_roots, weierstrass_step
+from .roots import Polynomial, solve_roots, weierstrass_map
 from .solid import SpaceSpec, Vec, vec_from_json
 
 EXIT_OK = 0
@@ -97,7 +97,7 @@ def _map_from_config(spec: dict):
         if "coefficients" not in spec:
             raise ValueError('weierstrass map needs "coefficients"')
         poly = Polynomial(_coeffs_from_json(spec["coefficients"]))
-        return lambda z: weierstrass_step(poly, z)
+        return weierstrass_map(poly)
     raise ValueError(f"unknown map {name!r}")
 
 

@@ -64,12 +64,18 @@ class WeightedConeMetric:
             raise ValueError(f"point has {len(coords)} coordinates, expected {self.dim}")
         # Fast path: a point of exact finite floats (real field) or exact
         # finite complexes (complex field) is already what the loop below
-        # would return.  Everything else takes the loop.
+        # would return.  Everything else takes the loop.  For floats a finite
+        # sum proves every coordinate finite in one C-level pass, and a sum
+        # that overflows on finite terms is settled by the scan.  A complex
+        # sum allocates a new complex per term and is slower than the scan,
+        # so complex points are scanned directly.
         if self.field == "real":
-            exact, isfinite = float, math.isfinite
+            fast = set(map(type, coords)) == {float} and (
+                math.isfinite(sum(coords)) or all(map(math.isfinite, coords))
+            )
         else:
-            exact, isfinite = complex, cmath.isfinite
-        if set(map(type, coords)) == {exact} and all(map(isfinite, coords)):
+            fast = set(map(type, coords)) == {complex} and all(map(cmath.isfinite, coords))
+        if fast:
             return coords
         out = []
         for c in coords:
@@ -90,15 +96,26 @@ class WeightedConeMetric:
 
     def norm(self, x) -> Vec:
         """Cone norm of a point: the weighted vector of moduli."""
-        x = self.validate_point(x)
-        return Vec([a * abs(c) for a, c in zip(self.alpha, x)])
+        # c - 0.0 is c exactly, up to the sign of a zero that abs drops.
+        return self._distance(self.validate_point(x), (0.0,) * self.dim)
 
     def distance(self, x, y) -> Vec:
         return self._distance(self.validate_point(x), self.validate_point(y))
 
     def _distance(self, x, y) -> Vec:
-        """Distance between points that already passed ``validate_point``."""
-        return Vec([a * abs(cx - cy) for a, cx, cy in zip(self.alpha, x, y)])
+        """Distance between points that already passed ``validate_point``.
+
+        Weights and moduli are exact floats, so their products go straight
+        to ``Vec._of``.  A complex modulus beyond the float range makes
+        ``abs`` raise ``OverflowError``; it is reported like a real modulus
+        that rounds to inf.
+        """
+        try:
+            return Vec._of(
+                tuple([a * abs(cx - cy) for a, cx, cy in zip(self.alpha, x, y)])
+            )
+        except OverflowError:
+            raise NonFiniteError("non-finite coordinate: inf") from None
 
 
 class DiscreteConeMetric:

@@ -37,6 +37,7 @@ __all__ = [
     "as_root_vector",
     "default_starts",
     "weierstrass_step",
+    "weierstrass_map",
     "solve_roots",
     "RootsResult",
     "ComparisonRow",
@@ -131,6 +132,25 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
             raise NonFiniteError(f"update overflowed at position {i}")
         out.append(wi)
     return tuple(out)
+
+
+def weierstrass_map(p: Polynomial):
+    """The sweep of ``p`` as a map for :func:`run_picard`.
+
+    Distinct approximations can still lie so close together that a
+    denominator ``prod_{j != i} (z_i - z_j)`` underflows to zero.  The sweep
+    then raises ``ZeroDivisionError``; the map reports it as
+    :class:`NonFiniteError`, so the engine ends the run unconverged like any
+    other overflowing update.
+    """
+
+    def step(z):
+        try:
+            return weierstrass_step(p, z)
+        except ZeroDivisionError:
+            raise NonFiniteError("update overflowed: a denominator underflowed to zero") from None
+
+    return step
 
 
 @dataclass
@@ -256,7 +276,7 @@ def solve_roots(
     inst = WeightedConeMetric(weights, field="complex")
     g = GaugeNorm(SpaceSpec(n, Vec.ones(n)))
     problem = Problem(
-        map_fn=lambda z: weierstrass_step(p, z),
+        map_fn=weierstrass_map(p),
         x0=z0,
         metric=inst,
         gauge=g,

@@ -1,17 +1,23 @@
 """Coordinatewise-ordered vectors in R^n and the cone predicates behind them.
 
 The positive cone is the nonnegative orthant and its interior is the strictly
-positive orthant.  ``leq``/``lt`` are defined through cone membership of the
-difference, so the order/cone correspondence holds by construction rather
-than by a separate proof.  Every predicate uses exact float comparison:
-tolerances belong to convergence checks, never to the order itself (an
-epsilon-order would not even be transitive).
+positive orthant.  ``leq``/``lt`` compare coordinates directly, with no
+difference vector built.  That is the same order as cone membership of the
+difference: for finite doubles ``y_i - x_i`` is rounded with gradual
+underflow, so it is ``>= 0`` exactly when ``y_i >= x_i`` and ``> 0`` exactly
+when ``y_i > x_i``.  Where ``y - x`` overflows, the difference does not exist
+as a ``Vec`` but the comparison still answers.  ``tests/test_solid.py`` pins
+the correspondence (``TestOrderIsConeOfDifference``, a hypothesis property
+over arbitrary finite floats) and the overflow case.  Every predicate uses
+exact float comparison: tolerances belong to convergence checks, never to the
+order itself (an epsilon-order would not even be transitive).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import le, lt as _lt
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -36,23 +42,47 @@ class NonFiniteError(ValueError, ArithmeticError):
     """
 
 
+def _finite(cs: tuple) -> tuple:
+    """Return a coordinate tuple unchanged once it is nonempty and finite.
+
+    A NaN or infinite term always makes the float sum non-finite, so a finite
+    sum accepts the tuple with one C-level pass.  A non-finite sum (a bad
+    term, or finite terms whose sum overflows) falls back to the per-term
+    scan, which names the first bad coordinate or accepts the tuple.
+    """
+    if not cs:
+        raise ValueError("a vector needs at least one coordinate")
+    if not math.isfinite(sum(cs)) and not all(map(math.isfinite, cs)):
+        bad = next(c for c in cs if not math.isfinite(c))
+        raise NonFiniteError(f"non-finite coordinate: {bad!r}")
+    return cs
+
+
 class Vec:
     """Immutable vector in R^n, used both for points and for distance values.
 
     NaN and infinities are rejected at construction so that the order
-    predicates stay total on every value that exists.
+    predicates stay total on every value that exists.  ``coords`` is always a
+    tuple of exact ``float``.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[float]):
-        cs = tuple(map(float, coords))
-        if not cs:
-            raise ValueError("a vector needs at least one coordinate")
-        if not all(map(math.isfinite, cs)):
-            bad = next(c for c in cs if not math.isfinite(c))
-            raise NonFiniteError(f"non-finite coordinate: {bad!r}")
-        self.coords = cs
+        self.coords = _finite(tuple(map(float, coords)))
+
+    @classmethod
+    def _of(cls, cs: tuple) -> "Vec":
+        """Vector from a tuple that already holds only exact ``float``.
+
+        Skips the ``float()`` pass of the public constructor but keeps the
+        emptiness and finiteness checks, so an overflowing computation still
+        raises :class:`NonFiniteError`.  For results computed from other
+        vectors' coordinates and from exact floats only.
+        """
+        v = cls.__new__(cls)
+        v.coords = _finite(cs)
+        return v
 
     @classmethod
     def zeros(cls, n: int) -> "Vec":
@@ -94,17 +124,22 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         self._same_dim(other)
-        return Vec([a + b for a, b in zip(self.coords, other.coords)])
+        return Vec._of(tuple([a + b for a, b in zip(self.coords, other.coords)]))
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._same_dim(other)
-        return Vec([a - b for a, b in zip(self.coords, other.coords)])
+        return Vec._of(tuple([a - b for a, b in zip(self.coords, other.coords)]))
 
     def __neg__(self) -> "Vec":
-        return Vec([-a for a in self.coords])
+        return Vec._of(tuple([-a for a in self.coords]))
 
     def __mul__(self, scalar: float) -> "Vec":
-        return Vec([a * scalar for a in self.coords])
+        if type(scalar) is not float:
+            # ``1.0 * scalar`` rejects what ``coordinate * scalar`` rejects,
+            # with the same error; float() then makes it an exact float with
+            # the bits the float product would convert it to.
+            scalar = float(1.0 * scalar)
+        return Vec._of(tuple([a * scalar for a in self.coords]))
 
     __rmul__ = __mul__
 
@@ -120,14 +155,23 @@ def in_interior(x: Vec) -> bool:
     return min(x.coords) > 0.0
 
 
+def _order_operands(x: Vec, y: Vec) -> None:
+    """Reject operands exactly as the cone form ``in_cone(y - x)`` would."""
+    if not isinstance(y, Vec):
+        in_cone(y - x)  # raises: only a Vec y can form the difference
+    y._same_dim(x)
+
+
 def leq(x: Vec, y: Vec) -> bool:
     """Coordinatewise order: x precedes y iff y - x lies in the cone."""
-    return in_cone(y - x)
+    _order_operands(x, y)
+    return all(map(le, x.coords, y.coords))
 
 
 def lt(x: Vec, y: Vec) -> bool:
     """Strict order: x strictly precedes y iff y - x lies in the interior."""
-    return in_interior(y - x)
+    _order_operands(x, y)
+    return all(map(_lt, x.coords, y.coords))
 
 
 @dataclass(frozen=True)

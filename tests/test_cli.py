@@ -34,6 +34,12 @@ OVERFLOWING_MAP = {
 }
 # Default starts of radius 1 + 1e200: the first correction overflows.
 OVERFLOW_CUBIC = {"coefficients": [1e200, 0, 0, 1]}
+# Distinct finite starts whose pairwise differences multiply below the float
+# range: the first sweep divides by a denominator that underflowed to zero.
+UNDERFLOW_STARTS = {
+    "coefficients": [-6, 11, -6, 1],
+    "z0": [[0, 0], [1e-200, 0], [2e-200, 0]],
+}
 CUBIC_ROOTS = {
     "coefficients": [-6.0, 11.0, -6.0, 1.0],
     "z0": [[1.3, 0.0], [1.8, 0.0], [3.4, 0.0]],
@@ -151,6 +157,20 @@ class TestPicardCommand:
         header = (out / "trace.csv").read_text().splitlines()[0]
         assert header.startswith("iter,x0_re,x0_im,x1_re,x1_im")
 
+    def test_weierstrass_zero_denominator_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "map": {"name": "weierstrass", "coefficients": UNDERFLOW_STARTS["coefficients"]},
+                "x0": UNDERFLOW_STARTS["z0"],
+                "metric": {"kind": "weighted_norm", "alpha": [1.0] * 3, "field": "complex"},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "certificate.json").read_text())["converged"] is False
+
 
 class TestInputErrors:
     def test_missing_config(self, tmp_path, capsys):
@@ -242,6 +262,20 @@ class TestRootsCommand:
         assert report["converged"] is False
         assert report["roots"] is None
         assert json.loads(blobs[0]["certificate.json"])["certificate"] is None
+        rows = blobs[0]["trace.csv"].decode().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("0,")
+
+    def test_zero_denominator_exits_two_with_repeatable_artifacts(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, UNDERFLOW_STARTS)
+        blobs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["roots", "--config", cfg, "--out", str(out)]) == 2
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert capsys.readouterr().err == ""
+        assert blobs[0] == blobs[1]
+        assert sorted(blobs[0]) == ["certificate.json", "report.json", "trace.csv"]
+        assert json.loads(blobs[0]["report.json"])["roots"] is None
         rows = blobs[0]["trace.csv"].decode().splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith("0,")
 

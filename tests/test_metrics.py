@@ -20,6 +20,7 @@ from conecert.metrics import (
     parse_point,
     scalarize,
 )
+from conecert.picard import Problem, run_picard
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, in_cone, leq
 
 from helpers import dims, dyadic_coord, dyadic_pos_coord, vec_st
@@ -64,6 +65,19 @@ class TestWeighted:
         assert (d == Vec.zeros(n)) == (x == y)
         assert d == inst.distance(y, x)
         assert leq(inst.distance(x, z), inst.distance(x, y) + inst.distance(y, z))
+
+
+    @given(st.data())
+    def test_norm_is_the_weighted_moduli(self, data):
+        n = data.draw(dims)
+        field = data.draw(st.sampled_from(["real", "complex"]))
+        part = st.floats(allow_nan=False, allow_infinity=False, max_value=1e300, min_value=-1e300)
+        coord = part if field == "real" else st.builds(complex, part, part)
+        alpha = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+        x = tuple(data.draw(st.lists(coord, min_size=n, max_size=n)))
+        got = WeightedConeMetric(alpha, field=field).norm(x)
+        expect = [a * abs(c) for a, c in zip(alpha, x)]
+        assert [c.hex() for c in got.coords] == [c.hex() for c in expect]
 
 
 class _Float(float):
@@ -169,9 +183,73 @@ class TestValidatePoint:
         point = (1 + 2j, -0.0j)
         assert WeightedConeMetric([1.0, 1.0], field="complex").validate_point(point) is point
 
+    @pytest.mark.parametrize(
+        "field, point",
+        [
+            ("real", (1e308, 1e308)),
+            ("real", (-1e308, -1.5e308)),
+            ("real", (1e308, 2**1023)),
+            ("complex", (complex(1e308, 1e308), complex(1e308, -1e308))),
+            ("complex", (complex(-1e308, 0.0), complex(-1.7e308, 1.0))),
+            ("complex", (complex(1e308, 1e308), 1e308)),
+        ],
+    )
+    def test_overflowing_coordinate_sum_matches_the_loop(self, field, point):
+        got = WeightedConeMetric([1.0, 1.0], field=field).validate_point(point)
+        assert typed_bits(got) == typed_bits(loop_validate(field, point))
+
+    @pytest.mark.parametrize(
+        "field, point, message",
+        [
+            ("real", (1e308, 1e308, math.nan), "non-finite coordinate: nan"),
+            ("real", (math.inf, -math.inf, 1.0), "non-finite coordinate: inf"),
+            (
+                "complex",
+                (complex(1e308, 1e308), complex(1e308, 0.0), complex(0.0, math.inf)),
+                "non-finite coordinate: infj",
+            ),
+        ],
+    )
+    def test_overflowing_sum_with_a_bad_term_names_it(self, field, point, message):
+        with pytest.raises(ValueError) as reference:
+            loop_validate(field, point)
+        with pytest.raises(NonFiniteError) as info:
+            WeightedConeMetric([1.0] * len(point), field=field).validate_point(point)
+        assert str(info.value) == str(reference.value) == message
+
     def test_complex_non_finite(self):
         with pytest.raises(NonFiniteError, match="non-finite coordinate"):
             WeightedConeMetric([1.0], field="complex").validate_point((complex(math.inf, 0),))
+
+
+class TestModulusOverflow:
+    """A finite complex difference whose modulus exceeds the float range."""
+
+    INST = WeightedConeMetric([1.0], field="complex")
+
+    def test_distance_and_norm_raise_non_finite(self):
+        for call, args in (
+            (self.INST.distance, ((1.5e308 + 0j,), (1.5e308j,))),
+            (self.INST.norm, ((complex(1.5e308, 1.5e308),),)),
+        ):
+            with pytest.raises(NonFiniteError) as info:
+                call(*args)
+            assert str(info.value) == "non-finite coordinate: inf"
+            assert isinstance(info.value, ArithmeticError)
+
+    def test_run_picard_ends_unconverged(self):
+        problem = Problem(
+            map_fn=lambda x: (1j * x[0].real,),
+            x0=(1.5e308 + 0j,),
+            metric=self.INST,
+            gauge=GaugeNorm(SpaceSpec(1, Vec([1.0]))),
+            stop_c=Vec([1e-9]),
+        )
+        result = run_picard(problem)
+        assert result.converged is False
+        assert result.trace.iterates == [(1.5e308 + 0j,)]
+        assert result.trace.step_dists == []
+        assert result.certificate is None
 
 
 class TestDiscrete:

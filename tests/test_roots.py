@@ -22,6 +22,7 @@ from conecert.roots import (
     compare_bounds,
     default_starts,
     solve_roots,
+    weierstrass_map,
     weierstrass_step,
 )
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq
@@ -111,6 +112,18 @@ class TestWeierstrassStep:
     def test_overflow_is_non_finite_and_arithmetic(self):
         with pytest.raises(NonFiniteError, match="^update overflowed at position 0$") as info:
             weierstrass_step(QUAD_REAL, [1e200, 0.0])
+        assert isinstance(info.value, ArithmeticError)
+
+    def test_map_is_the_sweep(self):
+        z = (1.3 + 0.1j, 1.8, 3.4)
+        assert weierstrass_map(CUBIC)(z) == weierstrass_step(CUBIC, z)
+
+    def test_map_reports_an_underflowed_denominator_as_non_finite(self):
+        z = (0j, 1e-200 + 0j, 2e-200 + 0j)
+        with pytest.raises(ZeroDivisionError):
+            weierstrass_step(CUBIC, z)
+        with pytest.raises(NonFiniteError, match="denominator underflowed") as info:
+            weierstrass_map(CUBIC)(z)
         assert isinstance(info.value, ArithmeticError)
 
     @settings(max_examples=100)
@@ -266,6 +279,13 @@ class TestSolveRoots:
         assert result.certificate is None
         assert len(result.trace.iterates) == 1
         assert result.trace.step_dists == []
+
+    def test_underflowed_denominator_ends_unconverged(self):
+        result = solve_roots(CUBIC, z0=(0j, 1e-200 + 0j, 2e-200 + 0j))
+        assert result.converged is False
+        assert result.roots is None
+        assert result.certificate is None
+        assert len(result.trace.iterates) == 1
 
     def test_estimated_certificate_is_heuristic(self):
         result = solve_roots(CUBIC, z0=(1.3, 1.8, 3.4))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -239,3 +240,165 @@ class TestOrderAxioms:
         if all(lt(x, 2.0**-k * b) for k in range(41)):
             cap = 2.0**-40 * max(b.coords)
             assert all(c <= cap for c in x.coords)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def reference_vec(values):
+    """The constructor without the sum pre-check: convert, then scan."""
+    cs = tuple(float(c) for c in values)
+    if not cs:
+        raise ValueError("a vector needs at least one coordinate")
+    for c in cs:
+        if not math.isfinite(c):
+            raise NonFiniteError(f"non-finite coordinate: {c!r}")
+    return cs
+
+
+def outcome(fn, *args):
+    """Coordinate types and bits of a result, or the error type and text."""
+    try:
+        v = fn(*args)
+    except Exception as exc:  # the error itself is the compared outcome
+        return type(exc), str(exc)
+    coords = v.coords if isinstance(v, Vec) else v
+    return [(type(c), c.hex()) for c in coords]
+
+
+class _F(float):
+    pass
+
+
+class TestFiniteCheck:
+    def test_sum_that_overflows_is_accepted(self):
+        assert Vec([1e308, 1e308]).coords == (1e308, 1e308)
+        assert Vec([-1e308, -1e308, 1.0]).coords == (-1e308, -1e308, 1.0)
+        assert Vec._of((1e308, 1e308)).coords == (1e308, 1e308)
+
+    @pytest.mark.parametrize("make", [Vec, Vec._of], ids=["Vec", "Vec._of"])
+    @pytest.mark.parametrize(
+        "coords, error, message",
+        [
+            ((math.inf, -math.inf), NonFiniteError, "non-finite coordinate: inf"),
+            ((1e308, 1e308, math.nan), NonFiniteError, "non-finite coordinate: nan"),
+            ((1.0, -math.inf, math.inf), NonFiniteError, "non-finite coordinate: -inf"),
+            ((math.nan,), NonFiniteError, "non-finite coordinate: nan"),
+            ((), ValueError, "a vector needs at least one coordinate"),
+        ],
+    )
+    def test_rejection_names_the_first_bad_coordinate(self, make, coords, error, message):
+        with pytest.raises(error) as info:
+            make(coords)
+        assert str(info.value) == message
+        assert isinstance(info.value, NonFiniteError) == (error is NonFiniteError)
+
+    @given(st.lists(st.floats(), min_size=0, max_size=6))
+    def test_constructor_matches_the_scan(self, values):
+        assert outcome(Vec, values) == outcome(reference_vec, values)
+
+
+scalars = st.one_of(
+    st.floats(),
+    st.floats().map(_F),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.fractions(max_denominator=2**60),
+    st.sampled_from([0, -0.0, _F(-0.0), 2**1100, Fraction(10**400, 3)]),
+)
+
+
+class TestArithmeticBits:
+    """Vec arithmetic against in-test copies of the list-building operators."""
+
+    @given(st.data())
+    def test_add_sub_neg(self, data):
+        n = data.draw(st.integers(1, 6))
+        xs = data.draw(st.lists(finite_floats, min_size=n, max_size=n))
+        ys = data.draw(st.lists(finite_floats, min_size=n, max_size=n))
+        x, y = Vec(xs), Vec(ys)
+        assert outcome(x.__add__, y) == outcome(
+            reference_vec, [a + b for a, b in zip(x.coords, y.coords)]
+        )
+        assert outcome(x.__sub__, y) == outcome(
+            reference_vec, [a - b for a, b in zip(x.coords, y.coords)]
+        )
+        assert outcome(x.__neg__) == outcome(reference_vec, [-a for a in x.coords])
+
+    @given(st.lists(finite_floats, min_size=1, max_size=6), scalars)
+    def test_scalar_products(self, xs, scalar):
+        x = Vec(xs)
+        expect = outcome(lambda: reference_vec([a * scalar for a in x.coords]))
+        assert outcome(lambda: x * scalar) == expect
+        assert outcome(lambda: scalar * x) == expect
+
+    @pytest.mark.parametrize("scalar", ["2", None, [1.0], 1j])
+    def test_rejected_scalars_keep_type_and_message(self, scalar):
+        x = Vec([1.0, 2.0])
+        with pytest.raises(TypeError) as reference:
+            reference_vec([a * scalar for a in x.coords])
+        with pytest.raises(TypeError) as info:
+            x * scalar
+        assert str(info.value) == str(reference.value)
+
+
+def cone_leq(x, y):
+    """The order in its cone form: y - x lies in the cone."""
+    return in_cone(y - x)
+
+
+def cone_lt(x, y):
+    return in_interior(y - x)
+
+
+class TestOrderIsConeOfDifference:
+    def test_overflowing_difference_still_compares(self):
+        lo, hi = Vec([-1e308]), Vec([1e308])
+        assert leq(lo, hi) and lt(lo, hi)
+        assert not leq(hi, lo) and not lt(hi, lo)
+        with pytest.raises(NonFiniteError):
+            hi - lo
+
+    @given(st.data())
+    def test_matches_cone_membership_of_the_difference(self, data):
+        n = data.draw(st.integers(1, 6))
+        x = Vec(data.draw(st.lists(finite_floats, min_size=n, max_size=n)))
+        y = Vec(
+            data.draw(
+                st.lists(
+                    st.one_of(finite_floats, st.sampled_from(x.coords)),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        )
+        try:
+            d = y - x
+        except NonFiniteError:
+            return
+        assert leq(x, y) == in_cone(d)
+        assert lt(x, y) == in_interior(d)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (Vec([1.0, 2.0]), [1.0, 2.0]),
+            ([1.0, 2.0], Vec([1.0, 2.0])),
+            (Vec([1.0, 2.0]), (1.0, 2.0)),
+            (Vec([1.0, 2.0]), None),
+            (None, Vec([1.0, 2.0])),
+            (Vec([1.0, 2.0]), 1.0),
+            (1.0, Vec([1.0, 2.0])),
+            (1.0, 2.0),
+            (Vec([1.0]), Vec([1.0, 2.0])),
+            (Vec([1.0, 2.0, 3.0]), Vec([1.0, 2.0])),
+        ],
+    )
+    def test_bad_operands_raise_like_the_cone_form(self, x, y):
+        for new, old in ((leq, cone_leq), (lt, cone_lt)):
+            with pytest.raises(Exception) as reference:
+                old(x, y)
+            with pytest.raises(Exception) as info:
+                new(x, y)
+            assert type(info.value) is type(reference.value)
+            assert str(info.value) == str(reference.value)
