@@ -1,6 +1,8 @@
-"""Per-layer micro-benchmarks: ``Vec``, the order predicates, metric distance.
+"""Per-layer micro-benchmarks: ``Vec``, the order predicates, metric distance,
+the artifact writers and the CLI's fixed cost.
 
-One row per operation and size n in {2, 50, 200}.  This directory is not in
+One row per operation and size n in {2, 50, 200}, and one per writer input.
+This directory is not in
 the suite's ``testpaths``, so a plain ``pytest`` never collects it.  Run it
 from the repository root with pytest-benchmark:
 
@@ -12,9 +14,16 @@ Coordinates are small dyadic values, so every operation below is exact and
 the timings measure the Python layer, not rounding.
 """
 
+import io
+import json
+import math
+
 import pytest
 
+from conecert import GaugeNorm, Polynomial, Problem, SpaceSpec, run_picard, solve_roots
+from conecert.cli import main
 from conecert.metrics import WeightedConeMetric
+from conecert.picard import certificate_to_dict, write_trace_csv
 from conecert.solid import Vec, leq, lt
 
 SIZES = (2, 50, 200)
@@ -86,3 +95,54 @@ def test_validate_point(benchmark, field, n):
     inst = WeightedConeMetric([1.0] * n, field=field)
     x, _ = points(field, n)
     benchmark(inst.validate_point, x)
+
+
+def diagonal_run(n=200):
+    """x -> l*x + o with l in [0.5, 0.9), lambda 0.9 given: 217 iterates."""
+    diag = [0.5 + (k % 40) / 100 for k in range(n)]
+    offset = [0.1 + (k % 9) / 10 for k in range(n)]
+    metric = WeightedConeMetric([1.0] * n)
+    result = run_picard(
+        Problem(
+            map_fn=lambda x: tuple([l * c + o for l, c, o in zip(diag, x, offset)]),
+            x0=(0.0,) * n,
+            metric=metric,
+            gauge=GaugeNorm(SpaceSpec(n, Vec.ones(n))),
+            stop_c=Vec([1e-10] * n),
+            max_iter=1000,
+            lam=0.9,
+        )
+    )
+    return result.trace, result.certificate, metric
+
+
+def wilkinson_run(m=12):
+    """solve_roots on the roots 1..m from the default starts (301 iterates)."""
+    coeffs = [1]
+    for r in range(1, m + 1):  # multiply by (z - r); integers stay exact
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    result = solve_roots(Polynomial([float(c) for c in coeffs]), max_iter=300)
+    return result.trace, result.certificate, WeightedConeMetric([1.0] * m, field="complex")
+
+
+@pytest.mark.parametrize("case", [diagonal_run, wilkinson_run], ids=["picard_n200", "wilkinson12"])
+def test_write_trace_csv(benchmark, case):
+    trace, cert, metric = case()
+    assert cert is not None
+
+    def write():
+        write_trace_csv(io.StringIO(), trace, cert, metric)
+
+    benchmark(write)
+
+
+def test_certificate_to_dict(benchmark):
+    _, cert, _ = diagonal_run()
+    assert math.isfinite(benchmark(certificate_to_dict, cert)["apriori"][-1][0])
+
+
+def test_cli_main_gauge(benchmark, tmp_path):
+    """The CLI's fixed cost per call: argument parsing, config load, dispatch."""
+    cfg = tmp_path / "gauge.json"
+    cfg.write_text(json.dumps({"x": [2.0], "base": [1.0]}))
+    assert benchmark(main, ["gauge", "--config", str(cfg)]) == 0

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
+from operator import mul
 from pathlib import Path
 
 from .axioms import report_dict, run_all
@@ -76,9 +78,7 @@ def _affine_map(matrix, offset):
         raise ValueError("affine map needs a square matrix matching the offset length")
 
     def apply(x):
-        return tuple(
-            sum(rows[i][j] * x[j] for j in range(n)) + c[i] for i in range(n)
-        )
+        return tuple([sum(map(mul, row, x)) + ci for row, ci in zip(rows, c)])
 
     return apply
 
@@ -254,7 +254,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_demo_normality(args) -> int:
-    rows = normality_table(n_max=args.samples or 50)
+    rows = normality_table(n_max=50 if args.samples is None else args.samples)
     out = _out_dir(args)
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -278,20 +278,34 @@ def cmd_demo_normality(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = (
+    ("axioms", "run the seeded axiom suites"),
+    ("gauge", "print the gauge of a vector"),
+    ("picard", "iterate a configured map and certify the run"),
+    ("roots", "refine all roots of a polynomial simultaneously"),
+    ("demo-normality", "tabulate the sandwiched C^1 pair"),
+)
+
+
+def _handler(command: str):
+    # Looked up on every call, so a rebound ``cmd_*`` is the one that runs.
+    return {
+        "axioms": cmd_axioms,
+        "gauge": cmd_gauge,
+        "picard": cmd_picard,
+        "roots": cmd_roots,
+        "demo-normality": cmd_demo_normality,
+    }[command]
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; ``args.command`` names the subcommand."""
     parser = argparse.ArgumentParser(
         prog="conecert",
         description="Fixed-point iteration with componentwise certificates over cone metrics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("axioms", cmd_axioms, "run the seeded axiom suites"),
-        ("gauge", cmd_gauge, "print the gauge of a vector"),
-        ("picard", cmd_picard, "iterate a configured map and certify the run"),
-        ("roots", cmd_roots, "refine all roots of a polynomial simultaneously"),
-        ("demo-normality", cmd_demo_normality, "tabulate the sandwiched C^1 pair"),
-    ]
-    for name, handler, help_text in specs:
+    for name, help_text in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON config file")
         p.add_argument("--out", help="output directory (default: current)")
@@ -299,16 +313,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None, help="sample count override")
         p.add_argument("--max-iter", type=int, default=None, help="iteration cap override")
         p.add_argument("--stop-c", default=None, help="halting vector as a JSON array")
-        p.set_defaults(handler=handler)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and reused afterwards:
+    # parse_args leaves a parser unchanged, and building one costs about a
+    # millisecond.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.samples is None and args.handler is cmd_axioms:
+    args = _parser().parse_args(argv)
+    if args.samples is None and args.command == "axioms":
         args.samples = 1000
     try:
-        return args.handler(args)
+        return _handler(args.command)(args)
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -29,7 +29,6 @@ Any other exception from the map propagates.
 
 from __future__ import annotations
 
-import csv
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from typing import Callable, Optional
 
 from .gauge import GaugeNorm, mink_norm
 from .metrics import Ball, ConeMetric, WeightedConeMetric, ball_contains
-from .solid import NonFiniteError, Vec, in_interior, leq, lt
+from .solid import NonFiniteError, Vec, _finite, in_interior, leq
 
 __all__ = [
     "LAMBDA_CEILING",
@@ -160,23 +159,40 @@ class Certificate:
     residual: Optional[Vec]
     start: int = 0  # first iterate the families cover; 0 for engine runs
 
+    # Each family checks the factor once and computes its scalar factor once
+    # (per entry for apriori, whose factor depends on k); an entry is then
+    # the coordinates times that factor, the same products, in the same
+    # order, as the public ``*_bound`` functions.
+
     @property
     def apriori(self) -> _BoundFamily:
         """Entry k bounds the error at iterate start + k (k = 0..len(steps))."""
-        lam, d01 = self.lambda_used, self.steps[0]
-        return _BoundFamily(len(self.steps) + 1, lambda k: apriori_bound(k, lam, d01))
+        lam = _check_lambda(self.lambda_used)
+        q, d01 = 1.0 - lam, self.steps[0].coords
+        return _BoundFamily(len(self.steps) + 1, lambda k: _scaled(d01, lam**k / q))
 
     @property
     def apost_forward(self) -> _BoundFamily:
         """Entry k bounds the error at iterate start + k."""
-        lam, steps = self.lambda_used, self.steps
-        return _BoundFamily(len(steps), lambda k: apost_forward_bound(steps[k], lam))
+        f, steps = 1.0 / (1.0 - _check_lambda(self.lambda_used)), self.steps
+        return _BoundFamily(len(steps), lambda k: _scaled(steps[k].coords, f))
 
     @property
     def apost_backward(self) -> _BoundFamily:
         """Entry k bounds the error at iterate start + k + 1."""
-        lam, steps = self.lambda_used, self.steps
-        return _BoundFamily(len(steps), lambda k: apost_backward_bound(steps[k], lam))
+        f, steps = _backward_factor(self.lambda_used), self.steps
+        return _BoundFamily(len(steps), lambda k: _scaled(steps[k].coords, f))
+
+
+def _backward_factor(lam: float) -> float:
+    """lam / (1 - lam), the factor of the backward a posteriori bound."""
+    lam = _check_lambda(lam)
+    return lam / (1.0 - lam)
+
+
+def _scaled(cs: tuple, f: float) -> Vec:
+    """``f * Vec(cs)`` for a float factor: raises NonFiniteError on overflow."""
+    return Vec._of(tuple([c * f for c in cs]))
 
 
 @dataclass
@@ -224,7 +240,13 @@ def verify_step_contraction(trace: IterationTrace, lam: float) -> bool:
     steps = trace.step_dists
     if len(steps) < 2:
         raise ValueError("need at least two recorded steps")
-    return all(leq(steps[k + 1], lam * steps[k]) for k in range(len(steps) - 1))
+    # leq(steps[k + 1], lam * steps[k]) without building lam * steps[k]:
+    # lam < 1, so the products of finite steps cannot overflow.
+    for prev, nxt in zip(steps, steps[1:]):
+        prev._same_dim(nxt)
+        if not all(map(operator.le, nxt.coords, [c * lam for c in prev.coords])):
+            return False
+    return True
 
 
 def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> float:
@@ -323,12 +345,18 @@ def run_picard(p: Problem) -> PicardResult:
         raise ValueError("the start point is outside the declared domain")
     trace.iterates.append(x)
 
+    # The halting bound is apost_backward_bound(s, lam), compared with stop_c
+    # coordinate by coordinate; its factor is computed once per run.
+    # Multiplying each step by it (rather than dividing stop_c by it) keeps
+    # every halting decision bit-identical to the bound the certificate emits.
+    stop = p.stop_c.coords
+    factor = None if p.lam is None else _backward_factor(p.lam)
     converged = False
     for _ in range(p.max_iter):
         try:
             x_next = inst.validate_point(p.map_fn(x))
             s = inst._distance(x, x_next)
-            halt = s if p.lam is None else apost_backward_bound(s, p.lam)
+            halt = s.coords if factor is None else _finite(tuple([c * factor for c in s.coords]))
         except NonFiniteError:
             break
         trace.iterates.append(x_next)
@@ -338,7 +366,7 @@ def run_picard(p: Problem) -> PicardResult:
                 f"iterate {len(trace.iterates) - 1} left the domain", trace
             )
         x = x_next
-        if lt(halt, p.stop_c):
+        if all(map(operator.lt, halt, stop)):
             converged = True
             break
 
@@ -401,27 +429,14 @@ def _certificate(
     )
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _coord_headers(inst: ConeMetric, sample) -> list[str]:
-    n = len(tuple(sample))
-    if isinstance(inst, WeightedConeMetric) and inst.field == "complex":
-        cols = []
-        for j in range(n):
-            cols.extend([f"x{j}_re", f"x{j}_im"])
-        return cols
-    return [f"x{j}" for j in range(n)]
-
-
-def _coord_values(inst: ConeMetric, point) -> list[str]:
-    if isinstance(inst, WeightedConeMetric) and inst.field == "complex":
-        out = []
-        for c in point:
-            out.extend([_fmt(c.real), _fmt(c.imag)])
-        return out
-    return [_fmt(c) for c in point]
+def _row_template(widths: tuple, m: int) -> str:
+    """``%`` template of one CSV row: the iterate number, then one block per
+    entry of ``widths``: that many 17-digit floats, or ``m`` empty cells
+    where the width is None."""
+    cells = ["%d"]
+    for w in widths:
+        cells += [""] * m if w is None else ["%.17g"] * w
+    return ",".join(cells) + "\n"
 
 
 def write_trace_csv(
@@ -435,32 +450,51 @@ def write_trace_csv(
     undefined at an iterate (the step at the last row, the backward bound at
     the certificate's first row, every bound before the certificate's
     ``start``) stay empty.
+
+    Rows are streamed to ``fh`` one ``write`` each.  No cell ever needs CSV
+    quoting, so each row is one ``%`` template filled in a single call;
+    ``'%.17g'`` gives the bytes of ``format(v, ".17g")``.  A template depends
+    only on the row's shape (which blocks are blank, and each block's
+    width), so a table needs a handful of them.
     """
     m = inst.dim
-    writer = csv.writer(fh, lineterminator="\n")
-    header = ["iter"]
-    header += _coord_headers(inst, trace.iterates[0])
-    header += [f"step_d{j}" for j in range(m)]
-    header += [f"apriori_{j}" for j in range(m)]
-    header += [f"apost_fwd_{j}" for j in range(m)]
-    header += [f"apost_bwd_{j}" for j in range(m)]
-    writer.writerow(header)
-    blank = [""] * m
+    complex_field = isinstance(inst, WeightedConeMetric) and inst.field == "complex"
+    cols = [f"x{j}" for j in range(len(tuple(trace.iterates[0])))]
+    if complex_field:
+        cols = [f"{c}_{part}" for c in cols for part in ("re", "im")]
+    for name in ("step_d", "apriori_", "apost_fwd_", "apost_bwd_"):
+        cols += [f"{name}{j}" for j in range(m)]
+    fh.write("iter," + ",".join(cols) + "\n")
+    steps = trace.step_dists
     if cert is not None:
         apriori, fwd, bwd = cert.apriori, cert.apost_forward, cert.apost_backward
+    templates = {}
     for n, point in enumerate(trace.iterates):
-        row = [str(n)]
-        row += _coord_values(inst, point)
-        steps = trace.step_dists
-        row += [_fmt(c) for c in steps[n]] if n < len(steps) else blank
-        k = n - cert.start if cert is not None else -1
-        if k >= 0:
-            row += [_fmt(c) for c in apriori[k]] if k < len(apriori) else blank
-            row += [_fmt(c) for c in fwd[k]] if k < len(fwd) else blank
-            row += [_fmt(c) for c in bwd[k - 1]] if 1 <= k <= len(bwd) else blank
+        values = [n]
+        if complex_field:
+            for c in point:
+                values += (float(c.real), float(c.imag))
         else:
-            row += blank + blank + blank
-        writer.writerow(row)
+            values += map(float, point)
+        k = n - cert.start if cert is not None else -1
+        blocks = (
+            steps[n] if n < len(steps) else None,
+            apriori[k] if 0 <= k < len(apriori) else None,
+            fwd[k] if 0 <= k < len(fwd) else None,
+            bwd[k - 1] if 1 <= k <= len(bwd) else None,
+        )
+        widths = [len(values) - 1]
+        for b in blocks:
+            if b is None:
+                widths.append(None)
+            else:
+                values += b.coords
+                widths.append(len(b.coords))
+        key = tuple(widths)
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _row_template(key, m)
+        fh.write(template % tuple(values))
 
 
 def certificate_to_dict(cert: Optional[Certificate]) -> Optional[dict]:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from conecert import cli
 from conecert.cli import main
 
 from helpers import greedy_match
@@ -197,6 +202,14 @@ class TestInputErrors:
         cfg = write_cfg(tmp_path, {**HALVE, "map": {"name": "mystery"}})
         assert main(["picard", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_affine_matrix_wider_than_the_metric(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            {**HALVE, "map": {"name": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [1.0, 1.0]}},
+        )
+        assert main(["picard", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: point has 2 coordinates, expected 1\n"
+
     def test_degree_cap(self, tmp_path, capsys):
         coeffs = [1.0] + [0.0] * 12 + [1.0]
         cfg = write_cfg(tmp_path, {"coefficients": coeffs})
@@ -321,3 +334,81 @@ class TestDemoNormality:
         summary = capsys.readouterr().out
         assert "n=10" in summary
         assert "1.100000" in summary
+
+    def test_default_is_fifty_rows(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["demo-normality", "--out", str(out)]) == 0
+        assert len((out / "report.csv").read_text().splitlines()) == 51
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_nonpositive_samples_are_an_input_error(self, tmp_path, capsys, samples):
+        out = tmp_path / "out"
+        assert main(["demo-normality", "--samples", samples, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: need n_max >= 1 and at least two grid points\n"
+        assert not (out / "report.csv").exists()
+
+
+def artifacts(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestParserReuse:
+    """main() builds its parser once per process and reuses it."""
+
+    def test_back_to_back_calls_match_fresh_ones(self, tmp_path, monkeypatch, capsys):
+        # axioms keeps its default of 1000 samples, on one dimension only.
+        real_run_all = cli.run_all
+        monkeypatch.setattr(
+            cli, "run_all", lambda seed, samples: real_run_all(seed=seed, samples=samples, dims=[1])
+        )
+        cfg = write_cfg(tmp_path, HALVE)
+        calls = [
+            ["picard", "--config", cfg, "--max-iter", "3"],
+            ["picard", "--config", cfg],
+            ["axioms", "--samples", "5", "--seed", "3"],
+            ["axioms"],
+        ]
+
+        def run(tag, fresh):
+            cli._parser.cache_clear()
+            outcomes = []
+            for i, argv in enumerate(calls):
+                if fresh:
+                    cli._parser.cache_clear()
+                out = tmp_path / f"{tag}{i}"
+                code = main([*argv, "--out", str(out)])
+                outcomes.append((code, capsys.readouterr(), artifacts(out)))
+            return outcomes
+
+        reused = run("reused", fresh=False)
+        assert cli._parser.cache_info().misses == 1
+        assert reused == run("fresh", fresh=True)
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+        report = json.loads(reused[3][2]["report.json"])
+        assert (report["seed"], report["samples"]) == (0, 1000)
+
+    def test_handler_rebound_after_the_first_call_runs(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, {"x": [2.0], "base": [1.0]})
+        assert main(["gauge", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "2\n"
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gauge", lambda args: seen.append(args.config) or 7)
+        assert main(["gauge", "--config", cfg]) == 7
+        assert seen == [cfg]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = "import conecert.cli as c; print(c._parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"

@@ -1,16 +1,21 @@
+import csv
 import io
 import json
 import math
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecert import picard
 from conecert.gauge import GaugeNorm
-from conecert.metrics import Ball, WeightedConeMetric
+from conecert.metrics import Ball, DiscreteConeMetric, WeightedConeMetric
 from conecert.picard import (
     LAMBDA_CEILING,
+    Certificate,
     DomainEscape,
     IterationTrace,
     Problem,
@@ -27,7 +32,7 @@ from conecert.picard import (
     write_trace_csv,
 )
 from conecert.roots import Polynomial, solve_roots
-from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq
+from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq, lt
 
 from helpers import geometric_tail
 
@@ -423,3 +428,259 @@ class TestTraceCsv:
         write_trace_csv(buf, result.trace, result.certificate, inst)
         header = buf.getvalue().splitlines()[0]
         assert header.startswith("iter,x0_re,x0_im,step_d0")
+
+
+# -- halting and step-contraction decisions against the per-iteration forms --
+
+# Finite floats across the whole range, with the values where rounding and
+# overflow decide: signed zero, the smallest subnormal, the largest decades.
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 1 / 3, 1.0, 1e297, 1e300, 1e308])
+any_float = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+factor = st.sampled_from([0.0, 0.1, 0.5, 0.9, LAMBDA_CEILING]) | st.floats(0.0, LAMBDA_CEILING)
+
+
+def per_iteration_run(p):
+    """The engine loop with the halting bound as it was first written: one
+    ``apost_backward_bound`` call and one ``lt`` per iteration."""
+    x = p.metric.validate_point(p.x0)
+    iterates = [x]
+    for _ in range(p.max_iter):
+        try:
+            x_next = p.metric.validate_point(p.map_fn(x))
+            s = p.metric.distance(x, x_next)
+            halt = s if p.lam is None else apost_backward_bound(s, p.lam)
+        except NonFiniteError:
+            break
+        iterates.append(x_next)
+        x = x_next
+        if lt(halt, p.stop_c):
+            return iterates, True
+    return iterates, False
+
+
+def diagonal_problem(diag, offset, x0, lam, stop, max_iter=60):
+    n = len(diag)
+
+    def step(x):
+        return tuple([l * c + o for l, c, o in zip(diag, x, offset)])
+
+    return Problem(
+        map_fn=step,
+        x0=tuple(x0),
+        metric=WeightedConeMetric([1.0] * n),
+        gauge=GaugeNorm(SpaceSpec(n, Vec.ones(n))),
+        stop_c=Vec(stop),
+        max_iter=max_iter,
+        lam=lam,
+    )
+
+
+@st.composite
+def diagonal_runs(draw):
+    n = draw(st.integers(1, 3))
+    diag = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    offset = draw(st.lists(any_float, min_size=n, max_size=n))
+    x0 = draw(st.lists(any_float, min_size=n, max_size=n))
+    lam = draw(st.none() | factor)
+    return diag, offset, x0, lam
+
+
+def same_outcome(p):
+    """Same iterates and convergence from run_picard and the per-iteration
+    loop.  The certificate is left out: a radius that overflows still raises
+    (a separate, known defect), whatever the halting rule decided."""
+    iterates, converged = per_iteration_run(p)
+    with mock.patch.object(picard, "_build_certificate", lambda p, trace: None):
+        result = run_picard(p)
+    assert repr(result.trace.iterates) == repr(iterates)
+    assert result.converged is converged
+    return iterates, converged
+
+
+class TestHaltingDecision:
+    @settings(max_examples=300, deadline=None)
+    @given(diagonal_runs(), st.integers(0, 59), st.sampled_from([-1, 0, 1]))
+    def test_same_halting_iterate_as_the_per_iteration_bound(self, run, j, nudge):
+        """stop_c is set at (or one ulp around) the bound the per-iteration
+        form computes at some iterate, where a rounded threshold would flip."""
+        diag, offset, x0, lam = run
+        free = diagonal_problem(diag, offset, x0, lam, [1e-300] * len(diag))
+        iterates, _ = per_iteration_run(free)
+        stop = [1.0] * len(diag)
+        if len(iterates) > 1:
+            j = j % (len(iterates) - 1)
+            s = free.metric.distance(iterates[j], iterates[j + 1])
+            bound = s if lam is None else apost_backward_bound(s, lam)
+            stop = [math.nextafter(c, math.inf * nudge) if nudge else c for c in bound.coords]
+            stop = [min(max(c, 5e-324), sys.float_info.max) for c in stop]
+        same_outcome(diagonal_problem(diag, offset, x0, lam, stop))
+
+    @pytest.mark.parametrize(
+        "x0, diag, offset, lam, stop, iterations, converged",
+        [
+            # lam/(1-lam) * 2e297 overflows before the first iterate is kept.
+            (1e297, -1.0, 0.0, LAMBDA_CEILING, 1.0, 0, False),
+            # 2 * 1.5e308 overflows only through the factor 2 of lam = 2/3.
+            (1e308, -0.5, 0.0, 2 / 3, 1.0, 0, False),
+            # Every step is 1 and 1 * 0.5/(1-0.5) = 1 is not strictly below 1.
+            (0.0, 1.0, 1.0, 0.5, 1.0, 60, False),
+            (0.0, 1.0, 1.0, 0.5, math.nextafter(1.0, 2.0), 1, True),
+        ],
+    )
+    def test_overflow_and_boundary_cases(self, x0, diag, offset, lam, stop, iterations, converged):
+        p = diagonal_problem([diag], [offset], [x0], lam, [stop])
+        iterates, done = same_outcome(p)
+        assert (len(iterates) - 1, done) == (iterations, converged)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.lists(any_float.map(abs), min_size=n, max_size=n), min_size=2, max_size=6
+            )
+        ),
+        factor,
+    )
+    def test_step_contraction_matches_leq_of_scaled_steps(self, steps, lam):
+        trace = IterationTrace(step_dists=[Vec(s) for s in steps])
+        vecs = trace.step_dists
+        expected = all(leq(vecs[k + 1], lam * vecs[k]) for k in range(len(vecs) - 1))
+        assert verify_step_contraction(trace, lam) is expected
+
+    @pytest.mark.parametrize("second", [Vec([1.0, 1.0]), (1.0,)])
+    def test_step_contraction_rejects_operands_as_leq_does(self, second):
+        trace = IterationTrace(step_dists=[Vec([1.0]), second])
+        with pytest.raises((TypeError, ValueError)) as new:
+            verify_step_contraction(trace, 0.5)
+        with pytest.raises(type(new.value)) as old:
+            leq(second, 0.5 * Vec([1.0]))
+        assert str(new.value) == str(old.value)
+
+
+# -- trace.csv bytes against the csv.writer loop it replaced --
+
+
+def csv_writer_trace(fh, trace, cert, inst):
+    """The csv.writer table as first written, with every bound taken from
+    the public closed forms."""
+    fmt = lambda v: format(float(v), ".17g")  # noqa: E731
+    complex_field = isinstance(inst, WeightedConeMetric) and inst.field == "complex"
+    m = inst.dim
+    writer = csv.writer(fh, lineterminator="\n")
+    width = len(tuple(trace.iterates[0]))
+    if complex_field:
+        header = [f"x{j}_{part}" for j in range(width) for part in ("re", "im")]
+    else:
+        header = [f"x{j}" for j in range(width)]
+    for name in ("step_d", "apriori_", "apost_fwd_", "apost_bwd_"):
+        header += [f"{name}{j}" for j in range(m)]
+    writer.writerow(["iter"] + header)
+    blank = [""] * m
+    steps = trace.step_dists
+    for n, point in enumerate(trace.iterates):
+        row = [str(n)]
+        for c in point:
+            row += [fmt(c.real), fmt(c.imag)] if complex_field else [fmt(c)]
+        row += [fmt(c) for c in steps[n]] if n < len(steps) else blank
+        k = n - cert.start if cert is not None else -1
+        if k >= 0:
+            lam, own = cert.lambda_used, cert.steps
+            row += [fmt(c) for c in apriori_bound(k, lam, own[0])] if k <= len(own) else blank
+            row += [fmt(c) for c in apost_forward_bound(own[k], lam)] if k < len(own) else blank
+            row += [fmt(c) for c in apost_backward_bound(own[k - 1], lam)] if 1 <= k <= len(own) else blank
+        else:
+            row += blank * 3
+        writer.writerow(row)
+
+
+def written(writer, trace, cert, inst):
+    """Text written and the error raised, if any (rows before it stay)."""
+    buf = io.StringIO()
+    try:
+        writer(buf, trace, cert, inst)
+    except Exception as exc:
+        return buf.getvalue(), type(exc), str(exc)
+    return buf.getvalue(), None, None
+
+
+def synthetic_trace(field, points, steps, start, lam):
+    m = len(steps[0])
+    inst = WeightedConeMetric([1.0] * m, field=field)
+    trace = IterationTrace(iterates=points, step_dists=[Vec(s) for s in steps])
+    cert = None
+    if start is not None:
+        cert = Certificate(
+            lambda_used=lam,
+            lambda_source="given",
+            radius_r=Vec([1.0] * m),
+            steps=trace.step_dists[start:],
+            status="heuristic",
+            residual=None,
+            start=start,
+        )
+    return trace, cert, inst
+
+
+@st.composite
+def synthetic_traces(draw):
+    field = draw(st.sampled_from(["real", "complex"]))
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 5))
+    if field == "real":
+        coord = any_float
+    else:
+        coord = st.builds(complex, any_float, any_float)
+    points = draw(st.lists(st.tuples(*[coord] * m), min_size=k + 1, max_size=k + 1))
+    steps = draw(st.lists(st.lists(any_float, min_size=m, max_size=m), min_size=k, max_size=k))
+    start = draw(st.none() | st.integers(0, k - 1))
+    return synthetic_trace(field, points, steps, start, draw(factor))
+
+
+class TestTraceCsvBytes:
+    VALUES = [-0.0, 5e-324, 1e308, 1 / 3]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("start", [None, 0, 2])
+    def test_edge_values(self, field, start):
+        v = self.VALUES
+        if field == "real":
+            points = [tuple(v[i:] + v[:i]) for i in range(4)] * 2
+        else:
+            points = [tuple(complex(a, b) for a, b in zip(v, v[::-1]))] * 8
+        steps = [[abs(c) for c in v[i:] + v[:i]] for i in range(7)]
+        trace, cert, inst = synthetic_trace(field, points, steps, start, 0.25)
+        text, error, _ = written(write_trace_csv, trace, cert, inst)
+        assert error is None
+        assert written(csv_writer_trace, trace, cert, inst) == (text, None, None)
+        last = text.splitlines()[-1].split(",")
+        m, width = 4, 4 if field == "real" else 8
+        assert last[1 + width : 1 + width + m] == [""] * m  # no step after the last iterate
+        bounds = last[1 + width + m :]
+        if start is None:
+            assert bounds == [""] * (3 * m)
+        else:
+            assert bounds[m : 2 * m] == [""] * m and "" not in bounds[:m] + bounds[2 * m :]
+
+    def test_overflowing_entry_raises_on_its_row(self):
+        trace, cert, inst = synthetic_trace("real", [(0.0,)] * 3, [[1e308], [1e308]], 0, 0.75)
+        text, error, message = written(write_trace_csv, trace, cert, inst)
+        assert error is NonFiniteError and message == "non-finite coordinate: inf"
+        assert text.count("\n") == 1  # the header only: row 0's apriori overflows
+        assert written(csv_writer_trace, trace, cert, inst) == (text, error, message)
+
+    def test_points_that_are_not_floats(self):
+        """Point coordinates go through float() first, as with format()."""
+        inst = DiscreteConeMetric(Vec([1.0, 1.0]))
+        points = [(1, Fraction(1, 3)), ("0.5", True), ("-0", 2**60)]
+        trace = IterationTrace(iterates=points, step_dists=[Vec([1.0, 1.0])] * 2)
+        text, error, _ = written(write_trace_csv, trace, None, inst)
+        assert error is None and text.splitlines()[1].startswith("0,1,0.33333333333333331,")
+        assert written(csv_writer_trace, trace, None, inst) == (text, None, None)
+        bad = IterationTrace(iterates=[("x", 1.0)], step_dists=[])
+        assert written(write_trace_csv, bad, None, inst) == written(csv_writer_trace, bad, None, inst)
+
+    @settings(max_examples=400, deadline=None)
+    @given(synthetic_traces())
+    def test_same_bytes_as_the_csv_writer_loop(self, case):
+        trace, cert, inst = case
+        assert written(write_trace_csv, trace, cert, inst) == written(csv_writer_trace, trace, cert, inst)
