@@ -1,7 +1,8 @@
 """Per-layer micro-benchmarks: ``Vec``, the order predicates, metric distance,
-the artifact writers and the CLI's fixed cost.
+the artifact writers, the CLI's fixed cost and the axiom suites.
 
-One row per operation and size n in {2, 50, 200}, and one per writer input.
+One row per operation and size n in {2, 50, 200}, one per writer input, and
+one ``run_all(seed, 20)`` call, the unit of the axioms-suite workload.
 This directory is not in
 the suite's ``testpaths``, so a plain ``pytest`` never collects it.  Run it
 from the repository root with pytest-benchmark:
@@ -21,6 +22,7 @@ import math
 import pytest
 
 from conecert import GaugeNorm, Polynomial, Problem, SpaceSpec, run_picard, solve_roots
+from conecert.axioms import run_all
 from conecert.cli import main
 from conecert.metrics import WeightedConeMetric
 from conecert.picard import certificate_to_dict, write_trace_csv
@@ -146,3 +148,8 @@ def test_cli_main_gauge(benchmark, tmp_path):
     cfg = tmp_path / "gauge.json"
     cfg.write_text(json.dumps({"x": [2.0], "base": [1.0]}))
     assert benchmark(main, ["gauge", "--config", str(cfg)]) == 0
+
+
+def test_axioms_run_all(benchmark):
+    """Every axiom suite, 20 samples over dims 1-8."""
+    assert all(r.passed for r in benchmark(run_all, 0, 20))

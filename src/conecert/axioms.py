@@ -9,12 +9,22 @@ tolerance instead.
 
 Order predicates are injectable through :class:`OrderOps` so a broken
 implementation can be demonstrated to fail with a concrete witness.
+
+Each axiom shape is written once.  A strict axiom (S*) is the weak one
+(V*) with ``<`` for ``<=`` and a positive gap for a nonnegative one, so
+twins share a check that takes a ``strict`` flag, and ``SUITES`` binds
+the flag with :func:`functools.partial`; the four metric suites likewise
+share :func:`_check_metric_axioms`.  The order in which a suite draws
+from its :class:`Sampler` is part of the seed-replay contract: a given
+seed must reproduce every report, counterexamples included, byte for
+byte, so a check may change how it is written but not what it draws.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from . import solid
@@ -106,6 +116,27 @@ def _payload(**kw) -> dict:
     return out
 
 
+def _gap(s: Sampler, n: int, strict: bool) -> Vec:
+    """A gap y - x that makes x < y (strict) or x <= y (weak)."""
+    return s.pos_vec(n) if strict else s.nonneg_vec(n)
+
+
+def _scalar_gap(s: Sampler, strict: bool) -> float:
+    return s.scalar_pos() if strict else s.scalar_nonneg()
+
+
+def _order(ops: OrderOps, strict: bool) -> Callable[[Vec, Vec], bool]:
+    return ops.lt if strict else ops.leq
+
+
+def _gauge(s: Sampler, n: int) -> GaugeNorm:
+    return GaugeNorm(SpaceSpec(n, s.pos_vec(n)))
+
+
+def _weighted(s: Sampler, n: int, field: str = "real") -> WeightedConeMetric:
+    return WeightedConeMetric([s.scalar_pos() for _ in range(n)], field=field)
+
+
 # ---------------------------------------------------------------- solid ----
 
 
@@ -124,27 +155,36 @@ def _check_antisymmetry(s, n, ops):
         return _payload(x=x, y=y, mutual=both)
 
 
-def _check_transitivity(s, n, ops):
+def _check_chain(s, n, ops, first, second):
+    # x R1 y and y R2 z give x R z, where R is strict when either step is.
     x = s.vec(n)
-    y = x + s.nonneg_vec(n)
-    z = y + s.nonneg_vec(n)
-    if not (ops.leq(x, y) and ops.leq(y, z) and ops.leq(x, z)):
+    y = x + _gap(s, n, first)
+    z = y + _gap(s, n, second)
+    if not (
+        _order(ops, first)(x, y)
+        and _order(ops, second)(y, z)
+        and _order(ops, first or second)(x, z)
+    ):
         return _payload(x=x, y=y, z=z)
 
 
-def _check_v1_translation(s, n, ops):
+def _check_translation(s, n, ops, strict):
+    rel = _order(ops, strict)
     x = s.vec(n)
-    y = x + s.nonneg_vec(n)
+    y = x + _gap(s, n, strict)
     z = s.vec(n)
-    if ops.leq(x, y) and not ops.leq(x + z, y + z):
+    if rel(x, y) and not rel(x + z, y + z):
         return _payload(x=x, y=y, z=z)
 
 
-def _check_v2_nonneg_scaling(s, n, ops):
+def _check_scaling(s, n, ops, strict, negative):
+    # A negative scalar reverses the order.
+    rel = _order(ops, strict)
     x = s.vec(n)
-    y = x + s.nonneg_vec(n)
-    lam = s.scalar_nonneg()
-    if ops.leq(x, y) and not ops.leq(lam * x, lam * y):
+    y = x + _gap(s, n, strict)
+    lam = -_scalar_gap(s, strict) if negative else _scalar_gap(s, strict)
+    lo, hi = (y, x) if negative else (x, y)
+    if rel(x, y) and not rel(lam * lo, lam * hi):
         return _payload(x=x, y=y, lam=lam)
 
 
@@ -163,36 +203,23 @@ def _check_v3_limit_finite(s, n, ops):
         return _payload(x=x, y=y, p=p, q=q)
 
 
-def _check_v4_nonpos_scaling(s, n, ops):
-    x = s.vec(n)
-    y = x + s.nonneg_vec(n)
-    lam = -s.scalar_nonneg()
-    if ops.leq(x, y) and not ops.leq(lam * y, lam * x):
-        return _payload(x=x, y=y, lam=lam)
-
-
-def _check_v5_scalar_monotone_pos(s, n, ops):
-    x = s.nonneg_vec(n)
+def _check_scalar_monotone(s, n, ops, strict, negative):
+    # lam < mu (or <=) scales x in the cone up, and x in -cone down.
+    x = -_gap(s, n, strict) if negative else _gap(s, n, strict)
     lam = s.scalar()
-    mu = lam + s.scalar_nonneg()
-    if not ops.leq(lam * x, mu * x):
+    mu = lam + _scalar_gap(s, strict)
+    lo, hi = (mu, lam) if negative else (lam, mu)
+    if not _order(ops, strict)(lo * x, hi * x):
         return _payload(x=x, lam=lam, mu=mu)
 
 
-def _check_v6_scalar_monotone_neg(s, n, ops):
-    x = -s.nonneg_vec(n)
-    lam = s.scalar()
-    mu = lam + s.scalar_nonneg()
-    if not ops.leq(mu * x, lam * x):
-        return _payload(x=x, lam=lam, mu=mu)
-
-
-def _check_v7_addition(s, n, ops):
+def _check_addition(s, n, ops, strict):
+    # Only the first pair carries the strict gap; the second is weak.
     x = s.vec(n)
-    y = x + s.nonneg_vec(n)
+    y = x + _gap(s, n, strict)
     u = s.vec(n)
     v = u + s.nonneg_vec(n)
-    if not ops.leq(x + u, y + v):
+    if not _order(ops, strict)(x + u, y + v):
         return _payload(x=x, y=y, u=u, v=v)
 
 
@@ -203,30 +230,6 @@ def _check_s1_strict_implies_weak(s, n, ops):
         return _payload(x=x, y=y)
 
 
-def _check_s2_weak_then_strict(s, n, ops):
-    x = s.vec(n)
-    y = x + s.nonneg_vec(n)
-    z = y + s.pos_vec(n)
-    if not (ops.leq(x, y) and ops.lt(y, z) and ops.lt(x, z)):
-        return _payload(x=x, y=y, z=z)
-
-
-def _check_s3_translation(s, n, ops):
-    x = s.vec(n)
-    y = x + s.pos_vec(n)
-    z = s.vec(n)
-    if ops.lt(x, y) and not ops.lt(x + z, y + z):
-        return _payload(x=x, y=y, z=z)
-
-
-def _check_s4_pos_scaling(s, n, ops):
-    x = s.vec(n)
-    y = x + s.pos_vec(n)
-    lam = s.scalar_pos()
-    if ops.lt(x, y) and not ops.lt(lam * x, lam * y):
-        return _payload(x=x, y=y, lam=lam)
-
-
 def _check_s5_limit_finite(s, n, ops):
     # Halvings of any sample drop strictly below any interior point within
     # the first 40 terms; checks the 'all but finitely many' clause finitely.
@@ -235,47 +238,6 @@ def _check_s5_limit_finite(s, n, ops):
     hits = [k for k in range(41) if ops.lt(2.0**-k * x, c)]
     if not hits or hits[-1] != 40 or hits != list(range(hits[0], 41)):
         return _payload(x=x, c=c, hits=hits)
-
-
-def _check_s6_neg_scaling(s, n, ops):
-    x = s.vec(n)
-    y = x + s.pos_vec(n)
-    lam = -s.scalar_pos()
-    if ops.lt(x, y) and not ops.lt(lam * y, lam * x):
-        return _payload(x=x, y=y, lam=lam)
-
-
-def _check_s7_scalar_strict_pos(s, n, ops):
-    x = s.pos_vec(n)
-    lam = s.scalar()
-    mu = lam + s.scalar_pos()
-    if not ops.lt(lam * x, mu * x):
-        return _payload(x=x, lam=lam, mu=mu)
-
-
-def _check_s8_scalar_strict_neg(s, n, ops):
-    x = -s.pos_vec(n)
-    lam = s.scalar()
-    mu = lam + s.scalar_pos()
-    if not ops.lt(mu * x, lam * x):
-        return _payload(x=x, lam=lam, mu=mu)
-
-
-def _check_s9_strict_then_weak(s, n, ops):
-    x = s.vec(n)
-    y = x + s.pos_vec(n)
-    z = y + s.nonneg_vec(n)
-    if not (ops.lt(x, y) and ops.leq(y, z) and ops.lt(x, z)):
-        return _payload(x=x, y=y, z=z)
-
-
-def _check_s10_mixed_addition(s, n, ops):
-    x = s.vec(n)
-    y = x + s.pos_vec(n)
-    u = s.vec(n)
-    v = u + s.nonneg_vec(n)
-    if not ops.lt(x + u, y + v):
-        return _payload(x=x, y=y, u=u, v=v)
 
 
 def _check_s11_small_multiples(s, n, ops):
@@ -294,17 +256,12 @@ def _check_s11_small_multiples(s, n, ops):
             return _payload(x=x, b=b, cap=cap)
 
 
-def _check_correspondence_leq(s, n, ops):
+def _check_correspondence(s, n, ops, strict):
+    # x <= y iff y - x lies in the cone; x < y iff it lies in the interior.
     x = s.vec(n)
     y = x if s.rng.random() < 0.3 else s.vec(n)
-    if ops.leq(x, y) != all(a <= b for a, b in zip(x.coords, y.coords)):
-        return _payload(x=x, y=y)
-
-
-def _check_correspondence_lt(s, n, ops):
-    x = s.vec(n)
-    y = x if s.rng.random() < 0.3 else s.vec(n)
-    if ops.lt(x, y) != all(a < b for a, b in zip(x.coords, y.coords)):
+    member = ops.in_interior if strict else ops.in_cone
+    if _order(ops, strict)(x, y) != member(y - x):
         return _payload(x=x, y=y)
 
 
@@ -348,7 +305,7 @@ def _check_bounding_witness(s, n, ops):
 
 
 def _check_gauge_definiteness(s, n, ops):
-    g = GaugeNorm(SpaceSpec(n, s.pos_vec(n)))
+    g = _gauge(s, n)
     x = Vec.zeros(n) if s.rng.random() < 0.2 else s.vec(n)
     v = mink_norm(x, g)
     if v < 0 or (v == 0.0) != (x == Vec.zeros(n)):
@@ -356,7 +313,7 @@ def _check_gauge_definiteness(s, n, ops):
 
 
 def _check_gauge_homogeneity(s, n, ops):
-    g = GaugeNorm(SpaceSpec(n, s.pos_vec(n)))
+    g = _gauge(s, n)
     x = s.vec(n)
     t = s.dyadic_power()
     if mink_norm(t * x, g) != abs(t) * mink_norm(x, g):
@@ -364,14 +321,14 @@ def _check_gauge_homogeneity(s, n, ops):
 
 
 def _check_gauge_triangle(s, n, ops):
-    g = GaugeNorm(SpaceSpec(n, s.pos_vec(n)))
+    g = _gauge(s, n)
     x, y = s.vec(n), s.vec(n)
     if mink_norm(x + y, g) > mink_norm(x, g) + mink_norm(y, g) + _TRIANGLE_TOL:
         return _payload(x=x, y=y, base=g.spec.base)
 
 
 def _check_gauge_monotone(s, n, ops):
-    g = GaugeNorm(SpaceSpec(n, s.pos_vec(n)))
+    g = _gauge(s, n)
     x = s.nonneg_vec(n)
     y = x + s.nonneg_vec(n)
     if mink_norm(x, g) > mink_norm(y, g):
@@ -379,7 +336,7 @@ def _check_gauge_monotone(s, n, ops):
 
 
 def _check_gauge_ball_equivalence(s, n, ops):
-    g = GaugeNorm(SpaceSpec(n, s.pos_vec(n)))
+    g = _gauge(s, n)
     x = s.vec(n)
     eps = s.scalar_pos()
     if strict_ball_test(x, eps, g) != (mink_norm(x, g) < eps):
@@ -389,65 +346,37 @@ def _check_gauge_ball_equivalence(s, n, ops):
 # --------------------------------------------------------------- metric ----
 
 
-def _metric_axiom_failure(inst, x, y, z, pad: Vec | None):
+def _check_metric_axioms(s, n, ops, make, point, pad, repeats):
+    """Cone-metric axioms for ``make(s, n)`` on three ``point(s, n)`` draws.
+
+    ``repeats`` draws a coin that sets y = x one time in ten.  ``pad``, if
+    given, is added to every coordinate of the triangle's right side (the
+    complex modulus rounds).
+    """
+    inst = make(s, n)
+    x, y, z = point(s, n), point(s, n), point(s, n)
+    if repeats and s.rng.random() < 0.1:
+        y = x
     d_xy = inst.distance(x, y)
-    if not solid.in_cone(d_xy):
-        return "distance left the cone"
-    if (d_xy == Vec.zeros(inst.dim)) != (x == y):
-        return "zero distance does not characterize equality"
-    if d_xy != inst.distance(y, x):
-        return "asymmetric"
-    lhs = inst.distance(x, z)
-    rhs = inst.distance(x, y) + inst.distance(y, z)
+    rhs = d_xy + inst.distance(y, z)
     if pad is not None:
-        rhs = rhs + pad
-    if not solid.leq(lhs, rhs):
-        return "triangle inequality failed"
-    return None
-
-
-def _check_weighted_real_axioms(s, n, ops):
-    inst = WeightedConeMetric([s.scalar_pos() for _ in range(n)])
-    x, y, z = s.rpoint(n), s.rpoint(n), s.rpoint(n)
-    if s.rng.random() < 0.1:
-        y = x
-    why = _metric_axiom_failure(inst, x, y, z, None)
-    if why:
-        return _payload(x=x, y=y, z=z, why=why)
-
-
-def _check_weighted_complex_axioms(s, n, ops):
-    inst = WeightedConeMetric([s.scalar_pos() for _ in range(n)], field="complex")
-    x, y, z = s.cpoint(n), s.cpoint(n), s.cpoint(n)
-    if s.rng.random() < 0.1:
-        y = x
-    # The complex modulus rounds, so the triangle check carries a pad.
-    why = _metric_axiom_failure(inst, x, y, z, Vec((_TRIANGLE_TOL,) * n))
-    if why:
-        return _payload(x=x, y=y, z=z, why=why)
-
-
-def _check_discrete_axioms(s, n, ops):
-    inst = DiscreteConeMetric(s.pos_vec(n))
-    x, y, z = (s.rng.randint(0, 4) for _ in range(3))
-    why = _metric_axiom_failure(inst, x, y, z, None)
-    if why:
-        return _payload(x=x, y=y, z=z, why=why)
-
-
-def _check_plus_axioms(s, n, ops):
-    inst = PlusConeMetric(n)
-    x, y, z = s.nonneg_vec(n), s.nonneg_vec(n), s.nonneg_vec(n)
-    if s.rng.random() < 0.1:
-        y = x
-    why = _metric_axiom_failure(inst, x, y, z, None)
-    if why:
-        return _payload(x=x, y=y, z=z, why=why)
+        rhs = rhs + Vec((pad,) * inst.dim)
+    if not solid.in_cone(d_xy):
+        why = "distance left the cone"
+    elif (d_xy == Vec.zeros(inst.dim)) != (x == y):
+        why = "zero distance does not characterize equality"
+    elif d_xy != inst.distance(y, x):
+        why = "asymmetric"
+    elif not solid.leq(inst.distance(x, z), rhs):
+        why = "triangle inequality failed"
+    else:
+        return None
+    return _payload(x=x, y=y, z=z, why=why)
 
 
 def _check_scalarized_metric(s, n, ops):
-    inst = WeightedConeMetric([s.scalar_pos() for _ in range(n)])
-    g = GaugeNorm(SpaceSpec(n, s.pos_vec(n)))
+    inst = _weighted(s, n)
+    g = _gauge(s, n)
     x, y, z = s.rpoint(n), s.rpoint(n), s.rpoint(n)
     if s.rng.random() < 0.1:
         y = x
@@ -463,7 +392,7 @@ def _check_scalarized_metric(s, n, ops):
 
 
 def _check_cone_norm_homogeneity(s, n, ops):
-    inst = WeightedConeMetric([s.scalar_pos() for _ in range(n)], field="complex")
+    inst = _weighted(s, n, "complex")
     x = s.cpoint(n)
     t = s.dyadic_power()
     lhs = inst.norm(tuple(t * c for c in x))
@@ -479,8 +408,8 @@ def _check_cone_norm_homogeneity(s, n, ops):
 
 
 def _check_ball_identity(s, n, ops):
-    inst = WeightedConeMetric([s.scalar_pos() for _ in range(n)])
-    g = GaugeNorm(SpaceSpec(n, s.pos_vec(n)))
+    inst = _weighted(s, n)
+    g = _gauge(s, n)
     x, y = s.rpoint(n), s.rpoint(n)
     eps = s.scalar_pos()
     d = inst.distance(x, y)
@@ -513,27 +442,27 @@ def _check_discrete_stationary(s, n, ops):
 SUITES: list[tuple[str, Callable]] = [
     ("reflexivity", _check_reflexivity),
     ("antisymmetry", _check_antisymmetry),
-    ("transitivity", _check_transitivity),
-    ("V1_translation", _check_v1_translation),
-    ("V2_nonneg_scaling", _check_v2_nonneg_scaling),
+    ("transitivity", partial(_check_chain, first=False, second=False)),
+    ("V1_translation", partial(_check_translation, strict=False)),
+    ("V2_nonneg_scaling", partial(_check_scaling, strict=False, negative=False)),
     ("V3_limit_finite", _check_v3_limit_finite),
-    ("V4_nonpos_scaling", _check_v4_nonpos_scaling),
-    ("V5_scalar_monotone_pos", _check_v5_scalar_monotone_pos),
-    ("V6_scalar_monotone_neg", _check_v6_scalar_monotone_neg),
-    ("V7_addition", _check_v7_addition),
+    ("V4_nonpos_scaling", partial(_check_scaling, strict=False, negative=True)),
+    ("V5_scalar_monotone_pos", partial(_check_scalar_monotone, strict=False, negative=False)),
+    ("V6_scalar_monotone_neg", partial(_check_scalar_monotone, strict=False, negative=True)),
+    ("V7_addition", partial(_check_addition, strict=False)),
     ("S1_strict_implies_weak", _check_s1_strict_implies_weak),
-    ("S2_weak_then_strict", _check_s2_weak_then_strict),
-    ("S3_translation", _check_s3_translation),
-    ("S4_pos_scaling", _check_s4_pos_scaling),
+    ("S2_weak_then_strict", partial(_check_chain, first=False, second=True)),
+    ("S3_translation", partial(_check_translation, strict=True)),
+    ("S4_pos_scaling", partial(_check_scaling, strict=True, negative=False)),
     ("S5_limit_finite", _check_s5_limit_finite),
-    ("S6_neg_scaling", _check_s6_neg_scaling),
-    ("S7_scalar_strict_pos", _check_s7_scalar_strict_pos),
-    ("S8_scalar_strict_neg", _check_s8_scalar_strict_neg),
-    ("S9_strict_then_weak", _check_s9_strict_then_weak),
-    ("S10_mixed_addition", _check_s10_mixed_addition),
+    ("S6_neg_scaling", partial(_check_scaling, strict=True, negative=True)),
+    ("S7_scalar_strict_pos", partial(_check_scalar_monotone, strict=True, negative=False)),
+    ("S8_scalar_strict_neg", partial(_check_scalar_monotone, strict=True, negative=True)),
+    ("S9_strict_then_weak", partial(_check_chain, first=True, second=False)),
+    ("S10_mixed_addition", partial(_check_addition, strict=True)),
     ("S11_small_multiples", _check_s11_small_multiples),
-    ("correspondence_leq_cone", _check_correspondence_leq),
-    ("correspondence_lt_interior", _check_correspondence_lt),
+    ("correspondence_leq_cone", partial(_check_correspondence, strict=False)),
+    ("correspondence_lt_interior", partial(_check_correspondence, strict=True)),
     ("interior_positive_scaling", _check_interior_positive_scaling),
     ("interior_cone_addition", _check_interior_cone_addition),
     ("interior_excludes_zero", _check_interior_excludes_zero),
@@ -544,10 +473,17 @@ SUITES: list[tuple[str, Callable]] = [
     ("gauge_triangle", _check_gauge_triangle),
     ("gauge_monotone", _check_gauge_monotone),
     ("gauge_ball_equivalence", _check_gauge_ball_equivalence),
-    ("weighted_real_metric", _check_weighted_real_axioms),
-    ("weighted_complex_metric", _check_weighted_complex_axioms),
-    ("discrete_metric", _check_discrete_axioms),
-    ("plus_metric", _check_plus_axioms),
+    ("weighted_real_metric", partial(
+        _check_metric_axioms, make=_weighted, point=Sampler.rpoint, pad=None, repeats=True)),
+    ("weighted_complex_metric", partial(
+        _check_metric_axioms, make=partial(_weighted, field="complex"),
+        point=Sampler.cpoint, pad=_TRIANGLE_TOL, repeats=True)),
+    ("discrete_metric", partial(
+        _check_metric_axioms, make=lambda s, n: DiscreteConeMetric(s.pos_vec(n)),
+        point=lambda s, n: s.rng.randint(0, 4), pad=None, repeats=False)),
+    ("plus_metric", partial(
+        _check_metric_axioms, make=lambda s, n: PlusConeMetric(n),
+        point=Sampler.nonneg_vec, pad=None, repeats=True)),
     ("scalarized_metric", _check_scalarized_metric),
     ("cone_norm_homogeneity", _check_cone_norm_homogeneity),
     ("ball_identity", _check_ball_identity),

@@ -3,8 +3,8 @@
 Subcommands: axioms, gauge, picard, roots, demo-normality.  Exit codes:
 0 on success or convergence, 2 when an iteration fails to converge,
 diverges to a non-finite value or escapes its domain, 1 on any input
-error.  All runs are single-threaded and all emitted files are
-byte-identical for identical config and seed.
+error, a usage error included.  All runs are single-threaded and all
+emitted files are byte-identical for identical config and seed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,10 @@ EXIT_NO_CONVERGENCE = 2
 MAX_CLI_DEGREE = 12
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> dict:
+    path = args.config
+    if path is None:
+        raise ValueError(f"{args.command} needs --config")
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -161,7 +164,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     for key in ("x", "base"):
         if key not in cfg:
             raise ValueError(f'gauge config needs an "{key}" array')
@@ -176,7 +179,7 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_picard(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     problem = _problem_from_config(cfg, args)
     out = _out_dir(args)
     try:
@@ -202,7 +205,7 @@ def cmd_picard(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     if "coefficients" not in cfg:
         raise ValueError('roots config needs a "coefficients" array')
     poly = Polynomial(_coeffs_from_json(cfg["coefficients"]))
@@ -325,7 +328,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; a usage error is an input error,
+        # while --help exits 0 as before.
+        if not exc.code:
+            raise
+        return EXIT_INPUT
     if args.samples is None and args.command == "axioms":
         args.samples = 1000
     try:

@@ -1,7 +1,7 @@
 import pytest
 
 from conecert.axioms import DEFAULT_OPS, OrderOps, SUITES, report_dict, run_all
-from conecert.solid import in_cone, in_interior, lt
+from conecert.solid import in_cone, in_interior, leq, lt
 
 
 def run(samples=120, **kw):
@@ -56,6 +56,37 @@ class TestMutantDetection:
         )
         results = {r.name: r for r in run(ops=mutant)}
         assert not results["correspondence_leq_cone"].passed
+
+    def test_cone_mutant_fails_weak_correspondence(self):
+        # x <= y iff y - x lies in the cone: an interior test for the cone
+        # rejects the equal and boundary pairs the weak order accepts.
+        mutant = OrderOps(leq=leq, lt=lt, in_cone=in_interior, in_interior=in_interior)
+        results = {r.name: r for r in run(ops=mutant)}
+        assert not results["correspondence_leq_cone"].passed
+
+    def test_interior_mutant_fails_strict_correspondence(self):
+        mutant = OrderOps(leq=leq, lt=lt, in_cone=in_cone, in_interior=in_cone)
+        results = {r.name: r for r in run(ops=mutant)}
+        assert not results["correspondence_lt_interior"].passed
+
+    WEAK_TWINS = ["transitivity", "V5_scalar_monotone_pos", "V6_scalar_monotone_neg", "V7_addition"]
+    STRICT_TWINS = ["S7_scalar_strict_pos", "S8_scalar_strict_neg", "S10_mixed_addition"]
+
+    def test_reversed_weak_order_fails_only_the_weak_twins(self):
+        mutant = OrderOps(
+            leq=lambda x, y: leq(y, x), lt=lt, in_cone=in_cone, in_interior=in_interior
+        )
+        passed = {r.name: r.passed for r in run(ops=mutant)}
+        assert [passed[name] for name in self.WEAK_TWINS] == [False] * 4
+        assert [passed[name] for name in self.STRICT_TWINS] == [True] * 3
+
+    def test_reversed_strict_order_fails_only_the_strict_twins(self):
+        mutant = OrderOps(
+            leq=leq, lt=lambda x, y: lt(y, x), in_cone=in_cone, in_interior=in_interior
+        )
+        passed = {r.name: r.passed for r in run(ops=mutant)}
+        assert [passed[name] for name in self.STRICT_TWINS] == [False] * 3
+        assert [passed[name] for name in self.WEAK_TWINS] == [True] * 4
 
     def test_counterexamples_are_json_safe(self):
         import json

@@ -412,3 +412,43 @@ class TestParserReuse:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
+
+
+class TestUsageErrors:
+    """Usage errors are input errors: exit 1, never the no-convergence 2."""
+
+    @pytest.mark.parametrize("command", ["gauge", "picard", "roots"])
+    def test_missing_config_exits_one(self, command, capsys):
+        assert main([command]) == 1
+        assert capsys.readouterr().err == f"error: {command} needs --config\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["picard", "--max-iter", "x"], "invalid int value: 'x'"),
+            (["solve"], "invalid choice: 'solve'"),
+        ],
+    )
+    def test_argparse_error_returns_one(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: conecert")
+        assert message in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: conecert" in capsys.readouterr().out
+
+    def test_process_exit_code(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "conecert.cli", "picard", "--max-iter", "x"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "invalid int value" in proc.stderr
