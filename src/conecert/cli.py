@@ -5,6 +5,13 @@ Subcommands: axioms, gauge, picard, roots, demo-normality.  Exit codes:
 diverges to a non-finite value or escapes its domain, 1 on any input
 error, a usage error included.  All runs are single-threaded and all
 emitted files are byte-identical for identical config and seed.
+
+This module is the only one that knows the config format.  Each JSON value
+kind has one reader here, and every config value passes through one of them:
+a number is a finite JSON number, never a string or a boolean; a count is a
+whole number (``1000.0`` reads as 1000); a complex scalar is a number or
+``[re, im]``; NaN and Infinity are rejected; an optional key set to null
+reads like an absent key, while a null ``--stop-c`` is rejected.
 """
 
 from __future__ import annotations
@@ -21,10 +28,10 @@ from .axioms import report_dict, run_all
 from .gauge import GaugeNorm, mink_norm
 from .metrics import (
     Ball,
+    ConeMetric,
+    DiscreteConeMetric,
+    PlusConeMetric,
     WeightedConeMetric,
-    instance_from_json,
-    parse_point,
-    point_to_json,
 )
 from .normality import normality_table
 from .picard import (
@@ -35,13 +42,27 @@ from .picard import (
     write_trace_csv,
 )
 from .roots import Polynomial, solve_roots, weierstrass_map
-from .solid import SpaceSpec, Vec, vec_from_json
+from .solid import SpaceSpec, Vec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 
 MAX_CLI_DEGREE = 12
+
+
+def _loads(text: str, source: str):
+    """The JSON value of ``text``; ``source`` names it in error messages."""
+
+    def reject(name):
+        raise ValueError(f"{source} holds {name}, which is not a JSON number")
+
+    try:
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"malformed JSON in {source} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
 
 
 def _load_config(args) -> dict:
@@ -52,15 +73,130 @@ def _load_config(args) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read config {path!r}: {exc.strerror}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"malformed JSON in {path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    cfg = _loads(text, repr(path))
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path!r} must hold a JSON object")
     return cfg
+
+
+def _optional(obj: dict, key: str, default=None):
+    """``obj[key]``, or ``default`` when the key is absent or null."""
+    value = obj.get(key)
+    return default if value is None else value
+
+
+def _number(v, key: str):
+    """A finite JSON number, returned as parsed (an int stays an int).
+
+    The range test also rejects an int too large to become a float.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f'"{key}" needs a finite number, got {json.dumps(v)}')
+    return v
+
+
+def _count(v, key: str) -> int:
+    """A whole JSON number; an integral float such as ``1000.0`` reads as 1000."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f'"{key}" needs a whole number, got {json.dumps(v)}')
+    return v
+
+
+def _array(v, key: str) -> list:
+    """A JSON array, as parsed."""
+    if not isinstance(v, list):
+        raise ValueError(f'"{key}" needs a JSON array, got {json.dumps(v)}')
+    return v
+
+
+def _numbers(v, key: str) -> tuple[float, ...]:
+    """An array of finite numbers, as a tuple of floats."""
+    return tuple([float(_number(x, key)) for x in _array(v, key)])
+
+
+def vec_from_json(v, key: str = "vector") -> Vec:
+    """An array of finite numbers, as a :class:`Vec`."""
+    return Vec(_numbers(v, key))
+
+
+def _complex(v, key: str) -> complex:
+    """A complex scalar: a number, or a pair ``[re, im]`` of numbers."""
+    if isinstance(v, list):
+        if len(v) != 2:
+            raise ValueError(f'"{key}" needs a number or [re, im], got {json.dumps(v)}')
+        return complex(_number(v[0], key), _number(v[1], key))
+    return complex(_number(v, key))
+
+
+def parse_point(inst: ConeMetric, raw, key: str = "point"):
+    """Point from its JSON form, per metric.
+
+    Numbers for a real weighted or a plus instance, complex scalars for a
+    complex weighted one; a discrete instance takes any JSON value as is.
+    """
+    if isinstance(inst, WeightedConeMetric):
+        if inst.field == "real":
+            return inst.validate_point(_numbers(raw, key))
+        return inst.validate_point(tuple([_complex(v, key) for v in _array(raw, key)]))
+    if isinstance(inst, PlusConeMetric):
+        return inst.validate_point(vec_from_json(raw, key))
+    return raw
+
+
+def point_to_json(inst: ConeMetric, p):
+    if isinstance(inst, WeightedConeMetric) and inst.field == "complex":
+        return [[c.real, c.imag] for c in p]
+    return list(p)
+
+
+def instance_from_json(obj) -> ConeMetric:
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValueError('metric instance needs a "kind" field')
+    kind = obj["kind"]
+    if kind in ("weighted", "weighted_norm"):
+        if "alpha" not in obj:
+            raise ValueError('weighted instance needs an "alpha" weight list')
+        return WeightedConeMetric(_numbers(obj["alpha"], "alpha"), _optional(obj, "field", "real"))
+    if kind == "discrete":
+        if "a" not in obj:
+            raise ValueError('discrete instance needs an "a" distance vector')
+        return DiscreteConeMetric(vec_from_json(obj["a"], "a"))
+    if kind in ("plus", "plus_metric"):
+        if "n" not in obj:
+            raise ValueError('plus instance needs a dimension "n"')
+        return PlusConeMetric(obj["n"])
+    raise ValueError(f"unknown metric kind {kind!r}")
+
+
+def _polynomial(raw) -> Polynomial:
+    """Polynomial from its complex coefficients, constant term first."""
+    return Polynomial([_complex(v, "coefficients") for v in _array(raw, "coefficients")])
+
+
+def _run_settings(cfg: dict, args, max_iter: int) -> tuple:
+    """``(stop_c, max_iter, lam)`` shared by ``picard`` and ``roots``.
+
+    ``--stop-c`` and ``--max-iter`` override the config keys; a null
+    ``--stop-c`` is an error, not an absent flag.  An absent ``stop_c`` or
+    ``lambda`` reads as None; ``max_iter`` is the default.
+    """
+    if args.stop_c is not None:
+        stop_c = vec_from_json(_loads(args.stop_c, "--stop-c"), "--stop-c")
+    else:
+        stop = _optional(cfg, "stop_c")
+        stop_c = None if stop is None else vec_from_json(stop, "stop_c")
+    if args.max_iter is not None:
+        max_iter = args.max_iter
+    else:
+        max_iter = _count(_optional(cfg, "max_iter", max_iter), "max_iter")
+    lam = _optional(cfg, "lambda")
+    return (
+        stop_c,
+        max_iter,
+        None if lam is None else _number(lam, "lambda"),
+    )
 
 
 def _write_json(path: Path, payload) -> None:
@@ -68,14 +204,17 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    out = args.out or "."
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot use output directory {out!r}: {exc.strerror}") from exc
+    return Path(out)
 
 
 def _affine_map(matrix, offset):
-    rows = [[float(v) for v in row] for row in matrix]
-    c = [float(v) for v in offset]
+    rows = [_numbers(row, "matrix") for row in _array(matrix, "matrix")]
+    c = _numbers(offset, "offset")
     n = len(c)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("affine map needs a square matrix matching the offset length")
@@ -99,23 +238,8 @@ def _map_from_config(spec: dict):
     if name == "weierstrass":
         if "coefficients" not in spec:
             raise ValueError('weierstrass map needs "coefficients"')
-        poly = Polynomial(_coeffs_from_json(spec["coefficients"]))
-        return weierstrass_map(poly)
+        return weierstrass_map(_polynomial(spec["coefficients"]))
     raise ValueError(f"unknown map {name!r}")
-
-
-def _coeffs_from_json(raw) -> list[complex]:
-    if not isinstance(raw, (list, tuple)):
-        raise ValueError("coefficients must be a JSON array, constant term first")
-    out = []
-    for v in raw:
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(complex(v))
-        elif isinstance(v, (list, tuple)) and len(v) == 2:
-            out.append(complex(v[0], v[1]))
-        else:
-            raise ValueError(f"cannot parse coefficient {v!r}")
-    return out
 
 
 def _problem_from_config(cfg: dict, args) -> Problem:
@@ -124,31 +248,27 @@ def _problem_from_config(cfg: dict, args) -> Problem:
             raise ValueError(f'problem config needs a "{key}" field')
     inst = instance_from_json(cfg["metric"])
     n = inst.dim
-    base = vec_from_json(cfg["gauge_base"]) if "gauge_base" in cfg else Vec.ones(n)
+    base = _optional(cfg, "gauge_base")
+    base = Vec.ones(n) if base is None else vec_from_json(base, "gauge_base")
     gauge = GaugeNorm(SpaceSpec(n, base))
-    stop_raw = cfg.get("stop_c", [1e-10] * n)
-    if args.stop_c is not None:
-        stop_raw = json.loads(args.stop_c)
-    stop_c = vec_from_json(stop_raw)
-    max_iter = args.max_iter if args.max_iter is not None else cfg.get("max_iter", 200)
-    domain = None
-    if "domain" in cfg:
-        dom = cfg["domain"]
-        if not isinstance(dom, dict) or "center" not in dom or "radius" not in dom:
+    stop_c, max_iter, lam = _run_settings(cfg, args, max_iter=200)
+    domain = _optional(cfg, "domain")
+    if domain is not None:
+        if not isinstance(domain, dict) or "center" not in domain or "radius" not in domain:
             raise ValueError('domain needs "center" and "radius"')
         domain = Ball(
-            center=parse_point(inst, dom["center"]),
-            radius=vec_from_json(dom["radius"]),
+            center=parse_point(inst, domain["center"], "center"),
+            radius=vec_from_json(domain["radius"], "radius"),
             closed=True,
         )
     return Problem(
         map_fn=_map_from_config(cfg["map"]),
-        x0=parse_point(inst, cfg["x0"]),
+        x0=parse_point(inst, cfg["x0"], "x0"),
         metric=inst,
         gauge=gauge,
-        stop_c=stop_c,
-        max_iter=int(max_iter),
-        lam=cfg.get("lambda"),
+        stop_c=Vec((1e-10,) * n) if stop_c is None else stop_c,
+        max_iter=max_iter,
+        lam=lam,
         domain=domain,
     )
 
@@ -168,12 +288,12 @@ def cmd_gauge(args) -> int:
     for key in ("x", "base"):
         if key not in cfg:
             raise ValueError(f'gauge config needs an "{key}" array')
-    x = vec_from_json(cfg["x"])
-    g = GaugeNorm(SpaceSpec(len(x), vec_from_json(cfg["base"])))
+    x = vec_from_json(cfg["x"], "x")
+    g = GaugeNorm(SpaceSpec(len(x), vec_from_json(cfg["base"], "base")))
+    out = _out_dir(args) if args.out else None
     value = mink_norm(x, g)
     print(format(value, ".17g"))
-    if args.out:
-        out = _out_dir(args)
+    if out is not None:
         _write_json(out / "report.json", {"norm": value})
     return EXIT_OK
 
@@ -208,25 +328,21 @@ def cmd_roots(args) -> int:
     cfg = _load_config(args)
     if "coefficients" not in cfg:
         raise ValueError('roots config needs a "coefficients" array')
-    poly = Polynomial(_coeffs_from_json(cfg["coefficients"]))
+    poly = _polynomial(cfg["coefficients"])
     if poly.degree > MAX_CLI_DEGREE:
         raise ValueError(f"degree {poly.degree} exceeds the CLI cap of {MAX_CLI_DEGREE}")
-    z0 = None
-    if "z0" in cfg:
-        z0 = [complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in cfg["z0"]]
-    weights = cfg.get("weights")
-    stop_raw = cfg.get("stop_c")
-    if args.stop_c is not None:
-        stop_raw = json.loads(args.stop_c)
-    stop_c = vec_from_json(stop_raw) if stop_raw is not None else None
-    max_iter = args.max_iter if args.max_iter is not None else cfg.get("max_iter", 100)
+    weights = _optional(cfg, "weights")
+    metric = WeightedConeMetric(
+        (1.0,) * poly.degree if weights is None else _numbers(weights, "weights"), field="complex"
+    )
+    z0 = _optional(cfg, "z0")
+    if z0 is not None:
+        z0 = parse_point(metric, z0, "z0")
+    stop_c, max_iter, lam = _run_settings(cfg, args, max_iter=100)
     result = solve_roots(
-        poly, z0=z0, weights=weights, stop_c=stop_c, max_iter=int(max_iter), lam=cfg.get("lambda")
+        poly, z0=z0, weights=metric.alpha, stop_c=stop_c, max_iter=max_iter, lam=lam
     )
     out = _out_dir(args)
-    metric = WeightedConeMetric(
-        weights if weights is not None else [1.0] * poly.degree, field="complex"
-    )
     with open(out / "trace.csv", "w", newline="") as fh:
         write_trace_csv(fh, result.trace, result.certificate, metric)
     _write_json(
@@ -242,9 +358,7 @@ def cmd_roots(args) -> int:
         out / "report.json",
         {
             "converged": result.converged,
-            "roots": None
-            if result.roots is None
-            else [[z.real, z.imag] for z in result.roots],
+            "roots": None if result.roots is None else point_to_json(metric, result.roots),
             "residuals": result.residuals,
             "comparison": {
                 "rows": len(result.report.rows),
@@ -340,7 +454,7 @@ def main(argv=None) -> int:
         args.samples = 1000
     try:
         return _handler(args.command)(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

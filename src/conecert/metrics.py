@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .gauge import GaugeNorm, mink_norm
-from .solid import NonFiniteError, Vec, in_cone, in_interior, leq, lt, vec_from_json
+from .solid import NonFiniteError, Vec, in_cone, in_interior, leq, lt
 
 __all__ = [
     "WeightedConeMetric",
@@ -33,9 +33,6 @@ __all__ = [
     "domination_check",
     "inequality_transfer_check",
     "nested_ball_probe",
-    "instance_from_json",
-    "parse_point",
-    "point_to_json",
 ]
 
 
@@ -150,7 +147,7 @@ class PlusConeMetric:
     kind = "plus_metric"
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
         self.n = n
 
@@ -299,54 +296,3 @@ def nested_ball_probe(
         raise ValueError(f"final radius gauge is not below {tol!r}")
     return centers[-1]
 
-
-def instance_from_json(obj: dict) -> ConeMetric:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError('metric instance needs a "kind" field')
-    kind = obj["kind"]
-    if kind in ("weighted", "weighted_norm"):
-        if "alpha" not in obj:
-            raise ValueError('weighted instance needs an "alpha" weight list')
-        return WeightedConeMetric(obj["alpha"], obj.get("field", "real"))
-    if kind == "discrete":
-        if "a" not in obj:
-            raise ValueError('discrete instance needs an "a" distance vector')
-        return DiscreteConeMetric(vec_from_json(obj["a"]))
-    if kind in ("plus", "plus_metric"):
-        if "n" not in obj:
-            raise ValueError('plus instance needs a dimension "n"')
-        return PlusConeMetric(obj["n"])
-    raise ValueError(f"unknown metric kind {kind!r}")
-
-
-def _scalar_from_json(v, field: str):
-    if isinstance(v, bool):
-        raise ValueError(f"not a scalar: {v!r}")
-    if isinstance(v, (int, float)):
-        return float(v) if field == "real" else complex(v)
-    if field == "complex" and isinstance(v, (list, tuple)) and len(v) == 2:
-        re, im = v
-        if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in (re, im)):
-            return complex(re, im)
-    raise ValueError(f"cannot parse scalar {v!r} for field {field!r}")
-
-
-def parse_point(inst: ConeMetric, raw):
-    """Point from its JSON form: numbers, [re, im] pairs, or a plain array."""
-    if isinstance(inst, WeightedConeMetric):
-        if not isinstance(raw, (list, tuple)):
-            raise ValueError(f"expected a JSON array, got {raw!r}")
-        return inst.validate_point(
-            tuple(_scalar_from_json(v, inst.field) for v in raw)
-        )
-    if isinstance(inst, PlusConeMetric):
-        return inst.validate_point(vec_from_json(raw))
-    return raw
-
-
-def point_to_json(inst: ConeMetric, p):
-    if isinstance(inst, WeightedConeMetric) and inst.field == "complex":
-        return [[c.real, c.imag] for c in p]
-    if isinstance(p, Vec):
-        return list(p.coords)
-    return list(p)

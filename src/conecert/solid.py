@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import le, lt as _lt
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "NonFiniteError",
@@ -30,7 +30,6 @@ __all__ = [
     "lt",
     "minorant_scale",
     "bounding_scale",
-    "vec_from_json",
 ]
 
 
@@ -186,7 +185,7 @@ class SpaceSpec:
     base: Vec
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
         if len(self.base) != self.n:
             raise ValueError(
@@ -194,21 +193,6 @@ class SpaceSpec:
             )
         if not in_interior(self.base):
             raise ValueError("base vector must be strictly positive")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SpaceSpec":
-        if not isinstance(obj, dict) or "n" not in obj or "base" not in obj:
-            raise ValueError('space spec needs {"n": int, "base": [numbers]}')
-        return cls(obj["n"], vec_from_json(obj["base"]))
-
-
-def vec_from_json(values: Sequence[float]) -> Vec:
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"expected a JSON array of numbers, got {values!r}")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"expected a number, got {v!r}")
-    return Vec(values)
 
 
 def minorant_scale(vectors: Iterable[Vec], spec: SpaceSpec) -> float:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -452,3 +453,140 @@ class TestUsageErrors:
         )
         assert proc.returncode == 1
         assert "invalid int value" in proc.stderr
+
+
+# Valid configs for the value table below; each row changes one key of one.
+HALVE_2D = {
+    "map": {"name": "halve"},
+    "x0": [1.0, 2.0],
+    "metric": {"kind": "weighted", "alpha": [1.0, 2.0]},
+    "lambda": 0.5,
+}
+AFFINE = {
+    "map": {"name": "affine", "matrix": [[0.5]], "offset": [1.0]},
+    "x0": [0.0],
+    "metric": {"kind": "weighted", "alpha": [1.0]},
+    "lambda": 0.5,
+}
+INF = float("inf")  # json.dumps writes it as the literal Infinity
+
+
+def with_key(base, path, value):
+    cfg = copy.deepcopy(base)
+    *parents, key = path
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    return cfg
+
+
+# (command, valid config, path of the key changed, bad value)
+BAD_VALUES = [
+    # Each of these once ended in a traceback.
+    ("roots", CUBIC_ROOTS, ["z0"], [[1], [2], [3]]),
+    ("roots", CUBIC_ROOTS, ["z0"], 5),
+    ("roots", CUBIC_ROOTS, ["coefficients"], [["1", "2"], 11, -6, 1]),
+    ("roots", CUBIC_ROOTS, ["weights"], 5),
+    ("roots", CUBIC_ROOTS, ["lambda"], [1]),
+    ("roots", CUBIC_ROOTS, ["max_iter"], [1]),
+    ("picard", HALVE, ["lambda"], [0.5]),
+    ("picard", AFFINE, ["map", "matrix"], 5),
+    ("picard", AFFINE, ["map", "offset"], 1),
+    ("picard", HALVE, ["metric", "alpha"], 5),
+    ("picard", HALVE, ["max_iter"], INF),
+    # Each of these was once misread without an error.
+    ("roots", CUBIC_ROOTS, ["z0", 1], [1.8, 0, 9]),
+    ("roots", CUBIC_ROOTS, ["z0", 1], "1"),
+    ("roots", CUBIC_ROOTS, ["z0", 1], True),
+    ("roots", CUBIC_ROOTS, ["coefficients", 0], [True, False]),
+    ("roots", CUBIC_ROOTS, ["weights"], ["1", "1", "1"]),
+    ("picard", HALVE_2D, ["metric", "alpha"], "12"),
+    ("picard", HALVE, ["lambda"], False),
+    ("picard", HALVE, ["lambda"], "0.5"),
+    ("picard", HALVE, ["max_iter"], "7"),
+    ("picard", HALVE, ["max_iter"], 2.7),
+    ("picard", AFFINE, ["map", "matrix"], [["0.5"]]),
+    ("picard", AFFINE, ["map", "offset"], [True]),
+    ("picard", HALVE, ["metric"], {"kind": "plus", "n": True}),
+    ("picard", AFFINE, ["map", "offset"], [INF]),
+]
+
+
+class TestConfigValues:
+    """Every config value is read strictly: a bad one is an input error."""
+
+    @pytest.mark.parametrize(
+        "command, base, path, value",
+        BAD_VALUES,
+        ids=[f"{c}-{'.'.join(map(str, p))}={json.dumps(v)}" for c, _, p, v in BAD_VALUES],
+    )
+    def test_bad_value_exits_one(self, tmp_path, capsys, command, base, path, value):
+        cfg = write_cfg(tmp_path, with_key(base, path, value))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, base, key",
+        [
+            ("roots", CUBIC_ROOTS, "z0"),
+            ("roots", CUBIC_ROOTS, "max_iter"),
+            ("picard", HALVE, "stop_c"),
+        ],
+    )
+    def test_null_reads_like_an_absent_key(self, tmp_path, capsys, command, base, key):
+        runs = []
+        for tag, payload in (
+            ("null", {**base, key: None}),
+            ("absent", {k: v for k, v in base.items() if k != key}),
+        ):
+            out = tmp_path / tag
+            cfg = write_cfg(tmp_path, payload, f"{tag}.json")
+            code = main([command, "--config", cfg, "--out", str(out)])
+            runs.append((code, capsys.readouterr(), artifacts(out)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
+    @pytest.mark.parametrize("constant", ["NaN", "-Infinity"])
+    def test_stop_c_flag_rejects_non_json_numbers(self, tmp_path, capsys, constant):
+        cfg = write_cfg(tmp_path, HALVE)
+        out = tmp_path / "out"
+        argv = ["picard", "--config", cfg, "--out", str(out), "--stop-c", f"[{constant}]"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --stop-c holds {constant}, which is not a JSON number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, base", [("picard", HALVE), ("roots", CUBIC_ROOTS)])
+    def test_stop_c_flag_rejects_null(self, tmp_path, capsys, command, base):
+        cfg = write_cfg(tmp_path, base)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--stop-c", "null"]) == 1
+        assert capsys.readouterr().err == 'error: "--stop-c" needs a JSON array, got null\n'
+        assert not out.exists()
+
+
+class TestOutputDirectory:
+    """An --out that names a file, or a path under one, is an input error."""
+
+    def test_gauge_out_is_a_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"x": [2.0], "base": [1.0]})
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["gauge", "--config", cfg, "--out", str(afile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot use output directory {str(afile)!r}: ")
+        assert captured.out == ""
+
+    def test_axioms_out_under_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["axioms", "--samples", "2", "--out", str(afile / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot use output directory {str(afile / 'sub')!r}: ")
+        assert afile.read_text() == ""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conecert.cli import instance_from_json, parse_point
 from conecert.gauge import GaugeNorm, mink_norm
 from conecert.metrics import (
     Ball,
@@ -15,9 +16,7 @@ from conecert.metrics import (
     cauchy_bound_check,
     domination_check,
     inequality_transfer_check,
-    instance_from_json,
     nested_ball_probe,
-    parse_point,
     scalarize,
 )
 from conecert.picard import Problem, run_picard
@@ -283,6 +282,11 @@ class TestPlus:
         inst = PlusConeMetric(2)
         with pytest.raises(ValueError):
             inst.distance(Vec([-1, 0]), Vec([0, 0]))
+
+    @pytest.mark.parametrize("n", [0, 1.0, True])
+    def test_rejects_a_dimension_that_is_not_a_positive_int(self, n):
+        with pytest.raises(ValueError):
+            PlusConeMetric(n)
 
     @given(data=st.data())
     def test_metric_axioms(self, data):

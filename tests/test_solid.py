@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conecert.cli import vec_from_json
 from conecert.solid import (
     NonFiniteError,
     SpaceSpec,
@@ -15,7 +16,6 @@ from conecert.solid import (
     leq,
     lt,
     minorant_scale,
-    vec_from_json,
 )
 
 from helpers import (
@@ -104,12 +104,8 @@ class TestSpaceSpec:
             SpaceSpec(3, Vec([1.0, 1.0]))
         with pytest.raises(ValueError):
             SpaceSpec(0, Vec([1.0]))
-
-    def test_from_json(self):
-        spec = SpaceSpec.from_json({"n": 2, "base": [1, 2]})
-        assert spec.base.coords == (1.0, 2.0)
         with pytest.raises(ValueError):
-            SpaceSpec.from_json({"n": 2})
+            SpaceSpec(True, Vec([1.0]))
 
 
 class TestScaleWitnesses:
