@@ -133,8 +133,9 @@ def _complex(v, key: str) -> complex:
 def parse_point(inst: ConeMetric, raw, key: str = "point"):
     """Point from its JSON form, per metric.
 
-    Numbers for a real weighted or a plus instance, complex scalars for a
-    complex weighted one; a discrete instance takes any JSON value as is.
+    Numbers for a real weighted, a plus or a discrete instance, complex
+    scalars for a complex weighted one.  A discrete point could be any value,
+    but every CLI map does arithmetic on it, so it is read as numbers too.
     """
     if isinstance(inst, WeightedConeMetric):
         if inst.field == "real":
@@ -142,7 +143,7 @@ def parse_point(inst: ConeMetric, raw, key: str = "point"):
         return inst.validate_point(tuple([_complex(v, key) for v in _array(raw, key)]))
     if isinstance(inst, PlusConeMetric):
         return inst.validate_point(vec_from_json(raw, key))
-    return raw
+    return _numbers(raw, key)
 
 
 def point_to_json(inst: ConeMetric, p):
@@ -247,6 +248,8 @@ def _problem_from_config(cfg: dict, args) -> Problem:
         if key not in cfg:
             raise ValueError(f'problem config needs a "{key}" field')
     inst = instance_from_json(cfg["metric"])
+    # Checked against the metric before anything of its dimension is built.
+    x0 = parse_point(inst, cfg["x0"], "x0")
     n = inst.dim
     base = _optional(cfg, "gauge_base")
     base = Vec.ones(n) if base is None else vec_from_json(base, "gauge_base")
@@ -263,7 +266,7 @@ def _problem_from_config(cfg: dict, args) -> Problem:
         )
     return Problem(
         map_fn=_map_from_config(cfg["map"]),
-        x0=parse_point(inst, cfg["x0"], "x0"),
+        x0=x0,
         metric=inst,
         gauge=gauge,
         stop_c=Vec((1e-10,) * n) if stop_c is None else stop_c,

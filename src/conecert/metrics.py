@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .gauge import GaugeNorm, mink_norm
-from .solid import NonFiniteError, Vec, in_cone, in_interior, leq, lt
+from .solid import NonFiniteError, Vec, _finite, in_cone, in_interior, leq, lt
 
 __all__ = [
     "WeightedConeMetric",
@@ -39,8 +39,6 @@ __all__ = [
 class WeightedConeMetric:
     """Componentwise weighted modulus distance over real or complex tuples."""
 
-    kind = "weighted_norm"
-
     def __init__(self, alpha: Sequence[float], field: str = "real"):
         self.alpha = tuple(float(a) for a in alpha)
         if not self.alpha:
@@ -59,20 +57,13 @@ class WeightedConeMetric:
         coords = tuple(p)
         if len(coords) != self.dim:
             raise ValueError(f"point has {len(coords)} coordinates, expected {self.dim}")
-        # Fast path: a point of exact finite floats (real field) or exact
-        # finite complexes (complex field) is already what the loop below
-        # would return.  Everything else takes the loop.  For floats a finite
-        # sum proves every coordinate finite in one C-level pass, and a sum
-        # that overflows on finite terms is settled by the scan.  A complex
-        # sum allocates a new complex per term and is slower than the scan,
-        # so complex points are scanned directly.
+        # Fast path: a point of exact floats (real field, checked finite by
+        # ``_finite``) or of exact finite complexes (complex field) is already
+        # what the loop below would return.  Everything else takes the loop.
         if self.field == "real":
-            fast = set(map(type, coords)) == {float} and (
-                math.isfinite(sum(coords)) or all(map(math.isfinite, coords))
-            )
-        else:
-            fast = set(map(type, coords)) == {complex} and all(map(cmath.isfinite, coords))
-        if fast:
+            if set(map(type, coords)) == {float}:
+                return _finite(coords)
+        elif set(map(type, coords)) == {complex} and all(map(cmath.isfinite, coords)):
             return coords
         out = []
         for c in coords:
@@ -118,8 +109,6 @@ class WeightedConeMetric:
 class DiscreteConeMetric:
     """Fixed nonzero cone value between any two distinct points."""
 
-    kind = "discrete"
-
     def __init__(self, a: Vec):
         if not in_cone(a):
             raise ValueError("discrete distance value must lie in the cone")
@@ -143,8 +132,6 @@ class DiscreteConeMetric:
 
 class PlusConeMetric:
     """Sum distance on the positive cone: d(x, y) = x + y for x != y."""
-
-    kind = "plus_metric"
 
     def __init__(self, n: int):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:

@@ -147,8 +147,10 @@ class Certificate:
     """Factor, status and steps of a run; the bound families derive from them.
 
     ``apriori``, ``apost_forward`` and ``apost_backward`` are read-only
-    sequences computed on access from (``lambda_used``, ``steps``,
-    ``start``), so building a certificate costs no per-iterate bound work.
+    sequences whose entry k is :func:`apriori_bound`,
+    :func:`apost_forward_bound` or :func:`apost_backward_bound` of
+    (``lambda_used``, ``steps``) called when it is read, so building a
+    certificate costs no per-iterate bound work.
     """
 
     lambda_used: float
@@ -159,40 +161,35 @@ class Certificate:
     residual: Optional[Vec]
     start: int = 0  # first iterate the families cover; 0 for engine runs
 
-    # Each family checks the factor once and computes its scalar factor once
-    # (per entry for apriori, whose factor depends on k); an entry is then
-    # the coordinates times that factor, the same products, in the same
-    # order, as the public ``*_bound`` functions.
-
     @property
     def apriori(self) -> _BoundFamily:
         """Entry k bounds the error at iterate start + k (k = 0..len(steps))."""
-        lam = _check_lambda(self.lambda_used)
-        q, d01 = 1.0 - lam, self.steps[0].coords
-        return _BoundFamily(len(self.steps) + 1, lambda k: _scaled(d01, lam**k / q))
+        lam, d01 = self.lambda_used, self.steps[0]
+        return _BoundFamily(len(self.steps) + 1, lambda k: apriori_bound(k, lam, d01))
 
     @property
     def apost_forward(self) -> _BoundFamily:
         """Entry k bounds the error at iterate start + k."""
-        f, steps = 1.0 / (1.0 - _check_lambda(self.lambda_used)), self.steps
-        return _BoundFamily(len(steps), lambda k: _scaled(steps[k].coords, f))
+        lam, steps = self.lambda_used, self.steps
+        return _BoundFamily(len(steps), lambda k: apost_forward_bound(steps[k], lam))
 
     @property
     def apost_backward(self) -> _BoundFamily:
         """Entry k bounds the error at iterate start + k + 1."""
-        f, steps = _backward_factor(self.lambda_used), self.steps
-        return _BoundFamily(len(steps), lambda k: _scaled(steps[k].coords, f))
+        lam, steps = self.lambda_used, self.steps
+        return _BoundFamily(len(steps), lambda k: apost_backward_bound(steps[k], lam))
+
+
+def _forward_factor(lam: float) -> float:
+    """1 / (1 - lam), the factor of the forward a posteriori bound."""
+    lam = _check_lambda(lam)
+    return 1.0 / (1.0 - lam)
 
 
 def _backward_factor(lam: float) -> float:
     """lam / (1 - lam), the factor of the backward a posteriori bound."""
     lam = _check_lambda(lam)
     return lam / (1.0 - lam)
-
-
-def _scaled(cs: tuple, f: float) -> Vec:
-    """``f * Vec(cs)`` for a float factor: raises NonFiniteError on overflow."""
-    return Vec._of(tuple([c * f for c in cs]))
 
 
 @dataclass
@@ -224,14 +221,12 @@ def apriori_bound(n: int, lam: float, d01: Vec) -> Vec:
 
 def apost_forward_bound(d_next: Vec, lam: float) -> Vec:
     """Error bound at the current iterate from the step just taken."""
-    lam = _check_lambda(lam)
-    return (1.0 / (1.0 - lam)) * d_next
+    return _forward_factor(lam) * d_next
 
 
 def apost_backward_bound(d_prev: Vec, lam: float) -> Vec:
     """Error bound at the new iterate from the step that produced it."""
-    lam = _check_lambda(lam)
-    return (lam / (1.0 - lam)) * d_prev
+    return _backward_factor(lam) * d_prev
 
 
 def verify_step_contraction(trace: IterationTrace, lam: float) -> bool:
@@ -346,7 +341,7 @@ def run_picard(p: Problem) -> PicardResult:
     trace.iterates.append(x)
 
     # The halting bound is apost_backward_bound(s, lam), compared with stop_c
-    # coordinate by coordinate; its factor is computed once per run.
+    # coordinate by coordinate; its factor _backward_factor is computed once.
     # Multiplying each step by it (rather than dividing stop_c by it) keeps
     # every halting decision bit-identical to the bound the certificate emits.
     stop = p.stop_c.coords
@@ -380,7 +375,7 @@ def run_picard(p: Problem) -> PicardResult:
 
 
 def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificate]:
-    """Choose the factor, its source and the status for an engine run."""
+    """Choose the factor and its source for an engine run."""
     steps = trace.step_dists
     if not steps:
         return None
@@ -396,23 +391,24 @@ def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificat
         if lam > LAMBDA_CEILING:
             return None
         source = "estimated"
+    return _certificate(p, trace, 0, lam, source)
 
+
+def _certificate(
+    p: Problem, trace: IterationTrace, start: int, lam: float, source: str
+) -> Certificate:
+    """Radius, status, steps from iterate ``start`` on, and final residual.
+
+    Only a given factor, which engine runs alone have (``start`` 0), certifies.
+    """
+    steps = trace.step_dists[start:]
+    radius = apriori_bound(0, lam, steps[0])
+    status = "heuristic"
     if source == "given":
-        radius = apriori_bound(0, lam, steps[0])
         status = "certified" if check_domain_condition(p, radius) == "verified" else "conditional"
         if len(steps) >= 2 and not verify_step_contraction(trace, lam):
             # Observed steps contradict the supplied factor: do not certify.
             status = "heuristic"
-    else:
-        status = "heuristic"
-    return _certificate(p, trace, 0, lam, source, status)
-
-
-def _certificate(
-    p: Problem, trace: IterationTrace, start: int, lam: float, source: str, status: str
-) -> Certificate:
-    """Radius, steps from iterate ``start`` on, and final residual."""
-    steps = trace.step_dists[start:]
     residual = None
     try:
         residual = residual_check(trace.iterates[-1], p)
@@ -421,7 +417,7 @@ def _certificate(
     return Certificate(
         lambda_used=lam,
         lambda_source=source,
-        radius_r=apriori_bound(0, lam, steps[0]),
+        radius_r=radius,
         steps=steps,
         status=status,
         residual=residual,

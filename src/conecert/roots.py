@@ -27,6 +27,7 @@ from .picard import (
     LAMBDA_CEILING,
     Problem,
     _certificate,
+    _forward_factor,
     apost_forward_bound,
     run_picard,
 )
@@ -193,8 +194,8 @@ def compare_bounds(
     """
     report = ComparisonReport()
     base = g_scalar.spec.base
-    # Shared factor so both pipelines round identically at the max coordinate.
-    q = 1.0 / (1.0 - lam)
+    # The forward bound's factor, so both pipelines round alike at the max coordinate.
+    q = _forward_factor(lam)
     for k in range(start, len(trace.step_dists)):
         s = trace.step_dists[k]
         comp = apost_forward_bound(s, lam)
@@ -294,7 +295,7 @@ def solve_roots(
         tail_start, lam_used = _contraction_tail(trace, g)
         cert = None
         if lam_used is not None:
-            cert = _certificate(problem, trace, tail_start, lam_used, "estimated", "heuristic")
+            cert = _certificate(problem, trace, tail_start, lam_used, "estimated")
 
     if lam_used is not None:
         report = compare_bounds(trace, g, lam_used, start=tail_start)

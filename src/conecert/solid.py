@@ -91,10 +91,6 @@ class Vec:
     def ones(cls, n: int) -> "Vec":
         return cls((1.0,) * n)
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
     def __len__(self) -> int:
         return len(self.coords)
 

@@ -468,6 +468,11 @@ AFFINE = {
     "metric": {"kind": "weighted", "alpha": [1.0]},
     "lambda": 0.5,
 }
+DISCRETE = {
+    "map": {"name": "halve"},
+    "x0": [1.0],
+    "metric": {"kind": "discrete", "a": [1.0]},
+}
 INF = float("inf")  # json.dumps writes it as the literal Infinity
 
 
@@ -495,6 +500,12 @@ BAD_VALUES = [
     ("picard", AFFINE, ["map", "offset"], 1),
     ("picard", HALVE, ["metric", "alpha"], 5),
     ("picard", HALVE, ["max_iter"], INF),
+    ("picard", DISCRETE, ["x0"], None),
+    ("picard", DISCRETE, ["x0"], "1"),
+    ("picard", DISCRETE, ["x0"], [[1]]),
+    ("picard", DISCRETE, ["x0"], [None]),
+    ("picard", DISCRETE, ["x0"], [10**400]),
+    ("picard", HALVE, ["metric"], {"kind": "plus", "n": 10**400}),
     # Each of these was once misread without an error.
     ("roots", CUBIC_ROOTS, ["z0", 1], [1.8, 0, 9]),
     ("roots", CUBIC_ROOTS, ["z0", 1], "1"),
@@ -519,7 +530,8 @@ class TestConfigValues:
     @pytest.mark.parametrize(
         "command, base, path, value",
         BAD_VALUES,
-        ids=[f"{c}-{'.'.join(map(str, p))}={json.dumps(v)}" for c, _, p, v in BAD_VALUES],
+        # Values are cut to 40 characters, so 10**400 gives a readable id.
+        ids=[f"{c}-{'.'.join(map(str, p))}={json.dumps(v):.40}" for c, _, p, v in BAD_VALUES],
     )
     def test_bad_value_exits_one(self, tmp_path, capsys, command, base, path, value):
         cfg = write_cfg(tmp_path, with_key(base, path, value))
@@ -530,6 +542,16 @@ class TestConfigValues:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_discrete_point_the_map_fixes_takes_one_zero_step(self, tmp_path):
+        # The point is read as numbers, like the map's output, so d(x0, T x0)
+        # compares equal coordinates rather than a list with a tuple.
+        cfg = write_cfg(tmp_path, with_key(DISCRETE, ["x0"], [0.0]))
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 0
+        row0 = (out / "trace.csv").read_text().splitlines()[1]
+        assert row0.split(",")[:3] == ["0", "0", "0"]  # iter, x0, step_d0
+        assert json.loads((out / "certificate.json").read_text())["iterations"] == 1
 
     @pytest.mark.parametrize(
         "command, base, key",

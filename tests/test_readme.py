@@ -1,4 +1,5 @@
-"""The README's CLI examples run as written: its config files and commands."""
+"""The README's examples run as written: its Python quick start, config files
+and commands."""
 
 import re
 import shlex
@@ -8,6 +9,12 @@ from conecert.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FENCE = re.compile(r"```(\w+)\n(.*?)```", re.S)
+
+
+def readme_python():
+    """The body of the README's one `python` block."""
+    (body,) = [body for lang, body in FENCE.findall(README.read_text()) if lang == "python"]
+    return body
 
 
 def readme_examples():
@@ -38,3 +45,14 @@ def test_readme_cli_examples_exit_zero(tmp_path, capsys):
             str(tmp_path / a) if a in configs or a == "run/" else a for a in argv[1:]
         ]
         assert main(argv) == 0, (line, capsys.readouterr().err)
+
+
+def test_readme_quick_start_certifies_the_fixed_point():
+    body, scope = readme_python(), {}
+    exec(body, scope)
+    result = scope["result"]
+    assert result.certificate.status == "certified"
+    x = result.fixed_point
+    assert len(x) == 2 and abs(x[0] - 2.0) <= 1e-9 and abs(x[1] - 4.0 / 3.0) <= 1e-9
+    # The comment next to it shows the value the run returns.
+    assert f"result.fixed_point      # {x}\n" in body
