@@ -1,8 +1,12 @@
 """Per-layer micro-benchmarks: ``Vec``, the order predicates, metric distance,
-the artifact writers, the CLI's fixed cost and the axiom suites.
+the gauge, the Picard engine, the artifact writers, the CLI's fixed cost and
+the axiom suites.
 
-One row per operation and size n in {2, 50, 200}, one per writer input, and
-one ``run_all(seed, 20)`` call, the unit of the axioms-suite workload.
+One row per operation and size n in {2, 50, 200}, one per writer input, one
+``run_picard`` call per way of getting the factor, and one
+``run_all(seed, 20)`` call, the unit of the axioms-suite workload.  Distance
+and gauge take rows with unit and with non-unit weights or base, since unit
+ones skip a multiply or a division.
 This directory is not in
 the suite's ``testpaths``, so a plain ``pytest`` never collects it.  Run it
 from the repository root with pytest-benchmark:
@@ -21,7 +25,7 @@ import math
 
 import pytest
 
-from conecert import GaugeNorm, Polynomial, Problem, SpaceSpec, run_picard, solve_roots
+from conecert import GaugeNorm, Polynomial, Problem, SpaceSpec, mink_norm, run_picard, solve_roots
 from conecert.axioms import run_all
 from conecert.cli import main
 from conecert.metrics import WeightedConeMetric
@@ -33,6 +37,11 @@ SIZES = (2, 50, 200)
 
 def coords(n, shift=0.0):
     return [(k % 17) / 8 + shift for k in range(n)]
+
+
+def weights(n):
+    """Dyadic weights in [0.5, 0.875], none of them 1.0."""
+    return [0.5 + (k % 4) / 8 for k in range(n)]
 
 
 def ordered_pair(n, holds):
@@ -93,29 +102,52 @@ def test_distance(benchmark, field, n):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("n", SIZES)
+def test_distance_weighted(benchmark, field, n):
+    inst = WeightedConeMetric(weights(n), field=field)
+    x, y = points(field, n)
+    benchmark(inst.distance, x, y)
+
+
+@pytest.mark.parametrize("base", ["unit", "weighted"])
+@pytest.mark.parametrize("n", SIZES)
+def test_mink_norm(benchmark, base, n):
+    g = GaugeNorm(SpaceSpec(n, Vec.ones(n) if base == "unit" else Vec(weights(n))))
+    benchmark(mink_norm, Vec(coords(n, -1.0)), g)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", SIZES)
 def test_validate_point(benchmark, field, n):
     inst = WeightedConeMetric([1.0] * n, field=field)
     x, _ = points(field, n)
     benchmark(inst.validate_point, x)
 
 
-def diagonal_run(n=200):
-    """x -> l*x + o with l in [0.5, 0.9), lambda 0.9 given: 217 iterates."""
+def diagonal_problem(n=200, lam=0.9):
+    """x -> l*x + o with l in [0.5, 0.9); with lambda 0.9 given, 217 iterates."""
     diag = [0.5 + (k % 40) / 100 for k in range(n)]
     offset = [0.1 + (k % 9) / 10 for k in range(n)]
-    metric = WeightedConeMetric([1.0] * n)
-    result = run_picard(
-        Problem(
-            map_fn=lambda x: tuple([l * c + o for l, c, o in zip(diag, x, offset)]),
-            x0=(0.0,) * n,
-            metric=metric,
-            gauge=GaugeNorm(SpaceSpec(n, Vec.ones(n))),
-            stop_c=Vec([1e-10] * n),
-            max_iter=1000,
-            lam=0.9,
-        )
+    return Problem(
+        map_fn=lambda x: tuple([l * c + o for l, c, o in zip(diag, x, offset)]),
+        x0=(0.0,) * n,
+        metric=WeightedConeMetric([1.0] * n),
+        gauge=GaugeNorm(SpaceSpec(n, Vec.ones(n))),
+        stop_c=Vec([1e-10] * n),
+        max_iter=1000,
+        lam=lam,
     )
-    return result.trace, result.certificate, metric
+
+
+def diagonal_run(n=200):
+    p = diagonal_problem(n)
+    result = run_picard(p)
+    return result.trace, result.certificate, p.metric
+
+
+@pytest.mark.parametrize("lam", [0.9, None], ids=["given", "estimated"])
+def test_run_picard(benchmark, lam):
+    """The whole engine at n=200, certificate included, no artifacts."""
+    assert benchmark(run_picard, diagonal_problem(lam=lam)).converged
 
 
 def wilkinson_run(m=12):

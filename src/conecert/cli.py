@@ -226,7 +226,7 @@ def _affine_map(matrix, offset):
     return apply
 
 
-def _map_from_config(spec: dict):
+def _map_from_config(spec: dict, inst: ConeMetric):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ValueError('map config needs a "name" field')
     name = spec["name"]
@@ -239,7 +239,11 @@ def _map_from_config(spec: dict):
     if name == "weierstrass":
         if "coefficients" not in spec:
             raise ValueError('weierstrass map needs "coefficients"')
-        return weierstrass_map(_polynomial(spec["coefficients"]))
+        poly = _polynomial(spec["coefficients"])
+        # Its iterates are complex, which only a complex weighted metric measures.
+        if not (isinstance(inst, WeightedConeMetric) and inst.field == "complex"):
+            raise ValueError("weierstrass map needs a complex weighted metric")
+        return weierstrass_map(poly)
     raise ValueError(f"unknown map {name!r}")
 
 
@@ -265,7 +269,7 @@ def _problem_from_config(cfg: dict, args) -> Problem:
             closed=True,
         )
     return Problem(
-        map_fn=_map_from_config(cfg["map"]),
+        map_fn=_map_from_config(cfg["map"], inst),
         x0=x0,
         metric=inst,
         gauge=gauge,

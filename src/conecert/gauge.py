@@ -8,7 +8,7 @@ the test suite and cross-checks the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import truediv
 
 from .solid import SpaceSpec, Vec, lt
@@ -21,6 +21,12 @@ class GaugeNorm:
     """Minkowski gauge of [-base, base] for a fixed space spec."""
 
     spec: SpaceSpec
+    # |x_i| / 1.0 == |x_i| exactly, so a unit base skips the division.
+    _unit: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        base = self.spec.base.coords
+        object.__setattr__(self, "_unit", base.count(1.0) == len(base))
 
 
 def mink_norm(x: Vec, g: GaugeNorm) -> float:
@@ -28,10 +34,11 @@ def mink_norm(x: Vec, g: GaugeNorm) -> float:
 
     Closed form ``max_i |x_i| / base_i``; returns 0.0 for the zero vector.
     """
-    b = g.spec.base
     if len(x) != g.spec.n:
         raise ValueError(f"dimension mismatch: {len(x)} vs {g.spec.n}")
-    return max(map(truediv, map(abs, x.coords), b.coords))
+    if g._unit:
+        return max(map(abs, x.coords))
+    return max(map(truediv, map(abs, x.coords), g.spec.base.coords))
 
 
 def strict_ball_test(x: Vec, eps: float, g: GaugeNorm) -> bool:

@@ -48,6 +48,8 @@ class WeightedConeMetric:
         if field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
         self.field = field
+        # 1.0 * m == m exactly, so unit weights skip the multiply.
+        self._unit = self.alpha.count(1.0) == len(self.alpha)
 
     @property
     def dim(self) -> int:
@@ -99,6 +101,8 @@ class WeightedConeMetric:
         that rounds to inf.
         """
         try:
+            if self._unit:
+                return Vec._of(tuple([abs(cx - cy) for cx, cy in zip(x, y)]))
             return Vec._of(
                 tuple([a * abs(cx - cy) for a, cx, cy in zip(self.alpha, x, y)])
             )

@@ -29,6 +29,7 @@ Any other exception from the map propagates.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 
 from .gauge import GaugeNorm, mink_norm
 from .metrics import Ball, ConeMetric, WeightedConeMetric, ball_contains
-from .solid import NonFiniteError, Vec, _finite, in_interior, leq
+from .solid import NonFiniteError, Vec, in_interior, leq
 
 __all__ = [
     "LAMBDA_CEILING",
@@ -344,6 +345,11 @@ def run_picard(p: Problem) -> PicardResult:
     # coordinate by coordinate; its factor _backward_factor is computed once.
     # Multiplying each step by it (rather than dividing stop_c by it) keeps
     # every halting decision bit-identical to the bound the certificate emits.
+    # The products are formed lazily, so the compare stops at the first
+    # coordinate not below stop_c.  Steps and the factor are finite and >= 0,
+    # and rounded multiplication is monotone, so every product is finite
+    # exactly when max(s) * factor is; the rounded sum of nonnegative steps is
+    # at least their max, so a finite sum(s) * factor settles it in one pass.
     stop = p.stop_c.coords
     factor = None if p.lam is None else _backward_factor(p.lam)
     converged = False
@@ -351,9 +357,13 @@ def run_picard(p: Problem) -> PicardResult:
         try:
             x_next = inst.validate_point(p.map_fn(x))
             s = inst._distance(x, x_next)
-            halt = s.coords if factor is None else _finite(tuple([c * factor for c in s.coords]))
         except NonFiniteError:
             break
+        halt = s.coords
+        if factor is not None:
+            if not (math.isfinite(sum(halt) * factor) or math.isfinite(max(halt) * factor)):
+                break
+            halt = map(factor.__mul__, halt)
         trace.iterates.append(x_next)
         trace.step_dists.append(s)
         if not _in_domain(p, x_next):

@@ -473,6 +473,11 @@ DISCRETE = {
     "x0": [1.0],
     "metric": {"kind": "discrete", "a": [1.0]},
 }
+WEIERSTRASS = {
+    "map": {"name": "weierstrass", "coefficients": [-1, 0, 1]},
+    "x0": [0.5, 0.3],
+    "metric": {"kind": "weighted", "alpha": [1.0, 1.0], "field": "complex"},
+}
 INF = float("inf")  # json.dumps writes it as the literal Infinity
 
 
@@ -506,6 +511,8 @@ BAD_VALUES = [
     ("picard", DISCRETE, ["x0"], [None]),
     ("picard", DISCRETE, ["x0"], [10**400]),
     ("picard", HALVE, ["metric"], {"kind": "plus", "n": 10**400}),
+    ("picard", WEIERSTRASS, ["metric"], {"kind": "discrete", "a": [1.0]}),
+    ("picard", WEIERSTRASS, ["metric"], {"kind": "plus", "n": 2}),
     # Each of these was once misread without an error.
     ("roots", CUBIC_ROOTS, ["z0", 1], [1.8, 0, 9]),
     ("roots", CUBIC_ROOTS, ["z0", 1], "1"),

@@ -1,4 +1,5 @@
 import math
+from operator import truediv
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,22 @@ class TestNormAxioms:
         y = x + data.draw(vec_st(n, dyadic_nonneg_coord))
         z = y + data.draw(vec_st(n, dyadic_nonneg_coord))
         assert mink_norm(y, g) <= mink_norm(z, g)
+
+
+class TestUnitBase:
+    """A unit base skips the division, and |x_i| / 1.0 == |x_i| bit for bit."""
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.sampled_from([-0.0, 0.0, 5e-324, -5e-324]) | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_same_bits_as_the_division(self, coords):
+        x, ones = Vec(coords), (1.0,) * len(coords)
+        assert repr(mink_norm(x, g_of(ones))) == repr(max(map(truediv, map(abs, x.coords), ones)))
 
 
 class TestStrictBall:

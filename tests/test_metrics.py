@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert.cli import instance_from_json, parse_point
@@ -249,6 +249,56 @@ class TestModulusOverflow:
         assert result.trace.iterates == [(1.5e308 + 0j,)]
         assert result.trace.step_dists == []
         assert result.certificate is None
+
+
+# Finite floats across the whole range, with signed zeros, subnormals and the
+# largest decades, where a difference or a complex modulus overflows.
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308])
+finite_floats = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def weighted_formula(alpha, x, y):
+    """The weighted distance written out: a * |x_i - y_i| per coordinate."""
+    try:
+        return Vec._of(tuple([a * abs(cx - cy) for a, cx, cy in zip(alpha, x, y)]))
+    except OverflowError:
+        raise NonFiniteError("non-finite coordinate: inf") from None
+
+
+def distance_outcome(fn, *args):
+    """Coordinates with their exact bits (``repr`` keeps the sign of a
+    zero), or the message of the non-finite error raised."""
+    try:
+        return repr(fn(*args).coords)
+    except NonFiniteError as exc:
+        return f"NonFiniteError: {exc}"
+
+
+class TestUnitWeights:
+    """Unit weights skip the multiply, and 1.0 * m == m bit for bit."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_same_bits_as_the_weighted_formula(self, field, data):
+        coord = finite_floats if field == "real" else st.builds(complex, finite_floats, finite_floats)
+        n = data.draw(st.integers(1, 4))
+        x, y = (tuple(data.draw(st.lists(coord, min_size=n, max_size=n))) for _ in "xy")
+        inst = WeightedConeMetric([1.0] * n, field=field)
+        assert distance_outcome(inst._distance, x, y) == distance_outcome(weighted_formula, (1.0,) * n, x, y)
+
+    @pytest.mark.parametrize(
+        "field, x, y",
+        [
+            ("real", (1e308, 0.0), (-1e308, 0.0)),  # the difference overflows
+            ("real", (5e-324, -0.0, 0.0), (0.0, 5e-324, -0.0)),
+            ("complex", (1.5e308 + 0j,), (1.5e308j,)),  # the modulus overflows
+            ("complex", (complex(-0.0, 5e-324), 0j), (0j, complex(0.0, -0.0))),
+        ],
+    )
+    def test_edge_values(self, field, x, y):
+        inst = WeightedConeMetric([1.0] * len(x), field=field)
+        assert distance_outcome(inst._distance, x, y) == distance_outcome(weighted_formula, (1.0,) * len(x), x, y)
 
 
 class TestDiscrete:

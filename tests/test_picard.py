@@ -532,6 +532,21 @@ class TestHaltingDecision:
         iterates, done = same_outcome(p)
         assert (len(iterates) - 1, done) == (iterations, converged)
 
+    @pytest.mark.parametrize(
+        "x0, iterations, converged",
+        [
+            # Each step 6e307 times the factor ~2 of lam = 2/3 is finite, but
+            # their sum times it overflows: the run must go on.
+            ([6e307, 6e307], 2, True),
+            # 2 * 1e308 overflows in one coordinate: the run ends there.
+            ([6e307, 1e308], 0, False),
+        ],
+    )
+    def test_overflow_decided_per_coordinate(self, x0, iterations, converged):
+        p = diagonal_problem([0.0, 0.0], [0.0, 0.0], x0, 2 / 3, [1.0, 1.0])
+        iterates, done = same_outcome(p)
+        assert (len(iterates) - 1, done) == (iterations, converged)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 3).flatmap(
