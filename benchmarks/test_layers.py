@@ -6,10 +6,9 @@ One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``run_picard`` call per way of getting the factor, and one
 ``run_all(seed, 20)`` call, the unit of the axioms-suite workload.  Distance
 and gauge take rows with unit and with non-unit weights or base, since unit
-ones skip a multiply or a division.
-This directory is not in
-the suite's ``testpaths``, so a plain ``pytest`` never collects it.  Run it
-from the repository root with pytest-benchmark:
+ones skip a multiply or a division.  This directory is not in the suite's
+``testpaths``, so a plain ``pytest`` never collects it.  Run it from the
+repository root with pytest-benchmark:
 
     python3 -m pytest benchmarks/test_layers.py -q \
         --benchmark-columns=median,iqr,rounds --benchmark-sort=name

@@ -348,8 +348,7 @@ def run_picard(p: Problem) -> PicardResult:
     # The products are formed lazily, so the compare stops at the first
     # coordinate not below stop_c.  Steps and the factor are finite and >= 0,
     # and rounded multiplication is monotone, so every product is finite
-    # exactly when max(s) * factor is; the rounded sum of nonnegative steps is
-    # at least their max, so a finite sum(s) * factor settles it in one pass.
+    # exactly when max(s) * factor is: one pass checks them all.
     stop = p.stop_c.coords
     factor = None if p.lam is None else _backward_factor(p.lam)
     converged = False
@@ -361,7 +360,7 @@ def run_picard(p: Problem) -> PicardResult:
             break
         halt = s.coords
         if factor is not None:
-            if not (math.isfinite(sum(halt) * factor) or math.isfinite(max(halt) * factor)):
+            if not math.isfinite(max(halt) * factor):
                 break
             halt = map(factor.__mul__, halt)
         trace.iterates.append(x_next)
