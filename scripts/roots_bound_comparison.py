@@ -25,6 +25,9 @@ def show(name, poly, z0):
         print("did not converge; no comparison emitted")
         return
     print(f"roots: {', '.join(format(z, '.12g') for z in result.roots)}")
+    if result.lambda_used is None:
+        print(f"halted at {result.halt} with no contracting tail; no comparison emitted")
+        return
     print(f"tail starts at iteration {result.tail_start}, "
           f"estimated factor {result.lambda_used:.6g}")
     print(f"{'iter':>4}  {'componentwise bound':<42} {'broadcast scalar':<20} better")

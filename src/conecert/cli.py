@@ -1,9 +1,11 @@
 """Command line front door: JSON config in, CSV/JSON artifacts out.
 
 Subcommands: axioms, gauge, picard, roots, demo-normality.  Exit codes:
-0 on success or convergence, 2 when an iteration fails to converge,
-diverges to a non-finite value or escapes its domain, 1 on any input
-error, a usage error included.  All runs are single-threaded and all
+0 on success or convergence (a ``roots`` run that halts at its noise
+floor has converged), 2 when an iteration fails to converge, diverges to a
+non-finite value or escapes its domain, 1 on any input error, a usage error
+included.  ``picard``'s ``certificate.json`` and ``roots``' ``report.json``
+name the halt cause.  All runs are single-threaded and all
 emitted files are byte-identical for identical config and seed.
 
 This module is the only one that knows the config format.  Each JSON value
@@ -321,6 +323,7 @@ def cmd_picard(args) -> int:
         write_trace_csv(fh, result.trace, result.certificate, problem.metric)
     payload = {
         "converged": result.converged,
+        "halt": result.halt,
         "iterations": len(result.trace.iterates) - 1,
         "certificate": certificate_to_dict(result.certificate),
         "fixed_point": None
@@ -365,6 +368,7 @@ def cmd_roots(args) -> int:
         out / "report.json",
         {
             "converged": result.converged,
+            "halt": result.halt,
             "roots": None if result.roots is None else point_to_json(metric, result.roots),
             "residuals": result.residuals,
             "comparison": {

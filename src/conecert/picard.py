@@ -24,7 +24,8 @@ are measured between already validated points.  An iteration whose map
 output, step distance or halting bound overflows, or whose map raises
 :class:`NonFiniteError` itself, ends like one that runs out of iterations:
 not converged, with the trace up to the last iterate before the overflow.
-Any other exception from the map propagates.
+Any other exception from the map propagates.  Every result names its halt
+cause: ``stop_c``, ``noise_floor``, ``max_iter`` or ``overflow``.
 """
 
 from __future__ import annotations
@@ -199,6 +200,7 @@ class PicardResult:
     certificate: Optional[Certificate]
     fixed_point: object
     converged: bool
+    halt: str  # "stop_c" | "noise_floor" | "max_iter" | "overflow"
 
 
 class DomainEscape(RuntimeError):
@@ -321,18 +323,25 @@ def _zero_vec(v: Vec) -> bool:
     return all(c == 0.0 for c in v.coords)
 
 
-def run_picard(p: Problem) -> PicardResult:
+def run_picard(
+    p: Problem, *, stalled: Optional[Callable[[IterationTrace], bool]] = None
+) -> PicardResult:
     """Iterate the map from x0 until the halting rule fires or max_iter runs out.
 
     With a supplied factor the engine halts once the backward a posteriori
-    bound drops strictly below ``stop_c``; without one it halts once the last
-    step distance does.  Every iterate is checked against the domain and an
-    escape raises :class:`DomainEscape` carrying the partial trace.  Reaching
+    bound drops strictly below ``stop_c`` (halt ``stop_c``); without one it
+    halts once the last step distance does.  ``stalled``, when given, is
+    called on the trace after every iteration whose ``stop_c`` test fails; a
+    true answer ends the run as converged with halt ``noise_floor``, for a
+    caller that can tell when only rounding noise is left.  Every iterate is
+    checked against the domain and an escape raises :class:`DomainEscape`
+    carrying the partial trace.  Reaching
     ``max_iter`` is not an error: the result comes back with
-    ``converged=False`` and whatever certificate the trace supports.  Nor is
-    a map output, step distance or halting bound that overflows, or a map
-    that raises :class:`NonFiniteError`: the run ends the same way, its
-    trace stopping at the last iterate before it.
+    ``converged=False``, halt ``max_iter`` and whatever certificate the
+    trace supports.  Nor is a map output, step distance or halting bound
+    that overflows, or a map that raises :class:`NonFiniteError`: the run
+    ends the same way with halt ``overflow``, its trace stopping at the last
+    iterate before it.
     """
     inst = p.metric
     trace = IterationTrace()
@@ -351,16 +360,18 @@ def run_picard(p: Problem) -> PicardResult:
     # exactly when max(s) * factor is: one pass checks them all.
     stop = p.stop_c.coords
     factor = None if p.lam is None else _backward_factor(p.lam)
-    converged = False
+    cause = "max_iter"
     for _ in range(p.max_iter):
         try:
             x_next = inst.validate_point(p.map_fn(x))
             s = inst._distance(x, x_next)
         except NonFiniteError:
+            cause = "overflow"
             break
         halt = s.coords
         if factor is not None:
             if not math.isfinite(max(halt) * factor):
+                cause = "overflow"
                 break
             halt = map(factor.__mul__, halt)
         trace.iterates.append(x_next)
@@ -371,15 +382,20 @@ def run_picard(p: Problem) -> PicardResult:
             )
         x = x_next
         if all(map(operator.lt, halt, stop)):
-            converged = True
+            cause = "stop_c"
+            break
+        if stalled is not None and stalled(trace):
+            cause = "noise_floor"
             break
 
+    converged = cause in ("stop_c", "noise_floor")
     cert = _build_certificate(p, trace)
     return PicardResult(
         trace=trace,
         certificate=cert,
         fixed_point=x if converged else None,
         converged=converged,
+        halt=cause,
     )
 
 

@@ -7,6 +7,13 @@ C^n.  Since no global contraction factor is available, certificates are
 built from the longest contracting tail of the observed trace and are always
 heuristic unless the caller supplies a factor.
 
+A run also halts, as converged, at its rounding-noise floor: once a step's
+gauge stops shrinking while the Braess-Hadeler inclusion discs
+``|w - z_i| <= n |W_i|`` around the previous iterate are pairwise disjoint.
+The discs together contain every zero and a component of m discs holds
+exactly m of them, so disjoint discs isolate each root; further sweeps only
+move noise.  Such a run has no contracting tail and hence no certificate.
+
 The payoff of keeping distances as vectors is measured by
 :func:`compare_bounds`: per-root a posteriori bounds against the single
 max-norm bound broadcast to all roots.
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import combinations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -223,18 +231,32 @@ class RootsResult:
     report: ComparisonReport
     trace: IterationTrace
     converged: bool
+    halt: str  # "stop_c" | "noise_floor" | "max_iter" | "overflow"
     lambda_used: Optional[float]
     tail_start: int
     residuals: Optional[list[float]]
 
 
-def _contraction_tail(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[float]]:
+def _discs_disjoint(z: Sequence[complex], step: Vec, alpha: Sequence[float]) -> bool:
+    """True when the inclusion discs around ``z`` are pairwise disjoint.
+
+    ``step`` is the weighted step ``alpha_i * |W_i|`` that the sweep from
+    ``z`` took, so disc i has centre ``z_i`` and radius ``n * step_i /
+    alpha_i``: the weights divide out.  Touching discs count as overlapping.
+    """
+    n = len(z)
+    radii = [n * s / a for s, a in zip(step.coords, alpha)]
+    return all(
+        abs(z[i] - z[j]) > radii[i] + radii[j] for i, j in combinations(range(n), 2)
+    )
+
+
+def _contraction_tail(norms: list[float]) -> tuple[int, Optional[float]]:
     """Start index of the longest suffix of steps contracting in the gauge.
 
-    Returns (tail_start, factor); factor is None when not even the final
-    pair of steps contracts.
+    ``norms`` holds the gauge of every recorded step.  Returns (tail_start,
+    factor); factor is None when not even the final pair of steps contracts.
     """
-    norms = [mink_norm(s, g) for s in trace.step_dists]
     if len(norms) < 2:
         return len(norms), None
     ratios: list[Optional[float]] = []
@@ -265,7 +287,9 @@ def solve_roots(
     """Refine all roots at once and certify from the observed trace.
 
     Halts once the step distance drops strictly below ``stop_c`` (default
-    1e-12 per root).  The returned result carries the trace, the tail
+    1e-12 per root), or at the noise floor: a step whose gauge is not below
+    the previous one while the inclusion discs around the iterate it left
+    are pairwise disjoint.  The returned result carries the trace, the tail
     certificate (or the engine certificate when ``lam`` was supplied), the
     componentwise-versus-broadcast bound comparison on the tail, and the
     final residual moduli.
@@ -285,14 +309,28 @@ def solve_roots(
         max_iter=max_iter,
         lam=lam,
     )
-    result = run_picard(problem)
+    # The gauge of every step the stall test saw, reused for the tail.
+    norms: list[float] = []
+
+    def stalled(trace: IterationTrace) -> bool:
+        s = trace.step_dists[-1]
+        norms.append(mink_norm(s, g))
+        return (
+            len(norms) > 1
+            and norms[-1] >= norms[-2]
+            and _discs_disjoint(trace.iterates[-2], s, weights)
+        )
+
+    result = run_picard(problem, stalled=stalled)
     trace = result.trace
 
     if lam is not None:
         cert = result.certificate
         tail_start, lam_used = 0, lam
     else:
-        tail_start, lam_used = _contraction_tail(trace, g)
+        # A stop_c halt skips the stall test on its last step.
+        norms += [mink_norm(s, g) for s in trace.step_dists[len(norms):]]
+        tail_start, lam_used = _contraction_tail(norms)
         cert = None
         if lam_used is not None:
             cert = _certificate(problem, trace, tail_start, lam_used, "estimated")
@@ -312,6 +350,7 @@ def solve_roots(
         report=report,
         trace=trace,
         converged=result.converged,
+        halt=result.halt,
         lambda_used=lam_used,
         tail_start=tail_start,
         residuals=residuals,

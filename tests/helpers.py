@@ -98,3 +98,17 @@ def greedy_match(approx, targets) -> list[int]:
         remaining.remove(best)
         out.append(best)
     return out
+
+
+def poly_from_roots(roots) -> list[complex]:
+    """Coefficients, constant term first, of the monic polynomial with ``roots``.
+
+    Small Gaussian-integer roots give Gaussian-integer coefficients that
+    binary64 holds exactly.
+    """
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [0j, *coeffs]
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= r * coeffs[k + 1]
+    return coeffs

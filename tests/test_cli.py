@@ -11,7 +11,7 @@ import pytest
 from conecert import cli
 from conecert.cli import main
 
-from helpers import greedy_match
+from helpers import greedy_match, poly_from_roots
 
 HALVE = {
     "map": {"name": "halve"},
@@ -46,6 +46,7 @@ UNDERFLOW_STARTS = {
     "coefficients": [-6, 11, -6, 1],
     "z0": [[0, 0], [1e-200, 0], [2e-200, 0]],
 }
+WILKINSON_12 = {"coefficients": [c.real for c in poly_from_roots(range(1, 13))], "max_iter": 300}
 CUBIC_ROOTS = {
     "coefficients": [-6.0, 11.0, -6.0, 1.0],
     "z0": [[1.3, 0.0], [1.8, 0.0], [3.4, 0.0]],
@@ -65,6 +66,7 @@ class TestPicardCommand:
         assert main(["picard", "--config", cfg, "--out", str(out)]) == 0
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["converged"] is True
+        assert cert["halt"] == "stop_c"
         assert cert["certificate"]["status"] == "certified"
         assert cert["certificate"]["lambda_source"] == "given"
         assert cert["fixed_point"][0] == pytest.approx(0.0, abs=1e-9)
@@ -91,6 +93,7 @@ class TestPicardCommand:
         assert main(["picard", "--config", cfg, "--out", str(out)]) == 2
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["converged"] is False
+        assert cert["halt"] == "max_iter"
         assert cert["certificate"] is None
 
     @pytest.mark.parametrize(
@@ -105,6 +108,7 @@ class TestPicardCommand:
         assert "error" not in capsys.readouterr().err
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["converged"] is False
+        assert cert["halt"] == "overflow"
         assert cert["iterations"] == iterations
         assert cert["certificate"] is None
         rows = (out / "trace.csv").read_text().splitlines()[1:]
@@ -225,6 +229,7 @@ class TestRootsCommand:
         assert main(["roots", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is True
+        assert report["halt"] == "stop_c"
         roots = [complex(re, im) for re, im in report["roots"]]
         order = greedy_match(roots, [1.0, 2.0, 3.0])
         assert sorted(order) == [0, 1, 2]
@@ -274,6 +279,7 @@ class TestRootsCommand:
         assert sorted(blobs[0]) == ["certificate.json", "report.json", "trace.csv"]
         report = json.loads(blobs[0]["report.json"])
         assert report["converged"] is False
+        assert report["halt"] == "overflow"
         assert report["roots"] is None
         assert json.loads(blobs[0]["certificate.json"])["certificate"] is None
         rows = blobs[0]["trace.csv"].decode().splitlines()[1:]
@@ -292,6 +298,35 @@ class TestRootsCommand:
         assert json.loads(blobs[0]["report.json"])["roots"] is None
         rows = blobs[0]["trace.csv"].decode().splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith("0,")
+
+
+    def test_stalled_wilkinson_exits_zero_at_the_noise_floor(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, WILKINSON_12)
+        blobs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["roots", "--config", cfg, "--out", str(out)]) == 0
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert capsys.readouterr().err == ""
+        assert blobs[0] == blobs[1]
+        report = json.loads(blobs[0]["report.json"])
+        assert report["converged"] is True
+        assert report["halt"] == "noise_floor"
+        roots = [complex(re, im) for re, im in report["roots"]]
+        order = greedy_match(roots, list(range(1, 13)))
+        for z, j in zip(roots, order):
+            assert abs(z - (j + 1)) <= 1e-5
+        assert json.loads(blobs[0]["certificate.json"])["certificate"] is None
+
+    @pytest.mark.parametrize("roots", [(1, 1, 1, 3), (1, 1, 2, 2)])
+    def test_clustered_roots_exit_two(self, tmp_path, roots):
+        coefficients = [c.real for c in poly_from_roots(roots)]
+        cfg = write_cfg(tmp_path, {"coefficients": coefficients, "max_iter": 300})
+        out = tmp_path / "out"
+        assert main(["roots", "--config", cfg, "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["halt"] == "max_iter"
+        assert report["roots"] is None
 
 
 class TestAxiomsCommand:

@@ -155,6 +155,7 @@ class TestRunPicard:
     def test_halving_run(self):
         result = run_picard(halve_problem())
         assert result.converged
+        assert result.halt == "stop_c"
         cert = result.certificate
         assert cert.status == "certified"
         assert cert.lambda_source == "given"
@@ -239,9 +240,32 @@ class TestRunPicard:
         p = halve_problem(map_fn=lambda x: (2.0 * x[0],), lam=None, max_iter=20)
         result = run_picard(p)
         assert not result.converged
+        assert result.halt == "max_iter"
         assert result.fixed_point is None
         assert result.certificate is None  # expanding trace: factor >= 1
         assert len(result.trace.step_dists) == 20
+
+    def test_stalled_ends_the_run_at_the_noise_floor(self):
+        p = halve_problem(map_fn=lambda x: (0.9 * x[0] + 1.0,), lam=None)
+        result = run_picard(p, stalled=lambda trace: len(trace.step_dists) == 5)
+        assert result.converged
+        assert result.halt == "noise_floor"
+        assert len(result.trace.step_dists) == 5
+        assert result.fixed_point == result.trace.iterates[-1]
+
+    def test_stalled_is_asked_only_after_the_stop_c_test_fails(self):
+        seen = []
+
+        def stalled(trace):
+            seen.append(len(trace.step_dists))
+            return False
+
+        plain = run_picard(halve_problem())
+        result = run_picard(halve_problem(), stalled=stalled)
+        k = len(result.trace.step_dists)
+        assert seen == list(range(1, k))
+        assert result.halt == "stop_c"
+        assert result.trace == plain.trace
 
     def test_conditional_status_on_predicate_domain(self):
         p = halve_problem(domain=lambda x: True)
@@ -306,6 +330,7 @@ class TestEngineBoundary:
     def test_overflow_ends_the_run_unconverged(self, map_fn, x0, lam, steps):
         result = run_picard(halve_problem(map_fn=map_fn, x0=(x0,), lam=lam))
         assert not result.converged
+        assert result.halt == "overflow"
         assert result.fixed_point is None
         assert len(result.trace.step_dists) == steps
         assert len(result.trace.iterates) == steps + 1
@@ -319,6 +344,7 @@ class TestEngineBoundary:
 
         result = run_picard(halve_problem(map_fn=overflowing, x0=(1.0,)))
         assert not result.converged
+        assert result.halt == "overflow"
         assert [x[0] for x in result.trace.iterates] == [1.0, 0.5, 0.25, 0.125]
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from conecert.picard import (
 )
 from conecert.roots import (
     Polynomial,
+    _discs_disjoint,
     as_root_vector,
     compare_bounds,
     default_starts,
@@ -27,7 +29,7 @@ from conecert.roots import (
 )
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq
 
-from helpers import greedy_match
+from helpers import greedy_match, poly_from_roots
 
 CUBIC = Polynomial([-6.0, 11.0, -6.0, 1.0])  # roots 1, 2, 3
 QUAD_REAL = Polynomial([-1.0, 0.0, 1.0])  # roots 1, -1
@@ -264,6 +266,7 @@ class TestSolveRoots:
     def test_no_convergence_path(self):
         result = solve_roots(CUBIC, z0=(50.0, 60.0, 70.0), max_iter=1)
         assert not result.converged
+        assert result.halt == "max_iter"
         assert result.roots is None
         assert result.residuals is None
         assert result.certificate is None
@@ -274,6 +277,7 @@ class TestSolveRoots:
         # Default starts of radius 1 + 1e200: the first correction overflows.
         result = solve_roots(Polynomial([1e200, 0.0, 0.0, 1.0]))
         assert result.converged is False
+        assert result.halt == "overflow"
         assert result.roots is None
         assert result.residuals is None
         assert result.certificate is None
@@ -325,6 +329,78 @@ class TestSolveRoots:
             z = tail.iterates[j]
             err = Vec([abs(a - b) for a, b in zip(z, xi)])
             assert leq(err, apost_forward_bound(s, lam_cw) + slack)
+
+
+WILKINSON_12 = Polynomial(poly_from_roots(range(1, 13)))
+
+
+def separated_roots(rng, degree):
+    """Distinct Gaussian-integer roots of modulus at most 2 sqrt(2), closed
+    under conjugation, so the coefficients are exact real integers."""
+    reals = list(range(-2, 3))
+    uppers = [complex(a, b) for a in reals for b in (1, 2)]
+    pairs = rng.randint(max(0, (degree - len(reals) + 1) // 2), degree // 2)
+    zs = [complex(a, 0) for a in rng.sample(reals, degree - 2 * pairs)]
+    for z in rng.sample(uppers, pairs):
+        zs += [z, z.conjugate()]
+    return zs
+
+
+class TestNoiseFloorHalt:
+    def test_wilkinson_12_halts_at_the_noise_floor(self):
+        # Evaluation noise stalls the steps near 1e-8, far above the
+        # default 1e-12 stop, while the inclusion discs are long disjoint.
+        result = solve_roots(WILKINSON_12, max_iter=300)
+        assert result.halt == "noise_floor"
+        assert result.converged
+        assert len(result.trace.step_dists) < 300
+        order = greedy_match(result.roots, list(range(1, 13)))
+        for z, j in zip(result.roots, order):
+            assert abs(z - (j + 1)) <= 1e-5
+        # The last step did not contract, so no tail certifies.
+        assert result.certificate is None
+        assert result.lambda_used is None
+        assert result.report.rows == []
+
+    @pytest.mark.parametrize("roots", [(1, 1, 1, 3), (1, 1, 2, 2)])
+    def test_multiple_roots_still_run_to_max_iter(self, roots):
+        # The discs around a multiple root's cluster overlap for good.
+        result = solve_roots(Polynomial(poly_from_roots(roots)), max_iter=300)
+        assert result.halt == "max_iter"
+        assert not result.converged
+        assert len(result.trace.step_dists) == 300
+
+    @pytest.mark.parametrize("degree", range(3, 13))
+    def test_separated_roots_halt_at_stop_c(self, degree):
+        rng = random.Random(degree)
+        for _ in range(3):
+            zs = separated_roots(rng, degree)
+            result = solve_roots(Polynomial(poly_from_roots(zs)), max_iter=300)
+            assert result.halt == "stop_c"
+            order = greedy_match(result.roots, zs)
+            for z, j in zip(result.roots, order):
+                assert abs(z - zs[j]) <= 1e-7
+
+
+class TestDiscsDisjoint:
+    def test_touching_discs_overlap(self):
+        # Radii n * step_i = 1 each, centres 2 apart: the discs touch.
+        assert not _discs_disjoint((0j, 2 + 0j), Vec([0.5, 0.5]), (1.0, 1.0))
+        assert _discs_disjoint((0j, 2 + 0j), Vec([0.5, 0.25]), (1.0, 1.0))
+
+    def test_any_overlapping_pair_counts(self):
+        # Radii n * step_i; only the last two discs can meet.
+        z = (0j, 10 + 0j, 10 + 1j)
+        assert not _discs_disjoint(z, Vec([0.1, 0.2, 0.2]), (1.0, 1.0, 1.0))
+        assert _discs_disjoint(z, Vec([0.1, 0.1, 0.1]), (1.0, 1.0, 1.0))
+
+    def test_weights_divide_out(self):
+        # Steps alpha_i * |W_i| with |W| = (0.5, 0.25): radii 1 and 0.5.
+        z = (0j, 2 + 0j)
+        assert _discs_disjoint(z, Vec([2.0, 0.125]), (4.0, 0.5))
+        assert not _discs_disjoint(z, Vec([2.0, 0.125]), (1.0, 1.0))
+        # |W| = (0.5, 0.5) weighted by 2 touches again.
+        assert not _discs_disjoint(z, Vec([1.0, 1.0]), (2.0, 2.0))
 
 
 class TestCompareBounds:

@@ -23,3 +23,16 @@ def test_script_exits_zero(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_bound_comparison_reports_a_run_without_contracting_tail():
+    # Wilkinson m = 7 halts at its noise floor, where the last step did not
+    # contract: there is no tail factor to format.
+    coefficients = ["-5040", "13068", "-13132", "6769", "-1960", "322", "-28", "1"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "roots_bound_comparison.py"), "--coefficients", *coefficients],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "no contracting tail" in proc.stdout
