@@ -1,12 +1,15 @@
 """Per-layer micro-benchmarks: ``Vec``, the order predicates, metric distance,
 the gauge, the Picard engine, the artifact writers, the CLI's fixed cost and
-the axiom suites.
+a whole ``picard`` call, and the axiom suites.
 
 One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``run_picard`` call per way of getting the factor, and one
 ``run_all(seed, 20)`` call, the unit of the axioms-suite workload.  Distance
 and gauge take rows with unit and with non-unit weights or base, since unit
-ones skip a multiply or a division.  This directory is not in the suite's
+ones skip a multiply or a division.  The ``calibration_probe`` row times the
+fixed pure-Python kernel that ``bench/run.py`` scales its timings by: on a
+shared machine a core's speed drifts between runs, so compare a row across
+runs as its ratio to this one.  This directory is not in the suite's
 ``testpaths``, so a plain ``pytest`` never collects it.  Run it from the
 repository root with pytest-benchmark:
 
@@ -18,9 +21,12 @@ Coordinates are small dyadic values, so every operation below is exact and
 the timings measure the Python layer, not rounding.
 """
 
+import importlib.util
 import io
 import json
 import math
+import time
+from pathlib import Path
 
 import pytest
 
@@ -170,8 +176,11 @@ def test_write_trace_csv(benchmark, case):
 
 
 def test_certificate_to_dict(benchmark):
+    """The n=200 certificate of ``diagonal_run``: each family's final entry."""
     _, cert, _ = diagonal_run()
-    assert math.isfinite(benchmark(certificate_to_dict, cert)["apriori"][-1][0])
+    out = benchmark(certificate_to_dict, cert)
+    assert [len(out[k]) for k in ("apriori", "apost_forward", "apost_backward")] == [1, 1, 1]
+    assert math.isfinite(out["apriori"][-1][0])
 
 
 def test_cli_main_gauge(benchmark, tmp_path):
@@ -179,6 +188,41 @@ def test_cli_main_gauge(benchmark, tmp_path):
     cfg = tmp_path / "gauge.json"
     cfg.write_text(json.dumps({"x": [2.0], "base": [1.0]}))
     assert benchmark(main, ["gauge", "--config", str(cfg)]) == 0
+
+
+def test_cli_main_picard(benchmark, tmp_path):
+    """A whole ``picard`` call at n=200, lambda given: config, solve and both artifacts."""
+    n = 200
+    cfg = tmp_path / "picard.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "map": {"name": "halve"},
+                "metric": {"kind": "weighted", "alpha": [1.0] * n},
+                "x0": coords(n, 0.5),
+                "lambda": 0.5,
+            }
+        )
+    )
+    out = tmp_path / "out"
+    assert benchmark(main, ["picard", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "certificate.json").read_text())["certificate"]["status"] == "certified"
+
+
+def _calibration_probe():
+    """``calibration_probe`` built from ``CAL_KERNEL`` of ``bench/run.py``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    namespace = {"perf_counter": time.perf_counter}
+    exec(run.CAL_KERNEL, namespace)
+    return namespace["calibration_probe"]
+
+
+def test_calibration_probe(benchmark):
+    """The speed yardstick of ``bench/run.py``: the same code every run."""
+    assert benchmark(_calibration_probe()) > 0.0
 
 
 def test_axioms_run_all(benchmark):

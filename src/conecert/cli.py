@@ -1,12 +1,15 @@
 """Command line front door: JSON config in, CSV/JSON artifacts out.
 
 Subcommands: axioms, gauge, picard, roots, demo-normality.  Exit codes:
-0 on success or convergence (a ``roots`` run that halts at its noise
-floor has converged), 2 when an iteration fails to converge, diverges to a
-non-finite value or escapes its domain, 1 on any input error, a usage error
-included.  ``picard``'s ``certificate.json`` and ``roots``' ``report.json``
-name the halt cause.  All runs are single-threaded and all
-emitted files are byte-identical for identical config and seed.
+0 on success or convergence (a ``roots`` run, or a ``picard`` run of the
+``weierstrass`` map, that halts at its noise floor has converged), 2 when
+an iteration fails to converge, diverges to a non-finite value or escapes
+its domain, 1 on any input error, a usage error included.  ``picard``'s
+``certificate.json`` and ``roots``' ``report.json`` name the halt cause.
+Every ``certificate.json`` carries ``"schema": 2``: its bound families hold
+only their final entries, and ``trace.csv`` holds every entry.  All runs
+are single-threaded and all emitted files are byte-identical for identical
+config and seed.
 
 This module is the only one that knows the config format.  Each JSON value
 kind has one reader here, and every config value passes through one of them:
@@ -43,12 +46,15 @@ from .picard import (
     run_picard,
     write_trace_csv,
 )
-from .roots import Polynomial, solve_roots, weierstrass_map
+from .roots import Polynomial, noise_floor, solve_roots, weierstrass_map
 from .solid import SpaceSpec, Vec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
+
+# Version of the certificate.json layout.
+CERT_SCHEMA = 2
 
 MAX_CLI_DEGREE = 12
 
@@ -311,12 +317,17 @@ def cmd_picard(args) -> int:
     cfg = _load_config(args)
     problem = _problem_from_config(cfg, args)
     out = _out_dir(args)
+    # A Weierstrass run halts at its noise floor, as it does under ``roots``.
+    stalled = noise_floor(problem) if cfg["map"]["name"] == "weierstrass" else None
     try:
-        result = run_picard(problem)
+        result = run_picard(problem, stalled=stalled)
     except DomainEscape as exc:
         with open(out / "trace.csv", "w", newline="") as fh:
             write_trace_csv(fh, exc.trace, None, problem.metric)
-        _write_json(out / "certificate.json", {"certificate": None, "converged": False, "reason": str(exc)})
+        _write_json(
+            out / "certificate.json",
+            {"certificate": None, "converged": False, "reason": str(exc), "schema": CERT_SCHEMA},
+        )
         print(str(exc), file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     with open(out / "trace.csv", "w", newline="") as fh:
@@ -329,6 +340,7 @@ def cmd_picard(args) -> int:
         "fixed_point": None
         if result.fixed_point is None
         else point_to_json(problem.metric, result.fixed_point),
+        "schema": CERT_SCHEMA,
     }
     _write_json(out / "certificate.json", payload)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
@@ -361,6 +373,7 @@ def cmd_roots(args) -> int:
             "converged": result.converged,
             "certificate": certificate_to_dict(result.certificate),
             "lambda_used": result.lambda_used,
+            "schema": CERT_SCHEMA,
             "tail_start": result.tail_start,
         },
     )

@@ -519,15 +519,22 @@ def write_trace_csv(
 
 
 def certificate_to_dict(cert: Optional[Certificate]) -> Optional[dict]:
+    """JSON form of a certificate, with each bound family cut to its last entry.
+
+    ``apriori`` and ``apost_backward`` then bound the last iterate and
+    ``apost_forward`` the one before it; each stays a one-entry list, so
+    ``[-1]`` reads the same vector as in the full family.  The per-iterate
+    entries are the bound columns of :func:`write_trace_csv`.
+    """
     if cert is None:
         return None
     return {
         "lambda_used": cert.lambda_used,
         "lambda_source": cert.lambda_source,
         "radius_r": list(cert.radius_r.coords),
-        "apriori": [list(v.coords) for v in cert.apriori],
-        "apost_forward": [list(v.coords) for v in cert.apost_forward],
-        "apost_backward": [list(v.coords) for v in cert.apost_backward],
+        "apriori": [list(cert.apriori[-1].coords)],
+        "apost_forward": [list(cert.apost_forward[-1].coords)],
+        "apost_backward": [list(cert.apost_backward[-1].coords)],
         "status": cert.status,
         "residual": None if cert.residual is None else list(cert.residual.coords),
     }

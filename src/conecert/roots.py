@@ -25,7 +25,7 @@ import cmath
 import math
 from itertools import combinations
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .gauge import GaugeNorm, mink_norm
 from .metrics import WeightedConeMetric
@@ -47,6 +47,7 @@ __all__ = [
     "default_starts",
     "weierstrass_step",
     "weierstrass_map",
+    "noise_floor",
     "solve_roots",
     "RootsResult",
     "ComparisonRow",
@@ -251,6 +252,32 @@ def _discs_disjoint(z: Sequence[complex], step: Vec, alpha: Sequence[float]) -> 
     )
 
 
+def noise_floor(
+    p: Problem, norms: Optional[list[float]] = None
+) -> Callable[[IterationTrace], bool]:
+    """The ``stalled`` predicate of :func:`run_picard` for a Weierstrass run.
+
+    ``p`` iterates :func:`weierstrass_map` over a complex weighted metric.
+    The predicate is true once a step's gauge under ``p.gauge`` is not below
+    the previous step's while the inclusion discs around the iterate the
+    step left are pairwise disjoint.  The gauge of every step it is asked
+    about is appended to ``norms`` when one is given.
+    """
+    norms = [] if norms is None else norms
+    g, alpha = p.gauge, p.metric.alpha
+
+    def stalled(trace: IterationTrace) -> bool:
+        s = trace.step_dists[-1]
+        norms.append(mink_norm(s, g))
+        return (
+            len(norms) > 1
+            and norms[-1] >= norms[-2]
+            and _discs_disjoint(trace.iterates[-2], s, alpha)
+        )
+
+    return stalled
+
+
 def _contraction_tail(norms: list[float]) -> tuple[int, Optional[float]]:
     """Start index of the longest suffix of steps contracting in the gauge.
 
@@ -311,17 +338,7 @@ def solve_roots(
     )
     # The gauge of every step the stall test saw, reused for the tail.
     norms: list[float] = []
-
-    def stalled(trace: IterationTrace) -> bool:
-        s = trace.step_dists[-1]
-        norms.append(mink_norm(s, g))
-        return (
-            len(norms) > 1
-            and norms[-1] >= norms[-2]
-            and _discs_disjoint(trace.iterates[-2], s, weights)
-        )
-
-    result = run_picard(problem, stalled=stalled)
+    result = run_picard(problem, stalled=noise_floor(problem, norms))
     trace = result.trace
 
     if lam is not None:

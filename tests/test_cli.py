@@ -10,6 +10,7 @@ import pytest
 
 from conecert import cli
 from conecert.cli import main
+from conecert.roots import Polynomial, default_starts
 
 from helpers import greedy_match, poly_from_roots
 
@@ -24,6 +25,13 @@ EXPANDING = {
     "x0": [1.0],
     "metric": {"kind": "weighted_norm", "alpha": [1.0]},
     "max_iter": 30,
+}
+# Leaves the ball of radius 2.5 at iterate 3.
+ESCAPING = {
+    "map": {"name": "affine", "matrix": [[1.0]], "offset": [1.0]},
+    "x0": [0.0],
+    "metric": {"kind": "weighted_norm", "alpha": [1.0]},
+    "domain": {"center": [0.0], "radius": [2.5]},
 }
 # Valid configs whose iterates overflow: the step distance |1e308 - (-1e308)|
 # in the first, the map output 2 * 2**27 * 1e300 in the second.
@@ -117,15 +125,7 @@ class TestPicardCommand:
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(",") if v)
 
     def test_domain_escape_exits_two_with_artifacts(self, tmp_path, capsys):
-        cfg = write_cfg(
-            tmp_path,
-            {
-                "map": {"name": "affine", "matrix": [[1.0]], "offset": [1.0]},
-                "x0": [0.0],
-                "metric": {"kind": "weighted_norm", "alpha": [1.0]},
-                "domain": {"center": [0.0], "radius": [2.5]},
-            },
-        )
+        cfg = write_cfg(tmp_path, ESCAPING)
         out = tmp_path / "out"
         assert main(["picard", "--config", cfg, "--out", str(out)]) == 2
         assert (out / "trace.csv").exists()
@@ -180,6 +180,84 @@ class TestPicardCommand:
         assert main(["picard", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == ""
         assert json.loads((out / "certificate.json").read_text())["converged"] is False
+
+    def test_weierstrass_stalled_wilkinson_exits_zero_at_the_noise_floor(self, tmp_path, capsys):
+        poly = Polynomial(WILKINSON_12["coefficients"])
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "map": {"name": "weierstrass", "coefficients": WILKINSON_12["coefficients"]},
+                "x0": [[z.real, z.imag] for z in default_starts(poly)],
+                "metric": {"kind": "weighted_norm", "alpha": [1.0] * 12, "field": "complex"},
+                "max_iter": 300,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["converged"] is True
+        assert cert["halt"] == "noise_floor"
+        assert cert["iterations"] < 300
+        roots = [complex(re, im) for re, im in cert["fixed_point"]]
+        order = greedy_match(roots, list(range(1, 13)))
+        for z, j in zip(roots, order):
+            assert abs(z - (j + 1)) <= 1e-5
+        # The same predicate as under ``roots``: neither run reaches its
+        # stop_c, so both take the same sweeps and emit the same trace.
+        roots_out = tmp_path / "roots"
+        assert main(["roots", "--config", write_cfg(tmp_path, WILKINSON_12, "w.json"), "--out", str(roots_out)]) == 0
+        assert (out / "trace.csv").read_bytes() == (roots_out / "trace.csv").read_bytes()
+
+
+def trace_rows(path):
+    """Header names and rows of a trace.csv, as lists of cells."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return header, rows
+
+
+# certificate.json family -> trace.csv column prefix.
+FAMILY_COLUMNS = {"apriori": "apriori_", "apost_forward": "apost_fwd_", "apost_backward": "apost_bwd_"}
+# Roots {0, +-1, +-2, +-i}: from the default starts the tail begins at iterate 10.
+SEPTIC = {"coefficients": [0.0, 4.0, 0.0, -1.0, 0.0, -4.0, 0.0, 1.0]}
+# A diagonal affine map with no lambda: its factor is estimated.
+AFFINE_ESTIMATED = {
+    "map": {"name": "affine", "matrix": [[0.5, 0.0], [0.0, 0.25]], "offset": [1.0, 0.3]},
+    "x0": [0.0, 0.0],
+    "metric": {"kind": "weighted_norm", "alpha": [1.0, 1.0]},
+}
+
+
+class TestCertificateSchema:
+    @pytest.mark.parametrize(
+        "command, payload, source",
+        [("picard", HALVE, "given"), ("picard", AFFINE_ESTIMATED, "estimated"), ("roots", SEPTIC, "estimated")],
+        ids=["picard-given", "picard-estimated", "roots-tail"],
+    )
+    def test_final_entries_are_the_last_trace_cells(self, tmp_path, command, payload, source):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())["certificate"]
+        assert cert["lambda_source"] == source
+        header, rows = trace_rows(out / "trace.csv")
+        for family, prefix in FAMILY_COLUMNS.items():
+            cols = [j for j, name in enumerate(header) if name.startswith(prefix)]
+            filled = [k for k, row in enumerate(rows) if all(row[j] for j in cols)]
+            # apriori and apost_backward bound the last iterate, apost_forward the one before.
+            assert filled[-1] == len(rows) - (2 if family == "apost_forward" else 1)
+            last = [float(rows[filled[-1]][j]) for j in cols]
+            assert len(cert[family]) == 1
+            assert [c.hex() for c in cert[family][0]] == [c.hex() for c in last]
+
+    @pytest.mark.parametrize(
+        "command, payload, code",
+        [("picard", HALVE, 0), ("picard", EXPANDING, 2), ("picard", ESCAPING, 2), ("roots", CUBIC_ROOTS, 0)],
+        ids=["picard", "picard-unconverged", "picard-escape", "roots"],
+    )
+    def test_every_certificate_names_schema_2(self, tmp_path, capsys, command, payload, code):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == code
+        assert json.loads((out / "certificate.json").read_text())["schema"] == 2
 
 
 class TestInputErrors:

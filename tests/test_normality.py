@@ -43,3 +43,34 @@ class TestTable:
         for a, b in zip(coarse, fine):
             assert a["sup_x"] == b["sup_x"]  # attained at t = 1 exactly
             assert a["sup_dx"] == b["sup_dx"]
+
+
+def reference_table(n_max, grid_points):
+    """Every node's x_n, x_n' and y_n tabulated in full, then reduced."""
+    ts = [i / (grid_points - 1) for i in range(grid_points)]
+    rows = []
+    for n in range(1, n_max + 1):
+        xs = [t**n / n for t in ts]
+        dxs = [t ** (n - 1) for t in ts]
+        ys = [1.0 / n] * grid_points
+        sup_x, sup_dx = max(map(abs, xs)), max(map(abs, dxs))
+        rows.append(
+            {
+                "n": n,
+                "sup_x": sup_x,
+                "sup_dx": sup_dx,
+                "c1_norm_x": sup_x + sup_dx,
+                "c1_norm_y": max(map(abs, ys)),
+                "order_ok": all(0.0 <= x <= y for x, y in zip(xs, ys)),
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("n_max, grid_points", [(1, 2), (7, 3), (60, 11), (200, 1000), (50, 1001)])
+def test_matches_the_full_node_table_bit_for_bit(n_max, grid_points):
+    """The table reduces powers once per row; the bits are those of the full per-node table."""
+    fast, ref = normality_table(n_max, grid_points), reference_table(n_max, grid_points)
+    assert [r["order_ok"] for r in fast] == [r["order_ok"] for r in ref]
+    for key in ("sup_x", "sup_dx", "c1_norm_x", "c1_norm_y"):
+        assert [r[key].hex() for r in fast] == [r[key].hex() for r in ref]
