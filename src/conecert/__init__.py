@@ -17,7 +17,6 @@ from .metrics import (
 from .normality import normality_table
 from .picard import (
     Certificate,
-    DomainEscape,
     IterationTrace,
     PicardResult,
     Problem,

@@ -3,9 +3,13 @@
 Subcommands: axioms, gauge, picard, roots, demo-normality.  Exit codes:
 0 on success or convergence (a ``roots`` run, or a ``picard`` run of the
 ``weierstrass`` map, that halts at its noise floor has converged), 2 when
-an iteration fails to converge, diverges to a non-finite value or escapes
-its domain, 1 on any input error, a usage error included.  ``picard``'s
-``certificate.json`` and ``roots``' ``report.json`` name the halt cause.
+an iteration fails to converge, escapes its domain or overflows (an iterate,
+or a certificate's radius or final bound), 1 on any input error, a usage
+error included.  ``picard`` writes ``trace.csv`` and ``certificate.json``
+for every run; that ``certificate.json`` and ``roots``' ``report.json``
+name the halt cause: ``stop_c``, ``noise_floor``, ``max_iter``,
+``overflow`` or ``domain_escape``.  ``--out`` is created after the run, so
+an input error leaves none behind.
 Every ``certificate.json`` carries ``"schema": 2``: its bound families hold
 only their final entries, and ``trace.csv`` holds every entry.  All runs
 are single-threaded and all emitted files are byte-identical for identical
@@ -39,13 +43,7 @@ from .metrics import (
     WeightedConeMetric,
 )
 from .normality import normality_table
-from .picard import (
-    DomainEscape,
-    Problem,
-    certificate_to_dict,
-    run_picard,
-    write_trace_csv,
-)
+from .picard import Problem, certificate_to_dict, run_picard, write_trace_csv
 from .roots import Polynomial, noise_floor, solve_roots, weierstrass_map
 from .solid import SpaceSpec, Vec
 
@@ -316,26 +314,17 @@ def cmd_gauge(args) -> int:
 def cmd_picard(args) -> int:
     cfg = _load_config(args)
     problem = _problem_from_config(cfg, args)
-    out = _out_dir(args)
     # A Weierstrass run halts at its noise floor, as it does under ``roots``.
     stalled = noise_floor(problem) if cfg["map"]["name"] == "weierstrass" else None
-    try:
-        result = run_picard(problem, stalled=stalled)
-    except DomainEscape as exc:
-        with open(out / "trace.csv", "w", newline="") as fh:
-            write_trace_csv(fh, exc.trace, None, problem.metric)
-        _write_json(
-            out / "certificate.json",
-            {"certificate": None, "converged": False, "reason": str(exc), "schema": CERT_SCHEMA},
-        )
-        print(str(exc), file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    result = run_picard(problem, stalled=stalled)
+    iterations = len(result.trace.iterates) - 1
+    out = _out_dir(args)
     with open(out / "trace.csv", "w", newline="") as fh:
         write_trace_csv(fh, result.trace, result.certificate, problem.metric)
     payload = {
         "converged": result.converged,
         "halt": result.halt,
-        "iterations": len(result.trace.iterates) - 1,
+        "iterations": iterations,
         "certificate": certificate_to_dict(result.certificate),
         "fixed_point": None
         if result.fixed_point is None
@@ -343,6 +332,8 @@ def cmd_picard(args) -> int:
         "schema": CERT_SCHEMA,
     }
     _write_json(out / "certificate.json", payload)
+    if result.halt == "domain_escape":
+        print(f"iterate {iterations} left the domain", file=sys.stderr)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 

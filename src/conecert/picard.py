@@ -20,12 +20,16 @@ yields ``heuristic``; a domain checked only pointwise on iterates yields
 ``conditional``.
 
 The start point and every map output are validated once, on entry; steps
-are measured between already validated points.  An iteration whose map
-output, step distance or halting bound overflows, or whose map raises
-:class:`NonFiniteError` itself, ends like one that runs out of iterations:
-not converged, with the trace up to the last iterate before the overflow.
+are measured between already validated points.  Past the start point's
+checks a run always returns.  An iterate outside the domain ends it with
+halt ``domain_escape``, that iterate last in the trace.  A map output, step
+distance or halting bound that overflows, or a map that raises
+:class:`NonFiniteError` itself, ends it with halt ``overflow``, the trace
+stopping at the last iterate before it; so does a certificate whose radius
+or final bound overflows.  Neither ending converges or has a certificate.
 Any other exception from the map propagates.  Every result names its halt
-cause: ``stop_c``, ``noise_floor``, ``max_iter`` or ``overflow``.
+cause: ``stop_c``, ``noise_floor``, ``max_iter``, ``overflow`` or
+``domain_escape``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Callable, Optional
 
 from .gauge import GaugeNorm, mink_norm
 from .metrics import Ball, ConeMetric, WeightedConeMetric, ball_contains
-from .solid import NonFiniteError, Vec, in_interior, leq
+from .solid import NonFiniteError, Vec, _finite, in_interior, leq
 
 __all__ = [
     "LAMBDA_CEILING",
@@ -46,7 +50,6 @@ __all__ = [
     "IterationTrace",
     "Certificate",
     "PicardResult",
-    "DomainEscape",
     "run_picard",
     "apriori_bound",
     "apost_forward_bound",
@@ -200,15 +203,7 @@ class PicardResult:
     certificate: Optional[Certificate]
     fixed_point: object
     converged: bool
-    halt: str  # "stop_c" | "noise_floor" | "max_iter" | "overflow"
-
-
-class DomainEscape(RuntimeError):
-    """An iterate left the declared domain; carries the partial trace."""
-
-    def __init__(self, message: str, trace: IterationTrace):
-        super().__init__(message)
-        self.trace = trace
+    halt: str  # "stop_c" | "noise_floor" | "max_iter" | "overflow" | "domain_escape"
 
 
 def apriori_bound(n: int, lam: float, d01: Vec) -> Vec:
@@ -333,15 +328,12 @@ def run_picard(
     halts once the last step distance does.  ``stalled``, when given, is
     called on the trace after every iteration whose ``stop_c`` test fails; a
     true answer ends the run as converged with halt ``noise_floor``, for a
-    caller that can tell when only rounding noise is left.  Every iterate is
-    checked against the domain and an escape raises :class:`DomainEscape`
-    carrying the partial trace.  Reaching
+    caller that can tell when only rounding noise is left.  Reaching
     ``max_iter`` is not an error: the result comes back with
     ``converged=False``, halt ``max_iter`` and whatever certificate the
-    trace supports.  Nor is a map output, step distance or halting bound
-    that overflows, or a map that raises :class:`NonFiniteError`: the run
-    ends the same way with halt ``overflow``, its trace stopping at the last
-    iterate before it.
+    trace supports.  Nor is a domain escape or an overflow (see the module
+    docstring): the run ends unconverged with halt ``domain_escape`` or
+    ``overflow`` and no certificate.  Only the start point's checks raise.
     """
     inst = p.metric
     trace = IterationTrace()
@@ -377,9 +369,8 @@ def run_picard(
         trace.iterates.append(x_next)
         trace.step_dists.append(s)
         if not _in_domain(p, x_next):
-            raise DomainEscape(
-                f"iterate {len(trace.iterates) - 1} left the domain", trace
-            )
+            cause = "domain_escape"
+            break
         x = x_next
         if all(map(operator.lt, halt, stop)):
             cause = "stop_c"
@@ -388,8 +379,13 @@ def run_picard(
             cause = "noise_floor"
             break
 
+    cert = None
+    if cause not in ("domain_escape", "overflow"):
+        try:
+            cert = _build_certificate(p, trace)
+        except NonFiniteError:
+            cause = "overflow"
     converged = cause in ("stop_c", "noise_floor")
-    cert = _build_certificate(p, trace)
     return PicardResult(
         trace=trace,
         certificate=cert,
@@ -400,10 +396,10 @@ def run_picard(
 
 
 def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificate]:
-    """Choose the factor and its source for an engine run."""
+    """Choose the factor and its source for a run that neither overflowed nor
+    escaped, so has a step; a radius or final bound entry that overflows
+    raises :class:`NonFiniteError`."""
     steps = trace.step_dists
-    if not steps:
-        return None
     if p.lam is not None:
         lam, source = p.lam, "given"
     elif all(_zero_vec(s) for s in steps):
@@ -416,7 +412,13 @@ def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificat
         if lam > LAMBDA_CEILING:
             return None
         source = "estimated"
-    return _certificate(p, trace, 0, lam, source)
+    cert = _certificate(p, trace, 0, lam, source)
+    # certificate_to_dict emits each family's final entry.  The a priori one
+    # is at most the radius and the backward one at most the forward one,
+    # whose products are all finite exactly when the largest is (as in the
+    # halting test), so one product checks all three.
+    _finite((max(steps[-1].coords) * _forward_factor(lam),))
+    return cert
 
 
 def _certificate(

@@ -46,6 +46,22 @@ OVERFLOWING_MAP = {
     "metric": {"kind": "weighted", "alpha": [1.0]},
     "x0": [1e300],
 }
+# Finite iterates whose certificate radius d(x0, x1) / (1 - lam) = 3e308
+# overflows, with lam estimated or given.
+OVERFLOWING_RADIUS = {
+    "map": {"name": "affine", "matrix": [[-0.5]], "offset": [0.0]},
+    "metric": {"kind": "weighted", "alpha": [1.0]},
+    "x0": [1e308],
+}
+# Steps that grow until one overflows; with lam 0.5 the forward bound's
+# factor 2 overflows a step before the halting bound's factor 1 does.
+GROWING = {
+    "map": {"name": "affine", "matrix": [[-2.0]], "offset": [0.0]},
+    "metric": {"kind": "weighted", "alpha": [1.0]},
+    "x0": [1.0],
+    "lambda": 0.5,
+    "max_iter": 2000,
+}
 # Default starts of radius 1 + 1e200: the first correction overflows.
 OVERFLOW_CUBIC = {"coefficients": [1e200, 0, 0, 1]}
 # Distinct finite starts whose pairwise differences multiply below the float
@@ -106,8 +122,14 @@ class TestPicardCommand:
 
     @pytest.mark.parametrize(
         "payload, iterations",
-        [(OVERFLOWING_STEP, 0), (OVERFLOWING_MAP, 27)],
-        ids=["step", "map"],
+        [
+            (OVERFLOWING_STEP, 0),
+            (OVERFLOWING_MAP, 27),
+            (OVERFLOWING_RADIUS, 200),
+            ({**OVERFLOWING_RADIUS, "lambda": 0.5}, 200),
+            (GROWING, 1023),
+        ],
+        ids=["step", "map", "radius-estimated", "radius-given", "growth"],
     )
     def test_divergence_to_overflow_exits_two(self, tmp_path, capsys, payload, iterations):
         cfg = write_cfg(tmp_path, payload)
@@ -120,7 +142,7 @@ class TestPicardCommand:
         assert cert["iterations"] == iterations
         assert cert["certificate"] is None
         rows = (out / "trace.csv").read_text().splitlines()[1:]
-        assert len(rows) == iterations + 1
+        assert [int(row.split(",")[0]) for row in rows] == list(range(iterations + 1))
         # The trace stops at the last finite iterate.
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(",") if v)
 
@@ -128,10 +150,27 @@ class TestPicardCommand:
         cfg = write_cfg(tmp_path, ESCAPING)
         out = tmp_path / "out"
         assert main(["picard", "--config", cfg, "--out", str(out)]) == 2
-        assert (out / "trace.csv").exists()
         cert = json.loads((out / "certificate.json").read_text())
-        assert cert["certificate"] is None
-        assert capsys.readouterr().err != ""
+        assert cert == {
+            "certificate": None,
+            "converged": False,
+            "fixed_point": None,
+            "halt": "domain_escape",
+            "iterations": 3,
+            "schema": 2,
+        }
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0", "1", "2", "3"]
+        assert capsys.readouterr().err == "iterate 3 left the domain\n"
+
+    def test_input_error_leaves_no_out(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, {**HALVE, "x0": [5.0], "domain": {"center": [0.0], "radius": [1.0]}}
+        )
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 1
+        assert "start point is outside the declared domain" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stop_c_override_shortens_run(self, tmp_path):
         cfg = write_cfg(tmp_path, HALVE)

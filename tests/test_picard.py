@@ -16,7 +16,6 @@ from conecert.metrics import Ball, DiscreteConeMetric, WeightedConeMetric
 from conecert.picard import (
     LAMBDA_CEILING,
     Certificate,
-    DomainEscape,
     IterationTrace,
     Problem,
     apost_backward_bound,
@@ -226,10 +225,48 @@ class TestRunPicard:
         p = halve_problem(
             map_fn=lambda x: (x[0] + 1.0,), x0=(0.0,), lam=None, domain=ball
         )
-        with pytest.raises(DomainEscape) as exc_info:
-            run_picard(p)
-        trace = exc_info.value.trace
-        assert trace.iterates[-1] == (3.0,)
+        result = run_picard(p)
+        assert result.halt == "domain_escape"
+        assert not result.converged
+        assert result.certificate is None
+        assert result.fixed_point is None
+        # The escaping iterate is kept last, with the step that reached it.
+        assert result.trace.iterates == [(0.0,), (1.0,), (2.0,), (3.0,)]
+        assert len(result.trace.step_dists) == 3
+
+    @pytest.mark.parametrize("lam", [0.5, None], ids=["given", "estimated"])
+    def test_radius_overflow_ends_a_converging_run_as_overflow(self, lam):
+        # d(x0, x1) = 1.5e308 is finite; the radius 1.5e308 / (1 - 0.5) is not.
+        p = halve_problem(
+            map_fn=lambda x: (-0.5 * x[0],), x0=(1e308,), lam=lam, max_iter=2000
+        )
+        result = run_picard(p)
+        # The loop halted on stop_c long before max_iter.
+        assert len(result.trace.iterates) < 1100
+        assert result.halt == "overflow"
+        assert not result.converged
+        assert result.certificate is None
+        assert result.fixed_point is None
+
+    def test_growth_to_overflow_has_no_certificate(self):
+        # Every step passes the halting bound (factor 1) until one overflows;
+        # the forward bound's factor 2 overflows a step earlier.
+        p = halve_problem(map_fn=lambda x: (-2.0 * x[0],), lam=0.5, max_iter=2000)
+        result = run_picard(p)
+        assert result.halt == "overflow"
+        assert not result.converged
+        assert result.certificate is None
+        assert len(result.trace.iterates) == 1024
+        assert all(math.isfinite(s[0]) for s in result.trace.step_dists)
+
+    def test_final_forward_bound_overflow_has_no_certificate(self):
+        # The radius 8.4e307 / 0.9 is finite, and so is the last halting
+        # bound 1.68e308 / 9; the last forward bound 1.68e308 / 0.9 is not.
+        p = halve_problem(map_fn=lambda x: (-2.0 * x[0],), x0=(2.8e307,), lam=0.1, max_iter=2)
+        result = run_picard(p)
+        assert result.halt == "overflow"
+        assert result.certificate is None
+        assert len(result.trace.iterates) == 3
 
     def test_start_outside_domain(self):
         ball = Ball(center=(10.0,), radius=Vec([1.0]), closed=True)
@@ -514,8 +551,8 @@ def diagonal_runs(draw):
 
 def same_outcome(p):
     """Same iterates and convergence from run_picard and the per-iteration
-    loop.  The certificate is left out: a radius that overflows still raises
-    (a separate, known defect), whatever the halting rule decided."""
+    loop.  The certificate is left out: one whose radius overflows turns any
+    halt into ``overflow``, whatever the halting rule decided."""
     iterates, converged = per_iteration_run(p)
     with mock.patch.object(picard, "_build_certificate", lambda p, trace: None):
         result = run_picard(p)
