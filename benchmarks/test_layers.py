@@ -156,11 +156,15 @@ def test_run_picard(benchmark, lam):
 
 
 def wilkinson_run(m=12):
-    """solve_roots on the roots 1..m from the default starts (301 iterates)."""
+    """solve_roots on the roots 1..m from the default starts, stopped at 1e-8
+    per root, above its noise floor: halt stop_c after 242 sweeps, with a
+    certificate."""
     coeffs = [1]
     for r in range(1, m + 1):  # multiply by (z - r); integers stay exact
         coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    result = solve_roots(Polynomial([float(c) for c in coeffs]), max_iter=300)
+    result = solve_roots(
+        Polynomial([float(c) for c in coeffs]), stop_c=Vec([1e-8] * m), max_iter=300
+    )
     return result.trace, result.certificate, WeightedConeMetric([1.0] * m, field="complex")
 
 

@@ -1,8 +1,8 @@
 """Fixed-point iteration engine with componentwise error certificates.
 
 Runs plain successive approximation x_{k+1} = T(x_k) over any of the cone
-metrics and, for a contraction factor ``lam`` (supplied or estimated from the
-trace), emits the standard certificate family in cone-vector form:
+metrics and, for a contraction factor ``lam``, emits the standard certificate
+family in cone-vector form:
 
 * invariance radius  r = d(x0, x1) / (1 - lam),
 * a priori bound     lam^n / (1 - lam) * d(x0, x1),
@@ -12,6 +12,12 @@ trace), emits the standard certificate family in cone-vector form:
 A :class:`Certificate` stores only the factor and the step distances; each
 bound family is a read-only sequence whose entries are computed from those
 closed forms when read.
+
+A supplied factor covers the whole run.  Without one, the factor is the
+largest gauge ratio of consecutive steps over the longest contracting tail
+of the trace: the iterated contraction principle asks only that steps
+contract along the orbit, which the tail shows for the orbit from its first
+iterate, so the families cover the run from there (``Certificate.start``).
 
 A certificate is marked ``certified`` only when the factor was supplied by
 the caller, the invariance ball fits inside the declared domain, and the
@@ -164,7 +170,7 @@ class Certificate:
     steps: list[Vec]  # step distances d(x_k, x_{k+1}) for k >= start
     status: str  # "certified" | "conditional" | "heuristic"
     residual: Optional[Vec]
-    start: int = 0  # first iterate the families cover; 0 for engine runs
+    start: int = 0  # first iterate the families cover; 0 for a given factor
 
     @property
     def apriori(self) -> _BoundFamily:
@@ -242,24 +248,36 @@ def verify_step_contraction(trace: IterationTrace, lam: float) -> bool:
     return True
 
 
-def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> float:
-    """Largest observed gauge ratio of consecutive steps.
+def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[float]]:
+    """Start and factor of the longest suffix of steps contracting in the gauge.
 
-    Pairs whose earlier step has gauge zero are skipped.  The estimate is a
-    plain observation: values at or above ``LAMBDA_CEILING`` mean the trace
-    shows no usable contraction and no certificate should be built from it.
+    A pair of consecutive steps contracts when the later gauge is at most
+    ``LAMBDA_CEILING`` times the earlier one; two zero steps contract with
+    ratio 0, a nonzero step after a zero one does not.  Returns ``(start,
+    lam)``: the index of the suffix's first step and its largest ratio, or
+    ``(number of steps, None)`` when the last pair does not contract.  The
+    gauges are taken from the last step back, so a non-contracting prefix
+    costs nothing past its last pair.
     """
-    if len(trace.iterates) < 3:
-        raise ValueError("need at least three iterates to estimate a factor")
-    norms = [mink_norm(s, g) for s in trace.step_dists]
-    if all(v == 0.0 for v in norms):
-        raise ValueError("all steps are zero; the factor is undefined")
-    ratios = [
-        norms[k + 1] / norms[k] for k in range(len(norms) - 1) if norms[k] > 0.0
-    ]
-    if not ratios:
-        raise ValueError("no consecutive nonzero steps to compare")
-    return max(ratios)
+    steps = trace.step_dists
+    start, lam = len(steps), None
+    if not steps:
+        return start, lam
+    later = mink_norm(steps[-1], g)
+    for k in range(len(steps) - 2, -1, -1):
+        earlier = mink_norm(steps[k], g)
+        if earlier == 0.0:
+            if later != 0.0:
+                break
+            ratio = 0.0
+        else:
+            ratio = later / earlier
+            if ratio > LAMBDA_CEILING:
+                break
+        start, later = k, earlier
+        if lam is None or ratio > lam:
+            lam = ratio
+    return start, lam
 
 
 def check_domain_condition(p: Problem, r: Vec) -> str:
@@ -396,40 +414,32 @@ def run_picard(
 
 
 def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificate]:
-    """Choose the factor and its source for a run that neither overflowed nor
-    escaped, so has a step; a radius or final bound entry that overflows
-    raises :class:`NonFiniteError`."""
+    """Certificate of a run that neither overflowed nor escaped, so has a step.
+
+    A given factor covers the run from iterate 0.  Without one the factor is
+    estimated from the contracting tail (:func:`estimate_lambda`) and covers
+    the run from the tail's start; a trace with no contracting tail gets no
+    certificate.  A radius or final bound entry that overflows raises
+    :class:`NonFiniteError`.  Only a given factor certifies.
+    """
     steps = trace.step_dists
     if p.lam is not None:
-        lam, source = p.lam, "given"
+        start, lam, source = 0, p.lam, "given"
     elif all(_zero_vec(s) for s in steps):
         # The map landed exactly on its fixed point; every bound is zero.
-        lam, source = 0.0, "estimated"
-    elif len(trace.iterates) < 3:
-        return None
+        start, lam, source = 0, 0.0, "estimated"
     else:
-        lam = estimate_lambda(trace, p.gauge)
-        if lam > LAMBDA_CEILING:
+        start, lam = estimate_lambda(trace, p.gauge)
+        if lam is None:
             return None
         source = "estimated"
-    cert = _certificate(p, trace, 0, lam, source)
+    steps = steps[start:]
+    radius = apriori_bound(0, lam, steps[0])
     # certificate_to_dict emits each family's final entry.  The a priori one
     # is at most the radius and the backward one at most the forward one,
     # whose products are all finite exactly when the largest is (as in the
     # halting test), so one product checks all three.
     _finite((max(steps[-1].coords) * _forward_factor(lam),))
-    return cert
-
-
-def _certificate(
-    p: Problem, trace: IterationTrace, start: int, lam: float, source: str
-) -> Certificate:
-    """Radius, status, steps from iterate ``start`` on, and final residual.
-
-    Only a given factor, which engine runs alone have (``start`` 0), certifies.
-    """
-    steps = trace.step_dists[start:]
-    radius = apriori_bound(0, lam, steps[0])
     status = "heuristic"
     if source == "given":
         status = "certified" if check_domain_condition(p, radius) == "verified" else "conditional"

@@ -3,9 +3,9 @@
 The update is the classical simultaneous correction
 ``z_i <- z_i - p(z_i) / prod_{j != i} (z_i - z_j)`` for a monic polynomial,
 iterated through the fixed-point engine over the weighted cone metric on
-C^n.  Since no global contraction factor is available, certificates are
-built from the longest contracting tail of the observed trace and are always
-heuristic unless the caller supplies a factor.
+C^n.  Since no global contraction factor is available, the certificate is
+the engine's: estimated from the longest contracting tail of the observed
+trace, and so heuristic, unless the caller supplies a factor.
 
 A run also halts, as converged, at its rounding-noise floor: once a step's
 gauge stops shrinking while the Braess-Hadeler inclusion discs
@@ -13,6 +13,8 @@ gauge stops shrinking while the Braess-Hadeler inclusion discs
 The discs together contain every zero and a component of m discs holds
 exactly m of them, so disjoint discs isolate each root; further sweeps only
 move noise.  Such a run has no contracting tail and hence no certificate.
+The discs are built from float corrections with no rounding-error term for
+``p(z_i)``, so around a multiple root they can look disjoint too.
 
 The payoff of keeping distances as vectors is measured by
 :func:`compare_bounds`: per-root a posteriori bounds against the single
@@ -32,9 +34,7 @@ from .metrics import WeightedConeMetric
 from .picard import (
     Certificate,
     IterationTrace,
-    LAMBDA_CEILING,
     Problem,
-    _certificate,
     _forward_factor,
     apost_forward_bound,
     run_picard,
@@ -252,18 +252,15 @@ def _discs_disjoint(z: Sequence[complex], step: Vec, alpha: Sequence[float]) -> 
     )
 
 
-def noise_floor(
-    p: Problem, norms: Optional[list[float]] = None
-) -> Callable[[IterationTrace], bool]:
+def noise_floor(p: Problem) -> Callable[[IterationTrace], bool]:
     """The ``stalled`` predicate of :func:`run_picard` for a Weierstrass run.
 
     ``p`` iterates :func:`weierstrass_map` over a complex weighted metric.
     The predicate is true once a step's gauge under ``p.gauge`` is not below
     the previous step's while the inclusion discs around the iterate the
-    step left are pairwise disjoint.  The gauge of every step it is asked
-    about is appended to ``norms`` when one is given.
+    step left are pairwise disjoint.
     """
-    norms = [] if norms is None else norms
+    norms: list[float] = []
     g, alpha = p.gauge, p.metric.alpha
 
     def stalled(trace: IterationTrace) -> bool:
@@ -276,31 +273,6 @@ def noise_floor(
         )
 
     return stalled
-
-
-def _contraction_tail(norms: list[float]) -> tuple[int, Optional[float]]:
-    """Start index of the longest suffix of steps contracting in the gauge.
-
-    ``norms`` holds the gauge of every recorded step.  Returns (tail_start,
-    factor); factor is None when not even the final pair of steps contracts.
-    """
-    if len(norms) < 2:
-        return len(norms), None
-    ratios: list[Optional[float]] = []
-    for k in range(len(norms) - 1):
-        if norms[k] == 0.0:
-            ratios.append(0.0 if norms[k + 1] == 0.0 else None)
-        else:
-            ratios.append(norms[k + 1] / norms[k])
-    start = len(ratios)
-    for k in range(len(ratios) - 1, -1, -1):
-        if ratios[k] is None or ratios[k] > LAMBDA_CEILING:
-            break
-        start = k
-    tail = [r for r in ratios[start:] if r is not None]
-    if not tail:
-        return len(norms), None
-    return start, max(tail)
 
 
 def solve_roots(
@@ -316,10 +288,10 @@ def solve_roots(
     Halts once the step distance drops strictly below ``stop_c`` (default
     1e-12 per root), or at the noise floor: a step whose gauge is not below
     the previous one while the inclusion discs around the iterate it left
-    are pairwise disjoint.  The returned result carries the trace, the tail
-    certificate (or the engine certificate when ``lam`` was supplied), the
-    componentwise-versus-broadcast bound comparison on the tail, and the
-    final residual moduli.
+    are pairwise disjoint.  The returned result carries the trace, the
+    engine's certificate (from the contracting tail unless ``lam`` was
+    supplied), the componentwise-versus-broadcast bound comparison over the
+    steps the certificate covers, and the final residual moduli.
     """
     n = p.degree
     z0 = default_starts(p) if z0 is None else as_root_vector(z0)
@@ -336,25 +308,15 @@ def solve_roots(
         max_iter=max_iter,
         lam=lam,
     )
-    # The gauge of every step the stall test saw, reused for the tail.
-    norms: list[float] = []
-    result = run_picard(problem, stalled=noise_floor(problem, norms))
-    trace = result.trace
+    result = run_picard(problem, stalled=noise_floor(problem))
+    trace, cert = result.trace, result.certificate
 
-    if lam is not None:
-        cert = result.certificate
-        tail_start, lam_used = 0, lam
-    else:
-        # A stop_c halt skips the stall test on its last step.
-        norms += [mink_norm(s, g) for s in trace.step_dists[len(norms):]]
-        tail_start, lam_used = _contraction_tail(norms)
-        cert = None
-        if lam_used is not None:
-            cert = _certificate(problem, trace, tail_start, lam_used, "estimated")
-
-    if lam_used is not None:
+    if cert is not None:
+        tail_start, lam_used = cert.start, cert.lambda_used
         report = compare_bounds(trace, g, lam_used, start=tail_start)
     else:
+        tail_start = 0 if lam is not None else len(trace.step_dists)
+        lam_used = lam
         report = ComparisonReport()
 
     roots = trace.iterates[-1] if result.converged else None

@@ -71,6 +71,10 @@ UNDERFLOW_STARTS = {
     "z0": [[0, 0], [1e-200, 0], [2e-200, 0]],
 }
 WILKINSON_12 = {"coefficients": [c.real for c in poly_from_roots(range(1, 13))], "max_iter": 300}
+# The step 1e308 is finite; with lambda given the radius 1e308 / (1 - 0.5) is not.
+OVERFLOWING_ROOT_RADIUS = {"coefficients": [-0.5e308, 1.0], "z0": [[-0.5e308, 0]], "lambda": 0.5}
+# Steps contract from iterate 4 on, so the estimated certificate starts there.
+TAIL_CUBIC = [0.0, 5.0, -2.0, 1.0]
 CUBIC_ROOTS = {
     "coefficients": [-6.0, 11.0, -6.0, 1.0],
     "z0": [[1.3, 0.0], [1.8, 0.0], [3.4, 0.0]],
@@ -248,6 +252,32 @@ class TestPicardCommand:
         assert main(["roots", "--config", write_cfg(tmp_path, WILKINSON_12, "w.json"), "--out", str(roots_out)]) == 0
         assert (out / "trace.csv").read_bytes() == (roots_out / "trace.csv").read_bytes()
 
+    def test_weierstrass_tail_certificate_matches_roots(self, tmp_path, capsys):
+        # Both commands certify from the same contracting tail: one engine rule.
+        starts = [[z.real, z.imag] for z in default_starts(Polynomial(TAIL_CUBIC))]
+        settings = {"stop_c": [1e-12] * 3, "max_iter": 100}
+        picard_cfg = write_cfg(
+            tmp_path,
+            {
+                "map": {"name": "weierstrass", "coefficients": TAIL_CUBIC},
+                "x0": starts,
+                "metric": {"kind": "weighted_norm", "alpha": [1.0] * 3, "field": "complex"},
+                **settings,
+            },
+        )
+        roots_cfg = write_cfg(tmp_path, {"coefficients": TAIL_CUBIC, "z0": starts, **settings}, "r.json")
+        out, roots_out = tmp_path / "out", tmp_path / "roots"
+        assert main(["picard", "--config", picard_cfg, "--out", str(out)]) == 0
+        assert main(["roots", "--config", roots_cfg, "--out", str(roots_out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "trace.csv").read_bytes() == (roots_out / "trace.csv").read_bytes()
+        cert = json.loads((out / "certificate.json").read_text())
+        roots_cert = json.loads((roots_out / "certificate.json").read_text())
+        assert cert["certificate"] == roots_cert["certificate"]
+        assert cert["certificate"]["lambda_used"] == 0.43163485433436494
+        assert cert["certificate"]["status"] == "heuristic"
+        assert roots_cert["tail_start"] == 4
+
 
 def trace_rows(path):
     """Header names and rows of a trace.csv, as lists of cells."""
@@ -401,6 +431,20 @@ class TestRootsCommand:
         assert json.loads(blobs[0]["certificate.json"])["certificate"] is None
         rows = blobs[0]["trace.csv"].decode().splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith("0,")
+
+    def test_given_lambda_overflow_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, OVERFLOWING_ROOT_RADIUS)
+        out = tmp_path / "out"
+        assert main(["roots", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())
+        assert report["halt"] == "overflow"
+        assert report["roots"] is None
+        assert report["comparison"]["rows"] == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["certificate"] is None
+        assert cert["lambda_used"] == 0.5
+        assert cert["tail_start"] == 0
 
     def test_zero_denominator_exits_two_with_repeatable_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, UNDERFLOW_STARTS)

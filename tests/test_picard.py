@@ -122,16 +122,22 @@ class TestStepChecks:
             verify_step_contraction(self.make_trace([1.0]), 0.5)
 
     def test_estimate_lambda(self):
-        t = self.make_trace([1.0, 0.5, 0.25])
-        assert estimate_lambda(t, G1) == 0.5
-        assert estimate_lambda(self.make_trace([1.0, 0.0, 0.0]), G1) == 0.0
-        assert estimate_lambda(self.make_trace([1.0, 2.0]), G1) == 2.0
+        """(start, lam) of the longest contracting suffix of steps."""
+        assert estimate_lambda(self.make_trace([1.0, 0.5, 0.25]), G1) == (0, 0.5)
+        assert estimate_lambda(self.make_trace([1.0, 0.0, 0.0]), G1) == (0, 0.0)
+        assert estimate_lambda(self.make_trace([0.0, 0.0]), G1) == (0, 0.0)
+        # A non-contracting prefix is cut off; the factor is the tail's largest ratio.
+        assert estimate_lambda(self.make_trace([1.0, 2.0, 1.0, 0.25]), G1) == (1, 0.5)
+        assert estimate_lambda(self.make_trace([1.0, 0.0, 1.0, 0.5]), G1) == (2, 0.5)
 
     def test_estimate_errors(self):
-        with pytest.raises(ValueError):
-            estimate_lambda(self.make_trace([1.0]), G1)
-        with pytest.raises(ValueError):
-            estimate_lambda(self.make_trace([0.0, 0.0]), G1)
+        """A trace whose last pair of steps does not contract has no factor:
+        start is the step count and lam None, not an exception."""
+        assert estimate_lambda(self.make_trace([1.0, 2.0]), G1) == (2, None)
+        assert estimate_lambda(self.make_trace([1.0, 1.0]), G1) == (2, None)
+        assert estimate_lambda(self.make_trace([0.5, 0.0, 1.0]), G1) == (3, None)
+        assert estimate_lambda(self.make_trace([1.0]), G1) == (1, None)
+        assert estimate_lambda(self.make_trace([]), G1) == (0, None)
 
 
 class TestDomainCondition:
@@ -171,7 +177,7 @@ class TestRunPicard:
         assert len(result.trace.iterates) == 2
         assert result.fixed_point == (1.0,)
         cert = result.certificate
-        assert cert.lambda_used == 0.0
+        assert (cert.start, cert.lambda_used) == (0, 0.0)
         assert cert.radius_r == Vec([0.0])
         assert cert.residual == Vec([0.0])
 
@@ -316,6 +322,21 @@ class TestRunPicard:
         assert cert.lambda_source == "estimated"
         assert cert.status == "heuristic"
         assert cert.lambda_used == pytest.approx(0.5, abs=1e-12)
+
+    def test_estimated_lambda_covers_the_contracting_tail(self):
+        # Steps 1, 2, 0.5, 0.25, 0.125: only the steps from iterate 1 on
+        # contract, so the certificate starts there with their largest ratio.
+        seq = [0.0, 1.0, 3.0, 3.5, 3.75, 3.875, 3.9375]
+        after = dict(zip(seq, seq[1:]))
+        p = halve_problem(map_fn=lambda x: (after[x[0]],), x0=(0.0,), lam=None, max_iter=5)
+        result = run_picard(p)
+        assert result.halt == "max_iter"
+        cert = result.certificate
+        assert (cert.start, cert.lambda_used) == (1, 0.5)
+        assert cert.lambda_source == "estimated"
+        assert cert.status == "heuristic"
+        assert cert.radius_r.coords == (4.0,)
+        assert [s.coords for s in cert.steps] == [(2.0,), (0.5,), (0.25,), (0.125,)]
 
     def test_given_lambda_contradicted_by_trace_downgrades(self):
         # The map contracts at 0.9 > given 0.5; certification must not stand.

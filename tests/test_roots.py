@@ -13,7 +13,9 @@ from conecert.gauge import GaugeNorm
 from conecert.metrics import WeightedConeMetric
 from conecert.picard import (
     IterationTrace,
+    Problem,
     apost_forward_bound,
+    run_picard,
     verify_step_contraction,
     write_trace_csv,
 )
@@ -303,6 +305,35 @@ class TestSolveRoots:
         assert result.converged
         assert result.certificate.lambda_source == "given"
         assert result.tail_start == 0
+
+    def test_engine_run_gives_the_same_tail_certificate(self):
+        # The steps contract from iterate 4 on.  run_picard certifies that
+        # tail with no factor given, and solve_roots returns its certificate.
+        p = Polynomial([0.0, 5.0, -2.0, 1.0])
+        problem = Problem(
+            map_fn=weierstrass_map(p),
+            x0=default_starts(p),
+            metric=WeightedConeMetric([1.0] * 3, field="complex"),
+            gauge=GaugeNorm(SpaceSpec(3, Vec.ones(3))),
+            stop_c=Vec([1e-12] * 3),
+            max_iter=100,
+        )
+        cert = run_picard(problem).certificate
+        assert (cert.lambda_source, cert.status) == ("estimated", "heuristic")
+        assert (cert.start, cert.lambda_used) == (4, 0.43163485433436494)
+        result = solve_roots(p)
+        assert result.certificate == cert
+        assert (result.tail_start, result.lambda_used) == (4, cert.lambda_used)
+
+    def test_given_lambda_overflow_has_no_certificate(self):
+        # The step 1e308 is finite; the radius 1e308 / (1 - 0.5) is not.
+        result = solve_roots(Polynomial([-0.5e308, 1.0]), z0=(-0.5e308,), lam=0.5)
+        assert result.halt == "overflow"
+        assert not result.converged
+        assert result.roots is None
+        assert result.certificate is None
+        assert (result.tail_start, result.lambda_used) == (0, 0.5)
+        assert result.report.rows == []
 
     def test_tail_bound_soundness(self):
         # Transfer property: once step contraction is verified on the tail
