@@ -1,10 +1,13 @@
 """Per-layer micro-benchmarks: ``Vec``, the order predicates, metric distance,
 the gauge, the Picard engine, the artifact writers, the CLI's fixed cost and
-a whole ``picard`` call, and the axiom suites.
+a whole ``picard`` call, the CLI's import, and the axiom suites.
 
 One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``run_picard`` call per way of getting the factor, and one
-``run_all(seed, 20)`` call, the unit of the axioms-suite workload.  Distance
+``run_all(seed, 20)`` call, the unit of the axioms-suite workload.  The
+``import_cli`` rows start a fresh ``python -I``, as the benchmark's
+``setup_s`` probe does: ``cli`` runs ``import conecert.cli`` and ``base``
+runs ``pass``, so their difference is the import alone.  Distance
 and gauge take rows with unit and with non-unit weights or base, since unit
 ones skip a multiply or a division.  The ``calibration_probe`` row times the
 fixed pure-Python kernel that ``bench/run.py`` scales its timings by: on a
@@ -25,11 +28,14 @@ import importlib.util
 import io
 import json
 import math
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import conecert
 from conecert import GaugeNorm, Polynomial, Problem, SpaceSpec, mink_norm, run_picard, solve_roots
 from conecert.axioms import run_all
 from conecert.cli import main
@@ -227,6 +233,14 @@ def _calibration_probe():
 def test_calibration_probe(benchmark):
     """The speed yardstick of ``bench/run.py``: the same code every run."""
     assert benchmark(_calibration_probe()) > 0.0
+
+
+@pytest.mark.parametrize("statement", ["pass", "import conecert.cli"], ids=["base", "cli"])
+def test_import_cli(benchmark, statement):
+    """A fresh interpreter that finds this ``conecert`` and runs ``statement``."""
+    src = str(Path(conecert.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); {statement}"
+    benchmark(subprocess.run, [sys.executable, "-I", "-c", code], check=True)
 
 
 def test_axioms_run_all(benchmark):

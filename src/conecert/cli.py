@@ -15,6 +15,10 @@ only their final entries, and ``trace.csv`` holds every entry.  All runs
 are single-threaded and all emitted files are byte-identical for identical
 config and seed.
 
+Importing this module (or the package) loads neither ``dataclasses`` nor
+``inspect``: the package's record types are plain slotted classes, and
+``cmd_axioms`` imports ``axioms``, whose two dataclasses stay, when it runs.
+
 This module is the only one that knows the config format.  Each JSON value
 kind has one reader here, and every config value passes through one of them:
 a number is a finite JSON number, never a string or a boolean; a count is a
@@ -33,7 +37,6 @@ import sys
 from operator import mul
 from pathlib import Path
 
-from .axioms import report_dict, run_all
 from .gauge import GaugeNorm, mink_norm
 from .metrics import (
     Ball,
@@ -287,6 +290,11 @@ def _problem_from_config(cfg: dict, args) -> Problem:
 
 
 def cmd_axioms(args) -> int:
+    # Imported here, not at module top: ``axioms`` keeps its dataclasses, and
+    # ``dataclasses`` with the ``inspect`` it loads would triple the time
+    # ``import conecert.cli`` takes.
+    from .axioms import report_dict, run_all
+
     results = run_all(seed=args.seed, samples=args.samples)
     report = report_dict(results, seed=args.seed, samples=args.samples)
     out = _out_dir(args)

@@ -8,24 +8,24 @@ the test suite and cross-checks the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import truediv
 
-from .solid import SpaceSpec, Vec, lt
+from .solid import SpaceSpec, Vec, _FrozenRecord, lt
 
 __all__ = ["GaugeNorm", "mink_norm", "strict_ball_test"]
 
 
-@dataclass(frozen=True)
-class GaugeNorm:
+class GaugeNorm(_FrozenRecord):
     """Minkowski gauge of [-base, base] for a fixed space spec."""
 
-    spec: SpaceSpec
-    # |x_i| / 1.0 == |x_i| exactly, so a unit base skips the division.
-    _unit: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("spec", "_unit")
 
-    def __post_init__(self):
-        base = self.spec.base.coords
+    def __init__(self, spec: SpaceSpec):
+        if not isinstance(spec, SpaceSpec):
+            raise TypeError(f"spec must be a SpaceSpec, got {type(spec).__name__}")
+        object.__setattr__(self, "spec", spec)
+        # |x_i| / 1.0 == |x_i| exactly, so a unit base skips the division.
+        base = spec.base.coords
         object.__setattr__(self, "_unit", base.count(1.0) == len(base))
 
 

@@ -15,11 +15,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .gauge import GaugeNorm, mink_norm
-from .solid import NonFiniteError, Vec, _finite, in_cone, in_interior, leq, lt
+from .solid import (
+    NonFiniteError,
+    Vec,
+    _finite,
+    _FrozenRecord,
+    in_cone,
+    in_interior,
+    leq,
+    lt,
+)
 
 __all__ = [
     "WeightedConeMetric",
@@ -165,20 +173,22 @@ class PlusConeMetric:
 ConeMetric = Union[WeightedConeMetric, DiscreteConeMetric, PlusConeMetric]
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(_FrozenRecord):
     """Cone ball around a center; closed balls take cone radii, open ones interior radii."""
 
-    center: object
-    radius: Vec
-    closed: bool = True
+    __slots__ = ("center", "radius", "closed")
 
-    def __post_init__(self):
-        if self.closed:
-            if not in_cone(self.radius):
+    def __init__(self, center: object, radius: Vec, closed: bool = True):
+        if not isinstance(radius, Vec):
+            raise TypeError(f"radius must be a Vec, got {type(radius).__name__}")
+        if closed:
+            if not in_cone(radius):
                 raise ValueError("closed ball radius must lie in the cone")
-        elif not in_interior(self.radius):
+        elif not in_interior(radius):
             raise ValueError("open ball radius must lie in the cone interior")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "closed", closed)
 
 
 def scalarize(inst: ConeMetric, g: GaugeNorm, x, y) -> float:

@@ -43,12 +43,11 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .gauge import GaugeNorm, mink_norm
 from .metrics import Ball, ConeMetric, WeightedConeMetric, ball_contains
-from .solid import NonFiniteError, Vec, _finite, in_interior, leq
+from .solid import NonFiniteError, Vec, _finite, _Record, in_interior, leq
 
 __all__ = [
     "LAMBDA_CEILING",
@@ -82,8 +81,7 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-@dataclass
-class Problem:
+class Problem(_Record):
     """One fixed-point problem: map, start, metric, gauge and halting data.
 
     ``domain`` is None for the whole space, a closed :class:`Ball`, or a
@@ -92,35 +90,52 @@ class Problem:
     and every certificate is downgraded to heuristic.
     """
 
-    map_fn: Callable
-    x0: object
-    metric: ConeMetric
-    gauge: GaugeNorm
-    stop_c: Vec
-    max_iter: int = 200
-    lam: Optional[float] = None
-    domain: object = None
+    __slots__ = ("map_fn", "x0", "metric", "gauge", "stop_c", "max_iter", "lam", "domain")
 
-    def __post_init__(self):
-        n = self.metric.dim
-        if self.gauge.spec.n != n:
+    def __init__(
+        self,
+        map_fn: Callable,
+        x0: object,
+        metric: ConeMetric,
+        gauge: GaugeNorm,
+        stop_c: Vec,
+        max_iter: int = 200,
+        lam: Optional[float] = None,
+        domain: object = None,
+    ):
+        n = metric.dim
+        if gauge.spec.n != n:
             raise ValueError(
-                f"gauge dimension {self.gauge.spec.n} does not match metric dimension {n}"
+                f"gauge dimension {gauge.spec.n} does not match metric dimension {n}"
             )
-        if len(self.stop_c) != n or not in_interior(self.stop_c):
+        if not isinstance(stop_c, Vec):
+            raise TypeError(f"stop_c must be a Vec, got {type(stop_c).__name__}")
+        if len(stop_c) != n or not in_interior(stop_c):
             raise ValueError("stop_c must be a strictly positive vector of metric dimension")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
-        if self.lam is not None:
-            self.lam = _check_lambda(self.lam)
-        if isinstance(self.domain, Ball) and not self.domain.closed:
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+        if lam is not None:
+            lam = _check_lambda(lam)
+        if isinstance(domain, Ball) and not domain.closed:
             raise ValueError("a ball domain must be closed")
+        self.map_fn = map_fn
+        self.x0 = x0
+        self.metric = metric
+        self.gauge = gauge
+        self.stop_c = stop_c
+        self.max_iter = max_iter
+        self.lam = lam
+        self.domain = domain
 
 
-@dataclass
-class IterationTrace:
-    iterates: list = field(default_factory=list)
-    step_dists: list[Vec] = field(default_factory=list)
+class IterationTrace(_Record):
+    """Iterates x_0, x_1, ... and the step distances d(x_k, x_{k+1})."""
+
+    __slots__ = ("iterates", "step_dists")
+
+    def __init__(self, iterates: list | None = None, step_dists: list[Vec] | None = None):
+        self.iterates = [] if iterates is None else iterates
+        self.step_dists = [] if step_dists is None else step_dists
 
 
 class _BoundFamily(Sequence):
@@ -153,8 +168,7 @@ class _BoundFamily(Sequence):
         return map(self._entry, range(self._len))
 
 
-@dataclass
-class Certificate:
+class Certificate(_Record):
     """Factor, status and steps of a run; the bound families derive from them.
 
     ``apriori``, ``apost_forward`` and ``apost_backward`` are read-only
@@ -164,13 +178,27 @@ class Certificate:
     certificate costs no per-iterate bound work.
     """
 
-    lambda_used: float
-    lambda_source: str  # "given" | "estimated"
-    radius_r: Vec
-    steps: list[Vec]  # step distances d(x_k, x_{k+1}) for k >= start
-    status: str  # "certified" | "conditional" | "heuristic"
-    residual: Optional[Vec]
-    start: int = 0  # first iterate the families cover; 0 for a given factor
+    __slots__ = (
+        "lambda_used", "lambda_source", "radius_r", "steps", "status", "residual", "start"
+    )
+
+    def __init__(
+        self,
+        lambda_used: float,
+        lambda_source: str,  # "given" | "estimated"
+        radius_r: Vec,
+        steps: list[Vec],  # step distances d(x_k, x_{k+1}) for k >= start
+        status: str,  # "certified" | "conditional" | "heuristic"
+        residual: Optional[Vec],
+        start: int = 0,  # first iterate the families cover; 0 for a given factor
+    ):
+        self.lambda_used = lambda_used
+        self.lambda_source = lambda_source
+        self.radius_r = radius_r
+        self.steps = steps
+        self.status = status
+        self.residual = residual
+        self.start = start
 
     @property
     def apriori(self) -> _BoundFamily:
@@ -203,13 +231,22 @@ def _backward_factor(lam: float) -> float:
     return lam / (1.0 - lam)
 
 
-@dataclass
-class PicardResult:
-    trace: IterationTrace
-    certificate: Optional[Certificate]
-    fixed_point: object
-    converged: bool
-    halt: str  # "stop_c" | "noise_floor" | "max_iter" | "overflow" | "domain_escape"
+class PicardResult(_Record):
+    __slots__ = ("trace", "certificate", "fixed_point", "converged", "halt")
+
+    def __init__(
+        self,
+        trace: IterationTrace,
+        certificate: Optional[Certificate],
+        fixed_point: object,
+        converged: bool,
+        halt: str,  # "stop_c" | "noise_floor" | "max_iter" | "overflow" | "domain_escape"
+    ):
+        self.trace = trace
+        self.certificate = certificate
+        self.fixed_point = fixed_point
+        self.converged = converged
+        self.halt = halt
 
 
 def apriori_bound(n: int, lam: float, d01: Vec) -> Vec:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import combinations
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .gauge import GaugeNorm, mink_norm
@@ -39,7 +38,7 @@ from .picard import (
     apost_forward_bound,
     run_picard,
 )
-from .solid import NonFiniteError, SpaceSpec, Vec
+from .solid import NonFiniteError, SpaceSpec, Vec, _Record
 
 __all__ = [
     "Polynomial",
@@ -163,19 +162,34 @@ def weierstrass_map(p: Polynomial):
     return step
 
 
-@dataclass
-class ComparisonRow:
-    iteration: int
-    componentwise: Vec
-    scalar_value: float
-    broadcast: Vec
-    exceeded: bool
-    strict_improvement: bool
+class ComparisonRow(_Record):
+    __slots__ = (
+        "iteration", "componentwise", "scalar_value", "broadcast", "exceeded",
+        "strict_improvement",
+    )
+
+    def __init__(
+        self,
+        iteration: int,
+        componentwise: Vec,
+        scalar_value: float,
+        broadcast: Vec,
+        exceeded: bool,
+        strict_improvement: bool,
+    ):
+        self.iteration = iteration
+        self.componentwise = componentwise
+        self.scalar_value = scalar_value
+        self.broadcast = broadcast
+        self.exceeded = exceeded
+        self.strict_improvement = strict_improvement
 
 
-@dataclass
-class ComparisonReport:
-    rows: list[ComparisonRow] = field(default_factory=list)
+class ComparisonReport(_Record):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[ComparisonRow] | None = None):
+        self.rows = [] if rows is None else rows
 
     @property
     def any_exceeded(self) -> bool:
@@ -225,17 +239,33 @@ def compare_bounds(
     return report
 
 
-@dataclass
-class RootsResult:
-    roots: Optional[tuple[complex, ...]]
-    certificate: Optional[Certificate]
-    report: ComparisonReport
-    trace: IterationTrace
-    converged: bool
-    halt: str  # "stop_c" | "noise_floor" | "max_iter" | "overflow"
-    lambda_used: Optional[float]
-    tail_start: int
-    residuals: Optional[list[float]]
+class RootsResult(_Record):
+    __slots__ = (
+        "roots", "certificate", "report", "trace", "converged", "halt", "lambda_used",
+        "tail_start", "residuals",
+    )
+
+    def __init__(
+        self,
+        roots: Optional[tuple[complex, ...]],
+        certificate: Optional[Certificate],
+        report: ComparisonReport,
+        trace: IterationTrace,
+        converged: bool,
+        halt: str,  # "stop_c" | "noise_floor" | "max_iter" | "overflow"
+        lambda_used: Optional[float],
+        tail_start: int,
+        residuals: Optional[list[float]],
+    ):
+        self.roots = roots
+        self.certificate = certificate
+        self.report = report
+        self.trace = trace
+        self.converged = converged
+        self.halt = halt
+        self.lambda_used = lambda_used
+        self.tail_start = tail_start
+        self.residuals = residuals
 
 
 def _discs_disjoint(z: Sequence[complex], step: Vec, alpha: Sequence[float]) -> bool:

@@ -16,7 +16,6 @@ order itself (an epsilon-order would not even be transitive).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import le, lt as _lt
 from typing import Iterable
 
@@ -169,26 +168,75 @@ def lt(x: Vec, y: Vec) -> bool:
     return all(map(_lt, x.coords, y.coords))
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class _Record:
+    """Field-wise ``==`` and ``repr`` for the package's plain record classes.
+
+    A subclass lists its fields as ``__slots__`` in constructor order and
+    sets them in its own ``__init__``.  A slot whose name starts with ``_``
+    holds derived state and takes part in neither.  As with a dataclass,
+    ``==`` compares the field tuples of two instances of the same class,
+    ``repr`` names the class and each field, and the class is unhashable.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__ if f[0] != "_"])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_"
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A :class:`_Record` that hashes by its fields and refuses assignment.
+
+    Its ``__init__`` sets the slots through ``object.__setattr__``; copies
+    and pickles are rebuilt through the constructor from the fields.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class SpaceSpec(_FrozenRecord):
     """Dimension together with a strictly positive base vector.
 
     The base vector fixes the order interval [-base, base] whose gauge the
     rest of the package uses for scalarization.
     """
 
-    n: int
-    base: Vec
+    __slots__ = ("n", "base")
 
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
-        if len(self.base) != self.n:
-            raise ValueError(
-                f"base vector has {len(self.base)} coordinates, expected {self.n}"
-            )
-        if not in_interior(self.base):
+    def __init__(self, n: int, base: Vec):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        if not isinstance(base, Vec):
+            raise TypeError(f"base must be a Vec, got {type(base).__name__}")
+        if len(base) != n:
+            raise ValueError(f"base vector has {len(base)} coordinates, expected {n}")
+        if not in_interior(base):
             raise ValueError("base vector must be strictly positive")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "base", base)
 
 
 def minorant_scale(vectors: Iterable[Vec], spec: SpaceSpec) -> float:

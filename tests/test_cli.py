@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conecert import cli
+from conecert import axioms, cli
 from conecert.cli import main
 from conecert.roots import Polynomial, default_starts
 
@@ -555,9 +555,10 @@ class TestParserReuse:
 
     def test_back_to_back_calls_match_fresh_ones(self, tmp_path, monkeypatch, capsys):
         # axioms keeps its default of 1000 samples, on one dimension only.
-        real_run_all = cli.run_all
+        # cmd_axioms imports run_all when it runs, so the patch goes there.
+        real_run_all = axioms.run_all
         monkeypatch.setattr(
-            cli, "run_all", lambda seed, samples: real_run_all(seed=seed, samples=samples, dims=[1])
+            axioms, "run_all", lambda seed, samples: real_run_all(seed=seed, samples=samples, dims=[1])
         )
         cfg = write_cfg(tmp_path, HALVE)
         calls = [
@@ -609,6 +610,24 @@ class TestParserReuse:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # -S keeps site from preloading anything; dataclasses imports inspect,
+        # and the two together cost most of what importing the CLI used to.
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import sys, conecert.cli, conecert\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestUsageErrors:

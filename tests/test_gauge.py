@@ -115,6 +115,28 @@ class TestUnitBase:
         assert repr(mink_norm(x, g_of(ones))) == repr(max(map(truediv, map(abs, x.coords), ones)))
 
 
+class TestRecord:
+    def test_spec_must_be_a_space_spec(self):
+        with pytest.raises(TypeError, match="^spec must be a SpaceSpec, got Vec$"):
+            GaugeNorm(Vec([1.0]))
+
+    def test_compares_and_hashes_by_spec(self):
+        a, b = g_of([1.0, 2.0]), g_of([1.0, 2.0])
+        assert a == b and hash(a) == hash(b)
+        assert a != g_of([1.0, 1.0])
+
+    def test_frozen(self):
+        g = g_of([1.0])
+        with pytest.raises(AttributeError):
+            g.spec = SpaceSpec(1, Vec([2.0]))
+        with pytest.raises(AttributeError):
+            g._unit = False
+        assert g._unit
+
+    def test_repr_shows_the_spec_only(self):
+        assert repr(g_of([2.0])) == "GaugeNorm(spec=SpaceSpec(n=1, base=Vec([2.0])))"
+
+
 class TestStrictBall:
     def test_examples(self):
         g = g_of([1.0, 2.0])

@@ -380,6 +380,22 @@ class TestBalls:
         with pytest.raises(ValueError):
             Ball(center=(0.0,), radius=Vec([-1.0]), closed=True)
 
+    def test_radius_must_be_a_vec(self):
+        with pytest.raises(TypeError, match="^radius must be a Vec, got list$"):
+            Ball((0.0,), [1.0])
+
+    def test_equal_balls_compare_and_hash_alike(self):
+        a = Ball((0.0,), Vec([1.0]))
+        assert a == Ball(center=(0.0,), radius=Vec([1.0]), closed=True)
+        assert hash(a) == hash(Ball((0.0,), Vec([1.0]), True))
+        assert a != Ball((0.0,), Vec([1.0]), closed=False)
+
+    def test_frozen(self):
+        ball = Ball((0.0,), Vec([1.0]))
+        with pytest.raises(AttributeError):
+            ball.closed = False
+        assert ball.closed
+
     def test_membership(self):
         inst = WeightedConeMetric([1.0, 1.0])
         closed = Ball(center=(0.0, 0.0), radius=Vec([1.0, 1.0]), closed=True)

@@ -73,6 +73,74 @@ def affine_problem(lams=(0.5, 0.25), offset=(1.0, 1.0), x0=(0.0, 0.0), **kw):
     return Problem(**defaults)
 
 
+class TestRecords:
+    """The record classes keep the constructors, equality and repr they had as dataclasses."""
+
+    def test_problem_positional_order_and_defaults(self):
+        def f(x):
+            return x
+
+        p = Problem(f, (1.0,), W1, G1, Vec([1e-10]))
+        assert (p.map_fn, p.x0, p.metric, p.gauge, p.stop_c) == (f, (1.0,), W1, G1, Vec([1e-10]))
+        assert (p.max_iter, p.lam, p.domain) == (200, None, None)
+        ball = Ball((1.0,), Vec([2.0]))
+        q = Problem(f, (1.0,), W1, G1, Vec([1e-10]), 7, 0, ball)
+        assert (q.max_iter, q.lam, q.domain) == (7, 0.0, ball)
+        assert type(q.lam) is float
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(gauge=G2), "gauge dimension 2 does not match metric dimension 1"),
+            (dict(stop_c=Vec([0.0])), "stop_c must be a strictly positive vector"),
+            (dict(stop_c=Vec([1e-10, 1e-10])), "stop_c must be a strictly positive vector"),
+            (dict(max_iter=0), "max_iter must be at least 1, got 0"),
+            (dict(lam=1.0), "contraction factor must lie in"),
+            (dict(domain=Ball((0.0,), Vec([1.0]), closed=False)), "a ball domain must be closed"),
+        ],
+    )
+    def test_problem_validates(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            halve_problem(**kw)
+
+    def test_problem_stop_c_must_be_a_vec(self):
+        with pytest.raises(TypeError, match="^stop_c must be a Vec, got tuple$"):
+            halve_problem(stop_c=(1e-10,))
+
+    def test_problem_fields_stay_assignable(self):
+        p = halve_problem()
+        p.max_iter = 3
+        assert run_picard(p).halt == "max_iter"
+
+    def test_traces_do_not_share_lists(self):
+        a, b = IterationTrace(), IterationTrace()
+        a.iterates.append((1.0,))
+        a.step_dists.append(ONES)
+        assert (b.iterates, b.step_dists) == ([], [])
+        assert IterationTrace() == b
+
+    def test_certificate_start_defaults_to_zero(self):
+        cert = Certificate(0.5, "given", ONES, [ONES], "certified", None)
+        assert cert.start == 0
+        assert cert == Certificate(0.5, "given", ONES, [ONES], "certified", None, start=0)
+        assert cert != Certificate(0.5, "given", ONES, [ONES], "certified", None, start=1)
+
+    def test_results_compare_field_wise_and_are_unhashable(self):
+        a, b = run_picard(halve_problem()), run_picard(halve_problem())
+        assert a == b and a.certificate == b.certificate and a.trace == b.trace
+        assert a != run_picard(halve_problem(max_iter=3))
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_repr_names_the_class_and_fields(self):
+        trace = IterationTrace([(1.0,)], [Vec([0.5])])
+        assert repr(trace) == "IterationTrace(iterates=[(1.0,)], step_dists=[Vec([0.5])])"
+        text = repr(run_picard(halve_problem()))
+        assert text.startswith("PicardResult(trace=IterationTrace(iterates=[(1.0,), (0.5,)")
+        assert "certificate=Certificate(lambda_used=0.5, lambda_source='given'" in text
+        assert text.endswith("converged=True, halt='stop_c')")
+
+
 class TestBoundArithmetic:
     def test_apriori_is_radius_at_zero(self):
         d01 = Vec([1.0, 2.0])

@@ -20,6 +20,7 @@ from conecert.picard import (
     write_trace_csv,
 )
 from conecert.roots import (
+    ComparisonReport,
     Polynomial,
     _discs_disjoint,
     as_root_vector,
@@ -468,6 +469,17 @@ class TestCompareBounds:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compare_bounds(self.make_trace([[0.5]]), self.GS, 0.5)
+
+    def test_reports_do_not_share_rows(self):
+        a, b = ComparisonReport(), ComparisonReport()
+        a.rows.append(None)
+        assert b.rows == [] and ComparisonReport().rows == []
+
+    def test_reports_compare_row_by_row(self):
+        trace = self.make_trace([[0.5, 0.001], [0.25, 0.001]])
+        a, b = compare_bounds(trace, self.GS, 0.5), compare_bounds(trace, self.GS, 0.5)
+        assert a == b and a.rows[0] == b.rows[0] and a.rows[0] != a.rows[1]
+        assert repr(a.rows[0]).startswith("ComparisonRow(iteration=0, componentwise=Vec(")
 
     @settings(max_examples=200)
     @given(

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -106,6 +108,33 @@ class TestSpaceSpec:
             SpaceSpec(0, Vec([1.0]))
         with pytest.raises(ValueError):
             SpaceSpec(True, Vec([1.0]))
+
+    def test_base_must_be_a_vec(self):
+        with pytest.raises(TypeError, match="^base must be a Vec, got list$"):
+            SpaceSpec(2, [1.0, 1.0])
+
+    def test_equal_specs_compare_and_hash_alike(self):
+        a, b = SpaceSpec(2, Vec([1.0, 0.5])), SpaceSpec(2, Vec([1.0, 0.5]))
+        assert a == b and hash(a) == hash(b)
+        assert a != SpaceSpec(2, Vec([1.0, 0.25]))
+        assert len({a, b}) == 1
+
+    def test_frozen(self):
+        spec = SpaceSpec(1, Vec([1.0]))
+        with pytest.raises(AttributeError):
+            spec.n = 2
+        with pytest.raises(AttributeError):
+            del spec.base
+        with pytest.raises(AttributeError):
+            spec.extra = 0
+        assert spec == SpaceSpec(1, Vec([1.0]))
+
+    def test_repr_names_the_class_and_fields(self):
+        assert repr(SpaceSpec(1, Vec([2.0]))) == "SpaceSpec(n=1, base=Vec([2.0]))"
+
+    def test_copies_and_pickles_equal_the_original(self):
+        spec = SpaceSpec(2, Vec([1.0, 0.5]))
+        assert copy.copy(spec) == copy.deepcopy(spec) == pickle.loads(pickle.dumps(spec)) == spec
 
 
 class TestScaleWitnesses:
