@@ -176,11 +176,10 @@ def wilkinson_run(m=12):
 
 @pytest.mark.parametrize("case", [diagonal_run, wilkinson_run], ids=["picard_n200", "wilkinson12"])
 def test_write_trace_csv(benchmark, case):
-    trace, cert, metric = case()
-    assert cert is not None
+    trace, _, metric = case()
 
     def write():
-        write_trace_csv(io.StringIO(), trace, cert, metric)
+        write_trace_csv(io.StringIO(), trace, metric)
 
     benchmark(write)
 

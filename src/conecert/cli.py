@@ -4,15 +4,18 @@ Subcommands: axioms, gauge, picard, roots, demo-normality.  Exit codes:
 0 on success or convergence (a ``roots`` run, or a ``picard`` run of the
 ``weierstrass`` map, that halts at its noise floor has converged), 2 when
 an iteration fails to converge, escapes its domain or overflows (an iterate,
-or a certificate's radius or final bound), 1 on any input error, a usage
-error included.  ``picard`` writes ``trace.csv`` and ``certificate.json``
-for every run; that ``certificate.json`` and ``roots``' ``report.json``
-name the halt cause: ``stop_c``, ``noise_floor``, ``max_iter``,
-``overflow`` or ``domain_escape``.  ``--out`` is created after the run, so
-an input error leaves none behind.
-Every ``certificate.json`` carries ``"schema": 2``: its bound families hold
-only their final entries, and ``trace.csv`` holds every entry.  All runs
-are single-threaded and all emitted files are byte-identical for identical
+a Weierstrass sweep that divides by zero, or a certificate's radius or final
+bound), 1 on any input error, a usage error included.  ``picard`` writes
+``trace.csv`` and ``certificate.json`` for every run; that
+``certificate.json`` and ``roots``' ``report.json`` name the halt cause:
+``stop_c``, ``noise_floor``, ``max_iter``, ``overflow`` or
+``domain_escape``.  ``--out`` is created after the run, so an input error
+leaves none behind.
+Every ``certificate.json`` carries ``"schema": 3``: its bound families hold
+only their final entries, and ``trace.csv`` holds data, not claims: each
+iterate and the step that leaves it.  Every other entry of a family is a
+closed form of ``lambda_used`` and those steps.  All runs are
+single-threaded and all emitted files are byte-identical for identical
 config and seed.
 
 Importing this module (or the package) loads neither ``dataclasses`` nor
@@ -55,7 +58,7 @@ EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 
 # Version of the certificate.json layout.
-CERT_SCHEMA = 2
+CERT_SCHEMA = 3
 
 MAX_CLI_DEGREE = 12
 
@@ -328,7 +331,7 @@ def cmd_picard(args) -> int:
     iterations = len(result.trace.iterates) - 1
     out = _out_dir(args)
     with open(out / "trace.csv", "w", newline="") as fh:
-        write_trace_csv(fh, result.trace, result.certificate, problem.metric)
+        write_trace_csv(fh, result.trace, problem.metric)
     payload = {
         "converged": result.converged,
         "halt": result.halt,
@@ -365,7 +368,7 @@ def cmd_roots(args) -> int:
     )
     out = _out_dir(args)
     with open(out / "trace.csv", "w", newline="") as fh:
-        write_trace_csv(fh, result.trace, result.certificate, metric)
+        write_trace_csv(fh, result.trace, metric)
     _write_json(
         out / "certificate.json",
         {

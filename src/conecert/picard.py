@@ -103,7 +103,12 @@ class Problem(_Record):
         lam: Optional[float] = None,
         domain: object = None,
     ):
-        n = metric.dim
+        # Duck-typed: any object with an integer ``dim`` can be a metric.
+        n = getattr(metric, "dim", None)
+        if not isinstance(n, int):
+            raise TypeError(f"metric must be a cone metric, got {type(metric).__name__}")
+        if not isinstance(gauge, GaugeNorm):
+            raise TypeError(f"gauge must be a GaugeNorm, got {type(gauge).__name__}")
         if gauge.spec.n != n:
             raise ValueError(
                 f"gauge dimension {gauge.spec.n} does not match metric dimension {n}"
@@ -499,46 +504,30 @@ def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificat
     )
 
 
-def _row_template(widths: tuple, m: int) -> str:
-    """``%`` template of one CSV row: the iterate number, then one block per
-    entry of ``widths``: that many 17-digit floats, or ``m`` empty cells
-    where the width is None."""
-    cells = ["%d"]
-    for w in widths:
-        cells += [""] * m if w is None else ["%.17g"] * w
-    return ",".join(cells) + "\n"
+def write_trace_csv(fh, trace: IterationTrace, inst: ConeMetric) -> None:
+    """Deterministic per-iterate table: the iterate number, point and step.
 
-
-def write_trace_csv(
-    fh, trace: IterationTrace, cert: Optional[Certificate], inst: ConeMetric
-) -> None:
-    """Deterministic per-iterate table: point, step distance, bound families.
-
-    Floats are written with 17 significant digits and a '.' decimal
-    separator, so identical runs produce byte-identical files.  Each bound
-    sits on the row of the iterate it bounds.  Cells whose quantity is
-    undefined at an iterate (the step at the last row, the backward bound at
-    the certificate's first row, every bound before the certificate's
-    ``start``) stay empty.
+    Row n holds x_n and d(x_n, x_{n+1}); the last row's step cells stay
+    empty, since no step leaves the last iterate.  The table holds data, not
+    claims: entry k of each bound family is a closed form of the
+    certificate's factor and the steps from row ``start`` on (see
+    :class:`Certificate`).  Floats are written with 17 significant digits
+    and a '.' decimal separator, so identical runs produce byte-identical
+    files.
 
     Rows are streamed to ``fh`` one ``write`` each.  No cell ever needs CSV
-    quoting, so each row is one ``%`` template filled in a single call;
-    ``'%.17g'`` gives the bytes of ``format(v, ".17g")``.  A template depends
-    only on the row's shape (which blocks are blank, and each block's
-    width), so a table needs a handful of them.
+    quoting, so each row is one ``%`` template of its own width filled in a
+    single call; ``'%.17g'`` gives the bytes of ``format(v, ".17g")``.
     """
     m = inst.dim
     complex_field = isinstance(inst, WeightedConeMetric) and inst.field == "complex"
     cols = [f"x{j}" for j in range(len(tuple(trace.iterates[0])))]
     if complex_field:
         cols = [f"{c}_{part}" for c in cols for part in ("re", "im")]
-    for name in ("step_d", "apriori_", "apost_fwd_", "apost_bwd_"):
-        cols += [f"{name}{j}" for j in range(m)]
+    cols += [f"step_d{j}" for j in range(m)]
     fh.write("iter," + ",".join(cols) + "\n")
     steps = trace.step_dists
-    if cert is not None:
-        apriori, fwd, bwd = cert.apriori, cert.apost_forward, cert.apost_backward
-    templates = {}
+    no_step = "," * m + "\n"
     for n, point in enumerate(trace.iterates):
         values = [n]
         if complex_field:
@@ -546,25 +535,12 @@ def write_trace_csv(
                 values += (float(c.real), float(c.imag))
         else:
             values += map(float, point)
-        k = n - cert.start if cert is not None else -1
-        blocks = (
-            steps[n] if n < len(steps) else None,
-            apriori[k] if 0 <= k < len(apriori) else None,
-            fwd[k] if 0 <= k < len(fwd) else None,
-            bwd[k - 1] if 1 <= k <= len(bwd) else None,
-        )
-        widths = [len(values) - 1]
-        for b in blocks:
-            if b is None:
-                widths.append(None)
-            else:
-                values += b.coords
-                widths.append(len(b.coords))
-        key = tuple(widths)
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = _row_template(key, m)
-        fh.write(template % tuple(values))
+        if n < len(steps):
+            values += steps[n].coords
+            end = "\n"
+        else:
+            end = no_step
+        fh.write(("%d" + ",%.17g" * (len(values) - 1) + end) % tuple(values))
 
 
 def certificate_to_dict(cert: Optional[Certificate]) -> Optional[dict]:
@@ -573,7 +549,8 @@ def certificate_to_dict(cert: Optional[Certificate]) -> Optional[dict]:
     ``apriori`` and ``apost_backward`` then bound the last iterate and
     ``apost_forward`` the one before it; each stays a one-entry list, so
     ``[-1]`` reads the same vector as in the full family.  The per-iterate
-    entries are the bound columns of :func:`write_trace_csv`.
+    entries stay in the library, each a closed form of ``lambda_used`` and
+    the step cells of :func:`write_trace_csv` (see :class:`Certificate`).
     """
     if cert is None:
         return None

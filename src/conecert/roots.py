@@ -146,11 +146,12 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
 def weierstrass_map(p: Polynomial):
     """The sweep of ``p`` as a map for :func:`run_picard`.
 
-    Distinct approximations can still lie so close together that a
-    denominator ``prod_{j != i} (z_i - z_j)`` underflows to zero.  The sweep
-    then raises ``ZeroDivisionError``; the map reports it as
-    :class:`NonFiniteError`, so the engine ends the run unconverged like any
-    other overflowing update.
+    A denominator ``prod_{j != i} (z_i - z_j)`` can be zero mid-run: distinct
+    approximations can lie so close together that it underflows, and a sweep
+    can move two of them onto the same point (around a multiple root).  The
+    sweep then raises ``ZeroDivisionError`` or rejects the coincident input;
+    the map reports either as :class:`NonFiniteError`, so the engine ends the
+    run unconverged like any other overflowing update.
     """
 
     def step(z):
@@ -158,6 +159,10 @@ def weierstrass_map(p: Polynomial):
             return weierstrass_step(p, z)
         except ZeroDivisionError:
             raise NonFiniteError("update overflowed: a denominator underflowed to zero") from None
+        except ValueError:
+            if len(set(map(complex, z))) == len(z):
+                raise
+            raise NonFiniteError("update overflowed: two approximations coincide") from None
 
     return step
 

@@ -10,7 +10,17 @@ import pytest
 
 from conecert import axioms, cli
 from conecert.cli import main
-from conecert.roots import Polynomial, default_starts
+from conecert.gauge import GaugeNorm
+from conecert.metrics import WeightedConeMetric
+from conecert.picard import (
+    Problem,
+    apost_backward_bound,
+    apost_forward_bound,
+    apriori_bound,
+    run_picard,
+)
+from conecert.roots import Polynomial, default_starts, solve_roots
+from conecert.solid import SpaceSpec, Vec
 
 from helpers import greedy_match, poly_from_roots
 
@@ -70,6 +80,22 @@ UNDERFLOW_STARTS = {
     "coefficients": [-6, 11, -6, 1],
     "z0": [[0, 0], [1e-200, 0], [2e-200, 0]],
 }
+# Distinct starts on a double root: the first sweep moves 0 onto 1, where
+# the other start sits, so the second sweep divides by exactly zero.
+COLLIDING_STARTS = {"coefficients": [1, -2, 1], "z0": [[1, 0], [0, 0]]}
+COLLIDING_WEIERSTRASS = {
+    "map": {"name": "weierstrass", "coefficients": COLLIDING_STARTS["coefficients"]},
+    "metric": {"kind": "weighted", "alpha": [1, 1], "field": "complex"},
+    "x0": COLLIDING_STARTS["z0"],
+}
+# Finite radius and final entries, but the forward bound 2 * 1.52e308 of
+# iterate 1 overflows.
+OVERFLOWING_ENTRY = {
+    "map": {"name": "affine", "matrix": [[0, 1.9], [0, 0]], "offset": [0, 0]},
+    "metric": {"kind": "weighted", "alpha": [1, 1]},
+    "x0": [1e308, 0.8e308],
+    "lambda": 0.5,
+}
 WILKINSON_12 = {"coefficients": [c.real for c in poly_from_roots(range(1, 13))], "max_iter": 300}
 # The step 1e308 is finite; with lambda given the radius 1e308 / (1 - 0.5) is not.
 OVERFLOWING_ROOT_RADIUS = {"coefficients": [-0.5e308, 1.0], "z0": [[-0.5e308, 0]], "lambda": 0.5}
@@ -99,7 +125,7 @@ class TestPicardCommand:
         assert cert["certificate"]["lambda_source"] == "given"
         assert cert["fixed_point"][0] == pytest.approx(0.0, abs=1e-9)
         header = (out / "trace.csv").read_text().splitlines()[0]
-        assert header == "iter,x0,step_d0,apriori_0,apost_fwd_0,apost_bwd_0"
+        assert header == "iter,x0,step_d0"
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, HALVE)
@@ -132,8 +158,9 @@ class TestPicardCommand:
             (OVERFLOWING_RADIUS, 200),
             ({**OVERFLOWING_RADIUS, "lambda": 0.5}, 200),
             (GROWING, 1023),
+            (COLLIDING_WEIERSTRASS, 1),
         ],
-        ids=["step", "map", "radius-estimated", "radius-given", "growth"],
+        ids=["step", "map", "radius-estimated", "radius-given", "growth", "collision"],
     )
     def test_divergence_to_overflow_exits_two(self, tmp_path, capsys, payload, iterations):
         cfg = write_cfg(tmp_path, payload)
@@ -161,7 +188,7 @@ class TestPicardCommand:
             "fixed_point": None,
             "halt": "domain_escape",
             "iterations": 3,
-            "schema": 2,
+            "schema": 3,
         }
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0", "1", "2", "3"]
@@ -224,6 +251,17 @@ class TestPicardCommand:
         assert capsys.readouterr().err == ""
         assert json.loads((out / "certificate.json").read_text())["converged"] is False
 
+    def test_overflowing_intermediate_entry_writes_every_row(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, OVERFLOWING_ENTRY)
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "1", "2", "3"]
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["halt"] == "stop_c"
+        assert cert["certificate"]["status"] == "heuristic"
+
     def test_weierstrass_stalled_wilkinson_exits_zero_at_the_noise_floor(self, tmp_path, capsys):
         poly = Polynomial(WILKINSON_12["coefficients"])
         cfg = write_cfg(
@@ -285,8 +323,19 @@ def trace_rows(path):
     return header, rows
 
 
-# certificate.json family -> trace.csv column prefix.
-FAMILY_COLUMNS = {"apriori": "apriori_", "apost_forward": "apost_fwd_", "apost_backward": "apost_bwd_"}
+def trace_steps(path):
+    """The step cells of a trace.csv, as one Vec per row that has them.
+
+    The step block ends every row, and the last row's cells are empty.
+    """
+    header, rows = trace_rows(path)
+    cols = [j for j, name in enumerate(header) if name.startswith("step_d")]
+    assert cols == list(range(len(header) - len(cols), len(header)))
+    assert [rows[-1][j] for j in cols] == [""] * len(cols)
+    return [Vec([float(row[j]) for j in cols]) for row in rows[:-1]]
+
+
+FAMILIES = ("apriori", "apost_forward", "apost_backward")
 # Roots {0, +-1, +-2, +-i}: from the default starts the tail begins at iterate 10.
 SEPTIC = {"coefficients": [0.0, 4.0, 0.0, -1.0, 0.0, -4.0, 0.0, 1.0]}
 # A diagonal affine map with no lambda: its factor is estimated.
@@ -297,6 +346,21 @@ AFFINE_ESTIMATED = {
 }
 
 
+def library_certificate(command):
+    """The certificate the library gives for the estimated configs above."""
+    if command == "roots":
+        return solve_roots(Polynomial(SEPTIC["coefficients"])).certificate
+    problem = Problem(
+        # The CLI's affine map, row sums in the same order.
+        map_fn=lambda x: (0.5 * x[0] + 0.0 * x[1] + 1.0, 0.0 * x[0] + 0.25 * x[1] + 0.3),
+        x0=(0.0, 0.0),
+        metric=WeightedConeMetric([1.0, 1.0]),
+        gauge=GaugeNorm(SpaceSpec(2, Vec.ones(2))),
+        stop_c=Vec([1e-10, 1e-10]),
+    )
+    return run_picard(problem).certificate
+
+
 class TestCertificateSchema:
     @pytest.mark.parametrize(
         "command, payload, source",
@@ -304,29 +368,39 @@ class TestCertificateSchema:
         ids=["picard-given", "picard-estimated", "roots-tail"],
     )
     def test_final_entries_are_the_last_trace_cells(self, tmp_path, command, payload, source):
+        """Each final entry is a closed form of ``lambda_used`` and the step
+        cells of ``trace.csv``, so the table needs no bound columns."""
         out = tmp_path / "out"
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 0
         cert = json.loads((out / "certificate.json").read_text())["certificate"]
         assert cert["lambda_source"] == source
-        header, rows = trace_rows(out / "trace.csv")
-        for family, prefix in FAMILY_COLUMNS.items():
-            cols = [j for j, name in enumerate(header) if name.startswith(prefix)]
-            filled = [k for k, row in enumerate(rows) if all(row[j] for j in cols)]
+        steps = trace_steps(out / "trace.csv")
+        lam = cert["lambda_used"]
+        if source == "given":
             # apriori and apost_backward bound the last iterate, apost_forward the one before.
-            assert filled[-1] == len(rows) - (2 if family == "apost_forward" else 1)
-            last = [float(rows[filled[-1]][j]) for j in cols]
+            expected = {
+                "apriori": apriori_bound(len(steps), lam, steps[0]),
+                "apost_forward": apost_forward_bound(steps[-1], lam),
+                "apost_backward": apost_backward_bound(steps[-1], lam),
+            }
+        else:
+            lib = library_certificate(command)
+            assert lib.lambda_used == lam
+            assert [s.coords for s in lib.steps] == [s.coords for s in steps[lib.start :]]
+            expected = {family: getattr(lib, family)[-1] for family in FAMILIES}
+        for family in FAMILIES:
             assert len(cert[family]) == 1
-            assert [c.hex() for c in cert[family][0]] == [c.hex() for c in last]
+            assert [c.hex() for c in cert[family][0]] == [c.hex() for c in expected[family].coords]
 
     @pytest.mark.parametrize(
         "command, payload, code",
         [("picard", HALVE, 0), ("picard", EXPANDING, 2), ("picard", ESCAPING, 2), ("roots", CUBIC_ROOTS, 0)],
         ids=["picard", "picard-unconverged", "picard-escape", "roots"],
     )
-    def test_every_certificate_names_schema_2(self, tmp_path, capsys, command, payload, code):
+    def test_every_certificate_names_its_schema(self, tmp_path, capsys, command, payload, code):
         out = tmp_path / "out"
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == code
-        assert json.loads((out / "certificate.json").read_text())["schema"] == 2
+        assert json.loads((out / "certificate.json").read_text())["schema"] == 3
 
 
 class TestInputErrors:
@@ -460,6 +534,17 @@ class TestRootsCommand:
         rows = blobs[0]["trace.csv"].decode().splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith("0,")
 
+
+    def test_colliding_iterates_exit_two_with_artifacts(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COLLIDING_STARTS)
+        out = tmp_path / "out"
+        assert main(["roots", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "report.json", "trace.csv"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["halt"] == "overflow"
+        assert report["roots"] is None
+        assert len((out / "trace.csv").read_text().splitlines()) == 3
 
     def test_stalled_wilkinson_exits_zero_at_the_noise_floor(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, WILKINSON_12)

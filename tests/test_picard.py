@@ -107,6 +107,14 @@ class TestRecords:
         with pytest.raises(TypeError, match="^stop_c must be a Vec, got tuple$"):
             halve_problem(stop_c=(1e-10,))
 
+    def test_problem_gauge_must_be_a_gauge_norm(self):
+        with pytest.raises(TypeError, match="^gauge must be a GaugeNorm, got SpaceSpec$"):
+            halve_problem(gauge=SpaceSpec(1, ONES))
+
+    def test_problem_metric_needs_a_dimension(self):
+        with pytest.raises(TypeError, match="^metric must be a cone metric, got list$"):
+            halve_problem(metric=[1.0])
+
     def test_problem_fields_stay_assignable(self):
         p = halve_problem()
         p.max_iter = 3
@@ -558,13 +566,17 @@ class TestTraceCsv:
         buffers = []
         for _ in range(2):
             buf = io.StringIO()
-            write_trace_csv(buf, result.trace, result.certificate, W1)
+            write_trace_csv(buf, result.trace, W1)
             buffers.append(buf.getvalue())
         assert buffers[0] == buffers[1]
         lines = buffers[0].splitlines()
-        assert lines[0] == "iter,x0,step_d0,apriori_0,apost_fwd_0,apost_bwd_0"
-        assert lines[1].startswith("0,1,0.5,1,1,")
+        assert lines[0] == "iter,x0,step_d0"
+        assert lines[1] == "0,1,0.5"
+        assert lines[-1].endswith(",")  # no step leaves the last iterate
         assert len(lines) == len(result.trace.iterates) + 1
+        # Iterate 0's bounds stay in the library.
+        cert = result.certificate
+        assert cert.apriori[0].coords == cert.apost_forward[0].coords == (1.0,)
 
     def test_complex_columns(self):
         inst = WeightedConeMetric([1.0], field="complex")
@@ -578,9 +590,9 @@ class TestTraceCsv:
         )
         result = run_picard(p)
         buf = io.StringIO()
-        write_trace_csv(buf, result.trace, result.certificate, inst)
+        write_trace_csv(buf, result.trace, inst)
         header = buf.getvalue().splitlines()[0]
-        assert header.startswith("iter,x0_re,x0_im,step_d0")
+        assert header == "iter,x0_re,x0_im,step_d0"
 
 
 # -- halting and step-contraction decisions against the per-iteration forms --
@@ -728,65 +740,53 @@ class TestHaltingDecision:
 # -- trace.csv bytes against the csv.writer loop it replaced --
 
 
-def csv_writer_trace(fh, trace, cert, inst):
-    """The csv.writer table as first written, with every bound taken from
-    the public closed forms."""
+def csv_writer_trace(fh, trace, inst):
+    """The csv.writer table of points and steps, as first written."""
     fmt = lambda v: format(float(v), ".17g")  # noqa: E731
     complex_field = isinstance(inst, WeightedConeMetric) and inst.field == "complex"
-    m = inst.dim
     writer = csv.writer(fh, lineterminator="\n")
     width = len(tuple(trace.iterates[0]))
     if complex_field:
         header = [f"x{j}_{part}" for j in range(width) for part in ("re", "im")]
     else:
         header = [f"x{j}" for j in range(width)]
-    for name in ("step_d", "apriori_", "apost_fwd_", "apost_bwd_"):
-        header += [f"{name}{j}" for j in range(m)]
+    header += [f"step_d{j}" for j in range(inst.dim)]
     writer.writerow(["iter"] + header)
-    blank = [""] * m
     steps = trace.step_dists
     for n, point in enumerate(trace.iterates):
         row = [str(n)]
         for c in point:
             row += [fmt(c.real), fmt(c.imag)] if complex_field else [fmt(c)]
-        row += [fmt(c) for c in steps[n]] if n < len(steps) else blank
-        k = n - cert.start if cert is not None else -1
-        if k >= 0:
-            lam, own = cert.lambda_used, cert.steps
-            row += [fmt(c) for c in apriori_bound(k, lam, own[0])] if k <= len(own) else blank
-            row += [fmt(c) for c in apost_forward_bound(own[k], lam)] if k < len(own) else blank
-            row += [fmt(c) for c in apost_backward_bound(own[k - 1], lam)] if 1 <= k <= len(own) else blank
-        else:
-            row += blank * 3
+        row += [fmt(c) for c in steps[n]] if n < len(steps) else [""] * inst.dim
         writer.writerow(row)
 
 
-def written(writer, trace, cert, inst):
+def written(writer, trace, inst):
     """Text written and the error raised, if any (rows before it stay)."""
     buf = io.StringIO()
     try:
-        writer(buf, trace, cert, inst)
+        writer(buf, trace, inst)
     except Exception as exc:
         return buf.getvalue(), type(exc), str(exc)
     return buf.getvalue(), None, None
 
 
-def synthetic_trace(field, points, steps, start, lam):
-    m = len(steps[0])
-    inst = WeightedConeMetric([1.0] * m, field=field)
-    trace = IterationTrace(iterates=points, step_dists=[Vec(s) for s in steps])
-    cert = None
-    if start is not None:
-        cert = Certificate(
-            lambda_used=lam,
-            lambda_source="given",
-            radius_r=Vec([1.0] * m),
-            steps=trace.step_dists[start:],
-            status="heuristic",
-            residual=None,
-            start=start,
-        )
-    return trace, cert, inst
+def synthetic_trace(field, points, steps):
+    inst = WeightedConeMetric([1.0] * len(steps[0]), field=field)
+    return IterationTrace(iterates=points, step_dists=[Vec(s) for s in steps]), inst
+
+
+def tail_certificate(trace, start, lam):
+    """A certificate over the trace's steps from ``start`` on."""
+    return Certificate(
+        lambda_used=lam,
+        lambda_source="given",
+        radius_r=Vec([1.0] * len(trace.step_dists[0])),
+        steps=trace.step_dists[start:],
+        status="heuristic",
+        residual=None,
+        start=start,
+    )
 
 
 @st.composite
@@ -800,8 +800,7 @@ def synthetic_traces(draw):
         coord = st.builds(complex, any_float, any_float)
     points = draw(st.lists(st.tuples(*[coord] * m), min_size=k + 1, max_size=k + 1))
     steps = draw(st.lists(st.lists(any_float, min_size=m, max_size=m), min_size=k, max_size=k))
-    start = draw(st.none() | st.integers(0, k - 1))
-    return synthetic_trace(field, points, steps, start, draw(factor))
+    return synthetic_trace(field, points, steps)
 
 
 class TestTraceCsvBytes:
@@ -816,39 +815,55 @@ class TestTraceCsvBytes:
         else:
             points = [tuple(complex(a, b) for a, b in zip(v, v[::-1]))] * 8
         steps = [[abs(c) for c in v[i:] + v[:i]] for i in range(7)]
-        trace, cert, inst = synthetic_trace(field, points, steps, start, 0.25)
-        text, error, _ = written(write_trace_csv, trace, cert, inst)
+        trace, inst = synthetic_trace(field, points, steps)
+        text, error, _ = written(write_trace_csv, trace, inst)
         assert error is None
-        assert written(csv_writer_trace, trace, cert, inst) == (text, None, None)
-        last = text.splitlines()[-1].split(",")
+        assert written(csv_writer_trace, trace, inst) == (text, None, None)
+        header, *rows = [line.split(",") for line in text.splitlines()]
         m, width = 4, 4 if field == "real" else 8
-        assert last[1 + width : 1 + width + m] == [""] * m  # no step after the last iterate
-        bounds = last[1 + width + m :]
+        assert len(header) == 1 + width + m  # points and steps, no bound columns
+        assert rows[-1][1 + width :] == [""] * m  # no step after the last iterate
         if start is None:
-            assert bounds == [""] * (3 * m)
-        else:
-            assert bounds[m : 2 * m] == [""] * m and "" not in bounds[:m] + bounds[2 * m :]
+            return
+        # The bounds stay in the library, and the step cells read back from
+        # the table rebuild every entry, from row ``start`` on.
+        read = [Vec([float(c) for c in row[1 + width :]]) for row in rows[:-1]]
+        assert [bits(s) for s in read] == [bits(s) for s in trace.step_dists]
+        cert = tail_certificate(trace, start, 0.25)
+        for name, ref in eager_families(read[start:], 0.25).items():
+            assert [bits(e) for e in getattr(cert, name)] == [bits(e) for e in ref]
+        # apriori bounds rows start..last, apost_backward rows start+1..last.
+        assert len(cert.apriori) == len(rows) - start
+        assert len(cert.apost_backward) == len(rows) - start - 1
 
-    def test_overflowing_entry_raises_on_its_row(self):
-        trace, cert, inst = synthetic_trace("real", [(0.0,)] * 3, [[1e308], [1e308]], 0, 0.75)
-        text, error, message = written(write_trace_csv, trace, cert, inst)
-        assert error is NonFiniteError and message == "non-finite coordinate: inf"
-        assert text.count("\n") == 1  # the header only: row 0's apriori overflows
-        assert written(csv_writer_trace, trace, cert, inst) == (text, error, message)
+    def test_overflowing_bound_leaves_the_table_whole(self):
+        """The table holds no bounds, so an entry that overflows stops no row."""
+        trace, inst = synthetic_trace("real", [(0.0,)] * 3, [[1e308], [1e308]])
+        with pytest.raises(NonFiniteError, match="non-finite coordinate: inf"):
+            tail_certificate(trace, 0, 0.75).apriori[0]
+        text, error, _ = written(write_trace_csv, trace, inst)
+        assert error is None
+        assert text.splitlines()[1:] == ["0,0,1e+308", "1,0,1e+308", "2,0,"]
+        assert written(csv_writer_trace, trace, inst) == (text, None, None)
 
     def test_points_that_are_not_floats(self):
-        """Point coordinates go through float() first, as with format()."""
+        """Point coordinates go through float() first, as with format().  A
+        discrete metric's points can change width, and each row keeps its own."""
         inst = DiscreteConeMetric(Vec([1.0, 1.0]))
         points = [(1, Fraction(1, 3)), ("0.5", True), ("-0", 2**60)]
         trace = IterationTrace(iterates=points, step_dists=[Vec([1.0, 1.0])] * 2)
-        text, error, _ = written(write_trace_csv, trace, None, inst)
-        assert error is None and text.splitlines()[1].startswith("0,1,0.33333333333333331,")
-        assert written(csv_writer_trace, trace, None, inst) == (text, None, None)
+        text, error, _ = written(write_trace_csv, trace, inst)
+        assert error is None and text.splitlines()[1] == "0,1,0.33333333333333331,1,1"
+        assert written(csv_writer_trace, trace, inst) == (text, None, None)
+        ragged = IterationTrace(iterates=[(1.0, 2.0, 3.0), (0.5,)], step_dists=[Vec([1.0, 1.0])])
+        text, error, _ = written(write_trace_csv, ragged, inst)
+        assert error is None and text.splitlines()[1:] == ["0,1,2,3,1,1", "1,0.5,,"]
+        assert written(csv_writer_trace, ragged, inst) == (text, None, None)
         bad = IterationTrace(iterates=[("x", 1.0)], step_dists=[])
-        assert written(write_trace_csv, bad, None, inst) == written(csv_writer_trace, bad, None, inst)
+        assert written(write_trace_csv, bad, inst) == written(csv_writer_trace, bad, inst)
 
     @settings(max_examples=400, deadline=None)
     @given(synthetic_traces())
     def test_same_bytes_as_the_csv_writer_loop(self, case):
-        trace, cert, inst = case
-        assert written(write_trace_csv, trace, cert, inst) == written(csv_writer_trace, trace, cert, inst)
+        trace, inst = case
+        assert written(write_trace_csv, trace, inst) == written(csv_writer_trace, trace, inst)

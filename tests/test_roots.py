@@ -1,6 +1,4 @@
 import cmath
-import csv
-import io
 import itertools
 import math
 import random
@@ -17,7 +15,6 @@ from conecert.picard import (
     apost_forward_bound,
     run_picard,
     verify_step_contraction,
-    write_trace_csv,
 )
 from conecert.roots import (
     ComparisonReport,
@@ -130,6 +127,19 @@ class TestWeierstrassStep:
         with pytest.raises(NonFiniteError, match="denominator underflowed") as info:
             weierstrass_map(CUBIC)(z)
         assert isinstance(info.value, ArithmeticError)
+
+    def test_map_reports_coincident_approximations_as_non_finite(self):
+        # Around the double root 1, one sweep moves 0 onto the other start.
+        double = Polynomial([1.0, -2.0, 1.0])
+        z = weierstrass_map(double)((1 + 0j, 0j))
+        assert z == (1 + 0j, 1 + 0j)
+        with pytest.raises(ValueError, match="coincident entries at positions 0 and 1"):
+            weierstrass_step(double, z)
+        with pytest.raises(NonFiniteError, match="two approximations coincide"):
+            weierstrass_map(double)(z)
+        # Other input errors still raise as the sweep does.
+        with pytest.raises(ValueError, match="3 approximations for degree 2"):
+            weierstrass_map(double)((1.0, 2.0, 3.0))
 
     @settings(max_examples=100)
     @given(
@@ -293,6 +303,13 @@ class TestSolveRoots:
         assert result.roots is None
         assert result.certificate is None
         assert len(result.trace.iterates) == 1
+
+    def test_colliding_iterates_end_unconverged(self):
+        result = solve_roots(Polynomial([1.0, -2.0, 1.0]), z0=(1.0, 0.0))
+        assert (result.converged, result.halt) == (False, "overflow")
+        assert result.roots is None
+        assert result.certificate is None
+        assert result.trace.iterates[-1] == (1 + 0j, 1 + 0j)
 
     def test_estimated_certificate_is_heuristic(self):
         result = solve_roots(CUBIC, z0=(1.3, 1.8, 3.4))
@@ -509,24 +526,19 @@ class TestTailTraceCsv:
         cert = result.certificate
         start = result.tail_start
         assert result.converged and start == 10 and cert.start == start
-        buf = io.StringIO()
-        write_trace_csv(buf, result.trace, cert, WeightedConeMetric([1.0] * 7, field="complex"))
-        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
-        assert len(rows) == len(result.trace.iterates)
-        for n, row in enumerate(rows):
-            cells = {
-                fam: [row[f"{fam}_{j}"] for j in range(7)]
-                for fam in ("apriori", "apost_fwd", "apost_bwd")
-            }
-            if n < start:
-                assert all(c == "" for col in cells.values() for c in col)
-                continue
+        iterates = result.trace.iterates
+        n_last = len(iterates) - 1
+        assert (len(cert.apriori), len(cert.apost_forward)) == (n_last - start + 1, n_last - start)
+        # Entry k of apriori and apost_forward bounds iterate start + k, and
+        # entry k - 1 of apost_backward bounds it too.
+        for n in range(start, n_last + 1):
             k = n - start
-            assert [float(c) for c in cells["apriori"]] == list(cert.apriori[k].coords)
-            if n == start:
-                assert cells["apost_bwd"] == [""] * 7
+            bounds = [cert.apriori[k]]
+            if k < len(cert.apost_forward):
+                bounds.append(cert.apost_forward[k])
+            if k >= 1:
+                bounds.append(cert.apost_backward[k - 1])
             # Each bound must dominate the distance to the nearest true root.
-            nearest = [min(abs(z - w) for w in self.ROOTS) for z in result.trace.iterates[n]]
-            for col in cells.values():
-                if col[0]:
-                    assert all(float(c) >= d for c, d in zip(col, nearest))
+            nearest = [min(abs(z - w) for w in self.ROOTS) for z in iterates[n]]
+            for bound in bounds:
+                assert all(c >= d for c, d in zip(bound.coords, nearest))
