@@ -1,6 +1,7 @@
 """Per-layer micro-benchmarks: ``Vec``, the order predicates, metric distance,
-the gauge, the Picard engine, the artifact writers, the CLI's fixed cost and
-a whole ``picard`` call, the CLI's import, and the axiom suites.
+the gauge, record construction, the Picard engine, the artifact writers, the
+CLI's fixed cost and a whole ``picard`` call, the CLI's import, and the axiom
+suites.
 
 One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``run_picard`` call per way of getting the factor, and one
@@ -40,7 +41,8 @@ from conecert import GaugeNorm, Polynomial, Problem, SpaceSpec, mink_norm, run_p
 from conecert.axioms import run_all
 from conecert.cli import main
 from conecert.metrics import WeightedConeMetric
-from conecert.picard import certificate_to_dict, write_trace_csv
+from conecert.picard import Certificate, certificate_to_dict, write_trace_csv
+from conecert.roots import ComparisonRow
 from conecert.solid import Vec, leq, lt
 
 SIZES = (2, 50, 200)
@@ -132,6 +134,26 @@ def test_validate_point(benchmark, field, n):
     inst = WeightedConeMetric([1.0] * n, field=field)
     x, _ = points(field, n)
     benchmark(inst.validate_point, x)
+
+
+@pytest.mark.parametrize("record", ["certificate", "comparison_row"])
+def test_record_init(benchmark, record):
+    """One record built by the shared constructor: a ``Certificate`` by
+    position with its default ``start``, a ``ComparisonRow`` by keyword."""
+    v = Vec(coords(2, 0.5))
+    if record == "certificate":
+        benchmark(Certificate, 0.5, "given", v, [v], "certified", None)
+    else:
+        benchmark(
+            lambda: ComparisonRow(
+                iteration=0,
+                componentwise=v,
+                scalar_value=1.0,
+                broadcast=v,
+                exceeded=False,
+                strict_improvement=True,
+            )
+        )
 
 
 def diagonal_problem(n=200, lam=0.9):

@@ -8,8 +8,6 @@ from .metrics import (
     PlusConeMetric,
     WeightedConeMetric,
     ball_contains,
-    cauchy_bound_check,
-    domination_check,
     inequality_transfer_check,
     nested_ball_probe,
     scalarize,

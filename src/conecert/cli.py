@@ -19,14 +19,17 @@ single-threaded and all emitted files are byte-identical for identical
 config and seed.
 
 Importing this module (or the package) loads neither ``dataclasses`` nor
-``inspect``: the package's record types are plain slotted classes, and
-``cmd_axioms`` imports ``axioms``, whose two dataclasses stay, when it runs.
+``inspect``: the package's record types are plain slotted classes whose
+constructors ``solid._Record`` builds from ``__slots__``, and ``cmd_axioms``
+imports ``axioms``, whose two dataclasses stay, when it runs.
 
 This module is the only one that knows the config format.  Each JSON value
 kind has one reader here, and every config value passes through one of them:
-a number is a finite JSON number, never a string or a boolean; a count is a
-whole number (``1000.0`` reads as 1000); a complex scalar is a number or
-``[re, im]``; NaN and Infinity are rejected; an optional key set to null
+a number is a finite JSON number, never a string or a boolean; a count
+(``max_iter``, a ``plus`` metric's ``n``) is a whole number (``1000.0`` reads
+as 1000); a complex scalar is a number or ``[re, im]``; an affine map's
+``x0`` and ``roots``' ``weights`` are checked against the matrix size and the
+degree; NaN and Infinity are rejected; an optional key set to null
 reads like an absent key, while a null ``--stop-c`` is rejected.
 """
 
@@ -179,7 +182,7 @@ def instance_from_json(obj) -> ConeMetric:
     if kind in ("plus", "plus_metric"):
         if "n" not in obj:
             raise ValueError('plus instance needs a dimension "n"')
-        return PlusConeMetric(obj["n"])
+        return PlusConeMetric(_count(obj["n"], "n"))
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
@@ -225,12 +228,17 @@ def _out_dir(args) -> Path:
     return Path(out)
 
 
-def _affine_map(matrix, offset):
+def _affine_map(matrix, offset, x0):
     rows = [_numbers(row, "matrix") for row in _array(matrix, "matrix")]
     c = _numbers(offset, "offset")
     n = len(c)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("affine map needs a square matrix matching the offset length")
+    if len(x0) > n:
+        raise ValueError(f'"x0" has {len(x0)} coordinates, but the affine "matrix" is {n}x{n}')
+    if len(x0) < n:
+        # The image would not fit the point; worded as a metric rejects it.
+        raise ValueError(f"point has {n} coordinates, expected {len(x0)}")
 
     def apply(x):
         return tuple([sum(map(mul, row, x)) + ci for row, ci in zip(rows, c)])
@@ -238,7 +246,7 @@ def _affine_map(matrix, offset):
     return apply
 
 
-def _map_from_config(spec: dict, inst: ConeMetric):
+def _map_from_config(spec: dict, inst: ConeMetric, x0):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ValueError('map config needs a "name" field')
     name = spec["name"]
@@ -247,7 +255,7 @@ def _map_from_config(spec: dict, inst: ConeMetric):
     if name == "affine":
         if "matrix" not in spec or "offset" not in spec:
             raise ValueError('affine map needs "matrix" and "offset"')
-        return _affine_map(spec["matrix"], spec["offset"])
+        return _affine_map(spec["matrix"], spec["offset"], x0)
     if name == "weierstrass":
         if "coefficients" not in spec:
             raise ValueError('weierstrass map needs "coefficients"')
@@ -281,7 +289,7 @@ def _problem_from_config(cfg: dict, args) -> Problem:
             closed=True,
         )
     return Problem(
-        map_fn=_map_from_config(cfg["map"], inst),
+        map_fn=_map_from_config(cfg["map"], inst, x0),
         x0=x0,
         metric=inst,
         gauge=gauge,
@@ -356,9 +364,13 @@ def cmd_roots(args) -> int:
     if poly.degree > MAX_CLI_DEGREE:
         raise ValueError(f"degree {poly.degree} exceeds the CLI cap of {MAX_CLI_DEGREE}")
     weights = _optional(cfg, "weights")
-    metric = WeightedConeMetric(
-        (1.0,) * poly.degree if weights is None else _numbers(weights, "weights"), field="complex"
-    )
+    weights = (1.0,) * poly.degree if weights is None else _numbers(weights, "weights")
+    if len(weights) != poly.degree:
+        raise ValueError(
+            f'"weights" needs one entry per root of the degree-{poly.degree} polynomial, '
+            f"got {len(weights)}"
+        )
+    metric = WeightedConeMetric(weights, field="complex")
     z0 = _optional(cfg, "z0")
     if z0 is not None:
         z0 = parse_point(metric, z0, "z0")

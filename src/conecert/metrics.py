@@ -7,15 +7,15 @@ Three concrete instances are provided:
 * discrete: d(x, y) = a for x != y, zero otherwise, over an arbitrary set,
 * plus: d(x, y) = x + y for x != y, zero otherwise, on the positive cone.
 
-On top of them: scalarization through the gauge, cone balls, Cauchy-window
-and domination checks, scalar inequality transfer, and a nested-ball probe.
+On top of them: scalarization through the gauge, cone balls, scalar
+inequality transfer, and a nested-ball probe.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .gauge import GaugeNorm, mink_norm
 from .solid import (
@@ -37,8 +37,6 @@ __all__ = [
     "Ball",
     "scalarize",
     "ball_contains",
-    "cauchy_bound_check",
-    "domination_check",
     "inequality_transfer_check",
     "nested_ball_probe",
 ]
@@ -186,9 +184,7 @@ class Ball(_FrozenRecord):
                 raise ValueError("closed ball radius must lie in the cone")
         elif not in_interior(radius):
             raise ValueError("open ball radius must lie in the cone interior")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "closed", closed)
+        super().__init__(center, radius, closed)
 
 
 def scalarize(inst: ConeMetric, g: GaugeNorm, x, y) -> float:
@@ -199,49 +195,6 @@ def scalarize(inst: ConeMetric, g: GaugeNorm, x, y) -> float:
 def ball_contains(ball: Ball, inst: ConeMetric, x) -> bool:
     d = inst.distance(x, ball.center)
     return leq(d, ball.radius) if ball.closed else lt(d, ball.radius)
-
-
-def cauchy_bound_check(
-    distances: Mapping[tuple[int, int], Vec], bound: Sequence[Vec]
-) -> bool:
-    """True iff every recorded pair distance sits under its window bound.
-
-    ``distances`` maps index pairs (n, m) with n <= m to cone distances and
-    ``bound[n]`` dominates every pair starting at n.  An index outside the
-    bound list or a reversed pair is an input error, not a failure.
-    """
-    for (n, m), d in distances.items():
-        if n < 0 or m < n:
-            raise ValueError(f"bad index pair ({n}, {m})")
-        if n >= len(bound):
-            raise ValueError(f"no bound entry for index {n}")
-        if not leq(d, bound[n]):
-            return False
-    return True
-
-
-def domination_check(
-    dxn: Sequence[Vec],
-    bn: Sequence[Vec],
-    alpha: float = 0.0,
-    dyn: Sequence[Vec] | None = None,
-    beta: float = 0.0,
-    dzn: Sequence[Vec] | None = None,
-) -> bool:
-    """Termwise check of d_x[k] <= b[k] + alpha*d_y[k] + beta*d_z[k]."""
-    k = len(dxn)
-    for name, seq in (("bn", bn), ("dyn", dyn), ("dzn", dzn)):
-        if seq is not None and len(seq) != k:
-            raise ValueError(f"{name} has length {len(seq)}, expected {k}")
-    for i in range(k):
-        rhs = bn[i]
-        if dyn is not None:
-            rhs = rhs + alpha * dyn[i]
-        if dzn is not None:
-            rhs = rhs + beta * dzn[i]
-        if not leq(dxn[i], rhs):
-            return False
-    return True
 
 
 def inequality_transfer_check(

@@ -123,14 +123,7 @@ class Problem(_Record):
             lam = _check_lambda(lam)
         if isinstance(domain, Ball) and not domain.closed:
             raise ValueError("a ball domain must be closed")
-        self.map_fn = map_fn
-        self.x0 = x0
-        self.metric = metric
-        self.gauge = gauge
-        self.stop_c = stop_c
-        self.max_iter = max_iter
-        self.lam = lam
-        self.domain = domain
+        super().__init__(map_fn, x0, metric, gauge, stop_c, max_iter, lam, domain)
 
 
 class IterationTrace(_Record):
@@ -176,8 +169,13 @@ class _BoundFamily(Sequence):
 class Certificate(_Record):
     """Factor, status and steps of a run; the bound families derive from them.
 
-    ``apriori``, ``apost_forward`` and ``apost_backward`` are read-only
-    sequences whose entry k is :func:`apriori_bound`,
+    ``lambda_source`` is ``"given"`` or ``"estimated"``, ``status``
+    ``"certified"``, ``"conditional"`` or ``"heuristic"``, ``radius_r`` entry
+    0 of ``apriori`` and ``residual`` :func:`residual_check` at the last
+    iterate, or None when that failed.  ``steps`` holds d(x_k, x_{k+1}) for
+    k >= ``start``, the first iterate the families cover (0, the default, for
+    a given factor).  ``apriori``, ``apost_forward`` and ``apost_backward``
+    are read-only sequences whose entry k is :func:`apriori_bound`,
     :func:`apost_forward_bound` or :func:`apost_backward_bound` of
     (``lambda_used``, ``steps``) called when it is read, so building a
     certificate costs no per-iterate bound work.
@@ -186,24 +184,7 @@ class Certificate(_Record):
     __slots__ = (
         "lambda_used", "lambda_source", "radius_r", "steps", "status", "residual", "start"
     )
-
-    def __init__(
-        self,
-        lambda_used: float,
-        lambda_source: str,  # "given" | "estimated"
-        radius_r: Vec,
-        steps: list[Vec],  # step distances d(x_k, x_{k+1}) for k >= start
-        status: str,  # "certified" | "conditional" | "heuristic"
-        residual: Optional[Vec],
-        start: int = 0,  # first iterate the families cover; 0 for a given factor
-    ):
-        self.lambda_used = lambda_used
-        self.lambda_source = lambda_source
-        self.radius_r = radius_r
-        self.steps = steps
-        self.status = status
-        self.residual = residual
-        self.start = start
+    _defaults = {"start": 0}
 
     @property
     def apriori(self) -> _BoundFamily:
@@ -237,21 +218,14 @@ def _backward_factor(lam: float) -> float:
 
 
 class PicardResult(_Record):
-    __slots__ = ("trace", "certificate", "fixed_point", "converged", "halt")
+    """The trace of a run, its certificate (or None) and how it ended.
 
-    def __init__(
-        self,
-        trace: IterationTrace,
-        certificate: Optional[Certificate],
-        fixed_point: object,
-        converged: bool,
-        halt: str,  # "stop_c" | "noise_floor" | "max_iter" | "overflow" | "domain_escape"
-    ):
-        self.trace = trace
-        self.certificate = certificate
-        self.fixed_point = fixed_point
-        self.converged = converged
-        self.halt = halt
+    ``fixed_point`` is the returned point, or None.  ``halt`` names the
+    cause: ``"stop_c"``, ``"noise_floor"``, ``"max_iter"``, ``"overflow"`` or
+    ``"domain_escape"``.
+    """
+
+    __slots__ = ("trace", "certificate", "fixed_point", "converged", "halt")
 
 
 def apriori_bound(n: int, lam: float, d01: Vec) -> Vec:

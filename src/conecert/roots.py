@@ -31,7 +31,6 @@ from typing import Callable, Optional, Sequence
 from .gauge import GaugeNorm, mink_norm
 from .metrics import WeightedConeMetric
 from .picard import (
-    Certificate,
     IterationTrace,
     Problem,
     _forward_factor,
@@ -168,26 +167,12 @@ def weierstrass_map(p: Polynomial):
 
 
 class ComparisonRow(_Record):
+    """One step's componentwise bound against the scalar bound broadcast back."""
+
     __slots__ = (
         "iteration", "componentwise", "scalar_value", "broadcast", "exceeded",
         "strict_improvement",
     )
-
-    def __init__(
-        self,
-        iteration: int,
-        componentwise: Vec,
-        scalar_value: float,
-        broadcast: Vec,
-        exceeded: bool,
-        strict_improvement: bool,
-    ):
-        self.iteration = iteration
-        self.componentwise = componentwise
-        self.scalar_value = scalar_value
-        self.broadcast = broadcast
-        self.exceeded = exceeded
-        self.strict_improvement = strict_improvement
 
 
 class ComparisonReport(_Record):
@@ -231,46 +216,21 @@ def compare_bounds(
         broadcast = scalar * base
         exceeded = any(c > b for c, b in zip(comp.coords, broadcast.coords))
         improved = any(c < b for c, b in zip(comp.coords, broadcast.coords))
-        report.rows.append(
-            ComparisonRow(
-                iteration=k,
-                componentwise=comp,
-                scalar_value=scalar,
-                broadcast=broadcast,
-                exceeded=exceeded,
-                strict_improvement=improved,
-            )
-        )
+        report.rows.append(ComparisonRow(k, comp, scalar, broadcast, exceeded, improved))
     return report
 
 
 class RootsResult(_Record):
+    """A root refinement: the roots, or None, with its certificate and report.
+
+    ``halt`` names the cause: ``"stop_c"``, ``"noise_floor"``, ``"max_iter"``
+    or ``"overflow"``.
+    """
+
     __slots__ = (
         "roots", "certificate", "report", "trace", "converged", "halt", "lambda_used",
         "tail_start", "residuals",
     )
-
-    def __init__(
-        self,
-        roots: Optional[tuple[complex, ...]],
-        certificate: Optional[Certificate],
-        report: ComparisonReport,
-        trace: IterationTrace,
-        converged: bool,
-        halt: str,  # "stop_c" | "noise_floor" | "max_iter" | "overflow"
-        lambda_used: Optional[float],
-        tail_start: int,
-        residuals: Optional[list[float]],
-    ):
-        self.roots = roots
-        self.certificate = certificate
-        self.report = report
-        self.trace = trace
-        self.converged = converged
-        self.halt = halt
-        self.lambda_used = lambda_used
-        self.tail_start = tail_start
-        self.residuals = residuals
 
 
 def _discs_disjoint(z: Sequence[complex], step: Vec, alpha: Sequence[float]) -> bool:

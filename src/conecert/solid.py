@@ -169,19 +169,51 @@ def lt(x: Vec, y: Vec) -> bool:
 
 
 class _Record:
-    """Field-wise ``==`` and ``repr`` for the package's plain record classes.
+    """Constructor, field-wise ``==`` and ``repr`` for the package's plain records.
 
-    A subclass lists its fields as ``__slots__`` in constructor order and
-    sets them in its own ``__init__``.  A slot whose name starts with ``_``
-    holds derived state and takes part in neither.  As with a dataclass,
+    A subclass declares its fields once, as ``__slots__``; a slot whose name
+    starts with ``_`` holds derived state and is not a field.  The
+    constructor binds the fields by position or keyword, in slot order, and
+    a trailing run of fields may fall back to the class's ``_defaults`` dict
+    (shared by every instance, so immutable values only).  A missing,
+    unknown, surplus or duplicate field raises ``TypeError`` naming the class
+    and the field.  Slots are set with ``object.__setattr__``, so frozen
+    subclasses use it too; a validating subclass checks its input in its own
+    ``__init__`` and passes the checked values on.  As with a dataclass,
     ``==`` compares the field tuples of two instances of the same class,
     ``repr`` names the class and each field, and the class is unhashable.
     """
 
     __slots__ = ()
+    _names: tuple = ()  # the public slots, in order: the fields
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._names = tuple([f for f in cls.__slots__ if f[0] != "_"])
+
+    def __init__(self, *args, **kwargs):
+        names = self._names
+        if len(args) > len(names):
+            cls = type(self).__qualname__
+            raise TypeError(f"{cls}() takes {len(names)} fields {names}, got {len(args)}")
+        set_ = object.__setattr__
+        for name, value in zip(names, args):
+            set_(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
+            set_(self, name, value)
+        for name in kwargs:
+            problem = "got field {!r} twice" if name in names else "has no field {!r}"
+            raise TypeError(f"{type(self).__qualname__}() {problem.format(name)}")
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__ if f[0] != "_"])
+        return tuple([getattr(self, f) for f in self._names])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -189,17 +221,14 @@ class _Record:
         return self._fields() == other._fields()
 
     def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_"
-        )
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._names)
         return f"{type(self).__qualname__}({fields})"
 
 
 class _FrozenRecord(_Record):
     """A :class:`_Record` that hashes by its fields and refuses assignment.
 
-    Its ``__init__`` sets the slots through ``object.__setattr__``; copies
-    and pickles are rebuilt through the constructor from the fields.
+    Copies and pickles are rebuilt through the constructor from the fields.
     """
 
     __slots__ = ()
@@ -235,8 +264,7 @@ class SpaceSpec(_FrozenRecord):
             raise ValueError(f"base vector has {len(base)} coordinates, expected {n}")
         if not in_interior(base):
             raise ValueError("base vector must be strictly positive")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "base", base)
+        super().__init__(n, base)
 
 
 def minorant_scale(vectors: Iterable[Vec], spec: SpaceSpec) -> float:

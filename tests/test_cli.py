@@ -778,6 +778,20 @@ WEIERSTRASS = {
     "x0": [0.5, 0.3],
     "metric": {"kind": "weighted", "alpha": [1.0, 1.0], "field": "complex"},
 }
+# Three coordinates everywhere; AFFINE_2X2 is a map for two.
+AFFINE_3D = {
+    "map": {"name": "affine", "matrix": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]], "offset": [0] * 3},
+    "x0": [1.0, 2.0, 3.0],
+    "metric": {"kind": "weighted", "alpha": [1.0, 1.0, 1.0]},
+    "lambda": 0.5,
+}
+AFFINE_2X2 = {"name": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [0, 0]}
+PLUS_2D = {
+    "map": {"name": "halve"},
+    "x0": [1.0, 2.0],
+    "metric": {"kind": "plus", "n": 2},
+    "lambda": 0.5,
+}
 INF = float("inf")  # json.dumps writes it as the literal Infinity
 
 
@@ -828,6 +842,12 @@ BAD_VALUES = [
     ("picard", AFFINE, ["map", "offset"], [True]),
     ("picard", HALVE, ["metric"], {"kind": "plus", "n": True}),
     ("picard", AFFINE, ["map", "offset"], [INF]),
+    # Each of these once failed late, or not at all, with a length mismatch.
+    ("picard", {**DISCRETE, "map": AFFINE["map"]}, ["x0"], [1, 2, 3]),
+    ("picard", DISCRETE, ["map"], AFFINE_2X2),
+    ("picard", AFFINE_3D, ["map"], AFFINE_2X2),
+    ("picard", {**AFFINE_3D, "map": AFFINE_2X2}, ["metric"], {"kind": "plus", "n": 3}),
+    ("roots", CUBIC_ROOTS, ["weights"], [1, 1]),
 ]
 
 
@@ -849,6 +869,54 @@ class TestConfigValues:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            (
+                "picard",
+                {**DISCRETE, "map": AFFINE["map"], "x0": [1, 2, 3]},
+                '"x0" has 3 coordinates, but the affine "matrix" is 1x1',
+            ),
+            # A wider matrix is worded as a metric rejects its image.
+            ("picard", {**DISCRETE, "map": AFFINE_2X2}, "point has 2 coordinates, expected 1"),
+            (
+                "picard",
+                {**AFFINE_3D, "map": AFFINE_2X2},
+                '"x0" has 3 coordinates, but the affine "matrix" is 2x2',
+            ),
+            (
+                "picard",
+                {**AFFINE_3D, "map": AFFINE_2X2, "metric": {"kind": "plus", "n": 3}},
+                '"x0" has 3 coordinates, but the affine "matrix" is 2x2',
+            ),
+            (
+                "roots",
+                {**CUBIC_ROOTS, "weights": [1, 1]},
+                '"weights" needs one entry per root of the degree-3 polynomial, got 2',
+            ),
+            (
+                "roots",
+                {"coefficients": CUBIC_ROOTS["coefficients"], "weights": [1, 1]},
+                '"weights" needs one entry per root of the degree-3 polynomial, got 2',
+            ),
+        ],
+        ids=["discrete", "discrete-wider", "weighted", "plus", "weights-z0", "weights"],
+    )
+    def test_length_mismatch_names_the_key(self, tmp_path, capsys, command, cfg, message):
+        path = write_cfg(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integral_float_dimension_reads_as_a_count(self, tmp_path, capsys):
+        runs = []
+        for tag, n in (("float", 2.0), ("int", 2)):
+            out = tmp_path / tag
+            cfg = write_cfg(tmp_path, with_key(PLUS_2D, ["metric", "n"], n), f"{tag}.json")
+            code = main(["picard", "--config", cfg, "--out", str(out)])
+            runs.append((code, capsys.readouterr(), artifacts(out)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
 
     def test_discrete_point_the_map_fixes_takes_one_zero_step(self, tmp_path):
         # The point is read as numbers, like the map's output, so d(x0, T x0)

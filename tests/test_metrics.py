@@ -13,8 +13,6 @@ from conecert.metrics import (
     PlusConeMetric,
     WeightedConeMetric,
     ball_contains,
-    cauchy_bound_check,
-    domination_check,
     inequality_transfer_check,
     nested_ball_probe,
     scalarize,
@@ -404,53 +402,6 @@ class TestBalls:
         assert not ball_contains(opened, inst, (1.0, 1.0))
         assert ball_contains(opened, inst, (0.5, -0.5))
         assert not ball_contains(closed, inst, (1.5, 0.0))
-
-
-class TestCauchyWindow:
-    def test_empty_is_true(self):
-        assert cauchy_bound_check({}, [])
-
-    def test_geometric_window_on_halving_trace(self):
-        # Trace of repeated halving started at (1, 1): d(x_n, x_m) along it
-        # is dominated by the geometric window 2 * (1/2)^n coordinatewise.
-        pts = [Vec([2.0**-k, 2.0**-k]) for k in range(12)]
-        inst = WeightedConeMetric([1.0, 1.0])
-        distances = {
-            (n, m): inst.distance(tuple(pts[n]), tuple(pts[m]))
-            for n in range(12)
-            for m in range(n, 12)
-        }
-        bound = [2.0 * 0.5**n * Vec([1.0, 1.0]) for n in range(12)]
-        assert cauchy_bound_check(distances, bound)
-
-    def test_violation_detected(self):
-        assert not cauchy_bound_check(
-            {(0, 1): Vec([3.0])}, [Vec([2.0]), Vec([1.0])]
-        )
-
-    def test_bad_indices(self):
-        with pytest.raises(ValueError):
-            cauchy_bound_check({(2, 1): Vec([0.0])}, [Vec([1.0])] * 3)
-        with pytest.raises(ValueError):
-            cauchy_bound_check({(5, 6): Vec([0.0])}, [Vec([1.0])] * 3)
-
-
-class TestDomination:
-    def test_examples(self):
-        assert domination_check([Vec([1, 1])], [Vec([2, 2])])
-        assert not domination_check([Vec([3, 1])], [Vec([2, 2])])
-        assert domination_check(
-            [Vec([1, 1])],
-            [Vec([0.5, 0.5])],
-            alpha=1.0,
-            dyn=[Vec([0.5, 0.5])],
-            beta=0.0,
-            dzn=[Vec([9, 9])],
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            domination_check([Vec([1])], [Vec([1])] * 2)
 
 
 class TestInequalityTransfer:

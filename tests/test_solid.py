@@ -1,17 +1,21 @@
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import conecert
 from conecert.cli import vec_from_json
 from conecert.solid import (
     NonFiniteError,
     SpaceSpec,
     Vec,
+    _Record,
     bounding_scale,
     in_cone,
     in_interior,
@@ -135,6 +139,74 @@ class TestSpaceSpec:
     def test_copies_and_pickles_equal_the_original(self):
         spec = SpaceSpec(2, Vec([1.0, 0.5]))
         assert copy.copy(spec) == copy.deepcopy(spec) == pickle.loads(pickle.dumps(spec)) == spec
+
+
+class _Triple(_Record):
+    __slots__ = ("a", "b", "_derived", "c")
+    _defaults = {"c": 3}
+
+
+class TestRecordConstructor:
+    """``_Record`` builds a record's constructor from its ``__slots__``."""
+
+    def test_positional_keyword_and_mixed_arguments(self):
+        t = _Triple(1, 2, 4)
+        assert (t.a, t.b, t.c) == (1, 2, 4)
+        assert _Triple(a=1, b=2, c=4) == _Triple(c=4, a=1, b=2) == t
+        assert _Triple(1, b=2, c=4) == _Triple(1, 2, c=4) == t
+
+    def test_a_trailing_field_falls_back_to_its_default(self):
+        assert _Triple(1, 2) == _Triple(b=2, a=1) == _Triple(1, 2, 3)
+        assert _Triple(1, 2).c == 3
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((1,), {}, "_Triple() missing field 'b'"),
+            ((), {"b": 2, "c": 3}, "_Triple() missing field 'a'"),
+            ((1, 2), {"d": 4}, "_Triple() has no field 'd'"),
+            ((1, 2, 3, 4), {}, "_Triple() takes 3 fields ('a', 'b', 'c'), got 4"),
+            ((1, 2), {"a": 1}, "_Triple() got field 'a' twice"),
+        ],
+        ids=["missing", "missing-first", "unknown", "surplus", "duplicate"],
+    )
+    def test_bad_arguments_name_the_class_and_the_field(self, args, kwargs, message):
+        with pytest.raises(TypeError) as excinfo:
+            _Triple(*args, **kwargs)
+        assert str(excinfo.value) == message
+
+    def test_underscore_slots_are_not_parameters(self):
+        with pytest.raises(TypeError, match=r"^_Triple\(\) has no field '_derived'$"):
+            _Triple(1, 2, _derived=0)
+        t = _Triple(1, 2)
+        with pytest.raises(AttributeError):
+            t._derived
+        t._derived = "cached"
+        assert t == _Triple(1, 2)
+        assert repr(t) == "_Triple(a=1, b=2, c=3)"
+
+    def test_frozen_space_spec_is_built_by_it(self):
+        spec = SpaceSpec(base=Vec([1.0, 0.5]), n=2)
+        assert spec == SpaceSpec(2, Vec([1.0, 0.5]))
+        with pytest.raises(AttributeError):
+            spec.n = 3
+        assert copy.copy(spec) == copy.deepcopy(spec) == pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_defaults_are_a_trailing_run_of_fields(self):
+        # Every record of the package that takes the shared constructor.
+        for info in pkgutil.iter_modules(conecert.__path__):
+            importlib.import_module(f"conecert.{info.name}")
+        records, todo = [], [_Record]
+        while todo:
+            for cls in todo.pop().__subclasses__():
+                todo.append(cls)
+                if cls.__module__.startswith("conecert.") and "__init__" not in vars(cls):
+                    records.append(cls)
+        names = {cls.__name__ for cls in records}
+        assert {"Certificate", "PicardResult", "ComparisonRow", "RootsResult"} <= names
+        for cls in records:
+            fields, k = cls._names, len(cls._defaults)
+            assert set(cls._defaults) == set(fields[len(fields) - k :]), cls.__name__
 
 
 class TestScaleWitnesses:
