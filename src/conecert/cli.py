@@ -5,13 +5,13 @@ Subcommands: axioms, gauge, picard, roots, demo-normality.  Exit codes:
 ``weierstrass`` map, that halts at its noise floor has converged), 2 when
 an iteration fails to converge, escapes its domain or overflows (an iterate,
 a Weierstrass sweep that divides by zero, or a certificate's radius or final
-bound), 1 on any input error, a usage error included.  ``picard`` writes
-``trace.csv`` and ``certificate.json`` for every run; that
-``certificate.json`` and ``roots``' ``report.json`` name the halt cause:
-``stop_c``, ``noise_floor``, ``max_iter``, ``overflow`` or
-``domain_escape``.  ``--out`` is created after the run, so an input error
-leaves none behind.
-Every ``certificate.json`` carries ``"schema": 3``: its bound families hold
+bound), 1 on any input error, a usage error included.  ``picard`` and
+``roots`` write ``trace.csv`` and ``certificate.json`` for every run through
+one writer, so both files have one layout; ``certificate.json`` and
+``roots``' ``report.json`` name the halt cause: ``stop_c``,
+``noise_floor``, ``max_iter``, ``overflow`` or ``domain_escape``.
+``--out`` is created after the run, so an input error leaves none behind.
+Every ``certificate.json`` carries ``"schema": 4``: its bound families hold
 only their final entries, and ``trace.csv`` holds data, not claims: each
 iterate and the step that leaves it.  Every other entry of a family is a
 closed form of ``lambda_used`` and those steps.  All runs are
@@ -28,9 +28,10 @@ kind has one reader here, and every config value passes through one of them:
 a number is a finite JSON number, never a string or a boolean; a count
 (``max_iter``, a ``plus`` metric's ``n``) is a whole number (``1000.0`` reads
 as 1000); a complex scalar is a number or ``[re, im]``; an affine map's
-``x0`` and ``roots``' ``weights`` are checked against the matrix size and the
-degree; NaN and Infinity are rejected; an optional key set to null
-reads like an absent key, while a null ``--stop-c`` is rejected.
+``x0``, a ``weierstrass`` map's ``x0`` and ``roots``' ``weights`` are checked
+against the matrix size and the degree; NaN and Infinity are rejected; an
+optional key set to null reads like an absent key, while a null
+``--stop-c`` is rejected.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .metrics import (
     WeightedConeMetric,
 )
 from .normality import normality_table
-from .picard import Problem, certificate_to_dict, run_picard, write_trace_csv
+from .picard import PicardResult, Problem, certificate_to_dict, run_picard, write_trace_csv
 from .roots import Polynomial, noise_floor, solve_roots, weierstrass_map
 from .solid import SpaceSpec, Vec
 
@@ -61,7 +62,7 @@ EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 
 # Version of the certificate.json layout.
-CERT_SCHEMA = 3
+CERT_SCHEMA = 4
 
 MAX_CLI_DEGREE = 12
 
@@ -263,6 +264,11 @@ def _map_from_config(spec: dict, inst: ConeMetric, x0):
         # Its iterates are complex, which only a complex weighted metric measures.
         if not (isinstance(inst, WeightedConeMetric) and inst.field == "complex"):
             raise ValueError("weierstrass map needs a complex weighted metric")
+        if len(x0) != poly.degree:
+            raise ValueError(
+                f'"x0" has {len(x0)} approximations, but the weierstrass "coefficients" '
+                f"have degree {poly.degree}"
+            )
         return weierstrass_map(poly)
     raise ValueError(f"unknown map {name!r}")
 
@@ -330,29 +336,31 @@ def cmd_gauge(args) -> int:
     return EXIT_OK
 
 
+def _write_run(out: Path, result: PicardResult, metric: ConeMetric) -> None:
+    """``trace.csv`` and ``certificate.json`` of an engine run, ``roots`` included."""
+    with open(out / "trace.csv", "w", newline="") as fh:
+        write_trace_csv(fh, result.trace, metric)
+    point = result.fixed_point
+    payload = {
+        "converged": result.converged,
+        "halt": result.halt,
+        "iterations": len(result.trace.iterates) - 1,
+        "certificate": certificate_to_dict(result.certificate),
+        "fixed_point": None if point is None else point_to_json(metric, point),
+        "schema": CERT_SCHEMA,
+    }
+    _write_json(out / "certificate.json", payload)
+
+
 def cmd_picard(args) -> int:
     cfg = _load_config(args)
     problem = _problem_from_config(cfg, args)
     # A Weierstrass run halts at its noise floor, as it does under ``roots``.
     stalled = noise_floor(problem) if cfg["map"]["name"] == "weierstrass" else None
     result = run_picard(problem, stalled=stalled)
-    iterations = len(result.trace.iterates) - 1
-    out = _out_dir(args)
-    with open(out / "trace.csv", "w", newline="") as fh:
-        write_trace_csv(fh, result.trace, problem.metric)
-    payload = {
-        "converged": result.converged,
-        "halt": result.halt,
-        "iterations": iterations,
-        "certificate": certificate_to_dict(result.certificate),
-        "fixed_point": None
-        if result.fixed_point is None
-        else point_to_json(problem.metric, result.fixed_point),
-        "schema": CERT_SCHEMA,
-    }
-    _write_json(out / "certificate.json", payload)
+    _write_run(_out_dir(args), result, problem.metric)
     if result.halt == "domain_escape":
-        print(f"iterate {iterations} left the domain", file=sys.stderr)
+        print(f"iterate {len(result.trace.iterates) - 1} left the domain", file=sys.stderr)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -379,18 +387,7 @@ def cmd_roots(args) -> int:
         poly, z0=z0, weights=metric.alpha, stop_c=stop_c, max_iter=max_iter, lam=lam
     )
     out = _out_dir(args)
-    with open(out / "trace.csv", "w", newline="") as fh:
-        write_trace_csv(fh, result.trace, metric)
-    _write_json(
-        out / "certificate.json",
-        {
-            "converged": result.converged,
-            "certificate": certificate_to_dict(result.certificate),
-            "lambda_used": result.lambda_used,
-            "schema": CERT_SCHEMA,
-            "tail_start": result.tail_start,
-        },
-    )
+    _write_run(out, result, metric)
     _write_json(
         out / "report.json",
         {

@@ -269,17 +269,21 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
 
     A pair of consecutive steps contracts when the later gauge is at most
     ``LAMBDA_CEILING`` times the earlier one; two zero steps contract with
-    ratio 0, a nonzero step after a zero one does not.  Returns ``(start,
-    lam)``: the index of the suffix's first step and its largest ratio, or
-    ``(number of steps, None)`` when the last pair does not contract.  The
-    gauges are taken from the last step back, so a non-contracting prefix
-    costs nothing past its last pair.
+    ratio 0, a nonzero step after a zero one does not.  A zero last step
+    contracts with ratio 0 from its own index: the run landed on its fixed
+    point.  Returns ``(start, lam)``: the index of the suffix's first step
+    and its largest ratio, or ``(number of steps, None)`` when the last step
+    is nonzero and the last pair does not contract.  The gauges are taken
+    from the last step back, so a non-contracting prefix costs nothing past
+    its last pair.
     """
     steps = trace.step_dists
     start, lam = len(steps), None
     if not steps:
         return start, lam
     later = mink_norm(steps[-1], g)
+    if later == 0.0:
+        start, lam = start - 1, 0.0
     for k in range(len(steps) - 2, -1, -1):
         earlier = mink_norm(steps[k], g)
         if earlier == 0.0:
@@ -346,10 +350,6 @@ def _in_domain(p: Problem, x) -> bool:
     if isinstance(p.domain, Ball):
         return ball_contains(p.domain, p.metric, x)
     return bool(p.domain(x))
-
-
-def _zero_vec(v: Vec) -> bool:
-    return all(c == 0.0 for c in v.coords)
 
 
 def run_picard(
@@ -434,16 +434,14 @@ def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificat
 
     A given factor covers the run from iterate 0.  Without one the factor is
     estimated from the contracting tail (:func:`estimate_lambda`) and covers
-    the run from the tail's start; a trace with no contracting tail gets no
-    certificate.  A radius or final bound entry that overflows raises
-    :class:`NonFiniteError`.  Only a given factor certifies.
+    the run from the tail's start (all-zero steps give λ 0 from iterate 0);
+    a trace with no contracting tail gets no certificate.  A radius or final
+    bound entry that overflows raises :class:`NonFiniteError`.  Only a given
+    factor certifies.
     """
     steps = trace.step_dists
     if p.lam is not None:
         start, lam, source = 0, p.lam, "given"
-    elif all(_zero_vec(s) for s in steps):
-        # The map landed exactly on its fixed point; every bound is zero.
-        start, lam, source = 0, 0.0, "estimated"
     else:
         start, lam = estimate_lambda(trace, p.gauge)
         if lam is None:

@@ -32,6 +32,7 @@ from .gauge import GaugeNorm, mink_norm
 from .metrics import WeightedConeMetric
 from .picard import (
     IterationTrace,
+    PicardResult,
     Problem,
     _forward_factor,
     apost_forward_bound,
@@ -77,11 +78,6 @@ class Polynomial:
         for c in reversed(self.coefficients):
             acc = acc * z + c
         return acc
-
-    @property
-    def coeff_scale(self) -> float:
-        """max(1, sum of coefficient moduli); the residual yardstick."""
-        return max(1.0, sum(abs(c) for c in self.coefficients))
 
 
 def as_root_vector(values: Sequence) -> tuple[complex, ...]:
@@ -220,17 +216,29 @@ def compare_bounds(
     return report
 
 
-class RootsResult(_Record):
-    """A root refinement: the roots, or None, with its certificate and report.
+class RootsResult(PicardResult):
+    """The engine's result of a root refinement, with its report and residuals.
 
-    ``halt`` names the cause: ``"stop_c"``, ``"noise_floor"``, ``"max_iter"``
-    or ``"overflow"``.
+    ``halt`` is one of ``"stop_c"``, ``"noise_floor"``, ``"max_iter"`` or
+    ``"overflow"``; ``residuals`` holds ``|p(z_i)|`` at the roots, or None.
     """
 
-    __slots__ = (
-        "roots", "certificate", "report", "trace", "converged", "halt", "lambda_used",
-        "tail_start", "residuals",
-    )
+    __slots__ = ("report", "residuals")
+
+    @property
+    def roots(self):
+        """The returned roots: ``fixed_point``, None unless converged."""
+        return self.fixed_point
+
+    @property
+    def lambda_used(self) -> Optional[float]:
+        """The certificate's factor, or None without a certificate."""
+        return None if self.certificate is None else self.certificate.lambda_used
+
+    @property
+    def tail_start(self) -> Optional[int]:
+        """The first iterate the certificate covers, or None without one."""
+        return None if self.certificate is None else self.certificate.start
 
 
 def _discs_disjoint(z: Sequence[complex], step: Vec, alpha: Sequence[float]) -> bool:
@@ -304,28 +312,9 @@ def solve_roots(
         lam=lam,
     )
     result = run_picard(problem, stalled=noise_floor(problem))
-    trace, cert = result.trace, result.certificate
-
+    cert, roots = result.certificate, result.fixed_point
+    report = ComparisonReport()
     if cert is not None:
-        tail_start, lam_used = cert.start, cert.lambda_used
-        report = compare_bounds(trace, g, lam_used, start=tail_start)
-    else:
-        tail_start = 0 if lam is not None else len(trace.step_dists)
-        lam_used = lam
-        report = ComparisonReport()
-
-    roots = trace.iterates[-1] if result.converged else None
-    residuals = None
-    if roots is not None:
-        residuals = [abs(p(z)) for z in roots]
-    return RootsResult(
-        roots=roots,
-        certificate=cert,
-        report=report,
-        trace=trace,
-        converged=result.converged,
-        halt=result.halt,
-        lambda_used=lam_used,
-        tail_start=tail_start,
-        residuals=residuals,
-    )
+        report = compare_bounds(result.trace, g, cert.lambda_used, start=cert.start)
+    residuals = None if roots is None else [abs(p(z)) for z in roots]
+    return RootsResult(*result._fields(), report, residuals)

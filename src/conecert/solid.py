@@ -172,7 +172,8 @@ class _Record:
     """Constructor, field-wise ``==`` and ``repr`` for the package's plain records.
 
     A subclass declares its fields once, as ``__slots__``; a slot whose name
-    starts with ``_`` holds derived state and is not a field.  The
+    starts with ``_`` holds derived state and is not a field.  A subclass of
+    a record lists its own fields after its parent's.  The
     constructor binds the fields by position or keyword, in slot order, and
     a trailing run of fields may fall back to the class's ``_defaults`` dict
     (shared by every instance, so immutable values only).  A missing,
@@ -190,7 +191,8 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._names = tuple([f for f in cls.__slots__ if f[0] != "_"])
+        own = vars(cls).get("__slots__", ())
+        cls._names = cls._names + tuple([f for f in own if f[0] != "_"])
 
     def __init__(self, *args, **kwargs):
         names = self._names

@@ -188,7 +188,7 @@ class TestPicardCommand:
             "fixed_point": None,
             "halt": "domain_escape",
             "iterations": 3,
-            "schema": 3,
+            "schema": 4,
         }
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0", "1", "2", "3"]
@@ -309,12 +309,11 @@ class TestPicardCommand:
         assert main(["roots", "--config", roots_cfg, "--out", str(roots_out)]) == 0
         assert capsys.readouterr().err == ""
         assert (out / "trace.csv").read_bytes() == (roots_out / "trace.csv").read_bytes()
+        # One writer: the two certificate.json files are the same bytes.
+        assert (out / "certificate.json").read_bytes() == (roots_out / "certificate.json").read_bytes()
         cert = json.loads((out / "certificate.json").read_text())
-        roots_cert = json.loads((roots_out / "certificate.json").read_text())
-        assert cert["certificate"] == roots_cert["certificate"]
         assert cert["certificate"]["lambda_used"] == 0.43163485433436494
         assert cert["certificate"]["status"] == "heuristic"
-        assert roots_cert["tail_start"] == 4
 
 
 def trace_rows(path):
@@ -400,7 +399,9 @@ class TestCertificateSchema:
     def test_every_certificate_names_its_schema(self, tmp_path, capsys, command, payload, code):
         out = tmp_path / "out"
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == code
-        assert json.loads((out / "certificate.json").read_text())["schema"] == 3
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["schema"] == 4
+        assert sorted(cert) == ["certificate", "converged", "fixed_point", "halt", "iterations", "schema"]
 
 
 class TestInputErrors:
@@ -462,7 +463,7 @@ class TestRootsCommand:
         assert comparison["rows"] >= 1
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["certificate"]["status"] == "heuristic"
-        assert cert["lambda_used"] < 1.0
+        assert cert["certificate"]["lambda_used"] < 1.0
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, CUBIC_ROOTS)
@@ -517,8 +518,7 @@ class TestRootsCommand:
         assert report["comparison"]["rows"] == 0
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["certificate"] is None
-        assert cert["lambda_used"] == 0.5
-        assert cert["tail_start"] == 0
+        assert (cert["halt"], cert["fixed_point"]) == ("overflow", None)
 
     def test_zero_denominator_exits_two_with_repeatable_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, UNDERFLOW_STARTS)
@@ -848,6 +848,7 @@ BAD_VALUES = [
     ("picard", AFFINE_3D, ["map"], AFFINE_2X2),
     ("picard", {**AFFINE_3D, "map": AFFINE_2X2}, ["metric"], {"kind": "plus", "n": 3}),
     ("roots", CUBIC_ROOTS, ["weights"], [1, 1]),
+    ("picard", WEIERSTRASS, ["map", "coefficients"], CUBIC_ROOTS["coefficients"]),
 ]
 
 
@@ -900,8 +901,13 @@ class TestConfigValues:
                 {"coefficients": CUBIC_ROOTS["coefficients"], "weights": [1, 1]},
                 '"weights" needs one entry per root of the degree-3 polynomial, got 2',
             ),
+            (
+                "picard",
+                with_key(WEIERSTRASS, ["map", "coefficients"], CUBIC_ROOTS["coefficients"]),
+                '"x0" has 2 approximations, but the weierstrass "coefficients" have degree 3',
+            ),
         ],
-        ids=["discrete", "discrete-wider", "weighted", "plus", "weights-z0", "weights"],
+        ids=["discrete", "discrete-wider", "weighted", "plus", "weights-z0", "weights", "weierstrass"],
     )
     def test_length_mismatch_names_the_key(self, tmp_path, capsys, command, cfg, message):
         path = write_cfg(tmp_path, cfg)

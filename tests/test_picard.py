@@ -202,6 +202,8 @@ class TestStepChecks:
         assert estimate_lambda(self.make_trace([1.0, 0.5, 0.25]), G1) == (0, 0.5)
         assert estimate_lambda(self.make_trace([1.0, 0.0, 0.0]), G1) == (0, 0.0)
         assert estimate_lambda(self.make_trace([0.0, 0.0]), G1) == (0, 0.0)
+        # A zero last step contracts from its own index: the run hit its fixed point.
+        assert estimate_lambda(self.make_trace([0.0]), G1) == (0, 0.0)
         # A non-contracting prefix is cut off; the factor is the tail's largest ratio.
         assert estimate_lambda(self.make_trace([1.0, 2.0, 1.0, 0.25]), G1) == (1, 0.5)
         assert estimate_lambda(self.make_trace([1.0, 0.0, 1.0, 0.5]), G1) == (2, 0.5)

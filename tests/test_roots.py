@@ -11,6 +11,7 @@ from conecert.gauge import GaugeNorm
 from conecert.metrics import WeightedConeMetric
 from conecert.picard import (
     IterationTrace,
+    PicardResult,
     Problem,
     apost_forward_bound,
     run_picard,
@@ -58,10 +59,6 @@ class TestPolynomial:
         assert QUAD_REAL(2.0) == 3.0
         assert QUAD_IMAG(1j) == 0.0
         assert CUBIC(2.0) == 0.0
-
-    def test_coeff_scale(self):
-        assert QUAD_REAL.coeff_scale == 2.0
-        assert Polynomial([0.0, 0.25]).coeff_scale == 1.0  # floored at 1
 
 
 class TestRootVector:
@@ -247,7 +244,7 @@ class TestSolveRoots:
         targets = [[1.0, -1.0][j] for j in order]
         for z, t in zip(result.roots, targets):
             assert abs(z - t) <= 1e-10
-        assert all(r <= 1e-8 * QUAD_REAL.coeff_scale for r in result.residuals)
+        assert all(r <= 2e-8 for r in result.residuals)
         assert not result.report.any_exceeded
 
     def test_imaginary_pair(self):
@@ -318,6 +315,14 @@ class TestSolveRoots:
         assert cert.lambda_source == "estimated"
         assert cert.lambda_used < 1.0
 
+    def test_result_is_the_engine_result(self):
+        result = solve_roots(CUBIC, z0=(1.3, 1.8, 3.4))
+        assert isinstance(result, PicardResult)
+        assert result.roots is result.fixed_point
+        assert result.roots == result.trace.iterates[-1]
+        cert = result.certificate
+        assert (result.tail_start, result.lambda_used) == (cert.start, cert.lambda_used)
+
     def test_given_lambda_goes_through_engine(self):
         result = solve_roots(QUAD_REAL, z0=(1.1, -1.1), lam=0.9)
         assert result.converged
@@ -350,7 +355,7 @@ class TestSolveRoots:
         assert not result.converged
         assert result.roots is None
         assert result.certificate is None
-        assert (result.tail_start, result.lambda_used) == (0, 0.5)
+        assert (result.tail_start, result.lambda_used) == (None, None)
         assert result.report.rows == []
 
     def test_tail_bound_soundness(self):

@@ -146,6 +146,10 @@ class _Triple(_Record):
     _defaults = {"c": 3}
 
 
+class _Quad(_Triple):
+    __slots__ = ("d",)
+
+
 class TestRecordConstructor:
     """``_Record`` builds a record's constructor from its ``__slots__``."""
 
@@ -184,6 +188,14 @@ class TestRecordConstructor:
         t._derived = "cached"
         assert t == _Triple(1, 2)
         assert repr(t) == "_Triple(a=1, b=2, c=3)"
+
+    def test_a_subclass_lists_its_fields_after_its_parents(self):
+        assert (_Triple._names, _Quad._names) == (("a", "b", "c"), ("a", "b", "c", "d"))
+        q = _Quad(1, 2, 3, 4)
+        assert (q.a, q.b, q.c, q.d) == (1, 2, 3, 4)
+        assert _Quad(1, 2, d=4) == _Quad(d=4, b=2, a=1) == q
+        assert repr(q) == "_Quad(a=1, b=2, c=3, d=4)"
+        assert q != _Triple(1, 2, 3)
 
     def test_frozen_space_spec_is_built_by_it(self):
         spec = SpaceSpec(base=Vec([1.0, 0.5]), n=2)
