@@ -4,8 +4,9 @@ CLI's fixed cost and a whole ``picard`` call, the CLI's import, and the axiom
 suites.
 
 One row per operation and size n in {2, 50, 200}, one per writer input, one
-``run_picard`` call per way of getting the factor, and one
-``run_all(seed, 20)`` call, the unit of the axioms-suite workload.  The
+``run_picard`` call per way of getting the factor, one
+``run_all(seed, 20)`` call, the unit of the axioms-suite workload, and
+one ``Sampler.vec`` draw at the suites' sizes n in {2, 8}.  The
 ``import_cli`` rows start a fresh ``python -I``, as the benchmark's
 ``setup_s`` probe does: ``cli`` runs ``import conecert.cli`` and ``base``
 runs ``pass``, so their difference is the import alone.  Distance
@@ -38,7 +39,7 @@ import pytest
 
 import conecert
 from conecert import GaugeNorm, Polynomial, Problem, SpaceSpec, mink_norm, run_picard, solve_roots
-from conecert.axioms import run_all
+from conecert.axioms import Sampler, run_all
 from conecert.cli import main
 from conecert.metrics import WeightedConeMetric
 from conecert.picard import Certificate, certificate_to_dict, write_trace_csv
@@ -267,3 +268,9 @@ def test_import_cli(benchmark, statement):
 def test_axioms_run_all(benchmark):
     """Every axiom suite, 20 samples over dims 1-8."""
     assert all(r.passed for r in benchmark(run_all, 0, 20))
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_sampler_vec(benchmark, n):
+    """One sampled vector of the axiom suites: n dyadic coordinates."""
+    assert len(benchmark(Sampler(0).vec, n)) == n

@@ -18,6 +18,10 @@ share :func:`_check_metric_axioms`.  The order in which a suite draws
 from its :class:`Sampler` is part of the seed-replay contract: a given
 seed must reproduce every report, counterexamples included, byte for
 byte, so a check may change how it is written but not what it draws.
+The sampler takes its integers straight from ``getrandbits`` with the
+rejection rule of ``random.Random.randint``, so it draws the stream that
+``randint`` would, value for value; ``tests/test_axioms.py`` pins both
+that and the reports of fixed seeds.
 """
 
 from __future__ import annotations
@@ -61,47 +65,80 @@ class SuiteResult:
 
 
 class Sampler:
-    """Dyadic-grid random values; one instance per suite, seeded by name."""
+    """Dyadic-grid random values; one instance per suite, seeded by name.
+
+    Each method draws an integer exactly as ``rng.randint(a, b)`` does,
+    with the same rejection rule over ``getrandbits`` (see :meth:`_int`),
+    so it consumes the same bits and returns the same value; only the
+    argument checks of ``randint`` and ``randrange`` are skipped.  Checks
+    that need a coin or a small integer draw from ``rng`` directly.
+    """
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
+        self._bits = self.rng.getrandbits
+
+    def _int(self, a: int, n: int, k: int) -> int:
+        """``rng.randint(a, a + n - 1)``, given ``k == n.bit_length()``.
+
+        ``randint`` draws ``k`` bits and draws again while the result is at
+        least ``n``; this is that loop with the width and bit count fixed.
+        """
+        bits = self._bits
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return a + r
+
+    def _vec(self, a: int, n: int, k: int, dim: int) -> Vec:
+        """``dim`` draws of ``_int(a, n, k) / 2**10``, in order, as a ``Vec``."""
+        bits = self._bits
+        cs = []
+        for _ in range(dim):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            cs.append((a + r) / 2**10)
+        return Vec._of(tuple(cs))
+
+    # (a, n, k) of randint(a, b): n = b - a + 1 values, k = n.bit_length().
 
     def coord(self) -> float:
-        return self.rng.randint(-(2**14), 2**14) / 2**10
+        return self._int(-(2**14), 2**15 + 1, 16) / 2**10
 
     def nonneg_coord(self) -> float:
-        return self.rng.randint(0, 2**14) / 2**10
+        return self._int(0, 2**14 + 1, 15) / 2**10
 
     def pos_coord(self) -> float:
-        return self.rng.randint(1, 2**14) / 2**10
+        return self._int(1, 2**14, 15) / 2**10
 
     def vec(self, n: int) -> Vec:
-        return Vec(self.coord() for _ in range(n))
+        return self._vec(-(2**14), 2**15 + 1, 16, n)
 
     def nonneg_vec(self, n: int) -> Vec:
-        return Vec(self.nonneg_coord() for _ in range(n))
+        return self._vec(0, 2**14 + 1, 15, n)
 
     def pos_vec(self, n: int) -> Vec:
-        return Vec(self.pos_coord() for _ in range(n))
+        return self._vec(1, 2**14, 15, n)
 
     def scalar(self) -> float:
-        return self.rng.randint(-(2**12), 2**12) / 2**8
+        return self._int(-(2**12), 2**13 + 1, 14) / 2**8
 
     def scalar_nonneg(self) -> float:
-        return self.rng.randint(0, 2**12) / 2**8
+        return self._int(0, 2**12 + 1, 13) / 2**8
 
     def scalar_pos(self) -> float:
-        return self.rng.randint(1, 2**12) / 2**8
+        return self._int(1, 2**12, 13) / 2**8
 
     def dyadic_power(self) -> float:
-        t = 2.0 ** self.rng.randint(-8, 8)
+        t = 2.0 ** self._int(-8, 17, 5)
         return -t if self.rng.random() < 0.5 else t
 
     def cpoint(self, n: int) -> tuple[complex, ...]:
         return tuple(complex(self.coord(), self.coord()) for _ in range(n))
 
     def rpoint(self, n: int) -> tuple[float, ...]:
-        return tuple(self.coord() for _ in range(n))
+        return self.vec(n).coords
 
 
 def _payload(**kw) -> dict:
@@ -491,18 +528,26 @@ SUITES: list[tuple[str, Callable]] = [
 ]
 
 
+def _positive_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def run_all(
     seed: int = 0,
     samples: int = 1000,
     dims: Sequence[int] = tuple(range(1, 9)),
     ops: OrderOps = DEFAULT_OPS,
 ) -> list[SuiteResult]:
-    """Run every suite with per-suite seeds derived from the root seed."""
+    """Run every suite with per-suite seeds derived from the root seed.
+
+    ``dims`` and ``samples`` are checked before any suite runs: each must be
+    a positive ``int`` (not a ``bool``), else ``ValueError`` names it.
+    """
     dims = list(dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError("dims must be a nonempty list of positive integers")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    if not dims or not all(map(_positive_int, dims)):
+        raise ValueError(f"dims must be a nonempty list of positive integers, got {dims!r}")
+    if not _positive_int(samples):
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     results = []
     for name, check in SUITES:
         smp = Sampler(f"{seed}:{name}")

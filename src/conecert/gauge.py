@@ -33,12 +33,23 @@ def mink_norm(x: Vec, g: GaugeNorm) -> float:
     """Smallest lam >= 0 with -lam*base <= x <= lam*base.
 
     Closed form ``max_i |x_i| / base_i``; returns 0.0 for the zero vector.
+    A non-``Vec`` ``x`` or non-``GaugeNorm`` ``g`` raises ``TypeError``,
+    turned from the ``AttributeError`` of the attribute read, so a valid
+    call runs no extra check.
     """
-    if len(x) != g.spec.n:
-        raise ValueError(f"dimension mismatch: {len(x)} vs {g.spec.n}")
+    try:
+        coords = x.coords
+    except AttributeError:
+        raise TypeError(f"x must be a Vec, got {type(x).__name__}") from None
+    try:
+        spec = g.spec
+    except AttributeError:
+        raise TypeError(f"g must be a GaugeNorm, got {type(g).__name__}") from None
+    if len(coords) != spec.n:
+        raise ValueError(f"dimension mismatch: {len(coords)} vs {spec.n}")
     if g._unit:
-        return max(map(abs, x.coords))
-    return max(map(truediv, map(abs, x.coords), g.spec.base.coords))
+        return max(map(abs, coords))
+    return max(map(truediv, map(abs, coords), spec.base.coords))
 
 
 def strict_ball_test(x: Vec, eps: float, g: GaugeNorm) -> bool:

@@ -120,6 +120,8 @@ class DiscreteConeMetric:
     """Fixed nonzero cone value between any two distinct points."""
 
     def __init__(self, a: Vec):
+        if not isinstance(a, Vec):
+            raise TypeError(f"a must be a Vec, got {type(a).__name__}")
         if not in_cone(a):
             raise ValueError("discrete distance value must lie in the cone")
         if a == Vec.zeros(len(a)):

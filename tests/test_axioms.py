@@ -1,7 +1,14 @@
-import pytest
+import hashlib
+import json
+import random
 
-from conecert.axioms import DEFAULT_OPS, OrderOps, SUITES, report_dict, run_all
-from conecert.solid import in_cone, in_interior, leq, lt
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conecert import axioms
+from conecert.axioms import DEFAULT_OPS, OrderOps, SUITES, Sampler, report_dict, run_all
+from conecert.solid import Vec, in_cone, in_interior, leq, lt
 
 
 def run(samples=120, **kw):
@@ -35,6 +42,94 @@ class TestHealthySuites:
         assert "antisymmetry" in names
         assert "gauge_triangle" in names
         assert len(names) == len(set(names))
+
+
+REVERSED_WEAK_ORDER = OrderOps(
+    leq=lambda x, y: leq(y, x), lt=lt, in_cone=in_cone, in_interior=in_interior
+)
+
+
+def report_digest(seed, samples, ops=DEFAULT_OPS):
+    report = report_dict(run_all(seed, samples, ops=ops), seed=seed, samples=samples)
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+class TestSeedReplay:
+    """A seed reproduces every report byte for byte, counterexamples included.
+
+    The digests are of reports written before the sampler drew its integers
+    from ``getrandbits`` directly, when it called ``random.Random.randint``;
+    the same digests on Python 3.10, 3.11, 3.12 and 3.13 show that neither
+    the sampler nor the interpreter changed a draw.
+    """
+
+    GOLDEN = {
+        0: "eed2f0c148d74fbb7538d52f458899b99db34c575c51159904d37d9db838c59f",
+        1: "b3cec9a98f27abc4aeb69ff0cf6644844c956308395f8d7c7eaaeb3eb6c1d432",
+        5: "d7d24bf7c363b5c8a1ec61d4db2225a1a7a13a961978a221e5072016a61603ec",
+    }
+    GOLDEN_REVERSED_WEAK_ORDER = "eec4bd8ab7e870302b5314448b5b290dc774b0d0ad3f1f47a2922577793bdf51"
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_report_matches_golden(self, seed):
+        assert report_digest(seed, 120) == self.GOLDEN[seed]
+
+    def test_mutant_report_and_counterexamples_match_golden(self):
+        assert report_digest(0, 120, REVERSED_WEAK_ORDER) == self.GOLDEN_REVERSED_WEAK_ORDER
+
+
+def _dyadic_power(r):
+    t = 2.0 ** r.randint(-8, 8)
+    return -t if r.random() < 0.5 else t
+
+
+# Each Sampler method against the random.Random expression it stands for.
+SCALAR_DRAWS = {
+    "coord": lambda r: r.randint(-(2**14), 2**14) / 2**10,
+    "nonneg_coord": lambda r: r.randint(0, 2**14) / 2**10,
+    "pos_coord": lambda r: r.randint(1, 2**14) / 2**10,
+    "scalar": lambda r: r.randint(-(2**12), 2**12) / 2**8,
+    "scalar_nonneg": lambda r: r.randint(0, 2**12) / 2**8,
+    "scalar_pos": lambda r: r.randint(1, 2**12) / 2**8,
+    "dyadic_power": _dyadic_power,
+}
+VECTOR_DRAWS = {
+    "vec": lambda r, n: Vec([SCALAR_DRAWS["coord"](r) for _ in range(n)]),
+    "nonneg_vec": lambda r, n: Vec([SCALAR_DRAWS["nonneg_coord"](r) for _ in range(n)]),
+    "pos_vec": lambda r, n: Vec([SCALAR_DRAWS["pos_coord"](r) for _ in range(n)]),
+    "rpoint": lambda r, n: tuple(SCALAR_DRAWS["coord"](r) for _ in range(n)),
+    "cpoint": lambda r, n: tuple(
+        complex(SCALAR_DRAWS["coord"](r), SCALAR_DRAWS["coord"](r)) for _ in range(n)
+    ),
+}
+
+
+class TestSamplerStream:
+    """Same values, bit for bit, and the same generator state afterwards."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64), method=st.sampled_from(sorted(SCALAR_DRAWS)))
+    def test_scalar_draws_match_randint(self, seed, method):
+        s, twin = Sampler(seed), random.Random(seed)
+        draw = getattr(s, method)
+        for _ in range(40):
+            assert repr(draw()) == repr(SCALAR_DRAWS[method](twin))
+        assert s.rng.getstate() == twin.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        method=st.sampled_from(sorted(VECTOR_DRAWS)),
+        n=st.integers(1, 9),
+    )
+    def test_vector_draws_match_randint(self, seed, method, n):
+        s, twin = Sampler(seed), random.Random(seed)
+        draw = getattr(s, method)
+        for _ in range(8):
+            got, want = draw(n), VECTOR_DRAWS[method](twin, n)
+            assert type(got) is type(want)
+            assert repr(got) == repr(want)
+        assert s.rng.getstate() == twin.getstate()
 
 
 class TestMutantDetection:
@@ -73,10 +168,7 @@ class TestMutantDetection:
     STRICT_TWINS = ["S7_scalar_strict_pos", "S8_scalar_strict_neg", "S10_mixed_addition"]
 
     def test_reversed_weak_order_fails_only_the_weak_twins(self):
-        mutant = OrderOps(
-            leq=lambda x, y: leq(y, x), lt=lt, in_cone=in_cone, in_interior=in_interior
-        )
-        passed = {r.name: r.passed for r in run(ops=mutant)}
+        passed = {r.name: r.passed for r in run(ops=REVERSED_WEAK_ORDER)}
         assert [passed[name] for name in self.WEAK_TWINS] == [False] * 4
         assert [passed[name] for name in self.STRICT_TWINS] == [True] * 3
 
@@ -89,8 +181,6 @@ class TestMutantDetection:
         assert [passed[name] for name in self.WEAK_TWINS] == [True] * 4
 
     def test_counterexamples_are_json_safe(self):
-        import json
-
         mutant = OrderOps(leq=lt, lt=lt, in_cone=in_cone, in_interior=in_interior)
         report = report_dict(run(ops=mutant), seed=0, samples=120)
         json.dumps(report)
@@ -107,6 +197,25 @@ class TestParameterValidation:
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):
             run_all(samples=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"dims": [1.5]}, "dims"),
+            ({"dims": [2, 2.0]}, "dims"),
+            ({"dims": [True]}, "dims"),
+            ({"dims": [1, "2"]}, "dims"),
+            ({"samples": 2.5}, "samples"),
+            ({"samples": 3.0}, "samples"),
+            ({"samples": True}, "samples"),
+        ],
+    )
+    def test_rejects_non_int_before_any_suite_runs(self, monkeypatch, kwargs, name):
+        calls = []
+        monkeypatch.setattr(axioms, "SUITES", [("probe", lambda s, n, ops: calls.append(n))])
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run_all(**kwargs)
+        assert calls == []
 
     def test_single_dim_run(self):
         results = run_all(seed=3, samples=40, dims=[2])

@@ -38,6 +38,16 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             mink_norm(Vec([1.0]), g_of([1.0, 1.0]))
 
+    @pytest.mark.parametrize("x", [[1.0, 2.0], (1.0, 2.0)], ids=["list", "tuple"])
+    def test_x_must_be_a_vec(self, x):
+        with pytest.raises(TypeError, match=f"^x must be a Vec, got {type(x).__name__}$"):
+            mink_norm(x, g_of([1.0, 2.0]))
+
+    def test_g_must_be_a_gauge_norm(self):
+        g = g_of([1.0, 2.0])
+        with pytest.raises(TypeError, match="^g must be a GaugeNorm, got SpaceSpec$"):
+            mink_norm(Vec([1.0, 2.0]), g.spec)
+
     @settings(max_examples=200)
     @given(vec_with_gauge())
     def test_matches_bisection_oracle(self, xg):

@@ -311,6 +311,11 @@ class TestDiscrete:
         with pytest.raises(ValueError):
             DiscreteConeMetric(Vec([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("a", [[1.0, 0.5], (1.0, 0.5)], ids=["list", "tuple"])
+    def test_value_must_be_a_vec(self, a):
+        with pytest.raises(TypeError, match=f"^a must be a Vec, got {type(a).__name__}$"):
+            DiscreteConeMetric(a)
+
     @given(st.lists(st.integers(0, 4), min_size=3, max_size=3))
     def test_metric_axioms(self, pts):
         inst = DiscreteConeMetric(Vec([1.0, 2.0]))
