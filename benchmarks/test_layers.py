@@ -1,10 +1,11 @@
 """Per-layer micro-benchmarks: ``Vec``, the order predicates, metric distance,
-the gauge, record construction, the Picard engine, the artifact writers, the
-CLI's fixed cost and a whole ``picard`` call, the CLI's import, and the axiom
-suites.
+the gauge, record construction, the Picard engine, the Weierstrass sweep, the
+artifact writers, the CLI's fixed cost and a whole ``picard`` call, the CLI's
+import, and the axiom suites.
 
 One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``run_picard`` call per way of getting the factor, one
+``weierstrass_step`` sweep over the roots 1..m at m in {3, 12}, one
 ``run_all(seed, 20)`` call, the unit of the axioms-suite workload, and
 one ``Sampler.vec`` draw at the suites' sizes n in {2, 8}.  The
 ``import_cli`` rows start a fresh ``python -I``, as the benchmark's
@@ -43,7 +44,7 @@ from conecert.axioms import Sampler, run_all
 from conecert.cli import main
 from conecert.metrics import WeightedConeMetric
 from conecert.picard import Certificate, certificate_to_dict, write_trace_csv
-from conecert.roots import ComparisonRow
+from conecert.roots import ComparisonRow, default_starts, weierstrass_step
 from conecert.solid import Vec, leq, lt
 
 SIZES = (2, 50, 200)
@@ -184,17 +185,27 @@ def test_run_picard(benchmark, lam):
     assert benchmark(run_picard, diagonal_problem(lam=lam)).converged
 
 
+def wilkinson(m):
+    """The monic polynomial with roots 1..m."""
+    coeffs = [1]
+    for r in range(1, m + 1):  # multiply by (z - r); integers stay exact
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return Polynomial([float(c) for c in coeffs])
+
+
 def wilkinson_run(m=12):
     """solve_roots on the roots 1..m from the default starts, stopped at 1e-8
     per root, above its noise floor: halt stop_c after 242 sweeps, with a
     certificate."""
-    coeffs = [1]
-    for r in range(1, m + 1):  # multiply by (z - r); integers stay exact
-        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    result = solve_roots(
-        Polynomial([float(c) for c in coeffs]), stop_c=Vec([1e-8] * m), max_iter=300
-    )
+    result = solve_roots(wilkinson(m), stop_c=Vec([1e-8] * m), max_iter=300)
     return result.trace, result.certificate, WeightedConeMetric([1.0] * m, field="complex")
+
+
+@pytest.mark.parametrize("m", [3, 12])
+def test_weierstrass_step(benchmark, m):
+    """One sweep over the roots 1..m from their default starts."""
+    p = wilkinson(m)
+    assert len(benchmark(weierstrass_step, p, default_starts(p))) == m
 
 
 @pytest.mark.parametrize("case", [diagonal_run, wilkinson_run], ids=["picard_n200", "wilkinson12"])

@@ -146,20 +146,23 @@ def _complex(v, key: str) -> complex:
     return complex(_number(v, key))
 
 
-def parse_point(inst: ConeMetric, raw, key: str = "point"):
-    """Point from its JSON form, per metric.
+def _coordinates(inst: ConeMetric, raw, key: str):
+    """A point's JSON form read as the metric's coordinates, not yet validated.
 
     Numbers for a real weighted, a plus or a discrete instance, complex
     scalars for a complex weighted one.  A discrete point could be any value,
     but every CLI map does arithmetic on it, so it is read as numbers too.
     """
-    if isinstance(inst, WeightedConeMetric):
-        if inst.field == "real":
-            return inst.validate_point(_numbers(raw, key))
-        return inst.validate_point(tuple([_complex(v, key) for v in _array(raw, key)]))
+    if isinstance(inst, WeightedConeMetric) and inst.field == "complex":
+        return tuple([_complex(v, key) for v in _array(raw, key)])
     if isinstance(inst, PlusConeMetric):
-        return inst.validate_point(vec_from_json(raw, key))
+        return vec_from_json(raw, key)
     return _numbers(raw, key)
+
+
+def parse_point(inst: ConeMetric, raw, key: str = "point"):
+    """Point from its JSON form, per metric, validated by the metric."""
+    return inst.validate_point(_coordinates(inst, raw, key))
 
 
 def point_to_json(inst: ConeMetric, p):
@@ -289,8 +292,9 @@ def _problem_from_config(cfg: dict, args) -> Problem:
     if domain is not None:
         if not isinstance(domain, dict) or "center" not in domain or "radius" not in domain:
             raise ValueError('domain needs "center" and "radius"')
+        # Problem validates the center and checks both lengths.
         domain = Ball(
-            center=parse_point(inst, domain["center"], "center"),
+            center=_coordinates(inst, domain["center"], "center"),
             radius=vec_from_json(domain["radius"], "radius"),
             closed=True,
         )

@@ -60,6 +60,8 @@ def strict_ball_test(x: Vec, eps: float, g: GaugeNorm) -> bool:
     """
     if eps <= 0:
         raise ValueError(f"radius must be positive, got {eps!r}")
+    if not isinstance(x, Vec):
+        raise TypeError(f"x must be a Vec, got {type(x).__name__}")
     if len(x) != g.spec.n:
         raise ValueError(f"dimension mismatch: {len(x)} vs {g.spec.n}")
     scaled = eps * g.spec.base

@@ -25,8 +25,9 @@ observed steps never contradict the factor.  An estimated factor always
 yields ``heuristic``; a domain checked only pointwise on iterates yields
 ``conditional``.
 
-The start point and every map output are validated once, on entry; steps
-are measured between already validated points.  Past the start point's
+The start point and every map output are validated once, on entry, and a
+ball domain's center when the problem is built; steps and ball tests are
+measured between already validated points.  Past the start point's
 checks a run always returns.  An iterate outside the domain ends it with
 halt ``domain_escape``, that iterate last in the trace.  A map output, step
 distance or halting bound that overflows, or a map that raises
@@ -46,7 +47,7 @@ from collections.abc import Sequence
 from typing import Callable, Optional
 
 from .gauge import GaugeNorm, mink_norm
-from .metrics import Ball, ConeMetric, WeightedConeMetric, ball_contains
+from .metrics import Ball, ConeMetric, WeightedConeMetric
 from .solid import NonFiniteError, Vec, _finite, _Record, in_interior, leq
 
 __all__ = [
@@ -85,9 +86,10 @@ class Problem(_Record):
     """One fixed-point problem: map, start, metric, gauge and halting data.
 
     ``domain`` is None for the whole space, a closed :class:`Ball`, or a
-    predicate called on every iterate.  ``lam`` is the contraction factor
-    when the caller can supply one; left None it is estimated from the trace
-    and every certificate is downgraded to heuristic.
+    predicate called on every iterate; a ball's center is validated here,
+    once.  ``lam`` is the contraction factor when the caller can supply one;
+    left None it is estimated from the trace and every certificate is
+    downgraded to heuristic.
     """
 
     __slots__ = ("map_fn", "x0", "metric", "gauge", "stop_c", "max_iter", "lam", "domain")
@@ -121,8 +123,16 @@ class Problem(_Record):
             raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
         if lam is not None:
             lam = _check_lambda(lam)
-        if isinstance(domain, Ball) and not domain.closed:
-            raise ValueError("a ball domain must be closed")
+        if isinstance(domain, Ball):
+            if not domain.closed:
+                raise ValueError("a ball domain must be closed")
+            try:
+                center = metric.validate_point(domain.center)
+            except (TypeError, ValueError) as exc:
+                raise type(exc)(f"domain center: {exc}") from None
+            if len(domain.radius) != n:
+                raise ValueError(f"domain radius: {len(domain.radius)} coordinates, expected {n}")
+            domain = Ball(center, domain.radius)
         super().__init__(map_fn, x0, metric, gauge, stop_c, max_iter, lam, domain)
 
 
@@ -310,7 +320,7 @@ def check_domain_condition(p: Problem, r: Vec) -> str:
     if p.domain is None:
         return "verified"
     if isinstance(p.domain, Ball):
-        d = p.metric.distance(p.x0, p.domain.center)
+        d = p.metric._distance(p.metric.validate_point(p.x0), p.domain.center)
         return "verified" if leq(d + r, p.domain.radius) else "conditional"
     return "conditional"
 
@@ -348,7 +358,7 @@ def _in_domain(p: Problem, x) -> bool:
     if p.domain is None:
         return True
     if isinstance(p.domain, Ball):
-        return ball_contains(p.domain, p.metric, x)
+        return leq(p.metric._distance(x, p.domain.center), p.domain.radius)
     return bool(p.domain(x))
 
 

@@ -115,15 +115,15 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
 
     The denominator factors are multiplied in a canonical order (sorted by
     the other entries' coordinates), so permuting the input permutes the
-    output exactly, with no float drift.  The entries are distinct, so their
-    ``(re, im)`` keys are too and the sort order is unique: sorting once per
-    sweep and dropping root ``i``'s own entry leaves exactly the other
-    entries in the order a per-root sort would give.
+    output exactly, with no float drift.  Distinct entries have distinct
+    ``(re, im)`` keys, so sorting once per sweep and dropping root ``i``'s
+    own entry leaves the other entries in the order a per-root sort gives.
 
-    An update that is not finite raises :class:`NonFiniteError`, which the
-    engine treats as divergence.
+    A zero denominator (two coincident entries, or differences whose product
+    underflows) or an update that is not finite raises
+    :class:`NonFiniteError`, which the engine treats as divergence.
     """
-    z = as_root_vector(z)
+    z = tuple(map(complex, z))
     if len(z) != p.degree:
         raise ValueError(f"{len(z)} approximations for degree {p.degree}")
     order = sorted(z, key=lambda w: (w.real, w.imag))
@@ -131,6 +131,8 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
     for i, zi in enumerate(z):
         k = order.index(zi)
         denom = math.prod(map(zi.__sub__, order[:k] + order[k + 1 :]), start=1 + 0j)
+        if not denom:
+            raise NonFiniteError(f"zero denominator at position {i}")
         wi = zi - p(zi) / denom
         if not cmath.isfinite(wi):
             raise NonFiniteError(f"update overflowed at position {i}")
@@ -141,25 +143,10 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
 def weierstrass_map(p: Polynomial):
     """The sweep of ``p`` as a map for :func:`run_picard`.
 
-    A denominator ``prod_{j != i} (z_i - z_j)`` can be zero mid-run: distinct
-    approximations can lie so close together that it underflows, and a sweep
-    can move two of them onto the same point (around a multiple root).  The
-    sweep then raises ``ZeroDivisionError`` or rejects the coincident input;
-    the map reports either as :class:`NonFiniteError`, so the engine ends the
-    run unconverged like any other overflowing update.
+    It looks :func:`weierstrass_step` up on each call, so a rebinding of that
+    name (as ``bench/tracer.py`` makes) is seen.
     """
-
-    def step(z):
-        try:
-            return weierstrass_step(p, z)
-        except ZeroDivisionError:
-            raise NonFiniteError("update overflowed: a denominator underflowed to zero") from None
-        except ValueError:
-            if len(set(map(complex, z))) == len(z):
-                raise
-            raise NonFiniteError("update overflowed: two approximations coincide") from None
-
-    return step
+    return lambda z: weierstrass_step(p, z)
 
 
 class ComparisonRow(_Record):

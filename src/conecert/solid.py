@@ -140,13 +140,20 @@ class Vec:
 
 def in_cone(x: Vec) -> bool:
     """True iff every coordinate of x is >= 0 (x lies in the positive cone)."""
-    # A Vec holds no NaN, so its minimum decides the whole comparison.
-    return min(x.coords) >= 0.0
+    # A Vec holds no NaN, so its minimum decides the whole comparison.  The
+    # attribute read is the type check, so a valid call pays for none.
+    try:
+        return min(x.coords) >= 0.0
+    except AttributeError:
+        raise TypeError(f"x must be a Vec, got {type(x).__name__}") from None
 
 
 def in_interior(x: Vec) -> bool:
     """True iff every coordinate of x is > 0 (x lies in the cone's interior)."""
-    return min(x.coords) > 0.0
+    try:
+        return min(x.coords) > 0.0
+    except AttributeError:
+        raise TypeError(f"x must be a Vec, got {type(x).__name__}") from None
 
 
 def _order_operands(x: Vec, y: Vec) -> None:

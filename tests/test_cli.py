@@ -849,6 +849,8 @@ BAD_VALUES = [
     ("picard", {**AFFINE_3D, "map": AFFINE_2X2}, ["metric"], {"kind": "plus", "n": 3}),
     ("roots", CUBIC_ROOTS, ["weights"], [1, 1]),
     ("picard", WEIERSTRASS, ["map", "coefficients"], CUBIC_ROOTS["coefficients"]),
+    ("picard", ESCAPING, ["domain", "center"], [0.0, 0.0]),
+    ("picard", ESCAPING, ["domain", "radius"], [2.5, 2.5]),
 ]
 
 
@@ -906,8 +908,22 @@ class TestConfigValues:
                 with_key(WEIERSTRASS, ["map", "coefficients"], CUBIC_ROOTS["coefficients"]),
                 '"x0" has 2 approximations, but the weierstrass "coefficients" have degree 3',
             ),
+            # A ball domain's error names the field it concerns.
+            (
+                "picard",
+                with_key(ESCAPING, ["domain", "center"], [0.0, 0.0]),
+                "domain center: point has 2 coordinates, expected 1",
+            ),
+            (
+                "picard",
+                with_key(ESCAPING, ["domain", "radius"], [2.5, 2.5]),
+                "domain radius: 2 coordinates, expected 1",
+            ),
         ],
-        ids=["discrete", "discrete-wider", "weighted", "plus", "weights-z0", "weights", "weierstrass"],
+        ids=[
+            "discrete", "discrete-wider", "weighted", "plus", "weights-z0", "weights",
+            "weierstrass", "domain-center", "domain-radius",
+        ],
     )
     def test_length_mismatch_names_the_key(self, tmp_path, capsys, command, cfg, message):
         path = write_cfg(tmp_path, cfg)

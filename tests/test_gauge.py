@@ -48,6 +48,11 @@ class TestClosedForm:
         with pytest.raises(TypeError, match="^g must be a GaugeNorm, got SpaceSpec$"):
             mink_norm(Vec([1.0, 2.0]), g.spec)
 
+    @pytest.mark.parametrize("x", [[1.0, 2.0], (1.0, 2.0)], ids=["list", "tuple"])
+    def test_strict_ball_test_x_must_be_a_vec(self, x):
+        with pytest.raises(TypeError, match=f"^x must be a Vec, got {type(x).__name__}$"):
+            strict_ball_test(x, 1.0, g_of([1.0, 2.0]))
+
     @settings(max_examples=200)
     @given(vec_with_gauge())
     def test_matches_bisection_oracle(self, xg):

@@ -97,11 +97,26 @@ class TestRecords:
             (dict(max_iter=0), "max_iter must be at least 1, got 0"),
             (dict(lam=1.0), "contraction factor must lie in"),
             (dict(domain=Ball((0.0,), Vec([1.0]), closed=False)), "a ball domain must be closed"),
+            (
+                dict(domain=Ball((0.0, 0.0), Vec([1.0]))),
+                "^domain center: point has 2 coordinates, expected 1$",
+            ),
+            (
+                dict(domain=Ball((0.0,), Vec([1.0, 1.0]))),
+                "^domain radius: 2 coordinates, expected 1$",
+            ),
+            (dict(domain=Ball((1j,), Vec([1.0]))), "^domain center: complex coordinate"),
+            (dict(domain=Ball((math.inf,), Vec([1.0]))), "^domain center: non-finite coordinate"),
         ],
     )
     def test_problem_validates(self, kw, message):
         with pytest.raises(ValueError, match=message):
             halve_problem(**kw)
+
+    def test_ball_domain_center_is_kept_validated(self):
+        p = halve_problem(domain=Ball([2], Vec([3.0])))
+        assert p.domain == Ball((2.0,), Vec([3.0]))
+        assert type(p.domain.center) is tuple and type(p.domain.center[0]) is float
 
     def test_problem_stop_c_must_be_a_vec(self):
         with pytest.raises(TypeError, match="^stop_c must be a Vec, got tuple$"):
@@ -445,6 +460,16 @@ class CountingMetric(WeightedConeMetric):
         return super().validate_point(p)
 
 
+class RecordingMetric(CountingMetric):
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        self.points = []
+
+    def validate_point(self, p):
+        self.points.append(tuple(p))
+        return super().validate_point(p)
+
+
 class TestEngineBoundary:
     @pytest.mark.parametrize("lam", [0.5, None])
     def test_each_point_validated_once(self, lam):
@@ -454,6 +479,19 @@ class TestEngineBoundary:
         assert result.converged and k > 10
         # x0, one per map output, and the two points of the final residual.
         assert inst.validations <= k + 3
+
+    @pytest.mark.parametrize("max_iter", [3, 30])
+    def test_ball_center_validated_once_per_run(self, max_iter):
+        inst = RecordingMetric([1.0])
+        ball = Ball([-5], Vec([10.0]))
+        result = run_picard(halve_problem(metric=inst, domain=ball, max_iter=max_iter))
+        k = len(result.trace.step_dists)
+        assert (result.halt, k) == ("max_iter", max_iter)
+        # The iterates stay positive, so only the center equals -5.
+        assert inst.points.count((-5.0,)) == 1
+        # The center when the problem is built, x0 at the start and in the
+        # domain check, one per map output, and the final residual's two.
+        assert inst.validations == k + 5
 
     @pytest.mark.parametrize(
         "map_fn, x0, lam, steps",

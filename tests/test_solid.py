@@ -101,6 +101,13 @@ class TestPredicateExamples:
         assert not leq(Vec([1, 2]), Vec([0, 3]))
 
 
+    @pytest.mark.parametrize("x", [[1.0, 2.0], (1.0, 2.0), None], ids=["list", "tuple", "none"])
+    @pytest.mark.parametrize("predicate", [in_cone, in_interior])
+    def test_non_vec_argument_is_named(self, predicate, x):
+        with pytest.raises(TypeError, match=f"^x must be a Vec, got {type(x).__name__}$"):
+            predicate(x)
+
+
 class TestSpaceSpec:
     def test_validation(self):
         SpaceSpec(2, Vec([1.0, 0.5]))
