@@ -1,9 +1,10 @@
 """Per-layer micro-benchmarks: ``Vec``, the order predicates, metric distance,
-the gauge, record construction, the Picard engine, the Weierstrass sweep, the
-artifact writers, the CLI's fixed cost and a whole ``picard`` call, the CLI's
-import, and the axiom suites.
+the gauge, record, problem and metric construction, the Picard engine, the
+Weierstrass sweep, the artifact writers, the CLI's fixed cost and a whole
+``picard`` call, the CLI's import, and the axiom suites.
 
 One row per operation and size n in {2, 50, 200}, one per writer input, one
+``Problem`` built at n=200 with a ball domain, one two-weight metric, one
 ``run_picard`` call per way of getting the factor, one
 ``weierstrass_step`` sweep over the roots 1..m at m in {3, 12}, one
 ``run_all(seed, 20)`` call, the unit of the axioms-suite workload, and
@@ -42,7 +43,7 @@ import conecert
 from conecert import GaugeNorm, Polynomial, Problem, SpaceSpec, mink_norm, run_picard, solve_roots
 from conecert.axioms import Sampler, run_all
 from conecert.cli import main
-from conecert.metrics import WeightedConeMetric
+from conecert.metrics import Ball, WeightedConeMetric
 from conecert.picard import Certificate, certificate_to_dict, write_trace_csv
 from conecert.roots import ComparisonRow, default_starts, weierstrass_step
 from conecert.solid import Vec, leq, lt
@@ -171,6 +172,29 @@ def diagonal_problem(n=200, lam=0.9):
         max_iter=1000,
         lam=lam,
     )
+
+
+def test_build_problem(benchmark):
+    """A ``Problem`` at n=200 with a ball domain: every field checked, the
+    start point and the ball's center validated."""
+    n = 200
+    args = (
+        lambda x: x,
+        tuple(coords(n)),
+        WeightedConeMetric([1.0] * n),
+        GaugeNorm(SpaceSpec(n, Vec.ones(n))),
+        Vec([1e-10] * n),
+        1000,
+        0.9,
+        Ball(tuple(coords(n, 0.5)), Vec([4.0] * n)),
+    )
+    assert benchmark(Problem, *args).domain.center == args[7].center
+
+
+def test_build_weighted_metric(benchmark):
+    """A ``WeightedConeMetric`` with two non-unit weights, as the axiom
+    suites build them."""
+    benchmark(WeightedConeMetric, weights(2))
 
 
 def diagonal_run(n=200):

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from operator import truediv
 
-from .solid import SpaceSpec, Vec, _FrozenRecord, lt
+from .solid import SpaceSpec, Vec, _Record, lt
 
 __all__ = ["GaugeNorm", "mink_norm", "strict_ball_test"]
 
 
-class GaugeNorm(_FrozenRecord):
+class GaugeNorm(_Record):
     """Minkowski gauge of [-base, base] for a fixed space spec."""
 
     __slots__ = ("spec", "_unit")

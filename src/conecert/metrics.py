@@ -22,7 +22,7 @@ from .solid import (
     NonFiniteError,
     Vec,
     _finite,
-    _FrozenRecord,
+    _Record,
     in_cone,
     in_interior,
     leq,
@@ -42,20 +42,22 @@ __all__ = [
 ]
 
 
-class WeightedConeMetric:
+class WeightedConeMetric(_Record):
     """Componentwise weighted modulus distance over real or complex tuples."""
 
+    __slots__ = ("alpha", "field", "_unit")
+
     def __init__(self, alpha: Sequence[float], field: str = "real"):
-        self.alpha = tuple(float(a) for a in alpha)
-        if not self.alpha:
+        alpha = tuple(float(a) for a in alpha)
+        if not alpha:
             raise ValueError("weight vector must be nonempty")
-        if any(not math.isfinite(a) or a <= 0 for a in self.alpha):
+        if any(not math.isfinite(a) or a <= 0 for a in alpha):
             raise ValueError("weights must be finite and strictly positive")
         if field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-        self.field = field
+        super().__init__(alpha, field)
         # 1.0 * m == m exactly, so unit weights skip the multiply.
-        self._unit = self.alpha.count(1.0) == len(self.alpha)
+        object.__setattr__(self, "_unit", alpha.count(1.0) == len(alpha))
 
     @property
     def dim(self) -> int:
@@ -116,8 +118,10 @@ class WeightedConeMetric:
             raise NonFiniteError("non-finite coordinate: inf") from None
 
 
-class DiscreteConeMetric:
+class DiscreteConeMetric(_Record):
     """Fixed nonzero cone value between any two distinct points."""
+
+    __slots__ = ("a",)
 
     def __init__(self, a: Vec):
         if not isinstance(a, Vec):
@@ -126,7 +130,7 @@ class DiscreteConeMetric:
             raise ValueError("discrete distance value must lie in the cone")
         if a == Vec.zeros(len(a)):
             raise ValueError("discrete distance value must be nonzero")
-        self.a = a
+        super().__init__(a)
 
     @property
     def dim(self) -> int:
@@ -142,13 +146,15 @@ class DiscreteConeMetric:
         return Vec.zeros(self.dim) if x == y else self.a
 
 
-class PlusConeMetric:
+class PlusConeMetric(_Record):
     """Sum distance on the positive cone: d(x, y) = x + y for x != y."""
+
+    __slots__ = ("n",)
 
     def __init__(self, n: int):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
-        self.n = n
+        super().__init__(n)
 
     @property
     def dim(self) -> int:
@@ -173,7 +179,7 @@ class PlusConeMetric:
 ConeMetric = Union[WeightedConeMetric, DiscreteConeMetric, PlusConeMetric]
 
 
-class Ball(_FrozenRecord):
+class Ball(_Record):
     """Cone ball around a center; closed balls take cone radii, open ones interior radii."""
 
     __slots__ = ("center", "radius", "closed")

@@ -25,11 +25,12 @@ observed steps never contradict the factor.  An estimated factor always
 yields ``heuristic``; a domain checked only pointwise on iterates yields
 ``conditional``.
 
-The start point and every map output are validated once, on entry, and a
-ball domain's center when the problem is built; steps and ball tests are
-measured between already validated points.  Past the start point's
-checks a run always returns.  An iterate outside the domain ends it with
-halt ``domain_escape``, that iterate last in the trace.  A map output, step
+The start point and a ball domain's center are validated once, when the
+:class:`Problem` is built, which then refuses assignment; every map output
+is validated once, on entry.  Steps and ball tests are measured between
+already validated points.  Past the start point's domain check a run always
+returns.  An iterate outside the domain ends it with halt
+``domain_escape``, that iterate last in the trace.  A map output, step
 distance or halting bound that overflows, or a map that raises
 :class:`NonFiniteError` itself, ends it with halt ``overflow``, the trace
 stopping at the last iterate before it; so does a certificate whose radius
@@ -85,11 +86,13 @@ def _check_lambda(lam: float) -> float:
 class Problem(_Record):
     """One fixed-point problem: map, start, metric, gauge and halting data.
 
-    ``domain`` is None for the whole space, a closed :class:`Ball`, or a
-    predicate called on every iterate; a ball's center is validated here,
-    once.  ``lam`` is the contraction factor when the caller can supply one;
-    left None it is estimated from the trace and every certificate is
-    downgraded to heuristic.
+    Every field is checked here, once, and a problem refuses assignment, so
+    a run certifies the problem as built.  ``x0`` is kept as the metric's
+    ``validate_point`` returns it.  ``domain`` is None for the whole space, a
+    closed :class:`Ball`, whose center is validated here too, or a predicate
+    called on every iterate.  ``lam`` is the contraction factor when the
+    caller can supply one; left None it is estimated from the trace and
+    every certificate is downgraded to heuristic.
     """
 
     __slots__ = ("map_fn", "x0", "metric", "gauge", "stop_c", "max_iter", "lam", "domain")
@@ -105,6 +108,8 @@ class Problem(_Record):
         lam: Optional[float] = None,
         domain: object = None,
     ):
+        if not callable(map_fn):
+            raise TypeError(f"map_fn must be callable, got {type(map_fn).__name__}")
         # Duck-typed: any object with an integer ``dim`` can be a metric.
         n = getattr(metric, "dim", None)
         if not isinstance(n, int):
@@ -115,10 +120,13 @@ class Problem(_Record):
             raise ValueError(
                 f"gauge dimension {gauge.spec.n} does not match metric dimension {n}"
             )
+        x0 = metric.validate_point(x0)
         if not isinstance(stop_c, Vec):
             raise TypeError(f"stop_c must be a Vec, got {type(stop_c).__name__}")
         if len(stop_c) != n or not in_interior(stop_c):
             raise ValueError("stop_c must be a strictly positive vector of metric dimension")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, int):
+            raise TypeError(f"max_iter must be an integer, got {type(max_iter).__name__}")
         if max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
         if lam is not None:
@@ -133,6 +141,10 @@ class Problem(_Record):
             if len(domain.radius) != n:
                 raise ValueError(f"domain radius: {len(domain.radius)} coordinates, expected {n}")
             domain = Ball(center, domain.radius)
+        elif domain is not None and not callable(domain):
+            raise TypeError(
+                f"domain must be None, a Ball or a predicate, got {type(domain).__name__}"
+            )
         super().__init__(map_fn, x0, metric, gauge, stop_c, max_iter, lam, domain)
 
 
@@ -140,10 +152,6 @@ class IterationTrace(_Record):
     """Iterates x_0, x_1, ... and the step distances d(x_k, x_{k+1})."""
 
     __slots__ = ("iterates", "step_dists")
-
-    def __init__(self, iterates: list | None = None, step_dists: list[Vec] | None = None):
-        self.iterates = [] if iterates is None else iterates
-        self.step_dists = [] if step_dists is None else step_dists
 
 
 class _BoundFamily(Sequence):
@@ -320,7 +328,7 @@ def check_domain_condition(p: Problem, r: Vec) -> str:
     if p.domain is None:
         return "verified"
     if isinstance(p.domain, Ball):
-        d = p.metric._distance(p.metric.validate_point(p.x0), p.domain.center)
+        d = p.metric._distance(p.x0, p.domain.center)
         return "verified" if leq(d + r, p.domain.radius) else "conditional"
     return "conditional"
 
@@ -377,14 +385,14 @@ def run_picard(
     ``converged=False``, halt ``max_iter`` and whatever certificate the
     trace supports.  Nor is a domain escape or an overflow (see the module
     docstring): the run ends unconverged with halt ``domain_escape`` or
-    ``overflow`` and no certificate.  Only the start point's checks raise.
+    ``overflow`` and no certificate.  The problem validated the start point
+    when it was built, so only the start point's domain check raises.
     """
     inst = p.metric
-    trace = IterationTrace()
-    x = inst.validate_point(p.x0)
+    x = p.x0
     if not _in_domain(p, x):
         raise ValueError("the start point is outside the declared domain")
-    trace.iterates.append(x)
+    trace = IterationTrace([x], [])
 
     # The halting bound is apost_backward_bound(s, lam), compared with stop_c
     # coordinate by coordinate; its factor _backward_factor is computed once.

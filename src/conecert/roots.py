@@ -55,8 +55,10 @@ __all__ = [
 ]
 
 
-class Polynomial:
+class Polynomial(_Record):
     """Univariate polynomial stored monic, coefficients constant term first."""
+
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence):
         coeffs = [complex(c) for c in coefficients]
@@ -67,7 +69,7 @@ class Polynomial:
         if any(not cmath.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
         lead = coeffs[-1]
-        self.coefficients = tuple(c / lead for c in coeffs)
+        super().__init__(tuple(c / lead for c in coeffs))
 
     @property
     def degree(self) -> int:
@@ -161,9 +163,6 @@ class ComparisonRow(_Record):
 class ComparisonReport(_Record):
     __slots__ = ("rows",)
 
-    def __init__(self, rows: list[ComparisonRow] | None = None):
-        self.rows = [] if rows is None else rows
-
     @property
     def any_exceeded(self) -> bool:
         return any(r.exceeded for r in self.rows)
@@ -188,7 +187,7 @@ def compare_bounds(
     broadcast one; rows where it is strictly smaller in some coordinate are
     counted as improvements.
     """
-    report = ComparisonReport()
+    report = ComparisonReport([])
     base = g_scalar.spec.base
     # The forward bound's factor, so both pipelines round alike at the max coordinate.
     q = _forward_factor(lam)
@@ -300,7 +299,7 @@ def solve_roots(
     )
     result = run_picard(problem, stalled=noise_floor(problem))
     cert, roots = result.certificate, result.fixed_point
-    report = ComparisonReport()
+    report = ComparisonReport([])
     if cert is not None:
         report = compare_bounds(result.trace, g, cert.lambda_used, start=cert.start)
     residuals = None if roots is None else [abs(p(z)) for z in roots]

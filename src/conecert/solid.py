@@ -176,7 +176,7 @@ def lt(x: Vec, y: Vec) -> bool:
 
 
 class _Record:
-    """Constructor, field-wise ``==`` and ``repr`` for the package's plain records.
+    """Constructor, field-wise ``==``, ``hash`` and ``repr`` for the package's values.
 
     A subclass declares its fields once, as ``__slots__``; a slot whose name
     starts with ``_`` holds derived state and is not a field.  A subclass of
@@ -185,11 +185,14 @@ class _Record:
     a trailing run of fields may fall back to the class's ``_defaults`` dict
     (shared by every instance, so immutable values only).  A missing,
     unknown, surplus or duplicate field raises ``TypeError`` naming the class
-    and the field.  Slots are set with ``object.__setattr__``, so frozen
-    subclasses use it too; a validating subclass checks its input in its own
-    ``__init__`` and passes the checked values on.  As with a dataclass,
-    ``==`` compares the field tuples of two instances of the same class,
-    ``repr`` names the class and each field, and the class is unhashable.
+    and the field.  A validating subclass checks its input in its own
+    ``__init__`` and passes the checked values on.  As with a frozen
+    dataclass, ``==`` compares the field tuples of two instances of the same
+    class, ``hash`` hashes that tuple (a list field makes it unhashable),
+    ``repr`` names the class and each field, and assignment and deletion
+    raise ``AttributeError``: the object a constructor checked is the one
+    every reader sees.  Slots, derived ones too, are set once with
+    ``object.__setattr__``.  Copies and pickles go through the constructor.
     """
 
     __slots__ = ()
@@ -229,19 +232,6 @@ class _Record:
             return NotImplemented
         return self._fields() == other._fields()
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._names)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class _FrozenRecord(_Record):
-    """A :class:`_Record` that hashes by its fields and refuses assignment.
-
-    Copies and pickles are rebuilt through the constructor from the fields.
-    """
-
-    __slots__ = ()
-
     def __hash__(self) -> int:
         return hash(self._fields())
 
@@ -254,8 +244,12 @@ class _FrozenRecord(_Record):
     def __reduce__(self):
         return type(self), self._fields()
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._names)
+        return f"{type(self).__qualname__}({fields})"
 
-class SpaceSpec(_FrozenRecord):
+
+class SpaceSpec(_Record):
     """Dimension together with a strictly positive base vector.
 
     The base vector fixes the order interval [-base, base] whose gauge the

@@ -1009,3 +1009,20 @@ class TestOutputDirectory:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot use output directory {str(afile / 'sub')!r}: ")
         assert afile.read_text() == ""
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="from Python 3.12 on sum() of floats is compensated, which changes the dense-affine bytes",
+)
+def test_cli_batch_fixture_matches_golden_digest(tmp_path):
+    """Every exit code and artifact byte of the benchmark's cli-batch units,
+    seeds 1-3, rounds 0-3, under one sha256 (``tests/cli_batch_digest.py``);
+    Python 3.10.13 gives the same digest."""
+    from cli_batch_digest import cli_batch_digest
+
+    assert cli_batch_digest(tmp_path) == (
+        "d96569c50d75052b88593c86c1859e8e0e7986dc2070b53c58a93d104392505d",
+        144,
+        276,
+    )

@@ -50,6 +50,22 @@ class TestWeighted:
         with pytest.raises(ValueError):
             inst.distance((1.0,), (0.0, 0.0))
 
+    def test_weights_cannot_change_after_the_checks(self):
+        # Assigned weights once left the unit-weight flag stale, so the
+        # distance came back 1000 times too small.
+        m = WeightedConeMetric([1.0, 1.0])
+        with pytest.raises(AttributeError, match="^cannot assign to field 'alpha'$"):
+            m.alpha = (1000.0, 1000.0)
+        assert m.alpha == (1.0, 1.0)
+        assert m.distance((0, 0), (1, 1)) == Vec([1.0, 1.0])
+        assert WeightedConeMetric([1000.0, 1000.0]).distance((0, 0), (1, 1)) == Vec([1000.0, 1000.0])
+
+    def test_compares_and_hashes_by_value(self):
+        a, b = WeightedConeMetric([1, 2]), WeightedConeMetric((1.0, 2.0), "real")
+        assert a == b and hash(a) == hash(b)
+        assert a != WeightedConeMetric([1.0, 2.0], field="complex")
+        assert repr(a) == "WeightedConeMetric(alpha=(1.0, 2.0), field='real')"
+
     @given(data=st.data())
     def test_metric_axioms(self, data):
         n = data.draw(dims)
@@ -304,6 +320,13 @@ class TestDiscrete:
         inst = DiscreteConeMetric(Vec([1.0, 2.0]))
         assert inst.distance("a", "a") == Vec.zeros(2)
         assert inst.distance("a", "b") == Vec([1.0, 2.0])
+
+    def test_value_cannot_leave_the_cone_after_the_checks(self):
+        d = DiscreteConeMetric(Vec([1.0]))
+        with pytest.raises(AttributeError, match="^cannot assign to field 'a'$"):
+            d.a = Vec([-1.0])
+        assert in_cone(d.distance("x", "y"))
+        assert d == DiscreteConeMetric(Vec([1.0])) != DiscreteConeMetric(Vec([2.0]))
 
     def test_validation(self):
         with pytest.raises(ValueError):

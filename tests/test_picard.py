@@ -130,17 +130,42 @@ class TestRecords:
         with pytest.raises(TypeError, match="^metric must be a cone metric, got list$"):
             halve_problem(metric=[1.0])
 
-    def test_problem_fields_stay_assignable(self):
-        p = halve_problem()
-        p.max_iter = 3
-        assert run_picard(p).halt == "max_iter"
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(map_fn=None), "^map_fn must be callable, got NoneType$"),
+            (dict(max_iter=2.5), "^max_iter must be an integer, got float$"),
+            (dict(max_iter=True), "^max_iter must be an integer, got bool$"),
+            (dict(domain=5), "^domain must be None, a Ball or a predicate, got int$"),
+            (dict(domain=[0.0]), "^domain must be None, a Ball or a predicate, got list$"),
+        ],
+    )
+    def test_problem_rejects_what_a_run_would_trip_on(self, kw, message):
+        with pytest.raises(TypeError, match=message):
+            halve_problem(**kw)
 
-    def test_traces_do_not_share_lists(self):
-        a, b = IterationTrace(), IterationTrace()
-        a.iterates.append((1.0,))
-        a.step_dists.append(ONES)
-        assert (b.iterates, b.step_dists) == ([], [])
-        assert IterationTrace() == b
+    def test_problem_validates_x0_when_built(self):
+        p = halve_problem(x0=[2])
+        assert p.x0 == (2.0,) and type(p.x0[0]) is float
+        # The metric's own error, as a run raised it before.
+        with pytest.raises(ValueError, match="^point has 2 coordinates, expected 1$"):
+            halve_problem(x0=(1.0, 2.0))
+        with pytest.raises(ValueError, match="^complex coordinate"):
+            halve_problem(x0=(1j,))
+
+    def test_problem_refuses_assignment(self):
+        # A 2-d ball domain assigned to a 1-d problem after its checks once ran
+        # to stop_c with status certified, the center's second coordinate
+        # dropped by the distance's zip.
+        p = halve_problem()
+        with pytest.raises(AttributeError, match="^cannot assign to field 'domain'$"):
+            p.domain = Ball((0.0, 5.0), Vec([2.0]))
+        with pytest.raises(AttributeError, match="^cannot assign to field 'max_iter'$"):
+            p.max_iter = 3
+        with pytest.raises(AttributeError, match="^cannot delete field 'stop_c'$"):
+            del p.stop_c
+        assert p == halve_problem(map_fn=p.map_fn)
+        assert run_picard(p).halt == "stop_c"
 
     def test_certificate_start_defaults_to_zero(self):
         cert = Certificate(0.5, "given", ONES, [ONES], "certified", None)
@@ -197,10 +222,7 @@ class TestBoundArithmetic:
 
 class TestStepChecks:
     def make_trace(self, steps):
-        t = IterationTrace()
-        t.step_dists = [Vec([s]) for s in steps]
-        t.iterates = [(0.0,)] * (len(steps) + 1)
-        return t
+        return IterationTrace([(0.0,)] * (len(steps) + 1), [Vec([s]) for s in steps])
 
     def test_verify_step_contraction(self):
         t = self.make_trace([1.0, 0.5, 0.25])
@@ -451,19 +473,15 @@ class TestRunPicard:
 
 
 class CountingMetric(WeightedConeMetric):
+    """Records every point it validates, in a list: a metric refuses assignment."""
+
     def __init__(self, alpha):
         super().__init__(alpha)
-        self.validations = 0
+        object.__setattr__(self, "points", [])
 
-    def validate_point(self, p):
-        self.validations += 1
-        return super().validate_point(p)
-
-
-class RecordingMetric(CountingMetric):
-    def __init__(self, alpha):
-        super().__init__(alpha)
-        self.points = []
+    @property
+    def validations(self):
+        return len(self.points)
 
     def validate_point(self, p):
         self.points.append(tuple(p))
@@ -477,21 +495,22 @@ class TestEngineBoundary:
         result = run_picard(affine_problem(metric=inst, lam=lam))
         k = len(result.trace.step_dists)
         assert result.converged and k > 10
-        # x0, one per map output, and the two points of the final residual.
-        assert inst.validations <= k + 3
+        # x0 when the problem is built, one per map output, and the two
+        # points of the final residual.
+        assert inst.validations == k + 3
 
     @pytest.mark.parametrize("max_iter", [3, 30])
     def test_ball_center_validated_once_per_run(self, max_iter):
-        inst = RecordingMetric([1.0])
+        inst = CountingMetric([1.0])
         ball = Ball([-5], Vec([10.0]))
         result = run_picard(halve_problem(metric=inst, domain=ball, max_iter=max_iter))
         k = len(result.trace.step_dists)
         assert (result.halt, k) == ("max_iter", max_iter)
         # The iterates stay positive, so only the center equals -5.
         assert inst.points.count((-5.0,)) == 1
-        # The center when the problem is built, x0 at the start and in the
-        # domain check, one per map output, and the final residual's two.
-        assert inst.validations == k + 5
+        # The center and x0 when the problem is built, one per map output,
+        # and the final residual's two.
+        assert inst.validations == k + 4
 
     @pytest.mark.parametrize(
         "map_fn, x0, lam, steps",
@@ -762,14 +781,14 @@ class TestHaltingDecision:
         factor,
     )
     def test_step_contraction_matches_leq_of_scaled_steps(self, steps, lam):
-        trace = IterationTrace(step_dists=[Vec(s) for s in steps])
+        trace = IterationTrace(iterates=[], step_dists=[Vec(s) for s in steps])
         vecs = trace.step_dists
         expected = all(leq(vecs[k + 1], lam * vecs[k]) for k in range(len(vecs) - 1))
         assert verify_step_contraction(trace, lam) is expected
 
     @pytest.mark.parametrize("second", [Vec([1.0, 1.0]), (1.0,)])
     def test_step_contraction_rejects_operands_as_leq_does(self, second):
-        trace = IterationTrace(step_dists=[Vec([1.0]), second])
+        trace = IterationTrace(iterates=[], step_dists=[Vec([1.0]), second])
         with pytest.raises((TypeError, ValueError)) as new:
             verify_step_contraction(trace, 0.5)
         with pytest.raises(type(new.value)) as old:

@@ -18,7 +18,6 @@ from conecert.picard import (
     verify_step_contraction,
 )
 from conecert.roots import (
-    ComparisonReport,
     Polynomial,
     _discs_disjoint,
     as_root_vector,
@@ -59,6 +58,13 @@ class TestPolynomial:
         assert QUAD_REAL(2.0) == 3.0
         assert QUAD_IMAG(1j) == 0.0
         assert CUBIC(2.0) == 0.0
+
+    def test_compares_by_the_monic_coefficients_and_refuses_assignment(self):
+        p = Polynomial([2.0, 0.0, 2.0])
+        assert p == QUAD_IMAG and hash(p) == hash(QUAD_IMAG) and p != QUAD_REAL
+        with pytest.raises(AttributeError, match="^cannot assign to field 'coefficients'$"):
+            p.coefficients = (1.0, 5.0)
+        assert p(1j) == 0.0
 
 
 class TestRootVector:
@@ -398,9 +404,7 @@ class TestSolveRoots:
         # componentwise check, so derive the componentwise factor here.
         result = solve_roots(CUBIC, z0=(1.3, 1.8, 3.4))
         start = result.tail_start
-        tail = IterationTrace()
-        tail.step_dists = result.trace.step_dists[start:]
-        tail.iterates = result.trace.iterates[start:]
+        tail = IterationTrace(result.trace.iterates[start:], result.trace.step_dists[start:])
         lam_cw = 0.0
         for a, b in zip(tail.step_dists, tail.step_dists[1:]):
             for num, den in zip(b.coords, a.coords):
@@ -504,10 +508,7 @@ class TestCompareBounds:
     GS = GaugeNorm(SpaceSpec(2, Vec([1.0, 1.0])))
 
     def make_trace(self, steps):
-        t = IterationTrace()
-        t.step_dists = [Vec(s) for s in steps]
-        t.iterates = [(0j, 0j)] * (len(steps) + 1)
-        return t
+        return IterationTrace([(0j, 0j)] * (len(steps) + 1), [Vec(s) for s in steps])
 
     def test_empty_trace(self):
         report = compare_bounds(self.make_trace([]), self.GS, 0.5)
@@ -534,11 +535,6 @@ class TestCompareBounds:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compare_bounds(self.make_trace([[0.5]]), self.GS, 0.5)
-
-    def test_reports_do_not_share_rows(self):
-        a, b = ComparisonReport(), ComparisonReport()
-        a.rows.append(None)
-        assert b.rows == [] and ComparisonReport().rows == []
 
     def test_reports_compare_row_by_row(self):
         trace = self.make_trace([[0.5, 0.001], [0.25, 0.001]])

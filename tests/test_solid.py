@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 
 import conecert
 from conecert.cli import vec_from_json
+from conecert.gauge import GaugeNorm
+from conecert.metrics import Ball, DiscreteConeMetric, PlusConeMetric, WeightedConeMetric
+from conecert.picard import Problem, run_picard
+from conecert.roots import Polynomial, solve_roots
 from conecert.solid import (
     NonFiniteError,
     SpaceSpec,
@@ -192,7 +196,7 @@ class TestRecordConstructor:
         t = _Triple(1, 2)
         with pytest.raises(AttributeError):
             t._derived
-        t._derived = "cached"
+        object.__setattr__(t, "_derived", "cached")
         assert t == _Triple(1, 2)
         assert repr(t) == "_Triple(a=1, b=2, c=3)"
 
@@ -213,19 +217,82 @@ class TestRecordConstructor:
 
     def test_defaults_are_a_trailing_run_of_fields(self):
         # Every record of the package that takes the shared constructor.
-        for info in pkgutil.iter_modules(conecert.__path__):
-            importlib.import_module(f"conecert.{info.name}")
-        records, todo = [], [_Record]
-        while todo:
-            for cls in todo.pop().__subclasses__():
-                todo.append(cls)
-                if cls.__module__.startswith("conecert.") and "__init__" not in vars(cls):
-                    records.append(cls)
+        records = [cls for cls in package_records() if "__init__" not in vars(cls)]
         names = {cls.__name__ for cls in records}
         assert {"Certificate", "PicardResult", "ComparisonRow", "RootsResult"} <= names
         for cls in records:
             fields, k = cls._names, len(cls._defaults)
             assert set(cls._defaults) == set(fields[len(fields) - k :]), cls.__name__
+
+
+def package_records() -> list:
+    """Every ``_Record`` subclass defined in the package's modules."""
+    for info in pkgutil.iter_modules(conecert.__path__):
+        importlib.import_module(f"conecert.{info.name}")
+    records, todo = [], [_Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("conecert."):
+                records.append(cls)
+    return records
+
+
+def _halve(x):
+    return tuple(c / 2 for c in x)
+
+
+def record_samples() -> dict:
+    """One instance of each record of the package, by class name."""
+    spec = SpaceSpec(1, Vec([1.0]))
+    metric = WeightedConeMetric([2.0])
+    problem = Problem(
+        _halve, (1.0,), metric, GaugeNorm(spec), Vec([1e-10]), 100, 0.5, Ball((0.0,), Vec([4.0]))
+    )
+    picard = run_picard(problem)
+    poly = Polynomial([-6.0, 11.0, -6.0, 1.0])
+    roots = solve_roots(poly, z0=(1.3, 1.8, 3.4))
+    samples = [
+        spec, problem.gauge, problem.domain, metric, DiscreteConeMetric(Vec([1.0, 0.5])),
+        PlusConeMetric(2), problem, picard.trace, picard.certificate, picard, poly, roots,
+        roots.report, roots.report.rows[0],
+    ]
+    return {type(r).__name__: r for r in samples}
+
+
+SAMPLES = record_samples()
+PICKLED = ("WeightedConeMetric", "DiscreteConeMetric", "PlusConeMetric", "Polynomial")
+
+
+class TestEveryRecordIsFrozen:
+    """Every record and value type refuses assignment after its checks."""
+
+    def test_the_samples_cover_every_record(self):
+        assert set(SAMPLES) == {cls.__name__ for cls in package_records()}
+
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
+    def test_slots_refuse_assignment_and_deletion(self, name):
+        record = SAMPLES[name]
+        before = copy.copy(record)
+        slots = [s for cls in type(record).__mro__ for s in vars(cls).get("__slots__", ())]
+        assert set(record._names) <= set(slots)
+        for slot in [*slots, "extra"]:
+            with pytest.raises(AttributeError, match=f"^cannot assign to field {slot!r}$"):
+                setattr(record, slot, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field {slot!r}$"):
+                delattr(record, slot)
+        assert record == before
+
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
+    def test_copies_equal_the_original(self, name):
+        # Records of different classes never compare equal.
+        assert copy.copy(SAMPLES[name]) == SAMPLES[name]
+
+    @pytest.mark.parametrize("name", PICKLED)
+    def test_value_types_pickle_and_hash_by_value(self, name):
+        record = SAMPLES[name]
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and hash(again) == hash(record)
 
 
 class TestScaleWitnesses:
