@@ -1,6 +1,7 @@
 """Fixed-point iteration with componentwise error certificates over cone metrics."""
 
 from .gauge import GaugeNorm, mink_norm, strict_ball_test
+from .maps import Affine, Halve
 from .metrics import (
     Ball,
     ConeMetric,
@@ -32,6 +33,7 @@ from .roots import (
     ComparisonReport,
     Polynomial,
     RootsResult,
+    Weierstrass,
     compare_bounds,
     default_starts,
     solve_roots,

@@ -32,6 +32,12 @@ as 1000); a complex scalar is a number or ``[re, im]``; an affine map's
 against the matrix size and the degree; NaN and Infinity are rejected; an
 optional key set to null reads like an absent key, while a null
 ``--stop-c`` is rejected.
+
+This module defines no map.  ``_map_from_config`` reads a map's keys,
+checks them against ``x0`` and the metric, and constructs a record:
+``maps.Halve``, ``maps.Affine`` or ``roots.Weierstrass``.  So two problems
+built from one config compare, hash and pickle alike, and ``picard`` halts
+a run at its noise floor when its map is a ``Weierstrass``.
 """
 
 from __future__ import annotations
@@ -41,10 +47,10 @@ import csv
 import functools
 import json
 import sys
-from operator import mul
 from pathlib import Path
 
 from .gauge import GaugeNorm, mink_norm
+from .maps import Affine, Halve
 from .metrics import (
     Ball,
     ConeMetric,
@@ -54,7 +60,7 @@ from .metrics import (
 )
 from .normality import normality_table
 from .picard import PicardResult, Problem, certificate_to_dict, run_picard, write_trace_csv
-from .roots import Polynomial, noise_floor, solve_roots, weierstrass_map
+from .roots import Polynomial, Weierstrass, noise_floor, solve_roots
 from .solid import SpaceSpec, Vec
 
 EXIT_OK = 0
@@ -232,34 +238,25 @@ def _out_dir(args) -> Path:
     return Path(out)
 
 
-def _affine_map(matrix, offset, x0):
-    rows = [_numbers(row, "matrix") for row in _array(matrix, "matrix")]
-    c = _numbers(offset, "offset")
-    n = len(c)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError("affine map needs a square matrix matching the offset length")
-    if len(x0) > n:
-        raise ValueError(f'"x0" has {len(x0)} coordinates, but the affine "matrix" is {n}x{n}')
-    if len(x0) < n:
-        # The image would not fit the point; worded as a metric rejects it.
-        raise ValueError(f"point has {n} coordinates, expected {len(x0)}")
-
-    def apply(x):
-        return tuple([sum(map(mul, row, x)) + ci for row, ci in zip(rows, c)])
-
-    return apply
-
-
 def _map_from_config(spec: dict, inst: ConeMetric, x0):
+    """The configured map, built once its keys are read and checked against ``x0``."""
     if not isinstance(spec, dict) or "name" not in spec:
         raise ValueError('map config needs a "name" field')
     name = spec["name"]
     if name == "halve":
-        return lambda x: tuple(c / 2 for c in x)
+        return Halve()
     if name == "affine":
         if "matrix" not in spec or "offset" not in spec:
             raise ValueError('affine map needs "matrix" and "offset"')
-        return _affine_map(spec["matrix"], spec["offset"], x0)
+        rows = [_numbers(row, "matrix") for row in _array(spec["matrix"], "matrix")]
+        affine = Affine(rows, _numbers(spec["offset"], "offset"))
+        n = len(affine.offset)
+        if len(x0) > n:
+            raise ValueError(f'"x0" has {len(x0)} coordinates, but the affine "matrix" is {n}x{n}')
+        if len(x0) < n:
+            # The image would not fit the point; worded as a metric rejects it.
+            raise ValueError(f"point has {n} coordinates, expected {len(x0)}")
+        return affine
     if name == "weierstrass":
         if "coefficients" not in spec:
             raise ValueError('weierstrass map needs "coefficients"')
@@ -272,7 +269,7 @@ def _map_from_config(spec: dict, inst: ConeMetric, x0):
                 f'"x0" has {len(x0)} approximations, but the weierstrass "coefficients" '
                 f"have degree {poly.degree}"
             )
-        return weierstrass_map(poly)
+        return Weierstrass(poly)
     raise ValueError(f"unknown map {name!r}")
 
 
@@ -360,7 +357,7 @@ def cmd_picard(args) -> int:
     cfg = _load_config(args)
     problem = _problem_from_config(cfg, args)
     # A Weierstrass run halts at its noise floor, as it does under ``roots``.
-    stalled = noise_floor(problem) if cfg["map"]["name"] == "weierstrass" else None
+    stalled = noise_floor(problem) if isinstance(problem.map_fn, Weierstrass) else None
     result = run_picard(problem, stalled=stalled)
     _write_run(_out_dir(args), result, problem.metric)
     if result.halt == "domain_escape":
@@ -385,7 +382,8 @@ def cmd_roots(args) -> int:
     metric = WeightedConeMetric(weights, field="complex")
     z0 = _optional(cfg, "z0")
     if z0 is not None:
-        z0 = parse_point(metric, z0, "z0")
+        # solve_roots checks the start: its length, entries and distinctness.
+        z0 = _coordinates(metric, z0, "z0")
     stop_c, max_iter, lam = _run_settings(cfg, args, max_iter=100)
     result = solve_roots(
         poly, z0=z0, weights=metric.alpha, stop_c=stop_c, max_iter=max_iter, lam=lam

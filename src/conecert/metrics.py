@@ -137,6 +137,12 @@ class DiscreteConeMetric(_Record):
         return len(self.a)
 
     def validate_point(self, p):
+        """``p`` itself, once it is hashable: a point of any set, but one that
+        a frozen problem can hold (a list would stay the caller's to change)."""
+        try:
+            hash(p)
+        except TypeError:
+            raise TypeError(f"a discrete point must be hashable, got {type(p).__name__}") from None
         return p
 
     def distance(self, x, y) -> Vec:

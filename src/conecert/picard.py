@@ -188,21 +188,24 @@ class Certificate(_Record):
     """Factor, status and steps of a run; the bound families derive from them.
 
     ``lambda_source`` is ``"given"`` or ``"estimated"``, ``status``
-    ``"certified"``, ``"conditional"`` or ``"heuristic"``, ``radius_r`` entry
-    0 of ``apriori`` and ``residual`` :func:`residual_check` at the last
-    iterate, or None when that failed.  ``steps`` holds d(x_k, x_{k+1}) for
-    k >= ``start``, the first iterate the families cover (0, the default, for
-    a given factor).  ``apriori``, ``apost_forward`` and ``apost_backward``
-    are read-only sequences whose entry k is :func:`apriori_bound`,
-    :func:`apost_forward_bound` or :func:`apost_backward_bound` of
-    (``lambda_used``, ``steps``) called when it is read, so building a
-    certificate costs no per-iterate bound work.
+    ``"certified"``, ``"conditional"`` or ``"heuristic"``, and ``residual``
+    :func:`residual_check` at the last iterate, or None when that failed.
+    ``steps`` holds d(x_k, x_{k+1}) for k >= ``start``, the first iterate the
+    families cover (0, the default, for a given factor).  ``apriori``,
+    ``apost_forward`` and ``apost_backward`` are read-only sequences whose
+    entry k is :func:`apriori_bound`, :func:`apost_forward_bound` or
+    :func:`apost_backward_bound` of (``lambda_used``, ``steps``) called when
+    it is read, so building a certificate costs no per-iterate bound work;
+    ``radius_r`` is ``apriori``'s entry 0, read the same way.
     """
 
-    __slots__ = (
-        "lambda_used", "lambda_source", "radius_r", "steps", "status", "residual", "start"
-    )
+    __slots__ = ("lambda_used", "lambda_source", "steps", "status", "residual", "start")
     _defaults = {"start": 0}
+
+    @property
+    def radius_r(self) -> Vec:
+        """The invariance radius: entry 0 of ``apriori``."""
+        return apriori_bound(0, self.lambda_used, self.steps[0])
 
     @property
     def apriori(self) -> _BoundFamily:
@@ -486,7 +489,6 @@ def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificat
     return Certificate(
         lambda_used=lam,
         lambda_source=source,
-        radius_r=radius,
         steps=steps,
         status=status,
         residual=residual,

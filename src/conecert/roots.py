@@ -45,7 +45,7 @@ __all__ = [
     "as_root_vector",
     "default_starts",
     "weierstrass_step",
-    "weierstrass_map",
+    "Weierstrass",
     "noise_floor",
     "solve_roots",
     "RootsResult",
@@ -142,13 +142,18 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
     return tuple(out)
 
 
-def weierstrass_map(p: Polynomial):
-    """The sweep of ``p`` as a map for :func:`run_picard`.
+class Weierstrass(_Record):
+    """The sweep of ``poly`` as a map for :func:`run_picard`: the CLI's
+    ``weierstrass`` map, and the map of :func:`solve_roots`.
 
     It looks :func:`weierstrass_step` up on each call, so a rebinding of that
     name (as ``bench/tracer.py`` makes) is seen.
     """
-    return lambda z: weierstrass_step(p, z)
+
+    __slots__ = ("poly",)
+
+    def __call__(self, z) -> tuple[complex, ...]:
+        return weierstrass_step(self.poly, z)
 
 
 class ComparisonRow(_Record):
@@ -244,7 +249,7 @@ def _discs_disjoint(z: Sequence[complex], step: Vec, alpha: Sequence[float]) -> 
 def noise_floor(p: Problem) -> Callable[[IterationTrace], bool]:
     """The ``stalled`` predicate of :func:`run_picard` for a Weierstrass run.
 
-    ``p`` iterates :func:`weierstrass_map` over a complex weighted metric.
+    ``p`` iterates :class:`Weierstrass` over a complex weighted metric.
     The predicate is true once a step's gauge under ``p.gauge`` is not below
     the previous step's while the inclusion discs around the iterate the
     step left are pairwise disjoint.
@@ -280,23 +285,28 @@ def solve_roots(
     are pairwise disjoint.  The returned result carries the trace, the
     engine's certificate (from the contracting tail unless ``lam`` was
     supplied), the componentwise-versus-broadcast bound comparison over the
-    steps the certificate covers, and the final residual moduli.
+    steps the certificate covers, and the final residual moduli.  A ``z0``
+    that is not one finite complex entry per root, or that holds two equal
+    entries, raises ``ValueError``.
     """
     n = p.degree
-    z0 = default_starts(p) if z0 is None else as_root_vector(z0)
     weights = (1.0,) * n if weights is None else tuple(float(w) for w in weights)
     stop_c = Vec((1e-12,) * n) if stop_c is None else stop_c
     inst = WeightedConeMetric(weights, field="complex")
     g = GaugeNorm(SpaceSpec(n, Vec.ones(n)))
     problem = Problem(
-        map_fn=weierstrass_map(p),
-        x0=z0,
+        map_fn=Weierstrass(p),
+        x0=default_starts(p) if z0 is None else z0,
         metric=inst,
         gauge=g,
         stop_c=stop_c,
         max_iter=max_iter,
         lam=lam,
     )
+    if z0 is not None:
+        # The problem has checked the start's length and entries; two equal
+        # entries would be a zero denominator in the first sweep.
+        as_root_vector(problem.x0)
     result = run_picard(problem, stalled=noise_floor(problem))
     cert, roots = result.certificate, result.fixed_point
     report = ComparisonReport([])

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -488,6 +489,25 @@ class TestRootsCommand:
         roots = sorted(re for re, _ in report["roots"])
         assert roots[0] == pytest.approx(-1.0, abs=1e-8)
         assert roots[1] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "z0, message",
+        [
+            ([], "point has 0 coordinates, expected 3"),
+            ([[1, 0], [2, 0]], "point has 2 coordinates, expected 3"),
+            ([[1, 0], [2, 0], [3, 0], [4, 0]], "point has 4 coordinates, expected 3"),
+            ([[1, 0], [1, 0], [3, 0]], "coincident entries at positions 0 and 1"),
+            # The length is checked before the entries are compared.
+            ([[1, 0], [1, 0]], "point has 2 coordinates, expected 3"),
+        ],
+        ids=["empty", "short", "long", "coincident", "short-coincident"],
+    )
+    def test_bad_z0_names_its_fault(self, tmp_path, capsys, z0, message):
+        cfg = write_cfg(tmp_path, {**CUBIC_ROOTS, "z0": z0})
+        out = tmp_path / "out"
+        assert main(["roots", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_overflow_exits_two_with_repeatable_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, OVERFLOW_CUBIC)
@@ -990,6 +1010,23 @@ class TestConfigValues:
         assert not out.exists()
 
 
+class TestProblemsAreValues:
+    """A problem built from a config holds a map record, not a closure."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ESCAPING, HALVE_2D, WEIERSTRASS],
+        ids=["affine", "halve", "weierstrass"],
+    )
+    def test_one_config_builds_equal_problems(self, cfg):
+        args = cli.build_parser().parse_args(["picard"])
+        a, b = (cli._problem_from_config(cfg, args) for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        again = pickle.loads(pickle.dumps(a))
+        assert again == a and hash(again) == hash(a)
+        assert "0x" not in repr(a)
+
+
 class TestOutputDirectory:
     """An --out that names a file, or a path under one, is an input error."""
 
@@ -1011,18 +1048,10 @@ class TestOutputDirectory:
         assert afile.read_text() == ""
 
 
-@pytest.mark.skipif(
-    sys.version_info >= (3, 12),
-    reason="from Python 3.12 on sum() of floats is compensated, which changes the dense-affine bytes",
-)
 def test_cli_batch_fixture_matches_golden_digest(tmp_path):
     """Every exit code and artifact byte of the benchmark's cli-batch units,
-    seeds 1-3, rounds 0-3, under one sha256 (``tests/cli_batch_digest.py``);
-    Python 3.10.13 gives the same digest."""
-    from cli_batch_digest import cli_batch_digest
+    seeds 1-3, rounds 0-3, under one sha256 (``tests/cli_batch_digest.py``),
+    against that script's golden digest for the running interpreter."""
+    from cli_batch_digest import cli_batch_digest, golden
 
-    assert cli_batch_digest(tmp_path) == (
-        "d96569c50d75052b88593c86c1859e8e0e7986dc2070b53c58a93d104392505d",
-        144,
-        276,
-    )
+    assert cli_batch_digest(tmp_path) == golden()

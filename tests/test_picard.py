@@ -167,11 +167,31 @@ class TestRecords:
         assert p == halve_problem(map_fn=p.map_fn)
         assert run_picard(p).halt == "stop_c"
 
+    def test_discrete_start_must_be_hashable(self):
+        # A list start would stay the caller's: changing it moved the run's
+        # start, and hashing the problem raised.
+        discrete = DiscreteConeMetric(Vec([1.0]))
+        x0 = [1.0]
+        with pytest.raises(TypeError, match="^a discrete point must be hashable, got list$"):
+            halve_problem(x0=x0, metric=discrete)
+        p = halve_problem(x0=tuple(x0), metric=discrete)
+        x0[0] = 7.0
+        assert p.x0 == (1.0,)
+        assert hash(p) == hash(halve_problem(map_fn=p.map_fn, x0=(1.0,), metric=discrete))
+        assert run_picard(p).trace.iterates[0] == (1.0,)
+
     def test_certificate_start_defaults_to_zero(self):
-        cert = Certificate(0.5, "given", ONES, [ONES], "certified", None)
+        cert = Certificate(0.5, "given", [ONES], "certified", None)
         assert cert.start == 0
-        assert cert == Certificate(0.5, "given", ONES, [ONES], "certified", None, start=0)
-        assert cert != Certificate(0.5, "given", ONES, [ONES], "certified", None, start=1)
+        assert cert == Certificate(0.5, "given", [ONES], "certified", None, start=0)
+        assert cert != Certificate(0.5, "given", [ONES], "certified", None, start=1)
+
+    def test_certificate_radius_is_the_first_apriori_entry(self):
+        cert = Certificate(0.5, "given", [Vec([1.0, 0.25]), Vec([0.5, 0.125])], "certified", None)
+        assert cert.radius_r == cert.apriori[0] == Vec([2.0, 0.5])
+        assert "radius_r" not in repr(cert)
+        with pytest.raises(AttributeError):
+            cert.radius_r = ONES
 
     def test_results_compare_field_wise_and_are_unhashable(self):
         a, b = run_picard(halve_problem()), run_picard(halve_problem())
@@ -840,7 +860,6 @@ def tail_certificate(trace, start, lam):
     return Certificate(
         lambda_used=lam,
         lambda_source="given",
-        radius_r=Vec([1.0] * len(trace.step_dists[0])),
         steps=trace.step_dists[start:],
         status="heuristic",
         residual=None,

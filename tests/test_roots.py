@@ -19,12 +19,12 @@ from conecert.picard import (
 )
 from conecert.roots import (
     Polynomial,
+    Weierstrass,
     _discs_disjoint,
     as_root_vector,
     compare_bounds,
     default_starts,
     solve_roots,
-    weierstrass_map,
     weierstrass_step,
 )
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq
@@ -121,12 +121,12 @@ class TestWeierstrassStep:
 
     def test_map_is_the_sweep(self):
         z = (1.3 + 0.1j, 1.8, 3.4)
-        assert weierstrass_map(CUBIC)(z) == weierstrass_step(CUBIC, z)
+        assert Weierstrass(CUBIC)(z) == weierstrass_step(CUBIC, z)
 
     def test_map_reports_an_underflowed_denominator_as_non_finite(self):
         # Distinct entries whose differences multiply to zero.
         z = (0j, 1e-200 + 0j, 2e-200 + 0j)
-        for sweep in (weierstrass_map(CUBIC), lambda z: weierstrass_step(CUBIC, z)):
+        for sweep in (Weierstrass(CUBIC), lambda z: weierstrass_step(CUBIC, z)):
             with pytest.raises(NonFiniteError, match="^zero denominator at position 0$") as info:
                 sweep(z)
             assert isinstance(info.value, ArithmeticError)
@@ -134,17 +134,17 @@ class TestWeierstrassStep:
     def test_map_reports_coincident_approximations_as_non_finite(self):
         # Around the double root 1, one sweep moves 0 onto the other start.
         double = Polynomial([1.0, -2.0, 1.0])
-        z = weierstrass_map(double)((1 + 0j, 0j))
+        z = Weierstrass(double)((1 + 0j, 0j))
         assert z == (1 + 0j, 1 + 0j)
         # The sweep reports the zero denominator itself, and the map passes
         # it on; it is still a ValueError to a direct caller.
-        for sweep in (weierstrass_map(double), lambda z: weierstrass_step(double, z)):
+        for sweep in (Weierstrass(double), lambda z: weierstrass_step(double, z)):
             with pytest.raises(ValueError, match="^zero denominator at position 0$") as info:
                 sweep(z)
             assert isinstance(info.value, NonFiniteError)
         # Other input errors still raise as the sweep does.
         with pytest.raises(ValueError, match="3 approximations for degree 2"):
-            weierstrass_map(double)((1.0, 2.0, 3.0))
+            Weierstrass(double)((1.0, 2.0, 3.0))
 
     @settings(max_examples=100)
     @given(
@@ -336,7 +336,7 @@ class TestSolveRoots:
     def test_engine_ends_a_zero_denominator_with_overflow(self, coefficients, z0, iterates):
         n = len(z0)
         problem = Problem(
-            map_fn=weierstrass_map(Polynomial(coefficients)),
+            map_fn=Weierstrass(Polynomial(coefficients)),
             x0=z0,
             metric=WeightedConeMetric((1.0,) * n, field="complex"),
             gauge=GaugeNorm(SpaceSpec(n, Vec.ones(n))),
@@ -373,7 +373,7 @@ class TestSolveRoots:
         # tail with no factor given, and solve_roots returns its certificate.
         p = Polynomial([0.0, 5.0, -2.0, 1.0])
         problem = Problem(
-            map_fn=weierstrass_map(p),
+            map_fn=Weierstrass(p),
             x0=default_starts(p),
             metric=WeightedConeMetric([1.0] * 3, field="complex"),
             gauge=GaugeNorm(SpaceSpec(3, Vec.ones(3))),

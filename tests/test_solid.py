@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import conecert
 from conecert.cli import vec_from_json
 from conecert.gauge import GaugeNorm
+from conecert.maps import Affine, Halve
 from conecert.metrics import Ball, DiscreteConeMetric, PlusConeMetric, WeightedConeMetric
 from conecert.picard import Problem, run_picard
-from conecert.roots import Polynomial, solve_roots
+from conecert.roots import Polynomial, Weierstrass, solve_roots
 from conecert.solid import (
     NonFiniteError,
     SpaceSpec,
@@ -238,16 +239,12 @@ def package_records() -> list:
     return records
 
 
-def _halve(x):
-    return tuple(c / 2 for c in x)
-
-
 def record_samples() -> dict:
     """One instance of each record of the package, by class name."""
     spec = SpaceSpec(1, Vec([1.0]))
     metric = WeightedConeMetric([2.0])
     problem = Problem(
-        _halve, (1.0,), metric, GaugeNorm(spec), Vec([1e-10]), 100, 0.5, Ball((0.0,), Vec([4.0]))
+        Halve(), (1.0,), metric, GaugeNorm(spec), Vec([1e-10]), 100, 0.5, Ball((0.0,), Vec([4.0]))
     )
     picard = run_picard(problem)
     poly = Polynomial([-6.0, 11.0, -6.0, 1.0])
@@ -255,13 +252,17 @@ def record_samples() -> dict:
     samples = [
         spec, problem.gauge, problem.domain, metric, DiscreteConeMetric(Vec([1.0, 0.5])),
         PlusConeMetric(2), problem, picard.trace, picard.certificate, picard, poly, roots,
-        roots.report, roots.report.rows[0],
+        roots.report, roots.report.rows[0], problem.map_fn,
+        Affine([[0.5, 0.25], [0.0, 0.5]], [1.0, -1.0]), Weierstrass(poly),
     ]
     return {type(r).__name__: r for r in samples}
 
 
 SAMPLES = record_samples()
-PICKLED = ("WeightedConeMetric", "DiscreteConeMetric", "PlusConeMetric", "Polynomial")
+PICKLED = (
+    "WeightedConeMetric", "DiscreteConeMetric", "PlusConeMetric", "Polynomial", "Affine", "Halve",
+    "Weierstrass", "Problem",
+)
 
 
 class TestEveryRecordIsFrozen:
