@@ -24,7 +24,6 @@ max-norm bound broadcast to all roots.
 from __future__ import annotations
 
 import cmath
-import math
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -69,7 +68,13 @@ class Polynomial(_Record):
         if any(not cmath.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
         lead = coeffs[-1]
-        super().__init__(tuple(c / lead for c in coeffs))
+        monic = tuple(c / lead for c in coeffs)
+        if not all(map(cmath.isfinite, monic)):
+            raise ValueError(
+                f"coefficients {list(coefficients)} are not finite once divided"
+                " by the leading one"
+            )
+        super().__init__(monic)
 
     @property
     def degree(self) -> int:
@@ -117,9 +122,13 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
 
     The denominator factors are multiplied in a canonical order (sorted by
     the other entries' coordinates), so permuting the input permutes the
-    output exactly, with no float drift.  Distinct entries have distinct
-    ``(re, im)`` keys, so sorting once per sweep and dropping root ``i``'s
-    own entry leaves the other entries in the order a per-root sort gives.
+    output exactly, with no float drift.  The entries are sorted by
+    ``(re, im)`` once per sweep.  For root ``i`` one loop walks that order
+    from ``1 + 0j``, skips the first entry that *is* ``z_i`` (its own) and
+    multiplies ``denom *= z_i - w`` in place; the sort is stable, so the
+    entries left are in the order a per-root sort of the others gives.  Then
+    ``p(z_i)`` is evaluated inline by Horner's rule, the operations of
+    :meth:`Polynomial.__call__`.
 
     A zero denominator (two coincident entries, or differences whose product
     underflows) or an update that is not finite raises
@@ -129,13 +138,22 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
     if len(z) != p.degree:
         raise ValueError(f"{len(z)} approximations for degree {p.degree}")
     order = sorted(z, key=lambda w: (w.real, w.imag))
+    horner = p.coefficients[::-1]
     out = []
     for i, zi in enumerate(z):
-        k = order.index(zi)
-        denom = math.prod(map(zi.__sub__, order[:k] + order[k + 1 :]), start=1 + 0j)
+        denom = 1 + 0j
+        own = True
+        for w in order:
+            if w is zi and own:
+                own = False
+            else:
+                denom *= zi - w
         if not denom:
             raise NonFiniteError(f"zero denominator at position {i}")
-        wi = zi - p(zi) / denom
+        acc = 0j
+        for c in horner:
+            acc = acc * zi + c
+        wi = zi - acc / denom
         if not cmath.isfinite(wi):
             raise NonFiniteError(f"update overflowed at position {i}")
         out.append(wi)

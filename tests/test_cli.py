@@ -107,6 +107,15 @@ CUBIC_ROOTS = {
     "z0": [[1.3, 0.0], [1.8, 0.0], [3.4, 0.0]],
 }
 
+# Finite coefficients whose monic form overflows.
+TINY_LEADING = [[1e300, 0, 1e-300], [1, 0, 1e-320]]
+
+
+def tiny_leading_error(coefficients):
+    """The error line naming ``coefficients`` as the config reader passes them on."""
+    listed = [complex(c) for c in coefficients]
+    return f"error: coefficients {listed} are not finite once divided by the leading one\n"
+
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
@@ -237,6 +246,21 @@ class TestPicardCommand:
         assert main(["picard", "--config", cfg, "--out", str(out)]) == 0
         header = (out / "trace.csv").read_text().splitlines()[0]
         assert header.startswith("iter,x0_re,x0_im,x1_re,x1_im")
+
+    @pytest.mark.parametrize("coefficients", TINY_LEADING)
+    def test_weierstrass_tiny_leading_coefficient_exits_one(self, tmp_path, capsys, coefficients):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "map": {"name": "weierstrass", "coefficients": coefficients},
+                "x0": [[1.0, 1.0], [2.0, 0.0]],
+                "metric": {"kind": "weighted_norm", "alpha": [1.0, 1.0], "field": "complex"},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == tiny_leading_error(coefficients)
+        assert not out.exists()
 
     def test_weierstrass_zero_denominator_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -507,6 +531,14 @@ class TestRootsCommand:
         out = tmp_path / "out"
         assert main(["roots", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coefficients", TINY_LEADING)
+    def test_tiny_leading_coefficient_names_the_coefficients(self, tmp_path, capsys, coefficients):
+        cfg = write_cfg(tmp_path, {"coefficients": coefficients})
+        out = tmp_path / "out"
+        assert main(["roots", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == tiny_leading_error(coefficients)
         assert not out.exists()
 
     def test_overflow_exits_two_with_repeatable_artifacts(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,13 @@ class TestPolynomial:
     def test_finite_coefficients(self):
         with pytest.raises(ValueError):
             Polynomial([float("nan"), 1.0])
+
+    @pytest.mark.parametrize("coefficients", [[1e300, 0, 1e-300], [1, 0, 1e-320]])
+    def test_monic_coefficients_must_be_finite(self, coefficients):
+        # Finite coefficients can overflow once divided by a tiny leading one.
+        message = f"coefficients {coefficients} are not finite once divided by the leading one"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Polynomial(coefficients)
 
     def test_evaluation(self):
         assert QUAD_REAL(2.0) == 3.0
@@ -227,6 +235,51 @@ class TestOneSortKernel:
     @given(sweep_inputs())
     def test_bit_identical_to_per_root_sort(self, inputs):
         p, z = inputs
+        assert outcome(weierstrass_step, p, z) == outcome(per_root_sort_step, p, z)
+
+
+def _same_object_twice():
+    a = complex(1.5, 0.25)
+    return (a, a, 3.0 + 0j)
+
+
+def _equal_distinct_objects():
+    z = (complex(1.5, 0.25), complex(1.5, 0.25), 3.0 + 0j)
+    assert z[0] == z[1] and z[0] is not z[1]
+    return z
+
+
+def _signed_zero_parts():
+    z = (complex(0.0, -0.0), 2.0 + 0j, complex(-0.0, 0.0))
+    assert z[0] == z[2] and repr(z[0]) != repr(z[2])
+    return z
+
+
+def _equal_entries_after_overflow():
+    # Root 0's first two factors multiply to inf, and its zero factor then
+    # makes the denominator nan, not zero.
+    a = complex(1e200, 0.0)
+    return (a, complex(1e200, 0.0), complex(-1e200, 0.0), complex(-1e200, -0.0))
+
+
+class TestOwnEntrySkip:
+    """The sweep skips root i's own entry by identity, once, so equal entries
+    leave a zero factor (or a nan denominator) just as the per-root sort does."""
+
+    @pytest.mark.parametrize(
+        "make, degree, message",
+        [
+            (_same_object_twice, 3, "zero denominator at position 0"),
+            (_equal_distinct_objects, 3, "zero denominator at position 0"),
+            (_signed_zero_parts, 3, "zero denominator at position 0"),
+            (_equal_entries_after_overflow, 4, "update overflowed at position 0"),
+        ],
+        ids=["same-object", "equal-values", "signed-zeros", "nan-denominator"],
+    )
+    def test_outcome_of_the_per_root_sort(self, make, degree, message):
+        p = Polynomial([0.5] * degree + [1.0])
+        z = make()
+        assert outcome(weierstrass_step, p, z) == (NonFiniteError, message)
         assert outcome(weierstrass_step, p, z) == outcome(per_root_sort_step, p, z)
 
 
