@@ -6,7 +6,8 @@ Weierstrass sweep, the artifact writers, the CLI's fixed cost and a whole
 One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``Problem`` built at n=200 with a ball domain, one two-weight metric, one
 ``run_picard`` call per way of getting the factor, one
-``weierstrass_step`` sweep over the roots 1..m at m in {3, 12}, one
+``weierstrass_step`` sweep and one ``solve_roots`` call (its report not
+read) over the roots 1..m at m in {3, 12}, one
 ``run_all(seed, 20)`` call, the unit of the axioms-suite workload, and
 one ``Sampler.vec`` draw at the suites' sizes n in {2, 8}.  The
 ``import_cli`` rows start a fresh ``python -I``, as the benchmark's
@@ -230,6 +231,15 @@ def test_weierstrass_step(benchmark, m):
     """One sweep over the roots 1..m from their default starts."""
     p = wilkinson(m)
     assert len(benchmark(weierstrass_step, p, default_starts(p))) == m
+
+
+@pytest.mark.parametrize("m", [3, 12])
+def test_solve_roots(benchmark, m):
+    """``solve_roots`` on the roots 1..m as ``wilkinson_run`` calls it: halt
+    stop_c with a certificate, after 12 sweeps at m=3 and 242 at m=12.  The
+    result's ``report`` is not read."""
+    result = benchmark(solve_roots, wilkinson(m), stop_c=Vec([1e-8] * m), max_iter=300)
+    assert result.halt == "stop_c" and result.certificate is not None
 
 
 @pytest.mark.parametrize("case", [diagonal_run, wilkinson_run], ids=["picard_n200", "wilkinson12"])

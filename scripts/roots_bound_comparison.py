@@ -30,13 +30,14 @@ def show(name, poly, z0):
         return
     print(f"tail starts at iteration {result.tail_start}, "
           f"estimated factor {result.lambda_used:.6g}")
+    report = result.report  # built on each read
     print(f"{'iter':>4}  {'componentwise bound':<42} {'broadcast scalar':<20} better")
-    for row in result.report.rows:
+    for row in report.rows:
         comp = " ".join(format(c, ".3e") for c in row.componentwise.coords)
         mark = "yes" if row.strict_improvement else "no"
         print(f"{row.iteration:>4}  {comp:<42} {row.scalar_value:<20.3e} {mark}")
-    improved = result.report.strict_improvement_rows
-    print(f"rows with a strictly smaller component: {improved}/{len(result.report.rows)}")
+    improved = report.strict_improvement_rows
+    print(f"rows with a strictly smaller component: {improved}/{len(report.rows)}")
 
 
 def main():

@@ -18,13 +18,16 @@ The discs are built from float corrections with no rounding-error term for
 
 The payoff of keeping distances as vectors is measured by
 :func:`compare_bounds`: per-root a posteriori bounds against the single
-max-norm bound broadcast to all roots.
+max-norm bound broadcast to all roots.  A run's comparison,
+:attr:`RootsResult.report`, is built when it is read, not by
+:func:`solve_roots`.
 """
 
 from __future__ import annotations
 
 import cmath
 from itertools import combinations
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from .gauge import GaugeNorm, mink_norm
@@ -55,9 +58,13 @@ __all__ = [
 
 
 class Polynomial(_Record):
-    """Univariate polynomial stored monic, coefficients constant term first."""
+    """Univariate polynomial stored monic, coefficients constant term first.
 
-    __slots__ = ("coefficients",)
+    ``_horner`` holds the coefficients leading term first, the order in
+    which Horner's rule reads them.
+    """
+
+    __slots__ = ("coefficients", "_horner")
 
     def __init__(self, coefficients: Sequence):
         coeffs = [complex(c) for c in coefficients]
@@ -75,6 +82,7 @@ class Polynomial(_Record):
                 " by the leading one"
             )
         super().__init__(monic)
+        object.__setattr__(self, "_horner", monic[::-1])
 
     @property
     def degree(self) -> int:
@@ -82,7 +90,7 @@ class Polynomial(_Record):
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
-        for c in reversed(self.coefficients):
+        for c in self._horner:
             acc = acc * z + c
         return acc
 
@@ -117,6 +125,10 @@ def default_starts(p: Polynomial) -> tuple[complex, ...]:
     )
 
 
+# The sweep's sort key: an entry's (re, im).
+_REAL_IMAG = attrgetter("real", "imag")
+
+
 def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]:
     """One simultaneous-correction sweep over all approximations.
 
@@ -137,8 +149,8 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
     z = tuple(map(complex, z))
     if len(z) != p.degree:
         raise ValueError(f"{len(z)} approximations for degree {p.degree}")
-    order = sorted(z, key=lambda w: (w.real, w.imag))
-    horner = p.coefficients[::-1]
+    order = sorted(z, key=_REAL_IMAG)
+    horner = p._horner
     out = []
     for i, zi in enumerate(z):
         denom = 1 + 0j
@@ -226,13 +238,15 @@ def compare_bounds(
 
 
 class RootsResult(PicardResult):
-    """The engine's result of a root refinement, with its report and residuals.
+    """The engine's result of a root refinement, with its residuals.
 
     ``halt`` is one of ``"stop_c"``, ``"noise_floor"``, ``"max_iter"`` or
     ``"overflow"``; ``residuals`` holds ``|p(z_i)|`` at the roots, or None.
+    ``roots``, ``lambda_used``, ``tail_start`` and ``report`` are read-only
+    views, computed from the stored fields when read.
     """
 
-    __slots__ = ("report", "residuals")
+    __slots__ = ("residuals",)
 
     @property
     def roots(self):
@@ -248,6 +262,21 @@ class RootsResult(PicardResult):
     def tail_start(self) -> Optional[int]:
         """The first iterate the certificate covers, or None without one."""
         return None if self.certificate is None else self.certificate.start
+
+    @property
+    def report(self) -> ComparisonReport:
+        """The componentwise-versus-broadcast comparison over the steps the
+        certificate covers, under the unit gauge; empty without a certificate.
+
+        Built on each read, like ``Certificate.apriori``: a caller that reads
+        it more than once binds it once.
+        """
+        cert = self.certificate
+        if cert is None:
+            return ComparisonReport([])
+        n = len(self.trace.iterates[0])
+        unit = GaugeNorm(SpaceSpec(n, Vec.ones(n)))
+        return compare_bounds(self.trace, unit, cert.lambda_used, start=cert.start)
 
 
 def _discs_disjoint(z: Sequence[complex], step: Vec, alpha: Sequence[float]) -> bool:
@@ -302,8 +331,9 @@ def solve_roots(
     the previous one while the inclusion discs around the iterate it left
     are pairwise disjoint.  The returned result carries the trace, the
     engine's certificate (from the contracting tail unless ``lam`` was
-    supplied), the componentwise-versus-broadcast bound comparison over the
-    steps the certificate covers, and the final residual moduli.  A ``z0``
+    supplied) and the final residual moduli; its ``report``, the
+    componentwise-versus-broadcast bound comparison over the steps the
+    certificate covers, is built only when read.  A ``z0``
     that is not one finite complex entry per root, or that holds two equal
     entries, raises ``ValueError``.
     """
@@ -311,12 +341,11 @@ def solve_roots(
     weights = (1.0,) * n if weights is None else tuple(float(w) for w in weights)
     stop_c = Vec((1e-12,) * n) if stop_c is None else stop_c
     inst = WeightedConeMetric(weights, field="complex")
-    g = GaugeNorm(SpaceSpec(n, Vec.ones(n)))
     problem = Problem(
         map_fn=Weierstrass(p),
         x0=default_starts(p) if z0 is None else z0,
         metric=inst,
-        gauge=g,
+        gauge=GaugeNorm(SpaceSpec(n, Vec.ones(n))),
         stop_c=stop_c,
         max_iter=max_iter,
         lam=lam,
@@ -326,9 +355,6 @@ def solve_roots(
         # entries would be a zero denominator in the first sweep.
         as_root_vector(problem.x0)
     result = run_picard(problem, stalled=noise_floor(problem))
-    cert, roots = result.certificate, result.fixed_point
-    report = ComparisonReport([])
-    if cert is not None:
-        report = compare_bounds(result.trace, g, cert.lambda_used, start=cert.start)
+    roots = result.fixed_point
     residuals = None if roots is None else [abs(p(z)) for z in roots]
-    return RootsResult(*result._fields(), report, residuals)
+    return RootsResult(*result._fields(), residuals)

@@ -1,7 +1,7 @@
-"""Shared test oracles and strategies.
+"""Shared test oracles and strategies, and a call counter.
 
-Everything here recomputes expected values through a route independent of
-the implementation under test: interval bisection against the raw order
+The oracles recompute expected values through a route independent of the
+implementation under test: interval bisection against the raw order
 predicates, brute-force tail sums, fraction arithmetic, greedy matching.
 """
 
@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from conecert import roots
 from conecert.gauge import GaugeNorm
 from conecert.solid import SpaceSpec, Vec, bounding_scale, leq
 
@@ -112,3 +113,17 @@ def poly_from_roots(roots) -> list[complex]:
         for k in range(len(coeffs) - 1):
             coeffs[k] -= r * coeffs[k + 1]
     return coeffs
+
+
+def count_compare_bounds(monkeypatch) -> list:
+    """Rebind ``roots.compare_bounds`` so each call appends its arguments to
+    the returned list, and still returns the real report."""
+    calls = []
+    real = roots.compare_bounds
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(roots, "compare_bounds", counted)
+    return calls

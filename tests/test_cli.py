@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ from conecert import axioms, cli
 from conecert.cli import main
 from conecert.gauge import GaugeNorm
 from conecert.metrics import WeightedConeMetric
+from conecert.normality import normality_table
 from conecert.picard import (
     Problem,
     apost_backward_bound,
@@ -23,7 +26,7 @@ from conecert.picard import (
 from conecert.roots import Polynomial, default_starts, solve_roots
 from conecert.solid import SpaceSpec, Vec
 
-from helpers import greedy_match, poly_from_roots
+from helpers import count_compare_bounds, greedy_match, poly_from_roots
 
 HALVE = {
     "map": {"name": "halve"},
@@ -490,6 +493,14 @@ class TestRootsCommand:
         assert cert["certificate"]["status"] == "heuristic"
         assert cert["certificate"]["lambda_used"] < 1.0
 
+    def test_one_report_per_run(self, tmp_path, monkeypatch):
+        calls = count_compare_bounds(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["roots", "--config", write_cfg(tmp_path, CUBIC_ROOTS), "--out", str(out)]) == 0
+        assert json.loads((out / "certificate.json").read_text())["certificate"] is not None
+        assert len(calls) == 1
+        assert json.loads((out / "report.json").read_text())["comparison"]["rows"] >= 1
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, CUBIC_ROOTS)
         blobs = []
@@ -669,6 +680,17 @@ class TestDemoNormality:
         assert "n=10" in summary
         assert "1.100000" in summary
 
+    def test_rows_are_what_a_csv_writer_writes(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["demo-normality", "--out", str(out)]) == 0
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["n", "sup_x", "sup_dx", "c1_norm_x", "c1_norm_y", "order_ok"])
+        for r in normality_table(50):
+            cells = [r[k] for k in ("sup_x", "sup_dx", "c1_norm_x", "c1_norm_y")]
+            writer.writerow([r["n"], *(format(c, ".17g") for c in cells), int(r["order_ok"])])
+        assert (out / "report.csv").read_bytes() == expected.getvalue().encode()
+
     def test_default_is_fifty_rows(self, tmp_path):
         out = tmp_path / "out"
         assert main(["demo-normality", "--out", str(out)]) == 0
@@ -751,10 +773,11 @@ class TestParserReuse:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # -S keeps site from preloading anything; dataclasses imports inspect,
         # and the two together cost most of what importing the CLI used to.
+        # No writer needs csv either: each row is one % template.
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
             "import sys, conecert.cli, conecert\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            "print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe],

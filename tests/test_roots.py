@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecert.gauge import GaugeNorm
@@ -19,6 +19,7 @@ from conecert.picard import (
     verify_step_contraction,
 )
 from conecert.roots import (
+    ComparisonReport,
     Polynomial,
     Weierstrass,
     _discs_disjoint,
@@ -30,7 +31,7 @@ from conecert.roots import (
 )
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq
 
-from helpers import greedy_match, poly_from_roots
+from helpers import count_compare_bounds, greedy_match, poly_from_roots
 
 CUBIC = Polynomial([-6.0, 11.0, -6.0, 1.0])  # roots 1, 2, 3
 QUAD_REAL = Polynomial([-1.0, 0.0, 1.0])  # roots 1, -1
@@ -208,16 +209,16 @@ def outcome(step, p, z):
 
 
 @st.composite
-def sweep_inputs(draw):
+def sweep_inputs(draw, ceilings=(1.0, 1e3, 1e20, 1e150)):
     """A monic polynomial and approximations of degree 1-12.
 
     Parts mix signed zeros and small exact values with magnitudes from 1e-300
-    up to a per-example ceiling of at most 1e150.  The exact pool makes equal
-    real parts (ties broken by the imaginary part) and coincident entries
-    common; real-line examples give signed-zero imaginary parts.
+    up to a per-example ceiling drawn from ``ceilings``.  The exact pool makes
+    equal real parts (ties broken by the imaginary part) and coincident
+    entries common; real-line examples give signed-zero imaginary parts.
     """
     n = draw(st.integers(1, 12))
-    top = draw(st.sampled_from([1.0, 1e3, 1e20, 1e150]))
+    top = draw(st.sampled_from(ceilings))
     magnitude = st.floats(min_value=1e-300, max_value=top)
     real = st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300]),
@@ -280,6 +281,42 @@ class TestOwnEntrySkip:
         p = Polynomial([0.5] * degree + [1.0])
         z = make()
         assert outcome(weierstrass_step, p, z) == (NonFiniteError, message)
+        assert outcome(weierstrass_step, p, z) == outcome(per_root_sort_step, p, z)
+
+
+def _flip_zero_signs(w: complex) -> complex:
+    """An equal value built anew, with the sign of each zero part flipped."""
+    return complex(-w.real if w.real == 0 else w.real, -w.imag if w.imag == 0 else w.imag)
+
+
+@st.composite
+def coincident_sweep_inputs(draw):
+    """``sweep_inputs`` up to 1e300, with up to three entries overwritten by
+    another entry: the same object, an equal value as a distinct object, or
+    that value with its zero parts' signs flipped."""
+    p, z = draw(sweep_inputs(ceilings=(1.0, 1e20, 1e150, 1e300)))
+    positions = st.integers(0, len(z) - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(positions), draw(positions)
+        w = z[j]
+        z[i] = draw(st.sampled_from([w, complex(w.real, w.imag), _flip_zero_signs(w)]))
+    return p, z
+
+
+class TestSweepMatchesItsDefinition:
+    """The outcome of one sweep is the one its docstring defines: per root, the
+    other entries sorted stably by (re, im), their product from 1 + 0j, and
+    p(z_i) from :meth:`Polynomial.__call__`; errors by type and message."""
+
+    @settings(max_examples=400)
+    @given(coincident_sweep_inputs())
+    @example((Polynomial([0.5, 0.5, 0.5, 1.0]), list(_same_object_twice())))
+    @example((Polynomial([0.5, 0.5, 0.5, 1.0]), list(_equal_distinct_objects())))
+    @example((Polynomial([0.5, 0.5, 0.5, 1.0]), list(_signed_zero_parts())))
+    @example((Polynomial([1e300, 0.0, 1.0]), [complex(1e300, -0.0), complex(-1e-300, 0.0)]))
+    @example((Polynomial([-1e300, 1.0]), [complex(1e-300, 1e300)]))
+    def test_outcome_is_the_definition(self, inputs):
+        p, z = inputs
         assert outcome(weierstrass_step, p, z) == outcome(per_root_sort_step, p, z)
 
 
@@ -610,6 +647,34 @@ class TestCompareBounds:
         assert not report.any_exceeded
         for row in report.rows:
             assert leq(row.componentwise, row.broadcast)
+
+
+class TestReportOnRead:
+    """``RootsResult.report`` is built when read, never by ``solve_roots``."""
+
+    def test_solve_builds_no_report_and_each_read_builds_one(self, monkeypatch):
+        calls = count_compare_bounds(monkeypatch)
+        result = solve_roots(CUBIC, z0=(1.3, 1.8, 3.4))
+        assert result.certificate is not None and calls == []
+        report = result.report
+        assert len(calls) == 1 and report.rows
+        assert result.report == report and len(calls) == 2
+
+    def test_report_is_the_comparison_under_the_unit_gauge(self):
+        result = solve_roots(TestTailTraceCsv.SEPTIC)
+        cert = result.certificate
+        assert cert.start == 10
+        unit = GaugeNorm(SpaceSpec(7, Vec.ones(7)))
+        direct = compare_bounds(result.trace, unit, cert.lambda_used, start=cert.start)
+        assert result.report == direct
+        assert [row.iteration for row in direct.rows] == list(range(10, len(result.trace.step_dists)))
+
+    def test_no_certificate_reads_an_empty_report(self, monkeypatch):
+        calls = count_compare_bounds(monkeypatch)
+        result = solve_roots(CUBIC, z0=(50.0, 60.0, 70.0), max_iter=1)
+        assert result.certificate is None
+        assert result.report == ComparisonReport([])
+        assert calls == []
 
 
 class TestTailTraceCsv:
