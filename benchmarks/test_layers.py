@@ -1,7 +1,7 @@
 """Per-layer micro-benchmarks: ``Vec``, the order predicates, metric distance,
-the gauge, record, problem and metric construction, the Picard engine, the
-Weierstrass sweep, the artifact writers, the CLI's fixed cost and a whole
-``picard`` call, the CLI's import, and the axiom suites.
+the gauge, record, problem and metric construction, the dense affine map, the
+Picard engine, the Weierstrass sweep, the artifact writers, the CLI's fixed
+cost and a whole ``picard`` call, the CLI's import, and the axiom suites.
 
 One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``Problem`` built at n=200 with a ball domain, one two-weight metric, one
@@ -44,6 +44,7 @@ import conecert
 from conecert import GaugeNorm, Polynomial, Problem, SpaceSpec, mink_norm, run_picard, solve_roots
 from conecert.axioms import Sampler, run_all
 from conecert.cli import main
+from conecert.maps import Affine
 from conecert.metrics import Ball, WeightedConeMetric
 from conecert.picard import Certificate, certificate_to_dict, write_trace_csv
 from conecert.roots import ComparisonRow, default_starts, weierstrass_step
@@ -158,6 +159,13 @@ def test_record_init(benchmark, record):
                 strict_improvement=True,
             )
         )
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_affine_call(benchmark, n):
+    """One dense ``Affine`` call: n rows of n products, one ``math.fsum`` each."""
+    f = Affine([coords(n, k / 8) for k in range(n)], coords(n))
+    assert len(benchmark(f, tuple(coords(n, 0.5)))) == n
 
 
 def diagonal_problem(n=200, lam=0.9):

@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -330,8 +331,10 @@ def cmd_gauge(args) -> int:
             raise ValueError(f'gauge config needs an "{key}" array')
     x = vec_from_json(cfg["x"], "x")
     g = GaugeNorm(SpaceSpec(len(x), vec_from_json(cfg["base"], "base")))
-    out = _out_dir(args) if args.out else None
     value = mink_norm(x, g)
+    if not math.isfinite(value):
+        raise ValueError(f"the gauge of x is {value!r}: some |x_i| / base_i overflows")
+    out = _out_dir(args) if args.out else None
     print(format(value, ".17g"))
     if out is not None:
         _write_json(out / "report.json", {"norm": value})

@@ -32,7 +32,8 @@ class GaugeNorm(_Record):
 def mink_norm(x: Vec, g: GaugeNorm) -> float:
     """Smallest lam >= 0 with -lam*base <= x <= lam*base.
 
-    Closed form ``max_i |x_i| / base_i``; returns 0.0 for the zero vector.
+    Closed form ``max_i |x_i| / base_i``; returns 0.0 for the zero vector,
+    and ``inf`` when a quotient overflows under a tiny base.
     A non-``Vec`` ``x`` or non-``GaugeNorm`` ``g`` raises ``TypeError``,
     turned from the ``AttributeError`` of the attribute read, so a valid
     call runs no extra check.

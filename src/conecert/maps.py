@@ -5,10 +5,11 @@ that holds one compares, hashes, prints and pickles by value.  The third,
 
 from __future__ import annotations
 
+from math import fsum
 from operator import mul
 from typing import Sequence
 
-from .solid import _Record
+from .solid import NonFiniteError, _Record
 
 __all__ = ["Affine", "Halve"]
 
@@ -17,6 +18,11 @@ class Affine(_Record):
     """``x -> matrix·x + offset``, one dense dot product per row.
 
     ``matrix`` is a tuple of rows and ``offset`` a tuple, both of floats.
+    Each row's products are summed by :func:`math.fsum`, correctly rounded
+    on every Python, so a coordinate carries one rounding per product, one
+    for their sum and one for the offset.  A row whose products reach both
+    infinities, or whose partial sums leave the float range, raises
+    :class:`NonFiniteError`: the run overflowed.
     """
 
     __slots__ = ("matrix", "offset")
@@ -30,7 +36,10 @@ class Affine(_Record):
         super().__init__(rows, offset)
 
     def __call__(self, x) -> tuple:
-        return tuple([sum(map(mul, row, x)) + ci for row, ci in zip(self.matrix, self.offset)])
+        try:
+            return tuple([fsum(map(mul, row, x)) + ci for row, ci in zip(self.matrix, self.offset)])
+        except (OverflowError, ValueError):
+            raise NonFiniteError("non-finite coordinate: an affine row overflowed") from None
 
 
 class Halve(_Record):

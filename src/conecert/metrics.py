@@ -224,15 +224,19 @@ def inequality_transfer_check(
     Assumes the cone-level inequality holds for the supplied data and checks
     the transferred statement
     ``|d0| <= |coeff0| + sum coeffs[i] * |dpairs[i]|`` in the gauge, within an
-    additive tolerance.
+    additive tolerance.  The right side is one :func:`math.fsum`, correctly
+    rounded on every Python, so the answer does not depend on the version.
     """
     if len(coeffs) != len(dpairs):
         raise ValueError(f"{len(coeffs)} coefficients for {len(dpairs)} distances")
     for c in coeffs:
         if c < 0:
             raise ValueError(f"coefficients must be nonnegative, got {c!r}")
-    rhs = mink_norm(coeff0, g)
-    rhs += sum(c * mink_norm(d, g) for c, d in zip(coeffs, dpairs))
+    terms = [mink_norm(coeff0, g), *(c * mink_norm(d, g) for c, d in zip(coeffs, dpairs))]
+    try:
+        rhs = math.fsum(terms)
+    except OverflowError:  # the terms are >= 0, so their exact sum overflows too
+        rhs = math.inf
     return mink_norm(d0, g) <= rhs + tol
 
 

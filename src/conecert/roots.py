@@ -26,6 +26,7 @@ max-norm bound broadcast to all roots.  A run's comparison,
 from __future__ import annotations
 
 import cmath
+import math
 from itertools import combinations
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
@@ -297,9 +298,10 @@ def noise_floor(p: Problem) -> Callable[[IterationTrace], bool]:
     """The ``stalled`` predicate of :func:`run_picard` for a Weierstrass run.
 
     ``p`` iterates :class:`Weierstrass` over a complex weighted metric.
-    The predicate is true once a step's gauge under ``p.gauge`` is not below
-    the previous step's while the inclusion discs around the iterate the
-    step left are pairwise disjoint.
+    The predicate is true once a step's gauge under ``p.gauge`` is finite and
+    not below the previous step's while the inclusion discs around the
+    iterate the step left are pairwise disjoint.  A gauge that overflows
+    under a tiny base shows no stall.
     """
     norms: list[float] = []
     g, alpha = p.gauge, p.metric.alpha
@@ -309,7 +311,7 @@ def noise_floor(p: Problem) -> Callable[[IterationTrace], bool]:
         norms.append(mink_norm(s, g))
         return (
             len(norms) > 1
-            and norms[-1] >= norms[-2]
+            and norms[-2] <= norms[-1] < math.inf
             and _discs_disjoint(trace.iterates[-2], s, alpha)
         )
 

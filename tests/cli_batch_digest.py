@@ -9,11 +9,9 @@ order.  Equal digests mean byte-identical CLI output on the whole fixture.
     PYTHONPATH=src python tests/cli_batch_digest.py
 
 prints the digest and the number of units and artifact files, and exits 1
-when they differ from the golden values of the running interpreter.  The
-digest depends on it: from Python 3.12 on ``sum`` of floats is compensated,
-which changes the bytes of the dense-affine units (``maps.Affine``).
-Python 3.10.13 and 3.11.7 give ``GOLDEN[False]``, 3.12.1 and 3.13.0
-``GOLDEN[True]``.
+when they differ from the golden values.  The script needs only the standard
+library, so any Python the package accepts can run it; Python 3.10.13,
+3.11.7, 3.12.1 and 3.13.0 all give ``GOLDEN``.
 """
 
 import contextlib
@@ -26,17 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 ROUNDS = range(4)
-# The fixture's digest, keyed by whether the interpreter is Python 3.12 or later.
-GOLDEN = {
-    False: "d96569c50d75052b88593c86c1859e8e0e7986dc2070b53c58a93d104392505d",
-    True: "17d29a7ed2928727a23c2f3f7f2d07a527b9f60ec39fe426d182a2d9d9ddacf5",
-}
+GOLDEN = "17d29a7ed2928727a23c2f3f7f2d07a527b9f60ec39fe426d182a2d9d9ddacf5"
 UNITS, FILES = 144, 276
-
-
-def golden() -> tuple[str, int, int]:
-    """``(digest, units, artifact files)`` expected on the running interpreter."""
-    return GOLDEN[sys.version_info >= (3, 12)], UNITS, FILES
 
 
 def cli_batch_digest(workdir: Path) -> tuple[str, int, int]:
@@ -71,6 +60,6 @@ if __name__ == "__main__":
         got = cli_batch_digest(Path(tmp))
     digest, units, files = got
     print(f"{digest}  ({units} units, {files} artifact files, Python {sys.version.split()[0]})")
-    if got != golden():
-        print(f"mismatch: expected {golden()}", file=sys.stderr)
+    if got != (GOLDEN, UNITS, FILES):
+        print(f"mismatch: expected {(GOLDEN, UNITS, FILES)}", file=sys.stderr)
         sys.exit(1)

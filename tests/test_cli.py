@@ -60,6 +60,33 @@ OVERFLOWING_MAP = {
     "metric": {"kind": "weighted", "alpha": [1.0]},
     "x0": [1e300],
 }
+# A dense row whose partial sum overflows: math.fsum raises, and the map
+# reports a non-finite coordinate.
+OVERFLOWING_ROW = {
+    "map": {"name": "affine", "matrix": [[1e308, 1e308], [0, 0]], "offset": [0, 0]},
+    "metric": {"kind": "weighted", "alpha": [1, 1]},
+    "x0": [1, 1],
+}
+# A dense row whose products overflow to inf and -inf: math.fsum raises too.
+OPPOSITE_INFINITIES = {
+    **OVERFLOWING_ROW,
+    "map": {"name": "affine", "matrix": [[1e308, -1e308], [0, 0]], "offset": [0, 0]},
+    "x0": [10, 10],
+}
+# Finite steps whose gauges all overflow under a tiny base.
+OVERFLOWED_GAUGES = {
+    "map": {"name": "affine", "matrix": [[0.5]], "offset": [0]},
+    "metric": {"kind": "weighted", "alpha": [1]},
+    "x0": [1e10],
+    "gauge_base": [1e-300],
+    "max_iter": 3,
+}
+# A start far from the roots of z^2 - 1: its first steps are large.
+FAR_START_WEIERSTRASS = {
+    "map": {"name": "weierstrass", "coefficients": [-1, 0, 1]},
+    "metric": {"kind": "weighted", "alpha": [1, 1], "field": "complex"},
+    "x0": [[1e6, 1], [-3, 0.5]],
+}
 # Finite iterates whose certificate radius d(x0, x1) / (1 - lam) = 3e308
 # overflows, with lam estimated or given.
 OVERFLOWING_RADIUS = {
@@ -163,6 +190,32 @@ class TestPicardCommand:
         assert cert["halt"] == "max_iter"
         assert cert["certificate"] is None
 
+    def test_overflowed_gauges_exit_two_without_a_certificate(self, tmp_path, capsys):
+        # Every step's gauge overflows under base 1e-300, so no pair of steps
+        # contracts: no factor is estimated, and none is NaN.
+        cfg = write_cfg(tmp_path, OVERFLOWED_GAUGES)
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (cert["halt"], cert["iterations"], cert["certificate"]) == ("max_iter", 3, None)
+
+    def test_weierstrass_steps_past_overflowed_gauges(self, tmp_path, capsys):
+        # Under base 1e-310 the first four steps' gauges overflow: two equal
+        # infs are no noise floor and no contracting pair, so the run goes on
+        # to stop_c as under the unit base, with a tail certificate.
+        blobs = []
+        for base in ([1e-310, 1e-310], None):
+            cfg = write_cfg(tmp_path, {**FAR_START_WEIERSTRASS, "gauge_base": base})
+            out = tmp_path / f"out{len(blobs)}"
+            assert main(["picard", "--config", cfg, "--out", str(out)]) == 0
+            cert = json.loads((out / "certificate.json").read_text())
+            assert (cert["halt"], cert["iterations"]) == ("stop_c", 8)
+            assert cert["certificate"]["lambda_source"] == "estimated"
+            blobs.append((out / "trace.csv").read_bytes())
+        assert capsys.readouterr().err == ""
+        assert blobs[0] == blobs[1]
+
     @pytest.mark.parametrize(
         "payload, iterations",
         [
@@ -172,8 +225,13 @@ class TestPicardCommand:
             ({**OVERFLOWING_RADIUS, "lambda": 0.5}, 200),
             (GROWING, 1023),
             (COLLIDING_WEIERSTRASS, 1),
+            (OVERFLOWING_ROW, 0),
+            (OPPOSITE_INFINITIES, 0),
         ],
-        ids=["step", "map", "radius-estimated", "radius-given", "growth", "collision"],
+        ids=[
+            "step", "map", "radius-estimated", "radius-given", "growth", "collision",
+            "row-partial-sum", "row-opposite-infinities",
+        ],
     )
     def test_divergence_to_overflow_exits_two(self, tmp_path, capsys, payload, iterations):
         cfg = write_cfg(tmp_path, payload)
@@ -667,6 +725,16 @@ class TestGaugeCommand:
         cfg = write_cfg(tmp_path, {"x": [1.0]})
         assert main(["gauge", "--config", cfg]) == 1
 
+    def test_overflowing_gauge_is_an_input_error(self, tmp_path, capsys):
+        # inf would print as "inf" and write {"norm": Infinity}, which is not JSON.
+        cfg = write_cfg(tmp_path, {"x": [1e308, 1e308], "base": [1e-308, 1]})
+        out = tmp_path / "out"
+        assert main(["gauge", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the gauge of x is inf: some |x_i| / base_i overflows\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestDemoNormality:
     def test_csv_and_summary(self, tmp_path, capsys):
@@ -1106,7 +1174,37 @@ class TestOutputDirectory:
 def test_cli_batch_fixture_matches_golden_digest(tmp_path):
     """Every exit code and artifact byte of the benchmark's cli-batch units,
     seeds 1-3, rounds 0-3, under one sha256 (``tests/cli_batch_digest.py``),
-    against that script's golden digest for the running interpreter."""
-    from cli_batch_digest import cli_batch_digest, golden
+    against that script's golden digest."""
+    from cli_batch_digest import FILES, GOLDEN, UNITS, cli_batch_digest
 
-    assert cli_batch_digest(tmp_path) == golden()
+    assert cli_batch_digest(tmp_path) == (GOLDEN, UNITS, FILES)
+
+
+def _other_pythons() -> list:
+    """Interpreters of Python 3.10 or later installed next to the running one,
+    in pyenv's layout: ``<versions>/<X.Y.Z>/bin/python3``."""
+    found = []
+    for home in sorted(Path(sys.base_prefix).parent.iterdir()):
+        try:
+            version = tuple(map(int, home.name.split(".")))
+        except ValueError:
+            continue
+        exe = home / "bin" / "python3"
+        if version >= (3, 10) and home != Path(sys.base_prefix) and exe.is_file():
+            found.append(pytest.param(exe, id=home.name))
+    return found
+
+
+@pytest.mark.parametrize("python", _other_pythons())
+def test_cli_batch_digest_script_on_other_pythons(python):
+    """The digest script, run as a plain script by another interpreter, finds
+    the same golden digest: the CLI writes the same bytes on every Python."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [str(python), str(root / "tests" / "cli_batch_digest.py")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

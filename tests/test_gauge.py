@@ -33,6 +33,8 @@ class TestClosedForm:
         assert bisect_gauge(Vec([2, -3]), g) == pytest.approx(2.0, abs=1e-12)
         assert mink_norm(Vec.zeros(2), g) == 0.0
         assert mink_norm(g.spec.base, g) == 1.0
+        # A quotient past the float range gives inf; it does not raise.
+        assert mink_norm(Vec([1e308, 1e308]), g_of([1e-308, 1.0])) == math.inf
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -467,6 +468,32 @@ class TestInequalityTransfer:
         d0 = frac * rhs
         assert leq(d0, rhs)
         assert inequality_transfer_check(coeff0, coeffs, dpairs, d0, g, tol=1e-12)
+
+
+    @given(data=st.data())
+    def test_agrees_with_an_exact_right_side(self, data):
+        # The right side is the float terms summed exactly, rounded once, so
+        # a d0 whose gauge sits a few ulps either side of it is decided the
+        # same way on every Python.
+        n = data.draw(dims)
+        g = GaugeNorm(SpaceSpec(n, Vec.ones(n)))
+        wide = st.floats(0.0, 2.0**60).map(lambda v: v * 2.0 ** -(int(v) % 60))
+        k = data.draw(st.integers(0, 4))
+        coeffs = [data.draw(wide) for _ in range(k)]
+        dpairs = [data.draw(vec_st(n, wide)) for _ in range(k)]
+        coeff0 = data.draw(vec_st(n, wide))
+        exact = Fraction(mink_norm(coeff0, g))
+        exact += sum(Fraction(c * mink_norm(d, g)) for c, d in zip(coeffs, dpairs))
+        rhs = float(exact)
+        gauge0 = rhs
+        for _ in range(data.draw(st.integers(0, 2))):
+            gauge0 = math.nextafter(gauge0, data.draw(st.sampled_from([-math.inf, math.inf])))
+        d0 = Vec([max(gauge0, 0.0)] + [0.0] * (n - 1))
+        assert inequality_transfer_check(coeff0, coeffs, dpairs, d0, g) == (d0.coords[0] <= rhs)
+
+    def test_an_overflowing_right_side_is_inf(self):
+        big = Vec([1e308, 1e308])
+        assert inequality_transfer_check(big, [1.0], [big], Vec([1e308, 0.0]), ONES2)
 
 
 class TestNestedBallProbe:

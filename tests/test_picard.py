@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert import picard
-from conecert.gauge import GaugeNorm
+from conecert.gauge import GaugeNorm, mink_norm
 from conecert.metrics import Ball, DiscreteConeMetric, WeightedConeMetric
 from conecert.picard import (
     LAMBDA_CEILING,
@@ -30,7 +30,7 @@ from conecert.picard import (
     verify_step_contraction,
     write_trace_csv,
 )
-from conecert.roots import Polynomial, solve_roots
+from conecert.roots import Polynomial, Weierstrass, solve_roots
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq, lt
 
 from helpers import geometric_tail
@@ -264,6 +264,13 @@ class TestStepChecks:
         # A non-contracting prefix is cut off; the factor is the tail's largest ratio.
         assert estimate_lambda(self.make_trace([1.0, 2.0, 1.0, 0.25]), G1) == (1, 0.5)
         assert estimate_lambda(self.make_trace([1.0, 0.0, 1.0, 0.5]), G1) == (2, 0.5)
+
+    def test_overflowed_gauges_do_not_contract(self):
+        """Steps whose gauges both overflow to inf under a tiny base give a
+        NaN ratio: that pair does not contract, so it never yields lam NaN."""
+        tiny = GaugeNorm(SpaceSpec(1, Vec([1e-300])))
+        assert estimate_lambda(self.make_trace([1e10, 5e9]), tiny) == (2, None)
+        assert estimate_lambda(self.make_trace([1e10, 5e9, 1.0, 0.5]), tiny) == (1, 0.5)
 
     def test_estimate_errors(self):
         """A trace whose last pair of steps does not contract has no factor:
@@ -548,6 +555,36 @@ class TestEngineBoundary:
         assert len(result.trace.step_dists) == steps
         assert len(result.trace.iterates) == steps + 1
         assert all(math.isfinite(x[0]) for x in result.trace.iterates)
+
+    def test_overflowed_gauges_leave_no_factor(self):
+        """Every step's gauge overflows under base 1e-300: the run returns
+        with halt max_iter and no certificate, not a ValueError for lam NaN."""
+        tiny = GaugeNorm(SpaceSpec(1, Vec([1e-300])))
+        result = run_picard(halve_problem(x0=(1e10,), gauge=tiny, lam=None, max_iter=3))
+        assert (result.halt, result.certificate) == ("max_iter", None)
+        assert [x[0] for x in result.trace.iterates] == [1e10, 5e9, 2.5e9, 1.25e9]
+
+    def test_weierstrass_run_keeps_its_tail_past_overflowed_gauges(self):
+        """The first four steps' gauges overflow under a subnormal base; the
+        trace is the unit-gauge run's and the tail starts past them."""
+        def problem(base):
+            return Problem(
+                map_fn=Weierstrass(Polynomial([-1.0, 0.0, 1.0])),
+                x0=(1e6 + 1j, -3 + 0.5j),
+                metric=WeightedConeMetric([1.0, 1.0], field="complex"),
+                gauge=GaugeNorm(SpaceSpec(2, Vec([base, base]))),
+                stop_c=Vec([1e-12, 1e-12]),
+                max_iter=100,
+            )
+
+        tiny = problem(1e-310)
+        result = run_picard(tiny)
+        assert result.trace == run_picard(problem(1.0)).trace
+        gauges = [mink_norm(s, tiny.gauge) for s in result.trace.step_dists]
+        assert gauges[:4] == [math.inf] * 4 and math.isfinite(gauges[4])
+        cert = result.certificate
+        assert cert.start == 3
+        assert cert.lambda_used == max(b / a for a, b in zip(gauges[3:], gauges[4:]))
 
     def test_map_raising_non_finite_ends_the_run_unconverged(self):
         def overflowing(x):
