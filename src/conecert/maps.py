@@ -20,7 +20,9 @@ class Affine(_Record):
     ``matrix`` is a tuple of rows and ``offset`` a tuple, both of floats.
     Each row's products are summed by :func:`math.fsum`, correctly rounded
     on every Python, so a coordinate carries one rounding per product, one
-    for their sum and one for the offset.  A row whose products reach both
+    for their sum and one for the offset.  A complex point (under a complex
+    weighted metric) has the real and the imaginary parts of its products
+    summed apart, one ``fsum`` each.  A row whose products reach both
     infinities, or whose partial sums leave the float range, raises
     :class:`NonFiniteError`: the run overflowed.
     """
@@ -36,10 +38,20 @@ class Affine(_Record):
         super().__init__(rows, offset)
 
     def __call__(self, x) -> tuple:
+        rows = self.matrix
         try:
-            return tuple([fsum(map(mul, row, x)) + ci for row, ci in zip(self.matrix, self.offset)])
+            try:
+                return tuple([fsum(map(mul, row, x)) + ci for row, ci in zip(rows, self.offset)])
+            except TypeError:  # fsum takes no complex: sum a complex point's parts apart
+                return tuple([_complex_dot(row, x) + ci for row, ci in zip(rows, self.offset)])
         except (OverflowError, ValueError):
             raise NonFiniteError("non-finite coordinate: an affine row overflowed") from None
+
+
+def _complex_dot(row, x) -> complex:
+    """``row·x`` for a complex ``x``: one ``fsum`` per part of the products."""
+    terms = list(map(mul, row, x))
+    return complex(fsum([t.real for t in terms]), fsum([t.imag for t in terms]))
 
 
 class Halve(_Record):

@@ -290,10 +290,10 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
 
     A pair of consecutive steps contracts when the later gauge is at most
     ``LAMBDA_CEILING`` times the earlier one; two zero steps contract with
-    ratio 0, a nonzero step after a zero one does not, and neither do two
-    steps whose gauges both overflow to inf under a tiny base.  A zero last
-    step contracts with ratio 0 from its own index: the run landed on its
-    fixed point.  Returns ``(start, lam)``: the index of the suffix's first step
+    ratio 0, a nonzero step after a zero one does not, and no step whose
+    gauge overflows to inf under a tiny base starts a contracting pair: its
+    ratio is unknown.  A zero last step contracts with ratio 0 from its own
+    index: the run landed on its fixed point.  Returns ``(start, lam)``: the index of the suffix's first step
     and its largest ratio, or ``(number of steps, None)`` when the last step
     is nonzero and the last pair does not contract.  The gauges are taken
     from the last step back, so a non-contracting prefix costs nothing past
@@ -312,9 +312,11 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
             if later != 0.0:
                 break
             ratio = 0.0
+        elif not math.isfinite(earlier):  # overflowed under a tiny base: unmeasured
+            break
         else:
             ratio = later / earlier
-            if not ratio <= LAMBDA_CEILING:  # a NaN ratio (inf / inf) breaks too
+            if ratio > LAMBDA_CEILING:
                 break
         start, later = k, earlier
         if lam is None or ratio > lam:

@@ -73,6 +73,14 @@ OPPOSITE_INFINITIES = {
     "map": {"name": "affine", "matrix": [[1e308, -1e308], [0, 0]], "offset": [0, 0]},
     "x0": [10, 10],
 }
+# An affine map over complex points: each row sums the real and the imaginary
+# parts of its products apart.
+COMPLEX_AFFINE = {
+    "map": {"name": "affine", "matrix": [[0.5]], "offset": [0]},
+    "metric": {"kind": "weighted", "alpha": [1], "field": "complex"},
+    "x0": [[1, 2]],
+    "lambda": 0.5,
+}
 # Finite steps whose gauges all overflow under a tiny base.
 OVERFLOWED_GAUGES = {
     "map": {"name": "affine", "matrix": [[0.5]], "offset": [0]},
@@ -181,6 +189,16 @@ class TestPicardCommand:
             )
         assert blobs[0] == blobs[1]
 
+    def test_complex_affine_run_certified(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COMPLEX_AFFINE)
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (cert["halt"], cert["certificate"]["status"]) == ("stop_c", "certified")
+        # Halving a dyadic point is exact: 35 steps give (1 + 2i) / 2**35.
+        assert (cert["iterations"], cert["fixed_point"]) == (35, [[2.0**-35, 2.0**-34]])
+
     def test_expanding_map_exits_two(self, tmp_path):
         cfg = write_cfg(tmp_path, EXPANDING)
         out = tmp_path / "out"
@@ -203,7 +221,8 @@ class TestPicardCommand:
     def test_weierstrass_steps_past_overflowed_gauges(self, tmp_path, capsys):
         # Under base 1e-310 the first four steps' gauges overflow: two equal
         # infs are no noise floor and no contracting pair, so the run goes on
-        # to stop_c as under the unit base, with a tail certificate.
+        # to stop_c as under the unit base, with a tail certificate from the
+        # first step whose gauge is finite.
         blobs = []
         for base in ([1e-310, 1e-310], None):
             cfg = write_cfg(tmp_path, {**FAR_START_WEIERSTRASS, "gauge_base": base})

@@ -33,6 +33,23 @@ def test_each_row_is_the_correctly_rounded_sum_of_its_products(case):
     assert f(x) == expected
 
 
+@given(affine_and_point(), st.lists(entries, min_size=8, max_size=8))
+def test_a_complex_point_sums_each_part_correctly_rounded(case, imag):
+    """A point under a complex metric: fsum takes no complex, so the real and
+    the imaginary parts of a row's products are summed apart, each exactly."""
+    f, re = case
+    x = tuple(complex(a, b) for a, b in zip(re, imag))
+
+    def exact(row, part):
+        return float(sum(Fraction(a * part(z)) for a, z in zip(row, x)))
+
+    expected = tuple(
+        complex(exact(row, lambda z: z.real), exact(row, lambda z: z.imag)) + c
+        for row, c in zip(f.matrix, f.offset)
+    )
+    assert f(x) == expected
+
+
 def test_a_cancelling_row_is_exact():
     # A left-to-right sum gives 0.0: 1e16 + 1.0 rounds back to 1e16.
     assert Affine([[1.0, 1.0, 1.0]] * 3, [0.0] * 3)((1e16, 1.0, -1e16)) == (1.0,) * 3
@@ -49,4 +66,6 @@ def test_a_cancelling_row_is_exact():
 def test_an_overflowing_row_raises_non_finite(matrix, x):
     with pytest.raises(NonFiniteError, match="^non-finite coordinate: an affine row overflowed$"):
         Affine(matrix, [0.0, 0.0])(x)
+    with pytest.raises(NonFiniteError, match="^non-finite coordinate: an affine row overflowed$"):
+        Affine(matrix, [0.0, 0.0])(tuple(1j * c for c in x))
 

@@ -266,11 +266,13 @@ class TestStepChecks:
         assert estimate_lambda(self.make_trace([1.0, 0.0, 1.0, 0.5]), G1) == (2, 0.5)
 
     def test_overflowed_gauges_do_not_contract(self):
-        """Steps whose gauges both overflow to inf under a tiny base give a
-        NaN ratio: that pair does not contract, so it never yields lam NaN."""
+        """A step whose gauge overflows to inf under a tiny base starts no
+        contracting pair: inf / inf would give lam NaN, and a finite gauge
+        over inf a ratio 0 for a pair whose ratio was never measured."""
         tiny = GaugeNorm(SpaceSpec(1, Vec([1e-300])))
         assert estimate_lambda(self.make_trace([1e10, 5e9]), tiny) == (2, None)
-        assert estimate_lambda(self.make_trace([1e10, 5e9, 1.0, 0.5]), tiny) == (1, 0.5)
+        assert estimate_lambda(self.make_trace([1e10, 5e9, 1.0, 0.5]), tiny) == (2, 0.5)
+        assert estimate_lambda(self.make_trace([1e10, 1.0, 0.5]), tiny) == (1, 0.5)
 
     def test_estimate_errors(self):
         """A trace whose last pair of steps does not contract has no factor:
@@ -577,14 +579,22 @@ class TestEngineBoundary:
                 max_iter=100,
             )
 
-        tiny = problem(1e-310)
+        tiny, unit = problem(1e-310), problem(1.0)
         result = run_picard(tiny)
-        assert result.trace == run_picard(problem(1.0)).trace
-        gauges = [mink_norm(s, tiny.gauge) for s in result.trace.step_dists]
+        assert result.trace == run_picard(unit).trace
+        steps = result.trace.step_dists
+        gauges = [mink_norm(s, tiny.gauge) for s in steps]
         assert gauges[:4] == [math.inf] * 4 and math.isfinite(gauges[4])
+        # An overflowed gauge measures nothing, so the tail starts at the
+        # first finite one, and lam is the unit gauge's ratio over that tail.
         cert = result.certificate
-        assert cert.start == 3
-        assert cert.lambda_used == max(b / a for a, b in zip(gauges[3:], gauges[4:]))
+        assert cert.start == 4
+        assert cert.lambda_used == max(b / a for a, b in zip(gauges[4:], gauges[5:]))
+        unit_gauges = [mink_norm(s, unit.gauge) for s in steps]
+        assert math.isclose(
+            cert.lambda_used, max(b / a for a, b in zip(unit_gauges[4:], unit_gauges[5:])),
+            rel_tol=1e-12,
+        )
 
     def test_map_raising_non_finite_ends_the_run_unconverged(self):
         def overflowing(x):
