@@ -32,8 +32,13 @@ a number is a finite JSON number, never a string or a boolean; a count
 as 1000); a complex scalar is a number or ``[re, im]``; an affine map's
 ``x0``, a ``weierstrass`` map's ``x0`` and ``roots``' ``weights`` are checked
 against the matrix size and the degree; NaN and Infinity are rejected; an
-optional key set to null reads like an absent key, while a null
-``--stop-c`` is rejected.
+optional key set to null reads like an absent key.  The config is the one
+way to set a run: no flag overrides a key.
+
+Each subcommand takes ``--config`` and ``--out``, and only the other flags
+it reads: ``axioms`` takes ``--seed`` and ``--samples``, ``demo-normality``
+takes ``--samples``.  ``_COMMANDS`` lists them with their defaults, so a new
+flag is one entry there.
 
 This module defines no map.  ``_map_from_config`` reads a map's keys,
 checks them against ``x0`` and the metric, and constructs a record:
@@ -203,26 +208,17 @@ def _polynomial(raw) -> Polynomial:
     return Polynomial([_complex(v, "coefficients") for v in _array(raw, "coefficients")])
 
 
-def _run_settings(cfg: dict, args, max_iter: int) -> tuple:
+def _run_settings(cfg: dict, max_iter: int) -> tuple:
     """``(stop_c, max_iter, lam)`` shared by ``picard`` and ``roots``.
 
-    ``--stop-c`` and ``--max-iter`` override the config keys; a null
-    ``--stop-c`` is an error, not an absent flag.  An absent ``stop_c`` or
-    ``lambda`` reads as None; ``max_iter`` is the default.
+    An absent ``stop_c`` or ``lambda`` reads as None; ``max_iter`` is the
+    default.
     """
-    if args.stop_c is not None:
-        stop_c = vec_from_json(_loads(args.stop_c, "--stop-c"), "--stop-c")
-    else:
-        stop = _optional(cfg, "stop_c")
-        stop_c = None if stop is None else vec_from_json(stop, "stop_c")
-    if args.max_iter is not None:
-        max_iter = args.max_iter
-    else:
-        max_iter = _count(_optional(cfg, "max_iter", max_iter), "max_iter")
+    stop_c = _optional(cfg, "stop_c")
     lam = _optional(cfg, "lambda")
     return (
-        stop_c,
-        max_iter,
+        None if stop_c is None else vec_from_json(stop_c, "stop_c"),
+        _count(_optional(cfg, "max_iter", max_iter), "max_iter"),
         None if lam is None else _number(lam, "lambda"),
     )
 
@@ -275,7 +271,7 @@ def _map_from_config(spec: dict, inst: ConeMetric, x0):
     raise ValueError(f"unknown map {name!r}")
 
 
-def _problem_from_config(cfg: dict, args) -> Problem:
+def _problem_from_config(cfg: dict) -> Problem:
     for key in ("map", "metric", "x0"):
         if key not in cfg:
             raise ValueError(f'problem config needs a "{key}" field')
@@ -286,7 +282,7 @@ def _problem_from_config(cfg: dict, args) -> Problem:
     base = _optional(cfg, "gauge_base")
     base = Vec.ones(n) if base is None else vec_from_json(base, "gauge_base")
     gauge = GaugeNorm(SpaceSpec(n, base))
-    stop_c, max_iter, lam = _run_settings(cfg, args, max_iter=200)
+    stop_c, max_iter, lam = _run_settings(cfg, max_iter=200)
     domain = _optional(cfg, "domain")
     if domain is not None:
         if not isinstance(domain, dict) or "center" not in domain or "radius" not in domain:
@@ -359,7 +355,7 @@ def _write_run(out: Path, result: PicardResult, metric: ConeMetric) -> None:
 
 def cmd_picard(args) -> int:
     cfg = _load_config(args)
-    problem = _problem_from_config(cfg, args)
+    problem = _problem_from_config(cfg)
     # A Weierstrass run halts at its noise floor, as it does under ``roots``.
     stalled = noise_floor(problem) if isinstance(problem.map_fn, Weierstrass) else None
     result = run_picard(problem, stalled=stalled)
@@ -388,7 +384,7 @@ def cmd_roots(args) -> int:
     if z0 is not None:
         # solve_roots checks the start: its length, entries and distinctness.
         z0 = _coordinates(metric, z0, "z0")
-    stop_c, max_iter, lam = _run_settings(cfg, args, max_iter=100)
+    stop_c, max_iter, lam = _run_settings(cfg, max_iter=100)
     result = solve_roots(
         poly, z0=z0, weights=metric.alpha, stop_c=stop_c, max_iter=max_iter, lam=lam
     )
@@ -413,7 +409,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_demo_normality(args) -> int:
-    rows = normality_table(n_max=50 if args.samples is None else args.samples)
+    rows = normality_table(n_max=args.samples)
     out = _out_dir(args)
     # Written as write_trace_csv writes: no cell needs quoting, and '%.17g'
     # gives the bytes of format(v, ".17g").
@@ -432,24 +428,19 @@ def cmd_demo_normality(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = (
-    ("axioms", "run the seeded axiom suites"),
-    ("gauge", "print the gauge of a vector"),
-    ("picard", "iterate a configured map and certify the run"),
-    ("roots", "refine all roots of a polynomial simultaneously"),
-    ("demo-normality", "tabulate the sandwiched C^1 pair"),
-)
-
-
-def _handler(command: str):
-    # Looked up on every call, so a rebound ``cmd_*`` is the one that runs.
-    return {
-        "axioms": cmd_axioms,
-        "gauge": cmd_gauge,
-        "picard": cmd_picard,
-        "roots": cmd_roots,
-        "demo-normality": cmd_demo_normality,
-    }[command]
+# Each subcommand's help, and the flags it reads besides --config and --out,
+# as (flag, default, help); every such flag takes an int.  main() runs
+# cmd_<name>, looked up at call time, so a rebound cmd_* is the one that runs.
+_COMMANDS = {
+    "axioms": (
+        "run the seeded axiom suites",
+        [("--seed", 0, "root seed of the suites"), ("--samples", 1000, "samples per suite")],
+    ),
+    "gauge": ("print the gauge of a vector", []),
+    "picard": ("iterate a configured map and certify the run", []),
+    "roots": ("refine all roots of a polynomial simultaneously", []),
+    "demo-normality": ("tabulate the sandwiched C^1 pair", [("--samples", 50, "largest n tabulated")]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,14 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fixed-point iteration with componentwise certificates over cone metrics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS:
+    for name, (help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON config file")
         p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=0, help="root seed for sampled suites")
-        p.add_argument("--samples", type=int, default=None, help="sample count override")
-        p.add_argument("--max-iter", type=int, default=None, help="iteration cap override")
-        p.add_argument("--stop-c", default=None, help="halting vector as a JSON array")
+        for flag, default, flag_help in flags:
+            p.add_argument(flag, type=int, default=default, help=f"{flag_help} (default: {default})")
     return parser
 
 
@@ -487,10 +476,8 @@ def main(argv=None) -> int:
         if not exc.code:
             raise
         return EXIT_INPUT
-    if args.samples is None and args.command == "axioms":
-        args.samples = 1000
     try:
-        return _handler(args.command)(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,7 +5,7 @@ that holds one compares, hashes, prints and pickles by value.  The third,
 
 from __future__ import annotations
 
-from math import fsum
+from math import fsum, isfinite
 from operator import mul
 from typing import Sequence
 
@@ -17,7 +17,8 @@ __all__ = ["Affine", "Halve"]
 class Affine(_Record):
     """``x -> matrix·x + offset``, one dense dot product per row.
 
-    ``matrix`` is a tuple of rows and ``offset`` a tuple, both of floats.
+    ``matrix`` is a tuple of rows and ``offset`` a tuple, both of finite
+    floats: a NaN or infinite entry is a ``ValueError`` that names it.
     Each row's products are summed by :func:`math.fsum`, correctly rounded
     on every Python, so a coordinate carries one rounding per product, one
     for their sum and one for the offset.  A complex point (under a complex
@@ -35,6 +36,11 @@ class Affine(_Record):
         n = len(offset)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("affine map needs a square matrix matching the offset length")
+        for i, row in enumerate((*rows, offset)):
+            if not all(map(isfinite, row)):
+                j, v = next((j, v) for j, v in enumerate(row) if not isfinite(v))
+                name = f"offset[{j}]" if i == n else f"matrix[{i}][{j}]"
+                raise ValueError(f"affine map needs finite entries, got {name} = {v!r}")
         super().__init__(rows, offset)
 
     def __call__(self, x) -> tuple:

@@ -230,8 +230,8 @@ def inequality_transfer_check(
     if len(coeffs) != len(dpairs):
         raise ValueError(f"{len(coeffs)} coefficients for {len(dpairs)} distances")
     for c in coeffs:
-        if c < 0:
-            raise ValueError(f"coefficients must be nonnegative, got {c!r}")
+        if not 0 <= c < math.inf:  # False for NaN too
+            raise ValueError(f"coefficients must be finite and nonnegative, got {c!r}")
     terms = [mink_norm(coeff0, g), *(c * mink_norm(d, g) for c, d in zip(coeffs, dpairs))]
     try:
         rhs = math.fsum(terms)

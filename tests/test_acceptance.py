@@ -323,10 +323,17 @@ def test_criterion_10_cli_determinism(tmp_path):
             }
         )
     )
-    traces = []
+    traces, reports = [], []
     for name in ("a", "b"):
         out = tmp_path / name
-        code = main(["picard", "--config", str(cfg), "--out", str(out), "--seed", "0"])
-        assert code == 0
+        assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
         traces.append((out / "trace.csv").read_bytes())
-    report(10, traces[0] == traces[1], f"{len(traces[0])} bytes each")
+        # The seeded command: the same seed gives the same report.
+        out = tmp_path / f"axioms-{name}"
+        assert main(["axioms", "--seed", "0", "--samples", "20", "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    report(
+        10,
+        traces[0] == traces[1] and reports[0] == reports[1],
+        f"trace {len(traces[0])} bytes, axioms report {len(reports[0])} bytes",
+    )

@@ -294,24 +294,21 @@ class TestPicardCommand:
         assert not out.exists()
 
     def test_stop_c_override_shortens_run(self, tmp_path):
-        cfg = write_cfg(tmp_path, HALVE)
+        # The config's stop_c overrides the default 1e-10.
         coarse, fine = tmp_path / "coarse", tmp_path / "fine"
+        cfg = write_cfg(tmp_path, HALVE)
         assert main(["picard", "--config", cfg, "--out", str(fine)]) == 0
-        assert (
-            main(
-                ["picard", "--config", cfg, "--out", str(coarse), "--stop-c", "[0.25]"]
-            )
-            == 0
-        )
+        cfg = write_cfg(tmp_path, {**HALVE, "stop_c": [0.25]}, "coarse.json")
+        assert main(["picard", "--config", cfg, "--out", str(coarse)]) == 0
         n_coarse = len((coarse / "trace.csv").read_text().splitlines())
         n_fine = len((fine / "trace.csv").read_text().splitlines())
         assert n_coarse < n_fine
 
     def test_max_iter_override_blocks_convergence(self, tmp_path):
-        cfg = write_cfg(tmp_path, HALVE)
+        # The config's max_iter overrides the default 200.
+        cfg = write_cfg(tmp_path, {**HALVE, "max_iter": 3})
         out = tmp_path / "out"
-        code = main(["picard", "--config", cfg, "--out", str(out), "--max-iter", "3"])
-        assert code == 2
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 2
 
     def test_complex_metric_through_weierstrass_map(self, tmp_path):
         cfg = write_cfg(
@@ -807,8 +804,9 @@ class TestParserReuse:
             axioms, "run_all", lambda seed, samples: real_run_all(seed=seed, samples=samples, dims=[1])
         )
         cfg = write_cfg(tmp_path, HALVE)
+        short = write_cfg(tmp_path, {**HALVE, "max_iter": 3}, "short.json")
         calls = [
-            ["picard", "--config", cfg, "--max-iter", "3"],
+            ["picard", "--config", short],
             ["picard", "--config", cfg],
             ["axioms", "--samples", "5", "--seed", "3"],
             ["axioms"],
@@ -877,6 +875,49 @@ class TestParserReuse:
         assert proc.stdout == "[]\n"
 
 
+# What parse_args gives each subcommand with no flags: --config and --out,
+# and only the other flags the subcommand reads, with their defaults.
+SUBCOMMAND_FLAGS = {
+    "axioms": {"config": None, "out": None, "seed": 0, "samples": 1000},
+    "gauge": {"config": None, "out": None},
+    "picard": {"config": None, "out": None},
+    "roots": {"config": None, "out": None},
+    "demo-normality": {"config": None, "out": None, "samples": 50},
+}
+
+
+class TestSubcommandFlags:
+    """Each subcommand takes only the flags it reads; the config sets a run."""
+
+    def test_each_subcommand_has_its_own_flags(self):
+        parser = cli.build_parser()
+        assert "{axioms,gauge,picard,roots,demo-normality}" in parser.format_usage()
+        got = {name: vars(parser.parse_args([name])) for name in SUBCOMMAND_FLAGS}
+        assert got == {name: {"command": name, **f} for name, f in SUBCOMMAND_FLAGS.items()}
+        assert sum(map(len, SUBCOMMAND_FLAGS.values())) == 13
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["gauge", "--seed", "1"], ["demo-normality", "--max-iter", "3"], ["picard", "--stop-c", "[1]"]],
+        ids=lambda flags: flags[0],
+    )
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(self, tmp_path, capsys, flags):
+        cfg = write_cfg(tmp_path, HALVE)
+        out = tmp_path / "out"
+        assert main([*flags, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: conecert")
+        assert err.endswith(f"conecert: error: unrecognized arguments: {' '.join(flags[1:])}\n")
+        assert not out.exists()
+
+    def test_demo_normality_takes_a_config_it_does_not_read(self, tmp_path):
+        # The benchmark's cli-batch passes every unit a --config.
+        cfg = write_cfg(tmp_path, {})
+        out = tmp_path / "out"
+        assert main(["demo-normality", "--config", cfg, "--samples", "7", "--out", str(out)]) == 0
+        assert len((out / "report.csv").read_text().splitlines()) == 8
+
+
 class TestUsageErrors:
     """Usage errors are input errors: exit 1, never the no-convergence 2."""
 
@@ -888,7 +929,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["picard", "--max-iter", "x"], "invalid int value: 'x'"),
+            (["axioms", "--samples", "x"], "invalid int value: 'x'"),
             (["solve"], "invalid choice: 'solve'"),
         ],
     )
@@ -907,7 +948,7 @@ class TestUsageErrors:
     def test_process_exit_code(self):
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-m", "conecert.cli", "picard", "--max-iter", "x"],
+            [sys.executable, "-m", "conecert.cli", "axioms", "--samples", "x"],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,
             text=True,
@@ -981,6 +1022,7 @@ BAD_VALUES = [
     ("picard", AFFINE, ["map", "offset"], 1),
     ("picard", HALVE, ["metric", "alpha"], 5),
     ("picard", HALVE, ["max_iter"], INF),
+    ("picard", HALVE, ["stop_c"], [INF]),
     ("picard", DISCRETE, ["x0"], None),
     ("picard", DISCRETE, ["x0"], "1"),
     ("picard", DISCRETE, ["x0"], [[1]]),
@@ -1133,24 +1175,6 @@ class TestConfigValues:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0
 
-    @pytest.mark.parametrize("constant", ["NaN", "-Infinity"])
-    def test_stop_c_flag_rejects_non_json_numbers(self, tmp_path, capsys, constant):
-        cfg = write_cfg(tmp_path, HALVE)
-        out = tmp_path / "out"
-        argv = ["picard", "--config", cfg, "--out", str(out), "--stop-c", f"[{constant}]"]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: --stop-c holds {constant}, which is not a JSON number\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command, base", [("picard", HALVE), ("roots", CUBIC_ROOTS)])
-    def test_stop_c_flag_rejects_null(self, tmp_path, capsys, command, base):
-        cfg = write_cfg(tmp_path, base)
-        out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out), "--stop-c", "null"]) == 1
-        assert capsys.readouterr().err == 'error: "--stop-c" needs a JSON array, got null\n'
-        assert not out.exists()
-
 
 class TestProblemsAreValues:
     """A problem built from a config holds a map record, not a closure."""
@@ -1161,8 +1185,7 @@ class TestProblemsAreValues:
         ids=["affine", "halve", "weierstrass"],
     )
     def test_one_config_builds_equal_problems(self, cfg):
-        args = cli.build_parser().parse_args(["picard"])
-        a, b = (cli._problem_from_config(cfg, args) for _ in range(2))
+        a, b = (cli._problem_from_config(cfg) for _ in range(2))
         assert a == b and hash(a) == hash(b)
         again = pickle.loads(pickle.dumps(a))
         assert again == a and hash(again) == hash(a)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -69,3 +70,22 @@ def test_an_overflowing_row_raises_non_finite(matrix, x):
     with pytest.raises(NonFiniteError, match="^non-finite coordinate: an affine row overflowed$"):
         Affine(matrix, [0.0, 0.0])(tuple(1j * c for c in x))
 
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "matrix, offset, name",
+    [
+        ([[NAN]], [INF], "matrix[0][0] = nan"),
+        ([[0.5, INF], [NAN, 0.5]], [NAN, 0.0], "matrix[0][1] = inf"),
+        ([[0.5, 0.0], [0.0, 0.5]], [0.0, -INF], "offset[1] = -inf"),
+    ],
+    ids=["nan-entry", "first-of-several", "offset"],
+)
+def test_a_non_finite_entry_is_rejected_by_name(matrix, offset, name):
+    # Built, such a map would make a run halt "overflow" at iteration 0,
+    # blaming the run for its input.
+    with pytest.raises(ValueError, match=rf"^affine map needs finite entries, got {re.escape(name)}$"):
+        Affine(matrix, offset)

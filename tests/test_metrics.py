@@ -446,6 +446,18 @@ class TestInequalityTransfer:
                 Vec.zeros(2), [-1.0], [Vec([1.0, 1.0])], Vec.zeros(2), ONES2
             )
 
+    @pytest.mark.parametrize(
+        "coeff, d",
+        [(math.nan, 1.0), (math.inf, 0.0), (math.inf, 1.0)],
+        ids=["nan", "inf-times-zero-gauge", "inf"],
+    )
+    def test_rejects_non_finite_coefficients(self, coeff, d):
+        # NaN is not < 0, and inf times a zero gauge is NaN: unchecked, either
+        # would answer False, a violated inequality, for bad input.
+        g = GaugeNorm(SpaceSpec(1, Vec([1.0])))
+        with pytest.raises(ValueError, match="^coefficients must be finite and nonnegative, got "):
+            inequality_transfer_check(Vec([1.0]), [coeff], [Vec([d])], Vec([0.5]), g)
+
     @given(data=st.data())
     def test_transfer_on_constructed_inequalities(self, data):
         # Cone-level inequality built to hold: d0 a coordinatewise fraction
