@@ -5,7 +5,8 @@ cost and a whole ``picard`` call, the CLI's import, and the axiom suites.
 
 One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``Problem`` built at n=200 with a ball domain, one two-weight metric, one
-``run_picard`` call per way of getting the factor, one
+``run_picard`` call per way of getting the factor, one ``estimate_lambda``
+call on the trace of an estimated diagonal run at n in {50, 200}, one
 ``weierstrass_step`` sweep and one ``solve_roots`` call (its report not
 read) over the roots 1..m at m in {3, 12}, one
 ``run_all(seed, 20)`` call, the unit of the axioms-suite workload, and
@@ -41,7 +42,16 @@ from pathlib import Path
 import pytest
 
 import conecert
-from conecert import GaugeNorm, Polynomial, Problem, SpaceSpec, mink_norm, run_picard, solve_roots
+from conecert import (
+    GaugeNorm,
+    Polynomial,
+    Problem,
+    SpaceSpec,
+    estimate_lambda,
+    mink_norm,
+    run_picard,
+    solve_roots,
+)
 from conecert.axioms import Sampler, run_all
 from conecert.cli import main
 from conecert.maps import Affine
@@ -216,6 +226,16 @@ def diagonal_run(n=200):
 def test_run_picard(benchmark, lam):
     """The whole engine at n=200, certificate included, no artifacts."""
     assert benchmark(run_picard, diagonal_problem(lam=lam)).converged
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_estimate_lambda(benchmark, n):
+    """The factor of an estimated diagonal run, from its whole trace: every
+    step contracts, so every step's gauge is taken."""
+    p = diagonal_problem(n, lam=None)
+    trace = run_picard(p).trace
+    start, lam = benchmark(estimate_lambda, trace, p.gauge)
+    assert start == 0 and 0.0 < lam < 1.0
 
 
 def wilkinson(m):

@@ -374,11 +374,7 @@ def cmd_roots(args) -> int:
         raise ValueError(f"degree {poly.degree} exceeds the CLI cap of {MAX_CLI_DEGREE}")
     weights = _optional(cfg, "weights")
     weights = (1.0,) * poly.degree if weights is None else _numbers(weights, "weights")
-    if len(weights) != poly.degree:
-        raise ValueError(
-            f'"weights" needs one entry per root of the degree-{poly.degree} polynomial, '
-            f"got {len(weights)}"
-        )
+    # solve_roots checks that there is one weight per root.
     metric = WeightedConeMetric(weights, field="complex")
     z0 = _optional(cfg, "z0")
     if z0 is not None:

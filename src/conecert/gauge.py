@@ -4,6 +4,12 @@ For the coordinatewise order the gauge has the closed form
 ``max_i |x_i| / base_i``; the package scalarizes every cone-valued distance
 through it.  A slow bisection oracle using only the order predicates lives in
 the test suite and cross-checks the closed form.
+
+On the cone itself ``|x_i| == x_i``, so the gauge is ``max_i x_i / base_i``
+and needs no pass of ``abs``: :func:`cone_gauge`.  A distance of any of the
+package's metrics lies in the cone (the first cone-metric axiom), so the
+engine gauges its steps that way; :func:`mink_norm` takes a vector of any
+sign.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from operator import truediv
 
 from .solid import SpaceSpec, Vec, _Record, lt
 
-__all__ = ["GaugeNorm", "mink_norm", "strict_ball_test"]
+__all__ = ["GaugeNorm", "cone_gauge", "mink_norm", "strict_ball_test"]
 
 
 class GaugeNorm(_Record):
@@ -51,6 +57,29 @@ def mink_norm(x: Vec, g: GaugeNorm) -> float:
     if g._unit:
         return max(map(abs, coords))
     return max(map(truediv, map(abs, coords), spec.base.coords))
+
+
+def cone_gauge(x: Vec, g: GaugeNorm) -> float:
+    """:func:`mink_norm` of an ``x`` in the cone, bit for bit: ``max_i x_i / base_i``.
+
+    Precondition, not checked: every coordinate of ``x`` is ``>= 0`` (a
+    ``-0.0`` counts).  A check would cost the pass over ``x`` that this
+    kernel saves over ``mink_norm``; every metric's distance meets it.
+    Outside the cone the result is not the gauge.  A zero vector gives
+    ``+0.0`` even from ``-0.0`` coordinates, and a quotient that overflows
+    under a tiny base gives ``inf``.  Arguments that do not fit raise the
+    ``TypeError`` or ``ValueError`` of :func:`mink_norm`.
+    """
+    try:
+        coords, spec = x.coords, g.spec
+        fits = len(coords) == spec.n
+    except AttributeError:
+        fits = False
+    if not fits:  # mink_norm raises the error that names the misfit
+        return mink_norm(x, g)
+    if g._unit:
+        return max(coords) or 0.0
+    return max(map(truediv, coords, spec.base.coords)) or 0.0
 
 
 def strict_ball_test(x: Vec, eps: float, g: GaugeNorm) -> bool:

@@ -47,7 +47,7 @@ import operator
 from collections.abc import Sequence
 from typing import Callable, Optional
 
-from .gauge import GaugeNorm, mink_norm
+from .gauge import GaugeNorm, cone_gauge
 from .metrics import Ball, ConeMetric, WeightedConeMetric
 from .solid import NonFiniteError, Vec, _finite, _Record, in_interior, leq
 
@@ -288,26 +288,28 @@ def verify_step_contraction(trace: IterationTrace, lam: float) -> bool:
 def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[float]]:
     """Start and factor of the longest suffix of steps contracting in the gauge.
 
-    A pair of consecutive steps contracts when the later gauge is at most
+    A step is a distance, so it lies in the cone, where its gauge is one
+    ``max`` (:func:`cone_gauge`, the bits of :func:`mink_norm`).  A pair of
+    consecutive steps contracts when the later gauge is at most
     ``LAMBDA_CEILING`` times the earlier one; two zero steps contract with
     ratio 0, a nonzero step after a zero one does not, and no step whose
     gauge overflows to inf under a tiny base starts a contracting pair: its
     ratio is unknown.  A zero last step contracts with ratio 0 from its own
-    index: the run landed on its fixed point.  Returns ``(start, lam)``: the index of the suffix's first step
-    and its largest ratio, or ``(number of steps, None)`` when the last step
-    is nonzero and the last pair does not contract.  The gauges are taken
-    from the last step back, so a non-contracting prefix costs nothing past
-    its last pair.
+    index: the run landed on its fixed point.  Returns ``(start, lam)``: the
+    index of the suffix's first step and its largest ratio, or ``(number of
+    steps, None)`` when the last step is nonzero and the last pair does not
+    contract.  The gauges are taken from the last step back, so a
+    non-contracting prefix costs nothing past its last pair.
     """
     steps = trace.step_dists
     start, lam = len(steps), None
     if not steps:
         return start, lam
-    later = mink_norm(steps[-1], g)
+    later = cone_gauge(steps[-1], g)
     if later == 0.0:
         start, lam = start - 1, 0.0
     for k in range(len(steps) - 2, -1, -1):
-        earlier = mink_norm(steps[k], g)
+        earlier = cone_gauge(steps[k], g)
         if earlier == 0.0:
             if later != 0.0:
                 break

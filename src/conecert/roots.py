@@ -31,7 +31,7 @@ from itertools import combinations
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
-from .gauge import GaugeNorm, mink_norm
+from .gauge import GaugeNorm, cone_gauge
 from .metrics import WeightedConeMetric
 from .picard import (
     IterationTrace,
@@ -218,7 +218,8 @@ def compare_bounds(
 
     For each recorded step from ``start`` on, the componentwise bound is the
     forward a posteriori vector; the scalar pipeline collapses the step to
-    its gauge first, and its bound is broadcast back through the base vector.
+    its gauge first (a step lies in the cone: :func:`cone_gauge`), and its
+    bound is broadcast back through the base vector.
     With a common factor the componentwise vector can never exceed the
     broadcast one; rows where it is strictly smaller in some coordinate are
     counted as improvements.
@@ -230,7 +231,7 @@ def compare_bounds(
     for k in range(start, len(trace.step_dists)):
         s = trace.step_dists[k]
         comp = apost_forward_bound(s, lam)
-        scalar = mink_norm(s, g_scalar) * q
+        scalar = cone_gauge(s, g_scalar) * q
         broadcast = scalar * base
         exceeded = any(c > b for c, b in zip(comp.coords, broadcast.coords))
         improved = any(c < b for c, b in zip(comp.coords, broadcast.coords))
@@ -300,15 +301,17 @@ def noise_floor(p: Problem) -> Callable[[IterationTrace], bool]:
     ``p`` iterates :class:`Weierstrass` over a complex weighted metric.
     The predicate is true once a step's gauge under ``p.gauge`` is finite and
     not below the previous step's while the inclusion discs around the
-    iterate the step left are pairwise disjoint.  A gauge that overflows
-    under a tiny base shows no stall.
+    iterate the step left are pairwise disjoint.  A step is a weighted
+    modulus vector, so it lies in the cone and its gauge is one ``max``
+    (:func:`cone_gauge`).  A gauge that overflows under a tiny base shows no
+    stall.
     """
     norms: list[float] = []
     g, alpha = p.gauge, p.metric.alpha
 
     def stalled(trace: IterationTrace) -> bool:
         s = trace.step_dists[-1]
-        norms.append(mink_norm(s, g))
+        norms.append(cone_gauge(s, g))
         return (
             len(norms) > 1
             and norms[-2] <= norms[-1] < math.inf
@@ -335,12 +338,16 @@ def solve_roots(
     engine's certificate (from the contracting tail unless ``lam`` was
     supplied) and the final residual moduli; its ``report``, the
     componentwise-versus-broadcast bound comparison over the steps the
-    certificate covers, is built only when read.  A ``z0``
-    that is not one finite complex entry per root, or that holds two equal
-    entries, raises ``ValueError``.
+    certificate covers, is built only when read.  ``weights`` that are not
+    one entry per root, or a ``z0`` that is not one finite complex entry per
+    root or that holds two equal entries, raise ``ValueError``.
     """
     n = p.degree
     weights = (1.0,) * n if weights is None else tuple(float(w) for w in weights)
+    if len(weights) != n:
+        raise ValueError(
+            f'"weights" needs one entry per root of the degree-{n} polynomial, got {len(weights)}'
+        )
     stop_c = Vec((1e-12,) * n) if stop_c is None else stop_c
     inst = WeightedConeMetric(weights, field="complex")
     problem = Problem(

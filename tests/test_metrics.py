@@ -376,6 +376,47 @@ class TestPlus:
         assert leq(inst.distance(x, z), inst.distance(x, y) + inst.distance(y, z))
 
 
+class TestDistanceLiesInTheCone:
+    """Every metric's distance lies in the cone, and its largest coordinate is
+    never ``-0.0``: the precondition of ``cone_gauge``, which gauges the
+    engine's steps.  Weighted: a positive weight times ``abs``.  Discrete:
+    ``Vec.zeros`` or the nonzero cone value ``a``.  Plus: ``Vec.zeros`` or
+    ``x + y`` with a positive coordinate where the points differ."""
+
+    nonneg = st.sampled_from([-0.0, 0.0, 5e-324, 1e308]) | st.floats(
+        min_value=0.0, allow_nan=False, allow_infinity=False
+    )
+
+    def draw_case(self, kind, n, data):
+        if kind == "weighted-real":
+            points = st.lists(finite_floats, min_size=n, max_size=n).map(tuple)
+        elif kind == "weighted-complex":
+            coord = st.builds(complex, finite_floats, finite_floats)
+            points = st.lists(coord, min_size=n, max_size=n).map(tuple)
+        elif kind == "discrete":
+            a = data.draw(st.lists(self.nonneg, min_size=n, max_size=n).filter(any).map(Vec))
+            return DiscreteConeMetric(a), st.integers(0, 2)
+        else:
+            return PlusConeMetric(n), st.lists(self.nonneg, min_size=n, max_size=n).map(Vec)
+        weight = st.floats(min_value=5e-324, max_value=1e308)
+        alpha = data.draw(st.lists(weight, min_size=n, max_size=n))
+        return WeightedConeMetric(alpha, field=kind.split("-")[1]), points
+
+    @pytest.mark.parametrize("kind", ["weighted-real", "weighted-complex", "discrete", "plus"])
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_distance_is_in_the_cone(self, kind, data):
+        n = data.draw(st.integers(1, 4))
+        inst, points = self.draw_case(kind, n, data)
+        x, y = data.draw(points), data.draw(points)
+        try:
+            d = inst.distance(x, y)
+        except NonFiniteError:  # a difference, modulus or sum past the float range
+            return
+        assert in_cone(d)
+        assert repr(max(d.coords)) != "-0.0"
+
+
 class TestScalarize:
     def test_examples(self):
         weighted = WeightedConeMetric([1.0, 1.0])

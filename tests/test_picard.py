@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert import picard
-from conecert.gauge import GaugeNorm, mink_norm
+from conecert.gauge import GaugeNorm, cone_gauge, mink_norm
 from conecert.metrics import Ball, DiscreteConeMetric, WeightedConeMetric
 from conecert.picard import (
     LAMBDA_CEILING,
@@ -240,6 +240,28 @@ class TestBoundArithmetic:
         assert apost_backward_bound(Vec([4.0]), 0.0).coords == (0.0,)
 
 
+def reference_estimate_lambda(steps, g):
+    """``estimate_lambda`` from its definition, on ``mink_norm`` gauges:
+    the longest suffix whose consecutive pairs all contract."""
+    gauges = [mink_norm(s, g) for s in steps]
+    ratios = []  # each pair's ratio, None where the pair does not contract
+    for earlier, later in zip(gauges, gauges[1:]):
+        if earlier == 0.0:
+            ratios.append(0.0 if later == 0.0 else None)
+        elif earlier == math.inf or later / earlier > LAMBDA_CEILING:
+            ratios.append(None)
+        else:
+            ratios.append(later / earlier)
+    if not gauges:
+        return 0, None
+    start = len(gauges) - 1
+    while start > 0 and ratios[start - 1] is not None:
+        start -= 1
+    if start < len(gauges) - 1:
+        return start, max(ratios[start:])
+    return (start, 0.0) if gauges[-1] == 0.0 else (len(gauges), None)
+
+
 class TestStepChecks:
     def make_trace(self, steps):
         return IterationTrace([(0.0,)] * (len(steps) + 1), [Vec([s]) for s in steps])
@@ -259,6 +281,10 @@ class TestStepChecks:
         assert estimate_lambda(self.make_trace([1.0, 0.5, 0.25]), G1) == (0, 0.5)
         assert estimate_lambda(self.make_trace([1.0, 0.0, 0.0]), G1) == (0, 0.0)
         assert estimate_lambda(self.make_trace([0.0, 0.0]), G1) == (0, 0.0)
+        # A step of signed zeros is a zero step, and its ratio is +0.0.
+        for zero in (-0.0, 0.0):
+            start, lam = estimate_lambda(self.make_trace([1.0, zero, zero]), G1)
+            assert (start, repr(lam)) == (0, "0.0")
         # A zero last step contracts from its own index: the run hit its fixed point.
         assert estimate_lambda(self.make_trace([0.0]), G1) == (0, 0.0)
         # A non-contracting prefix is cut off; the factor is the tail's largest ratio.
@@ -273,6 +299,29 @@ class TestStepChecks:
         assert estimate_lambda(self.make_trace([1e10, 5e9]), tiny) == (2, None)
         assert estimate_lambda(self.make_trace([1e10, 5e9, 1.0, 0.5]), tiny) == (2, 0.5)
         assert estimate_lambda(self.make_trace([1e10, 1.0, 0.5]), tiny) == (1, 0.5)
+        # An overflowed gauge before a zero step: the zero pair still contracts.
+        assert estimate_lambda(self.make_trace([1e10, -0.0, 0.0]), tiny) == (1, 0.0)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_estimate_lambda_matches_a_mink_norm_reference(self, data):
+        """Cone-valued steps with zero steps, subnormal and huge coordinates,
+        under unit, dyadic and tiny bases (where gauges overflow to inf)."""
+        n = data.draw(st.integers(1, 3))
+        base = data.draw(st.sampled_from([1.0, 0.25, 1e-300]))
+        g = GaugeNorm(SpaceSpec(n, Vec([base] * n)))
+        coord = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 1e10, 1e300]) | st.floats(
+            min_value=0.0, max_value=1e300
+        )
+        step = st.lists(coord, min_size=n, max_size=n).map(Vec)
+        zero = st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n).map(Vec)
+        steps = data.draw(st.lists(step | zero, max_size=8))
+        if data.draw(st.booleans()):  # a long contracting tail
+            steps.sort(key=lambda s: mink_norm(s, g), reverse=True)
+        trace = IterationTrace([(0.0,) * n] * (len(steps) + 1), steps)
+        start, lam = estimate_lambda(trace, g)
+        ref_start, ref_lam = reference_estimate_lambda(steps, g)
+        assert (start, repr(lam)) == (ref_start, repr(ref_lam))
 
     def test_estimate_errors(self):
         """A trace whose last pair of steps does not contract has no factor:
@@ -585,6 +634,8 @@ class TestEngineBoundary:
         steps = result.trace.step_dists
         gauges = [mink_norm(s, tiny.gauge) for s in steps]
         assert gauges[:4] == [math.inf] * 4 and math.isfinite(gauges[4])
+        # The estimator's one-max gauge of a step gives the same bits.
+        assert [cone_gauge(s, tiny.gauge) for s in steps] == gauges
         # An overflowed gauge measures nothing, so the tail starts at the
         # first finite one, and lam is the unit gauge's ratio over that tail.
         cert = result.certificate

@@ -384,6 +384,18 @@ class TestSolveRoots:
         assert result.lambda_used is None
         assert result.report.rows == []
 
+    @pytest.mark.parametrize(
+        "weights, z0",
+        [([1.0], None), ([1.0, 2.0, 0.5], (2.0, -2.0))],
+        ids=["too-few", "too-many-with-z0"],
+    )
+    def test_weights_need_one_entry_per_root(self, weights, z0):
+        message = (
+            f'"weights" needs one entry per root of the degree-2 polynomial, got {len(weights)}'
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_roots(QUAD_REAL, z0=z0, weights=weights)
+
     def test_overflow_cubic_ends_unconverged(self):
         # Default starts of radius 1 + 1e200: the first correction overflows.
         result = solve_roots(Polynomial([1e200, 0.0, 0.0, 1.0]))
