@@ -7,6 +7,8 @@ One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``Problem`` built at n=200 with a ball domain, one two-weight metric, one
 ``run_picard`` call per way of getting the factor, one ``estimate_lambda``
 call on the trace of an estimated diagonal run at n in {50, 200}, one
+``verify_step_contraction`` call on the trace of a lambda-given run at n=200
+whose last pairs do not contract and on one whose every pair does, one
 ``weierstrass_step`` sweep and one ``solve_roots`` call (its report not
 read) over the roots 1..m at m in {3, 12}, one
 ``run_all(seed, 20)`` call, the unit of the axioms-suite workload, and
@@ -56,7 +58,12 @@ from conecert.axioms import Sampler, run_all
 from conecert.cli import main
 from conecert.maps import Affine
 from conecert.metrics import Ball, WeightedConeMetric
-from conecert.picard import Certificate, certificate_to_dict, write_trace_csv
+from conecert.picard import (
+    Certificate,
+    certificate_to_dict,
+    verify_step_contraction,
+    write_trace_csv,
+)
 from conecert.roots import ComparisonRow, default_starts, weierstrass_step
 from conecert.solid import Vec, leq, lt
 
@@ -236,6 +243,35 @@ def test_estimate_lambda(benchmark, n):
     trace = run_picard(p).trace
     start, lam = benchmark(estimate_lambda, trace, p.gauge)
     assert start == 0 and 0.0 < lam < 1.0
+
+
+def step_trace(case, n=200):
+    """The trace of a run at n with lambda 0.9 given.  ``noisy`` is
+    ``diagonal_problem``'s: its decimal coefficients leave rounding noise in
+    the steps, so the pairs from the 52nd on do not contract.
+    ``contracting`` iterates x -> x/2 + o with dyadic o from 0: each step is
+    exactly half the one before."""
+    p = diagonal_problem(n)
+    if case == "contracting":
+        o = coords(n, 0.125)
+        p = Problem(
+            map_fn=lambda x: tuple([0.5 * c + b for c, b in zip(x, o)]),
+            x0=p.x0,
+            metric=p.metric,
+            gauge=p.gauge,
+            stop_c=p.stop_c,
+            max_iter=p.max_iter,
+            lam=p.lam,
+        )
+    return run_picard(p).trace
+
+
+@pytest.mark.parametrize("case", ["noisy", "contracting"])
+def test_verify_step_contraction(benchmark, case):
+    """The step check of a lambda-given certificate: ``noisy`` fails at its
+    last pair, ``contracting`` checks all 38 pairs."""
+    trace = step_trace(case)
+    assert benchmark(verify_step_contraction, trace, 0.9) is (case == "contracting")
 
 
 def wilkinson(m):

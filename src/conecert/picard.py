@@ -21,7 +21,9 @@ iterate, so the families cover the run from there (``Certificate.start``).
 
 A certificate is marked ``certified`` only when the factor was supplied by
 the caller, the invariance ball fits inside the declared domain, and the
-observed steps never contradict the factor.  An estimated factor always
+observed steps never contradict the factor, an exact check of every pair of
+consecutive steps made from the last pair back, where rounding noise first
+breaks contraction.  An estimated factor always
 yields ``heuristic``; a domain checked only pointwise on iterates yields
 ``conditional``.
 
@@ -45,6 +47,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
+from itertools import repeat
 from typing import Callable, Optional
 
 from .gauge import GaugeNorm, cone_gauge
@@ -271,17 +274,37 @@ def apost_backward_bound(d_prev: Vec, lam: float) -> Vec:
 
 
 def verify_step_contraction(trace: IterationTrace, lam: float) -> bool:
-    """Exact check that consecutive step distances contract by lam."""
+    """Exact check that consecutive step distances contract by lam.
+
+    True when ``leq(steps[k + 1], lam * steps[k])`` holds for every pair of
+    consecutive steps.  A step that is not a :class:`Vec`, or whose length
+    differs from the first step's, raises the ``TypeError`` or
+    ``ValueError`` of :func:`leq` unless a pair before it already fails.
+    Pairs are checked from the last one back: a run's rounding noise, which
+    breaks contraction, sits at its end.
+    """
     lam = _check_lambda(lam)
     steps = trace.step_dists
     if len(steps) < 2:
         raise ValueError("need at least two recorded steps")
-    # leq(steps[k + 1], lam * steps[k]) without building lam * steps[k]:
+    first = steps[0]
+    if not isinstance(first, Vec):
+        raise TypeError(f"expected Vec, got {type(first).__name__}")
+    # Only the pairs before the first malformed one are compared, so a
+    # violation among them returns False before that pair's error is raised.
+    n, end = len(first.coords), len(steps)
+    for k in range(1, end):
+        if not isinstance(steps[k], Vec) or len(steps[k].coords) != n:
+            end = k
+            break
+    # leq(steps[k], lam * steps[k - 1]) without building lam * steps[k - 1]:
     # lam < 1, so the products of finite steps cannot overflow.
-    for prev, nxt in zip(steps, steps[1:]):
-        prev._same_dim(nxt)
-        if not all(map(operator.le, nxt.coords, [c * lam for c in prev.coords])):
+    for k in range(end - 1, 0, -1):
+        products = map(operator.mul, steps[k - 1].coords, repeat(lam))
+        if not all(map(operator.le, steps[k].coords, products)):
             return False
+    if end < len(steps):
+        steps[end - 1]._same_dim(steps[end])
     return True
 
 
@@ -385,10 +408,14 @@ def run_picard(
 
     With a supplied factor the engine halts once the backward a posteriori
     bound drops strictly below ``stop_c`` (halt ``stop_c``); without one it
-    halts once the last step distance does.  ``stalled``, when given, is
-    called on the trace after every iteration whose ``stop_c`` test fails; a
-    true answer ends the run as converged with halt ``noise_floor``, for a
-    caller that can tell when only rounding noise is left.  Reaching
+    halts once the last step distance does.  A supplied factor's bound is
+    checked for overflow with one product, the step's ``sum`` times the
+    factor, and with the step's ``max`` times it only when that one
+    overflows: the same decision as checking every coordinate's product.
+    ``stalled``, when given, is called on the trace after every iteration
+    whose ``stop_c`` test fails; a true answer ends the run as converged
+    with halt ``noise_floor``, for a caller that can tell when only rounding
+    noise is left.  Reaching
     ``max_iter`` is not an error: the result comes back with
     ``converged=False``, halt ``max_iter`` and whatever certificate the
     trace supports.  Nor is a domain escape or an overflow (see the module
@@ -409,7 +436,8 @@ def run_picard(
     # The products are formed lazily, so the compare stops at the first
     # coordinate not below stop_c.  Steps and the factor are finite and >= 0,
     # and rounded multiplication is monotone, so every product is finite
-    # exactly when max(s) * factor is: one pass checks them all.
+    # exactly when max(s) * factor is, and whenever some number at least
+    # max(s) times the factor is finite: one product checks them all.
     stop = p.stop_c.coords
     factor = None if p.lam is None else _backward_factor(p.lam)
     cause = "max_iter"
@@ -422,10 +450,19 @@ def run_picard(
             break
         halt = s.coords
         if factor is not None:
-            if not math.isfinite(max(halt) * factor):
+            # sum(halt) >= max(halt) for finite floats >= 0 on every CPython:
+            # up to 3.11 sum adds naively, and each rounded partial sum is at
+            # least each of its addends; from 3.12 it uses Neumaier's
+            # compensated summation, where each addition's exact error is at
+            # most its smaller operand, so the compensation totals about the
+            # non-maximal terms, by which the sum exceeds the max, and its own
+            # rounding is a tiny fraction of that.  So a finite
+            # sum(halt) * factor makes every product finite, and max(halt) *
+            # factor decides only when that product is not finite.
+            if not math.isfinite(sum(halt) * factor) and not math.isfinite(max(halt) * factor):
                 cause = "overflow"
                 break
-            halt = map(factor.__mul__, halt)
+            halt = map(operator.mul, halt, repeat(factor))
         trace.iterates.append(x_next)
         trace.step_dists.append(s)
         if not _in_domain(p, x_next):

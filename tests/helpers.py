@@ -1,4 +1,5 @@
-"""Shared test oracles and strategies, and a call counter.
+"""Shared test oracles and strategies, a call counter, and the other installed
+interpreters with a runner for the plain scripts in this directory.
 
 The oracles recompute expected values through a route independent of the
 implementation under test: interval bisection against the raw order
@@ -7,8 +8,13 @@ predicates, brute-force tail sums, fraction arithmetic, greedy matching.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from conecert import roots
@@ -127,3 +133,32 @@ def count_compare_bounds(monkeypatch) -> list:
 
     monkeypatch.setattr(roots, "compare_bounds", counted)
     return calls
+
+
+def other_pythons() -> list:
+    """Interpreters of Python 3.10 or later installed next to the running one,
+    in pyenv's layout: ``<versions>/<X.Y.Z>/bin/python3``, one pytest param
+    each, with the version as its id."""
+    found = []
+    for home in sorted(Path(sys.base_prefix).parent.iterdir()):
+        try:
+            version = tuple(map(int, home.name.split(".")))
+        except ValueError:
+            continue
+        exe = home / "bin" / "python3"
+        if version >= (3, 10) and home != Path(sys.base_prefix) and exe.is_file():
+            found.append(pytest.param(exe, id=home.name))
+    return found
+
+
+def run_script(python, name: str) -> subprocess.CompletedProcess:
+    """Run ``tests/<name>`` as a plain script under ``python``, with this
+    checkout's ``src`` on its path."""
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [str(python), str(root / "tests" / name)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )

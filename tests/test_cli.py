@@ -26,7 +26,7 @@ from conecert.picard import (
 from conecert.roots import Polynomial, default_starts, solve_roots
 from conecert.solid import SpaceSpec, Vec
 
-from helpers import count_compare_bounds, greedy_match, poly_from_roots
+from helpers import count_compare_bounds, greedy_match, other_pythons, poly_from_roots, run_script
 
 HALVE = {
     "map": {"name": "halve"},
@@ -1222,31 +1222,9 @@ def test_cli_batch_fixture_matches_golden_digest(tmp_path):
     assert cli_batch_digest(tmp_path) == (GOLDEN, UNITS, FILES)
 
 
-def _other_pythons() -> list:
-    """Interpreters of Python 3.10 or later installed next to the running one,
-    in pyenv's layout: ``<versions>/<X.Y.Z>/bin/python3``."""
-    found = []
-    for home in sorted(Path(sys.base_prefix).parent.iterdir()):
-        try:
-            version = tuple(map(int, home.name.split(".")))
-        except ValueError:
-            continue
-        exe = home / "bin" / "python3"
-        if version >= (3, 10) and home != Path(sys.base_prefix) and exe.is_file():
-            found.append(pytest.param(exe, id=home.name))
-    return found
-
-
-@pytest.mark.parametrize("python", _other_pythons())
+@pytest.mark.parametrize("python", other_pythons())
 def test_cli_batch_digest_script_on_other_pythons(python):
     """The digest script, run as a plain script by another interpreter, finds
     the same golden digest: the CLI writes the same bytes on every Python."""
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [str(python), str(root / "tests" / "cli_batch_digest.py")],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_script(python, "cli_batch_digest.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr

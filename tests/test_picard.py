@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecert import picard
@@ -33,7 +34,7 @@ from conecert.picard import (
 from conecert.roots import Polynomial, Weierstrass, solve_roots
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq, lt
 
-from helpers import geometric_tail
+from helpers import geometric_tail, other_pythons, run_script
 
 ONES = Vec([1.0])
 G1 = GaugeNorm(SpaceSpec(1, ONES))
@@ -827,6 +828,50 @@ def diagonal_runs(draw):
     return diag, offset, x0, lam
 
 
+def forward_step_contraction(steps, lam):
+    """verify_step_contraction's loop as first written: pairs in forward
+    order, one list of products per pair."""
+    for prev, nxt in zip(steps, steps[1:]):
+        prev._same_dim(nxt)
+        if not all(map(operator.le, nxt.coords, [c * lam for c in prev.coords])):
+            return False
+    return True
+
+
+def outcome(check, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except (AttributeError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def step_lists(draw):
+    """2-30 steps of dimension 1-4 and a factor.  Each step after the first
+    is lam times the one before (a contracting pair), equal to it, zero or
+    any; one entry that is not a Vec or has the wrong length may sit
+    anywhere, before, after or between the pairs that fail."""
+    n = draw(st.integers(1, 4))
+    lam = draw(factor)
+    coords = st.lists(any_float.map(abs), min_size=n, max_size=n)
+    steps = [Vec(draw(coords))]
+    for _ in range(draw(st.integers(1, 29))):
+        kind = draw(st.sampled_from(["scaled", "equal", "zero", "any"]))
+        if kind == "scaled":
+            steps.append(lam * steps[-1])
+        elif kind == "equal":
+            steps.append(steps[-1])
+        elif kind == "zero":
+            steps.append(Vec([0.0] * n))
+        else:
+            steps.append(Vec(draw(coords)))
+    malformed = draw(st.sampled_from([None, (1.0,) * n, Vec([1.0] * (n + 1))]))
+    if malformed is not None:
+        steps[draw(st.integers(0, len(steps) - 1))] = malformed
+    return steps, lam
+
+
 def same_outcome(p):
     """Same iterates and convergence from run_picard and the per-iteration
     loop.  The certificate is left out: one whose radius overflows turns any
@@ -912,6 +957,55 @@ class TestHaltingDecision:
         with pytest.raises(type(new.value)) as old:
             leq(second, 0.5 * Vec([1.0]))
         assert str(new.value) == str(old.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_lists())
+    # A violation before a malformed entry, one after it, and none.
+    @example(([Vec([1.0]), Vec([1.0]), (1.0,)], 0.5))
+    @example(([Vec([1.0]), (1.0,), Vec([1.0]), Vec([1.0])], 0.5))
+    @example(([Vec([1.0]), Vec([0.5]), Vec([0.25, 0.25])], 0.5))
+    def test_backward_step_check_matches_the_forward_loop(self, case):
+        """Same bool, or same error type and message, as the forward loop;
+        only a first step that is not a Vec raises differently there."""
+        steps, lam = case
+        expected = outcome(forward_step_contraction, steps, lam)
+        if not isinstance(steps[0], Vec):
+            expected = TypeError, f"expected Vec, got {type(steps[0]).__name__}"
+        assert outcome(verify_step_contraction, IterationTrace([], steps), lam) == expected
+
+    def test_a_first_step_that_is_not_a_vec_is_a_type_error(self):
+        """As for a later step: the first step used to raise AttributeError."""
+        trace = IterationTrace(iterates=[], step_dists=[(1.0,), Vec([1.0])])
+        with pytest.raises(TypeError, match="^expected Vec, got tuple$"):
+            verify_step_contraction(trace, 0.5)
+
+    def test_overflow_guard_falls_back_to_the_largest_product(self):
+        """The first step's sum times the factor of lam = 2/3 overflows and
+        its max times it does not: the run goes on, halts as the per-iteration
+        bound does and certifies."""
+        p = diagonal_problem([0.0, 0.0], [5e307, 5e307], [0.0, 0.0], 2 / 3, [1.0, 1.0])
+        factor = picard._backward_factor(2 / 3)
+        assert math.isinf(sum([5e307, 5e307]) * factor) and math.isfinite(5e307 * factor)
+        iterates, converged = same_outcome(p)
+        assert (len(iterates) - 1, converged) == (2, True)
+        result = run_picard(p)
+        assert (result.halt, result.certificate.status) == ("stop_c", "certified")
+
+
+def test_sum_bound_check():
+    """The lemma behind run_picard's overflow guard (``tests/sum_bound_check.py``):
+    a finite sum of finite floats >= 0 is at least their max."""
+    from sum_bound_check import first_violation
+
+    assert first_violation(20000) is None
+
+
+@pytest.mark.parametrize("python", other_pythons())
+def test_sum_bound_check_on_other_pythons(python):
+    """The lemma holds under every other installed interpreter: from 3.12
+    ``sum`` adds floats with compensated summation."""
+    proc = run_script(python, "sum_bound_check.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # -- trace.csv bytes against the csv.writer loop it replaced --
