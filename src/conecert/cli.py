@@ -5,11 +5,13 @@ Subcommands: axioms, gauge, picard, roots, demo-normality.  Exit codes:
 ``weierstrass`` map, that halts at its noise floor has converged), 2 when
 an iteration fails to converge, escapes its domain or overflows (an iterate,
 a Weierstrass sweep that divides by zero, or a certificate's radius or final
-bound), 1 on any input error, a usage error included.  ``picard`` and
-``roots`` write ``trace.csv`` and ``certificate.json`` for every run through
-one writer, so both files have one layout; ``certificate.json`` and
-``roots``' ``report.json`` name the halt cause: ``stop_c``,
-``noise_floor``, ``max_iter``, ``overflow`` or ``domain_escape``.
+bound), 1 on any input error: a usage error, or a ``weierstrass`` start
+(``roots``' ``z0``, ``picard``'s ``x0``) with two equal entries, among
+others.  ``picard`` and ``roots`` write ``trace.csv`` and
+``certificate.json`` for every run through one writer, so both files have
+one layout; ``certificate.json`` and ``roots``' ``report.json`` name the
+halt cause: ``stop_c``, ``noise_floor``, ``max_iter``, ``overflow`` or
+``domain_escape``.
 ``--out`` is created after the run, so an input error leaves none behind.
 Every ``certificate.json`` carries ``"schema": 4``: its bound families hold
 only their final entries, and ``trace.csv`` holds data, not claims: each
@@ -43,8 +45,8 @@ flag is one entry there.
 This module defines no map.  ``_map_from_config`` reads a map's keys,
 checks them against ``x0`` and the metric, and constructs a record:
 ``maps.Halve``, ``maps.Affine`` or ``roots.Weierstrass``.  So two problems
-built from one config compare, hash and pickle alike, and ``picard`` halts
-a run at its noise floor when its map is a ``Weierstrass``.
+built from one config compare, hash, pickle and run alike: ``picard`` has
+no case of its own for a ``Weierstrass``, which owns its noise floor.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .metrics import (
 )
 from .normality import normality_table
 from .picard import PicardResult, Problem, certificate_to_dict, run_picard, write_trace_csv
-from .roots import Polynomial, Weierstrass, noise_floor, solve_roots
+from .roots import Polynomial, Weierstrass, solve_roots
 from .solid import SpaceSpec, Vec
 
 EXIT_OK = 0
@@ -356,9 +358,7 @@ def _write_run(out: Path, result: PicardResult, metric: ConeMetric) -> None:
 def cmd_picard(args) -> int:
     cfg = _load_config(args)
     problem = _problem_from_config(cfg)
-    # A Weierstrass run halts at its noise floor, as it does under ``roots``.
-    stalled = noise_floor(problem) if isinstance(problem.map_fn, Weierstrass) else None
-    result = run_picard(problem, stalled=stalled)
+    result = run_picard(problem)
     _write_run(_out_dir(args), result, problem.metric)
     if result.halt == "domain_escape":
         print(f"iterate {len(result.trace.iterates) - 1} left the domain", file=sys.stderr)

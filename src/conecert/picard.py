@@ -95,10 +95,13 @@ class Problem(_Record):
     closed :class:`Ball`, whose center is validated here too, or a predicate
     called on every iterate.  ``lam`` is the contraction factor when the
     caller can supply one; left None it is estimated from the trace and
-    every certificate is downgraded to heuristic.
+    every certificate is downgraded to heuristic.  The derived slot
+    ``_stall_rule`` holds the map's ``stall_rule`` method, or None, read here
+    (see :func:`run_picard`), so a run depends on the problem alone.
     """
 
-    __slots__ = ("map_fn", "x0", "metric", "gauge", "stop_c", "max_iter", "lam", "domain")
+    __slots__ = ("map_fn", "x0", "metric", "gauge", "stop_c", "max_iter", "lam", "domain",
+                 "_stall_rule")
 
     def __init__(
         self,
@@ -149,6 +152,7 @@ class Problem(_Record):
                 f"domain must be None, a Ball or a predicate, got {type(domain).__name__}"
             )
         super().__init__(map_fn, x0, metric, gauge, stop_c, max_iter, lam, domain)
+        object.__setattr__(self, "_stall_rule", getattr(map_fn, "stall_rule", None))
 
 
 class IterationTrace(_Record):
@@ -194,7 +198,7 @@ class Certificate(_Record):
     ``"certified"``, ``"conditional"`` or ``"heuristic"``, and ``residual``
     :func:`residual_check` at the last iterate, or None when that failed.
     ``steps`` holds d(x_k, x_{k+1}) for k >= ``start``, the first iterate the
-    families cover (0, the default, for a given factor).  ``apriori``,
+    families cover (0 for a given factor).  ``apriori``,
     ``apost_forward`` and ``apost_backward`` are read-only sequences whose
     entry k is :func:`apriori_bound`, :func:`apost_forward_bound` or
     :func:`apost_backward_bound` of (``lambda_used``, ``steps``) called when
@@ -203,7 +207,6 @@ class Certificate(_Record):
     """
 
     __slots__ = ("lambda_used", "lambda_source", "steps", "status", "residual", "start")
-    _defaults = {"start": 0}
 
     @property
     def radius_r(self) -> Vec:
@@ -401,9 +404,7 @@ def _in_domain(p: Problem, x) -> bool:
     return bool(p.domain(x))
 
 
-def run_picard(
-    p: Problem, *, stalled: Optional[Callable[[IterationTrace], bool]] = None
-) -> PicardResult:
+def run_picard(p: Problem) -> PicardResult:
     """Iterate the map from x0 until the halting rule fires or max_iter runs out.
 
     With a supplied factor the engine halts once the backward a posteriori
@@ -412,21 +413,23 @@ def run_picard(
     checked for overflow with one product, the step's ``sum`` times the
     factor, and with the step's ``max`` times it only when that one
     overflows: the same decision as checking every coordinate's product.
-    ``stalled``, when given, is called on the trace after every iteration
-    whose ``stop_c`` test fails; a true answer ends the run as converged
-    with halt ``noise_floor``, for a caller that can tell when only rounding
-    noise is left.  Reaching
-    ``max_iter`` is not an error: the result comes back with
+    A map's stall rule (``Problem._stall_rule``) is called once, after the
+    start point's domain check, and may reject the start with ``ValueError``;
+    the predicate it returns, if any, is called on the trace after every
+    iteration whose ``stop_c`` test fails, and true ends the run as
+    converged with halt ``noise_floor``: only rounding noise is left.
+    Reaching ``max_iter`` is not an error: the result comes back with
     ``converged=False``, halt ``max_iter`` and whatever certificate the
     trace supports.  Nor is a domain escape or an overflow (see the module
     docstring): the run ends unconverged with halt ``domain_escape`` or
     ``overflow`` and no certificate.  The problem validated the start point
-    when it was built, so only the start point's domain check raises.
+    when it was built, so only those two start checks raise.
     """
     inst = p.metric
     x = p.x0
     if not _in_domain(p, x):
         raise ValueError("the start point is outside the declared domain")
+    stalled = None if p._stall_rule is None else p._stall_rule(p)
     trace = IterationTrace([x], [])
 
     # The halting bound is apost_backward_bound(s, lam), compared with stop_c

@@ -7,14 +7,17 @@ C^n.  Since no global contraction factor is available, the certificate is
 the engine's: estimated from the longest contracting tail of the observed
 trace, and so heuristic, unless the caller supplies a factor.
 
-A run also halts, as converged, at its rounding-noise floor: once a step's
-gauge stops shrinking while the Braess-Hadeler inclusion discs
-``|w - z_i| <= n |W_i|`` around the previous iterate are pairwise disjoint.
-The discs together contain every zero and a component of m discs holds
-exactly m of them, so disjoint discs isolate each root; further sweeps only
-move noise.  Such a run has no contracting tail and hence no certificate.
-The discs are built from float corrections with no rounding-error term for
-``p(z_i)``, so around a multiple root they can look disjoint too.
+The map, :class:`Weierstrass`, owns its rules (:meth:`~Weierstrass.stall_rule`),
+so every engine run of it follows them: its start must hold distinct
+entries, and under a weighted metric it halts, as converged, at its
+rounding-noise floor: once a step's gauge stops shrinking while the
+Braess-Hadeler inclusion discs ``|w - z_i| <= n |W_i|`` around the previous
+iterate are pairwise disjoint.  The discs together contain every zero and a
+component of m discs holds exactly m of them, so disjoint discs isolate each
+root; further sweeps only move noise.  Such a run has no contracting tail
+and hence no certificate.  The discs are built from float corrections with
+no rounding-error term for ``p(z_i)``, so around a multiple root they can
+look disjoint too.
 
 The payoff of keeping distances as vectors is measured by
 :func:`compare_bounds`: per-root a posteriori bounds against the single
@@ -49,7 +52,6 @@ __all__ = [
     "default_starts",
     "weierstrass_step",
     "Weierstrass",
-    "noise_floor",
     "solve_roots",
     "RootsResult",
     "ComparisonRow",
@@ -173,6 +175,20 @@ def weierstrass_step(p: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]
     return tuple(out)
 
 
+def _discs_disjoint(z: Sequence[complex], step: Vec, alpha: Sequence[float]) -> bool:
+    """True when the inclusion discs around ``z`` are pairwise disjoint.
+
+    ``step`` is the weighted step ``alpha_i * |W_i|`` that the sweep from
+    ``z`` took, so disc i has centre ``z_i`` and radius ``n * step_i /
+    alpha_i``: the weights divide out.  Touching discs count as overlapping.
+    """
+    n = len(z)
+    radii = [n * s / a for s, a in zip(step.coords, alpha)]
+    return all(
+        abs(z[i] - z[j]) > radii[i] + radii[j] for i, j in combinations(range(n), 2)
+    )
+
+
 class Weierstrass(_Record):
     """The sweep of ``poly`` as a map for :func:`run_picard`: the CLI's
     ``weierstrass`` map, and the map of :func:`solve_roots`.
@@ -185,6 +201,35 @@ class Weierstrass(_Record):
 
     def __call__(self, z) -> tuple[complex, ...]:
         return weierstrass_step(self.poly, z)
+
+    def stall_rule(self, p: Problem) -> Optional[Callable[[IterationTrace], bool]]:
+        """Check a run's start, then return its noise-floor test, if any.
+
+        A start with two equal entries raises :func:`as_root_vector`'s
+        ``ValueError``.  Under a :class:`WeightedConeMetric` the returned
+        predicate is true once a step's gauge under ``p.gauge`` is finite and
+        not below the previous step's while the inclusion discs around the
+        iterate the step left are pairwise disjoint.  A step is a weighted
+        modulus vector, so it lies in the cone and its gauge is one ``max``
+        (:func:`cone_gauge`).  A gauge that overflows under a tiny base shows
+        no stall.  A metric without weights measures no discs: None.
+        """
+        as_root_vector(p.x0)
+        if not isinstance(p.metric, WeightedConeMetric):
+            return None
+        norms: list[float] = []
+        g, alpha = p.gauge, p.metric.alpha
+
+        def stalled(trace: IterationTrace) -> bool:
+            s = trace.step_dists[-1]
+            norms.append(cone_gauge(s, g))
+            return (
+                len(norms) > 1
+                and norms[-2] <= norms[-1] < math.inf
+                and _discs_disjoint(trace.iterates[-2], s, alpha)
+            )
+
+        return stalled
 
 
 class ComparisonRow(_Record):
@@ -281,46 +326,6 @@ class RootsResult(PicardResult):
         return compare_bounds(self.trace, unit, cert.lambda_used, start=cert.start)
 
 
-def _discs_disjoint(z: Sequence[complex], step: Vec, alpha: Sequence[float]) -> bool:
-    """True when the inclusion discs around ``z`` are pairwise disjoint.
-
-    ``step`` is the weighted step ``alpha_i * |W_i|`` that the sweep from
-    ``z`` took, so disc i has centre ``z_i`` and radius ``n * step_i /
-    alpha_i``: the weights divide out.  Touching discs count as overlapping.
-    """
-    n = len(z)
-    radii = [n * s / a for s, a in zip(step.coords, alpha)]
-    return all(
-        abs(z[i] - z[j]) > radii[i] + radii[j] for i, j in combinations(range(n), 2)
-    )
-
-
-def noise_floor(p: Problem) -> Callable[[IterationTrace], bool]:
-    """The ``stalled`` predicate of :func:`run_picard` for a Weierstrass run.
-
-    ``p`` iterates :class:`Weierstrass` over a complex weighted metric.
-    The predicate is true once a step's gauge under ``p.gauge`` is finite and
-    not below the previous step's while the inclusion discs around the
-    iterate the step left are pairwise disjoint.  A step is a weighted
-    modulus vector, so it lies in the cone and its gauge is one ``max``
-    (:func:`cone_gauge`).  A gauge that overflows under a tiny base shows no
-    stall.
-    """
-    norms: list[float] = []
-    g, alpha = p.gauge, p.metric.alpha
-
-    def stalled(trace: IterationTrace) -> bool:
-        s = trace.step_dists[-1]
-        norms.append(cone_gauge(s, g))
-        return (
-            len(norms) > 1
-            and norms[-2] <= norms[-1] < math.inf
-            and _discs_disjoint(trace.iterates[-2], s, alpha)
-        )
-
-    return stalled
-
-
 def solve_roots(
     p: Polynomial,
     z0: Optional[Sequence[complex]] = None,
@@ -332,11 +337,10 @@ def solve_roots(
     """Refine all roots at once and certify from the observed trace.
 
     Halts once the step distance drops strictly below ``stop_c`` (default
-    1e-12 per root), or at the noise floor: a step whose gauge is not below
-    the previous one while the inclusion discs around the iterate it left
-    are pairwise disjoint.  The returned result carries the trace, the
-    engine's certificate (from the contracting tail unless ``lam`` was
-    supplied) and the final residual moduli; its ``report``, the
+    1e-12 per root), or at the noise floor of :meth:`Weierstrass.stall_rule`,
+    as any engine run of the map does.  The returned result carries the
+    trace, the engine's certificate (from the contracting tail unless ``lam``
+    was supplied) and the final residual moduli; its ``report``, the
     componentwise-versus-broadcast bound comparison over the steps the
     certificate covers, is built only when read.  ``weights`` that are not
     one entry per root, or a ``z0`` that is not one finite complex entry per
@@ -359,11 +363,7 @@ def solve_roots(
         max_iter=max_iter,
         lam=lam,
     )
-    if z0 is not None:
-        # The problem has checked the start's length and entries; two equal
-        # entries would be a zero denominator in the first sweep.
-        as_root_vector(problem.x0)
-    result = run_picard(problem, stalled=noise_floor(problem))
+    result = run_picard(problem)
     roots = result.fixed_point
     residuals = None if roots is None else [abs(p(z)) for z in roots]
     return RootsResult(*result._fields(), residuals)

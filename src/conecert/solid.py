@@ -180,12 +180,10 @@ class _Record:
 
     A subclass declares its fields once, as ``__slots__``; a slot whose name
     starts with ``_`` holds derived state and is not a field.  A subclass of
-    a record lists its own fields after its parent's.  The
-    constructor binds the fields by position or keyword, in slot order, and
-    a trailing run of fields may fall back to the class's ``_defaults`` dict
-    (shared by every instance, so immutable values only).  A missing,
-    unknown, surplus or duplicate field raises ``TypeError`` naming the class
-    and the field.  A validating subclass checks its input in its own
+    a record lists its own fields after its parent's.  The constructor binds
+    the fields by position or keyword, in slot order.  A missing, unknown,
+    surplus or duplicate field raises ``TypeError`` naming the class and the
+    field.  A validating subclass checks its input in its own
     ``__init__`` and passes the checked values on.  As with a frozen
     dataclass, ``==`` compares the field tuples of two instances of the same
     class, ``hash`` hashes that tuple (a list field makes it unhashable),
@@ -197,7 +195,6 @@ class _Record:
 
     __slots__ = ()
     _names: tuple = ()  # the public slots, in order: the fields
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -213,13 +210,9 @@ class _Record:
         for name, value in zip(names, args):
             set_(self, name, value)
         for name in names[len(args):]:
-            if name in kwargs:
-                value = kwargs.pop(name)
-            elif name in self._defaults:
-                value = self._defaults[name]
-            else:
+            if name not in kwargs:
                 raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
-            set_(self, name, value)
+            set_(self, name, kwargs.pop(name))
         for name in kwargs:
             problem = "got field {!r} twice" if name in names else "has no field {!r}"
             raise TypeError(f"{type(self).__qualname__}() {problem.format(name)}")

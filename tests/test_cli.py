@@ -22,6 +22,7 @@ from conecert.picard import (
     apost_forward_bound,
     apriori_bound,
     run_picard,
+    write_trace_csv,
 )
 from conecert.roots import Polynomial, default_starts, solve_roots
 from conecert.solid import SpaceSpec, Vec
@@ -391,6 +392,21 @@ class TestPicardCommand:
         roots_out = tmp_path / "roots"
         assert main(["roots", "--config", write_cfg(tmp_path, WILKINSON_12, "w.json"), "--out", str(roots_out)]) == 0
         assert (out / "trace.csv").read_bytes() == (roots_out / "trace.csv").read_bytes()
+
+    def test_weierstrass_coincident_start_is_an_input_error(self, tmp_path, capsys):
+        # As under ``roots``: the start, not the run, is at fault.
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "map": {"name": "weierstrass", "coefficients": [-1.0, 0.0, 1.0]},
+                "x0": [[0.5, 0.5], [0.5, 0.5]],
+                "metric": {"kind": "weighted_norm", "alpha": [1.0, 1.0], "field": "complex"},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: coincident entries at positions 0 and 1\n"
+        assert not out.exists()
 
     def test_weierstrass_tail_certificate_matches_roots(self, tmp_path, capsys):
         # Both commands certify from the same contracting tail: one engine rule.
@@ -1190,6 +1206,29 @@ class TestProblemsAreValues:
         again = pickle.loads(pickle.dumps(a))
         assert again == a and hash(again) == hash(a)
         assert "0x" not in repr(a)
+
+    def test_one_problem_runs_alike_through_every_front_door(self, tmp_path, capsys):
+        # The map owns its noise floor, so the library run of the config's
+        # problem stops where ``picard`` and ``solve_roots`` stop.
+        poly = Polynomial(WILKINSON_12["coefficients"])
+        cfg = {
+            "map": {"name": "weierstrass", "coefficients": WILKINSON_12["coefficients"]},
+            "x0": [[z.real, z.imag] for z in default_starts(poly)],
+            "metric": {"kind": "weighted_norm", "alpha": [1.0] * 12, "field": "complex"},
+            "stop_c": [1e-12] * 12,
+            "max_iter": 300,
+        }
+        library = run_picard(cli._problem_from_config(cfg))
+        assert (library.halt, len(library.trace.step_dists)) == ("noise_floor", 243)
+        out = tmp_path / "out"
+        assert main(["picard", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (cert["halt"], cert["iterations"]) == ("noise_floor", 243)
+        written = io.StringIO()
+        write_trace_csv(written, library.trace, WeightedConeMetric([1.0] * 12, field="complex"))
+        assert (out / "trace.csv").read_text() == written.getvalue()
+        assert solve_roots(poly, max_iter=300).trace == library.trace
 
 
 class TestOutputDirectory:

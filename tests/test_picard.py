@@ -3,6 +3,7 @@ import io
 import json
 import math
 import operator
+import pickle
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conecert import picard
 from conecert.gauge import GaugeNorm, cone_gauge, mink_norm
+from conecert.maps import Affine, Halve
 from conecert.metrics import Ball, DiscreteConeMetric, WeightedConeMetric
 from conecert.picard import (
     LAMBDA_CEILING,
@@ -32,7 +34,7 @@ from conecert.picard import (
     write_trace_csv,
 )
 from conecert.roots import Polynomial, Weierstrass, solve_roots
-from conecert.solid import NonFiniteError, SpaceSpec, Vec, leq, lt
+from conecert.solid import NonFiniteError, SpaceSpec, Vec, _Record, leq, lt
 
 from helpers import geometric_tail, other_pythons, run_script
 
@@ -55,6 +57,28 @@ def halve_problem(**kw):
     )
     defaults.update(kw)
     return Problem(**defaults)
+
+
+def halve(x):
+    return tuple(c / 2 for c in x)
+
+
+class StallAfter(_Record):
+    """A test map: ``step``, with a stall rule that is true once ``after``
+    steps are taken and logs the step count of every trace it is asked on
+    in ``asked``."""
+
+    __slots__ = ("step", "after", "asked")
+
+    def __call__(self, x):
+        return self.step(x)
+
+    def stall_rule(self, p):
+        def stalled(trace):
+            self.asked.append(len(trace.step_dists))
+            return len(trace.step_dists) == self.after
+
+        return stalled
 
 
 def affine_problem(lams=(0.5, 0.25), offset=(1.0, 1.0), x0=(0.0, 0.0), **kw):
@@ -181,14 +205,22 @@ class TestRecords:
         assert hash(p) == hash(halve_problem(map_fn=p.map_fn, x0=(1.0,), metric=discrete))
         assert run_picard(p).trace.iterates[0] == (1.0,)
 
-    def test_certificate_start_defaults_to_zero(self):
-        cert = Certificate(0.5, "given", [ONES], "certified", None)
-        assert cert.start == 0
-        assert cert == Certificate(0.5, "given", [ONES], "certified", None, start=0)
-        assert cert != Certificate(0.5, "given", [ONES], "certified", None, start=1)
+    def test_only_a_map_with_a_stall_rule_gives_its_problem_one(self):
+        for fn in (lambda x: (0.5 * x[0],), Halve(), Affine([[0.5]], [1.0])):
+            assert halve_problem(map_fn=fn)._stall_rule is None
+        sweep = Weierstrass(Polynomial([-1.0, 0.0, 1.0]))
+        metric = WeightedConeMetric([1.0, 1.0], field="complex")
+        p = Problem(sweep, (0.5 + 0.5j, -0.4 + 0.1j), metric, G2, Vec([1e-12, 1e-12]))
+        assert p._stall_rule == sweep.stall_rule
+        # A derived slot, not a field: ==, hash, repr and pickle are unchanged.
+        assert "_stall_rule" not in p._names and "_stall_rule" not in repr(p)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p)
+        assert q._stall_rule.__self__ is q.map_fn
 
     def test_certificate_radius_is_the_first_apriori_entry(self):
-        cert = Certificate(0.5, "given", [Vec([1.0, 0.25]), Vec([0.5, 0.125])], "certified", None)
+        steps = [Vec([1.0, 0.25]), Vec([0.5, 0.125])]
+        cert = Certificate(0.5, "given", steps, "certified", None, start=0)
         assert cert.radius_r == cert.apriori[0] == Vec([2.0, 0.5])
         assert "radius_r" not in repr(cert)
         with pytest.raises(AttributeError):
@@ -483,8 +515,8 @@ class TestRunPicard:
         assert len(result.trace.step_dists) == 20
 
     def test_stalled_ends_the_run_at_the_noise_floor(self):
-        p = halve_problem(map_fn=lambda x: (0.9 * x[0] + 1.0,), lam=None)
-        result = run_picard(p, stalled=lambda trace: len(trace.step_dists) == 5)
+        p = halve_problem(map_fn=StallAfter(lambda x: (0.9 * x[0] + 1.0,), 5, []), lam=None)
+        result = run_picard(p)
         assert result.converged
         assert result.halt == "noise_floor"
         assert len(result.trace.step_dists) == 5
@@ -492,17 +524,38 @@ class TestRunPicard:
 
     def test_stalled_is_asked_only_after_the_stop_c_test_fails(self):
         seen = []
-
-        def stalled(trace):
-            seen.append(len(trace.step_dists))
-            return False
-
         plain = run_picard(halve_problem())
-        result = run_picard(halve_problem(), stalled=stalled)
+        result = run_picard(halve_problem(map_fn=StallAfter(halve, None, seen)))
         k = len(result.trace.step_dists)
         assert seen == list(range(1, k))
         assert result.halt == "stop_c"
         assert result.trace == plain.trace
+
+    def test_the_stall_rule_runs_once_after_the_domain_check(self):
+        def refuse(p):
+            raise ValueError("bad start")
+
+        p = halve_problem(map_fn=StallAfter(halve, 3, []))
+        object.__setattr__(p, "_stall_rule", mock.Mock(wraps=p._stall_rule))
+        assert run_picard(p).halt == "noise_floor"
+        p._stall_rule.assert_called_once_with(p)
+        ball = Ball(center=(10.0,), radius=Vec([1.0]), closed=True)
+        outside = halve_problem(map_fn=StallAfter(halve, 3, []), domain=ball)
+        object.__setattr__(outside, "_stall_rule", refuse)
+        with pytest.raises(ValueError, match="^the start point is outside the declared domain$"):
+            run_picard(outside)
+        object.__setattr__(p, "_stall_rule", refuse)
+        with pytest.raises(ValueError, match="^bad start$"):
+            run_picard(p)
+
+    def test_the_stall_rule_is_the_one_recorded_when_the_problem_was_built(self):
+        # A tracer swaps the problem's map for a wrapper during a run; the
+        # map's stall rule still ends it.
+        p = halve_problem(map_fn=StallAfter(halve, 3, []))
+        inner = p.map_fn
+        object.__setattr__(p, "map_fn", lambda x: inner(x))
+        result = run_picard(p)
+        assert (result.halt, len(result.trace.step_dists)) == ("noise_floor", 3)
 
     def test_conditional_status_on_predicate_domain(self):
         p = halve_problem(domain=lambda x: True)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecert.gauge import GaugeNorm
-from conecert.metrics import WeightedConeMetric
+from conecert.metrics import DiscreteConeMetric, WeightedConeMetric
 from conecert.picard import (
     IterationTrace,
     PicardResult,
@@ -583,6 +583,39 @@ class TestNoiseFloorHalt:
             order = greedy_match(result.roots, zs)
             for z, j in zip(result.roots, order):
                 assert abs(z - zs[j]) <= 1e-7
+
+
+class TestStallRule:
+    """``Weierstrass.stall_rule``: the start check and noise floor every
+    engine run of the map gets."""
+
+    def test_a_coincident_start_is_refused_before_the_first_sweep(self):
+        problem = Problem(
+            map_fn=Weierstrass(QUAD_REAL),
+            x0=(0.5 + 0.5j, 0.5 + 0.5j),
+            metric=WeightedConeMetric([1.0, 1.0], field="complex"),
+            gauge=GaugeNorm(SpaceSpec(2, Vec.ones(2))),
+            stop_c=Vec([1e-12, 1e-12]),
+        )
+        with pytest.raises(ValueError, match="^coincident entries at positions 0 and 1$"):
+            run_picard(problem)
+        with pytest.raises(ValueError, match="^coincident entries at positions 0 and 1$"):
+            solve_roots(QUAD_REAL, z0=problem.x0)
+
+    def test_a_metric_without_weights_keeps_the_plain_halt(self):
+        # A discrete metric measures no discs: the run stops at stop_c once
+        # an iterate repeats exactly.
+        problem = Problem(
+            map_fn=Weierstrass(QUAD_REAL),
+            x0=(0.5 + 0.5j, -0.4 + 0.1j),
+            metric=DiscreteConeMetric(Vec([1, 1])),
+            gauge=GaugeNorm(SpaceSpec(2, Vec.ones(2))),
+            stop_c=Vec([0.5, 0.5]),
+        )
+        assert problem.map_fn.stall_rule(problem) is None
+        result = run_picard(problem)
+        assert (result.halt, len(result.trace.step_dists)) == ("stop_c", 8)
+        assert result.fixed_point == (1 + 0j, -1 + 0j)
 
 
 class TestDiscsDisjoint:

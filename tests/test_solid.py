@@ -155,7 +155,6 @@ class TestSpaceSpec:
 
 class _Triple(_Record):
     __slots__ = ("a", "b", "_derived", "c")
-    _defaults = {"c": 3}
 
 
 class _Quad(_Triple):
@@ -171,20 +170,18 @@ class TestRecordConstructor:
         assert _Triple(a=1, b=2, c=4) == _Triple(c=4, a=1, b=2) == t
         assert _Triple(1, b=2, c=4) == _Triple(1, 2, c=4) == t
 
-    def test_a_trailing_field_falls_back_to_its_default(self):
-        assert _Triple(1, 2) == _Triple(b=2, a=1) == _Triple(1, 2, 3)
-        assert _Triple(1, 2).c == 3
-
     @pytest.mark.parametrize(
         "args, kwargs, message",
         [
             ((1,), {}, "_Triple() missing field 'b'"),
             ((), {"b": 2, "c": 3}, "_Triple() missing field 'a'"),
-            ((1, 2), {"d": 4}, "_Triple() has no field 'd'"),
+            # No field falls back to a default.
+            ((1, 2), {}, "_Triple() missing field 'c'"),
+            ((1, 2, 3), {"d": 4}, "_Triple() has no field 'd'"),
             ((1, 2, 3, 4), {}, "_Triple() takes 3 fields ('a', 'b', 'c'), got 4"),
-            ((1, 2), {"a": 1}, "_Triple() got field 'a' twice"),
+            ((1, 2), {"a": 1, "c": 3}, "_Triple() got field 'a' twice"),
         ],
-        ids=["missing", "missing-first", "unknown", "surplus", "duplicate"],
+        ids=["missing", "missing-first", "missing-last", "unknown", "surplus", "duplicate"],
     )
     def test_bad_arguments_name_the_class_and_the_field(self, args, kwargs, message):
         with pytest.raises(TypeError) as excinfo:
@@ -193,19 +190,19 @@ class TestRecordConstructor:
 
     def test_underscore_slots_are_not_parameters(self):
         with pytest.raises(TypeError, match=r"^_Triple\(\) has no field '_derived'$"):
-            _Triple(1, 2, _derived=0)
-        t = _Triple(1, 2)
+            _Triple(1, 2, 3, _derived=0)
+        t = _Triple(1, 2, 3)
         with pytest.raises(AttributeError):
             t._derived
         object.__setattr__(t, "_derived", "cached")
-        assert t == _Triple(1, 2)
+        assert t == _Triple(1, 2, 3)
         assert repr(t) == "_Triple(a=1, b=2, c=3)"
 
     def test_a_subclass_lists_its_fields_after_its_parents(self):
         assert (_Triple._names, _Quad._names) == (("a", "b", "c"), ("a", "b", "c", "d"))
         q = _Quad(1, 2, 3, 4)
         assert (q.a, q.b, q.c, q.d) == (1, 2, 3, 4)
-        assert _Quad(1, 2, d=4) == _Quad(d=4, b=2, a=1) == q
+        assert _Quad(1, 2, c=3, d=4) == _Quad(d=4, c=3, b=2, a=1) == q
         assert repr(q) == "_Quad(a=1, b=2, c=3, d=4)"
         assert q != _Triple(1, 2, 3)
 
@@ -215,15 +212,6 @@ class TestRecordConstructor:
         with pytest.raises(AttributeError):
             spec.n = 3
         assert copy.copy(spec) == copy.deepcopy(spec) == pickle.loads(pickle.dumps(spec)) == spec
-
-    def test_defaults_are_a_trailing_run_of_fields(self):
-        # Every record of the package that takes the shared constructor.
-        records = [cls for cls in package_records() if "__init__" not in vars(cls)]
-        names = {cls.__name__ for cls in records}
-        assert {"Certificate", "PicardResult", "ComparisonRow", "RootsResult"} <= names
-        for cls in records:
-            fields, k = cls._names, len(cls._defaults)
-            assert set(cls._defaults) == set(fields[len(fields) - k :]), cls.__name__
 
 
 def package_records() -> list:
