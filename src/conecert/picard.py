@@ -11,7 +11,10 @@ family in cone-vector form:
 
 A :class:`Certificate` stores only the factor and the step distances; each
 bound family is a read-only sequence whose entries are computed from those
-closed forms when read.
+closed forms when read.  A trace keeps each step as the bytes of its
+doubles, which the cyclic garbage collector does not track, so a run keeps
+one tracked object per iteration, its iterate, and reads back the same
+vectors.
 
 A supplied factor covers the whole run.  Without one, the factor is the
 largest gauge ratio of consecutive steps over the longest contracting tail
@@ -32,7 +35,8 @@ The start point and a ball domain's center are validated once, when the
 is validated once, on entry.  Steps and ball tests are measured between
 already validated points.  Past the start point's domain check a run always
 returns.  An iterate outside the domain ends it with halt
-``domain_escape``, that iterate last in the trace.  A map output, step
+``domain_escape``, that iterate last in the trace; one whose distance to a
+ball's center overflows lies outside the ball.  A map output, step
 distance or halting bound that overflows, or a map that raises
 :class:`NonFiniteError` itself, ends it with halt ``overflow``, the trace
 stopping at the last iterate before it; so does a certificate whose radius
@@ -47,7 +51,8 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import pairwise, repeat
+from struct import Struct
 from typing import Callable, Optional
 
 from .gauge import GaugeNorm, cone_gauge
@@ -155,10 +160,96 @@ class Problem(_Record):
         object.__setattr__(self, "_stall_rule", getattr(map_fn, "stall_rule", None))
 
 
+class _Steps(Sequence):
+    """Read-only sequence of step vectors, each kept as the bytes of its doubles.
+
+    Built from an iterable of :class:`Vec` of one length: a step that is not
+    a ``Vec`` raises ``TypeError``, one of another length than the first
+    ``ValueError``.  Entry k reads back as a ``Vec`` equal bit for bit to
+    the one stored (a ``Vec`` holds no NaN or inf, and a signed zero keeps
+    its sign); ``[-1]`` returns the last stored ``Vec`` itself.  A slice is
+    a sequence of the same kind that shares the bytes.  ``==`` compares the
+    entries as ``Vec`` with another such sequence or a list, as a list does;
+    ``repr`` reads as the list, and a pickle holds the list.  Only
+    :func:`run_picard` appends, through ``_append``.  Reading a middle entry
+    builds a ``Vec``, so the module's per-run readers take the doubles
+    straight from ``_packed``.
+    """
+
+    __slots__ = ("_packed", "_struct", "_last")
+
+    def __init__(self, steps=()):
+        self._packed, self._struct, self._last = [], None, None
+        for v in steps:
+            if not isinstance(v, Vec):
+                raise TypeError(f"expected Vec, got {type(v).__name__}")
+            if self._struct is not None and len(v.coords) != len(self._last.coords):
+                raise ValueError(f"dimension mismatch: {len(self._last.coords)} vs {len(v.coords)}")
+            self._append(v)
+
+    def _append(self, v: Vec) -> None:
+        """Keep a step of the sequence's length (not checked): the engine's write."""
+        if self._struct is None:
+            self._struct = Struct(f"{len(v.coords)}d")
+        self._packed.append(self._struct.pack(*v.coords))
+        self._last = v
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __getitem__(self, k):
+        packed = self._packed
+        if k == -1 and type(k) is int and packed:  # a stall rule's per-iteration read
+            return self._last
+        if isinstance(k, slice):
+            view = _Steps()
+            view._packed, view._struct = packed[k], self._struct
+            if view._packed:
+                view._last = self[range(len(packed))[k][-1]]
+            return view
+        b = packed[k]
+        if b is packed[-1]:
+            return self._last
+        return Vec._of(self._struct.unpack(b))
+
+    def _rows(self, reverse: bool = False):
+        """The steps' coordinate tuples, from the last one back when ``reverse``."""
+        if not self._packed:
+            return iter(())
+        return map(self._struct.unpack, reversed(self._packed) if reverse else self._packed)
+
+    def __iter__(self):
+        return map(Vec._of, self._rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Steps, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        return _Steps, (list(self),)
+
+
 class IterationTrace(_Record):
-    """Iterates x_0, x_1, ... and the step distances d(x_k, x_{k+1})."""
+    """Iterates x_0, x_1, ... and the step distances d(x_k, x_{k+1}).
+
+    ``step_dists`` is built from a list of :class:`Vec` of one length and
+    kept as a read-only sequence of packed doubles that reads back the same
+    vectors (see the module docstring); a step that is not a ``Vec`` raises
+    ``TypeError: expected Vec, got ...``, one whose length differs from the
+    first step's ``ValueError: dimension mismatch: ...``.  ``iterates`` is
+    the list it is given.
+    """
 
     __slots__ = ("iterates", "step_dists")
+
+    def __init__(self, iterates: list, step_dists: Sequence[Vec]):
+        super().__init__(iterates, _Steps(step_dists))
 
 
 class _BoundFamily(Sequence):
@@ -198,7 +289,8 @@ class Certificate(_Record):
     ``"certified"``, ``"conditional"`` or ``"heuristic"``, and ``residual``
     :func:`residual_check` at the last iterate, or None when that failed.
     ``steps`` holds d(x_k, x_{k+1}) for k >= ``start``, the first iterate the
-    families cover (0 for a given factor).  ``apriori``,
+    families cover (0 for a given factor); a run's certificate holds a
+    slice of its trace's steps, which shares their packed doubles.  ``apriori``,
     ``apost_forward`` and ``apost_backward`` are read-only sequences whose
     entry k is :func:`apriori_bound`, :func:`apost_forward_bound` or
     :func:`apost_backward_bound` of (``lambda_used``, ``steps``) called when
@@ -280,34 +372,20 @@ def verify_step_contraction(trace: IterationTrace, lam: float) -> bool:
     """Exact check that consecutive step distances contract by lam.
 
     True when ``leq(steps[k + 1], lam * steps[k])`` holds for every pair of
-    consecutive steps.  A step that is not a :class:`Vec`, or whose length
-    differs from the first step's, raises the ``TypeError`` or
-    ``ValueError`` of :func:`leq` unless a pair before it already fails.
-    Pairs are checked from the last one back: a run's rounding noise, which
-    breaks contraction, sits at its end.
+    consecutive steps.  The trace holds steps of one length (see
+    :class:`IterationTrace`), so no pair can be malformed.  Pairs are
+    checked from the last one back, on the packed doubles: a run's rounding
+    noise, which breaks contraction, sits at its end.
     """
     lam = _check_lambda(lam)
     steps = trace.step_dists
     if len(steps) < 2:
         raise ValueError("need at least two recorded steps")
-    first = steps[0]
-    if not isinstance(first, Vec):
-        raise TypeError(f"expected Vec, got {type(first).__name__}")
-    # Only the pairs before the first malformed one are compared, so a
-    # violation among them returns False before that pair's error is raised.
-    n, end = len(first.coords), len(steps)
-    for k in range(1, end):
-        if not isinstance(steps[k], Vec) or len(steps[k].coords) != n:
-            end = k
-            break
-    # leq(steps[k], lam * steps[k - 1]) without building lam * steps[k - 1]:
-    # lam < 1, so the products of finite steps cannot overflow.
-    for k in range(end - 1, 0, -1):
-        products = map(operator.mul, steps[k - 1].coords, repeat(lam))
-        if not all(map(operator.le, steps[k].coords, products)):
+    # leq(later, lam * earlier) without building lam * earlier: lam < 1, so
+    # the products of finite steps cannot overflow.
+    for later, earlier in pairwise(steps._rows(reverse=True)):
+        if not all(map(operator.le, later, map(operator.mul, earlier, repeat(lam)))):
             return False
-    if end < len(steps):
-        steps[end - 1]._same_dim(steps[end])
     return True
 
 
@@ -325,17 +403,21 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
     index of the suffix's first step and its largest ratio, or ``(number of
     steps, None)`` when the last step is nonzero and the last pair does not
     contract.  The gauges are taken from the last step back, so a
-    non-contracting prefix costs nothing past its last pair.
+    non-contracting prefix costs nothing past its last pair, and each one
+    before the last straight from the step's packed doubles, with
+    :func:`cone_gauge`'s bits.
     """
     steps = trace.step_dists
     start, lam = len(steps), None
     if not steps:
         return start, lam
-    later = cone_gauge(steps[-1], g)
+    later = cone_gauge(steps[-1], g)  # raises on a gauge of another dimension
     if later == 0.0:
         start, lam = start - 1, 0.0
+    packed, unit, base = steps._packed, g._unit, g.spec.base.coords
     for k in range(len(steps) - 2, -1, -1):
-        earlier = cone_gauge(steps[k], g)
+        coords = memoryview(packed[k]).cast("d")
+        earlier = (max(coords) if unit else max(map(operator.truediv, coords, base))) or 0.0
         if earlier == 0.0:
             if later != 0.0:
                 break
@@ -356,14 +438,18 @@ def check_domain_condition(p: Problem, r: Vec) -> str:
     """'verified' when the invariance ball provably sits inside the domain.
 
     The whole space verifies trivially; a closed ball domain verifies through
-    d(x0, center) + r <= radius; a predicate can only ever be checked on the
-    iterates themselves, hence 'conditional'.
+    d(x0, center) + r <= radius, where a distance or sum beyond the float
+    range exceeds every finite radius; a predicate can only ever be checked
+    on the iterates themselves, hence 'conditional'.
     """
     if p.domain is None:
         return "verified"
     if isinstance(p.domain, Ball):
-        d = p.metric._distance(p.x0, p.domain.center)
-        return "verified" if leq(d + r, p.domain.radius) else "conditional"
+        try:
+            reach = p.metric._distance(p.x0, p.domain.center) + r
+        except NonFiniteError:
+            return "conditional"
+        return "verified" if leq(reach, p.domain.radius) else "conditional"
     return "conditional"
 
 
@@ -400,7 +486,11 @@ def _in_domain(p: Problem, x) -> bool:
     if p.domain is None:
         return True
     if isinstance(p.domain, Ball):
-        return leq(p.metric._distance(x, p.domain.center), p.domain.radius)
+        try:
+            d = p.metric._distance(x, p.domain.center)
+        except NonFiniteError:  # beyond the float range, so beyond every radius
+            return False
+        return leq(d, p.domain.radius)
     return bool(p.domain(x))
 
 
@@ -431,6 +521,7 @@ def run_picard(p: Problem) -> PicardResult:
         raise ValueError("the start point is outside the declared domain")
     stalled = None if p._stall_rule is None else p._stall_rule(p)
     trace = IterationTrace([x], [])
+    keep_step = trace.step_dists._append
 
     # The halting bound is apost_backward_bound(s, lam), compared with stop_c
     # coordinate by coordinate; its factor _backward_factor is computed once.
@@ -467,7 +558,7 @@ def run_picard(p: Problem) -> PicardResult:
                 break
             halt = map(operator.mul, halt, repeat(factor))
         trace.iterates.append(x_next)
-        trace.step_dists.append(s)
+        keep_step(s)
         if not _in_domain(p, x_next):
             cause = "domain_escape"
             break
@@ -563,7 +654,7 @@ def write_trace_csv(fh, trace: IterationTrace, inst: ConeMetric) -> None:
         cols = [f"{c}_{part}" for c in cols for part in ("re", "im")]
     cols += [f"step_d{j}" for j in range(m)]
     fh.write("iter," + ",".join(cols) + "\n")
-    steps = trace.step_dists
+    cells = trace.step_dists._rows()
     no_step = "," * m + "\n"
     for n, point in enumerate(trace.iterates):
         values = [n]
@@ -572,11 +663,12 @@ def write_trace_csv(fh, trace: IterationTrace, inst: ConeMetric) -> None:
                 values += (float(c.real), float(c.imag))
         else:
             values += map(float, point)
-        if n < len(steps):
-            values += steps[n].coords
-            end = "\n"
-        else:
+        step = next(cells, None)
+        if step is None:
             end = no_step
+        else:
+            values += step
+            end = "\n"
         fh.write(("%d" + ",%.17g" * (len(values) - 1) + end) % tuple(values))
 
 

@@ -273,8 +273,7 @@ def compare_bounds(
     base = g_scalar.spec.base
     # The forward bound's factor, so both pipelines round alike at the max coordinate.
     q = _forward_factor(lam)
-    for k in range(start, len(trace.step_dists)):
-        s = trace.step_dists[k]
+    for k, s in enumerate(trace.step_dists[start:], start):
         comp = apost_forward_bound(s, lam)
         scalar = cone_gauge(s, g_scalar) * q
         broadcast = scalar * base

@@ -146,6 +146,25 @@ CUBIC_ROOTS = {
     "z0": [[1.3, 0.0], [1.8, 0.0], [3.4, 0.0]],
 }
 
+# Every iterate stays in the ball, but d(x0, center) + r = 1.5e308 + 1.5e308
+# overflows: the ball check can only say "conditional".
+HUGE_BALL_HALVE = {
+    "map": {"name": "halve"},
+    "metric": {"kind": "weighted", "alpha": [1]},
+    "x0": [1.5e308],
+    "lambda": 0.5,
+    "max_iter": 2000,
+    "domain": {"center": [0], "radius": [1.7e308]},
+}
+# Iterate 1 = 1e308 lies 2e308 from the center: beyond the float range, so
+# outside the ball.
+OVERFLOWING_BALL_TEST = {
+    "map": {"name": "affine", "matrix": [[1.0]], "offset": [1e308]},
+    "metric": {"kind": "weighted", "alpha": [1]},
+    "x0": [0],
+    "domain": {"center": [-1e308], "radius": [1.5e308]},
+}
+
 # Finite coefficients whose monic form overflows.
 TINY_LEADING = [[1e300, 0, 1e-300], [1, 0, 1e-320]]
 
@@ -284,6 +303,31 @@ class TestPicardCommand:
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0", "1", "2", "3"]
         assert capsys.readouterr().err == "iterate 3 left the domain\n"
+
+    def test_a_ball_sum_beyond_the_float_range_is_conditional(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, HUGE_BALL_HALVE)
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (cert["halt"], cert["iterations"]) == ("stop_c", 1057)
+        assert cert["certificate"]["status"] == "conditional"
+
+    def test_an_overflowing_ball_test_is_a_domain_escape(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, OVERFLOWING_BALL_TEST)
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 2
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (cert["halt"], cert["iterations"], cert["certificate"]) == ("domain_escape", 1, None)
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0", "1e+308"]
+        assert capsys.readouterr().err == "iterate 1 left the domain\n"
+
+    def test_a_start_whose_ball_test_overflows_is_outside(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**OVERFLOWING_BALL_TEST, "x0": [1e308]})
+        out = tmp_path / "out"
+        assert main(["picard", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: the start point is outside the declared domain\n"
+        assert not out.exists()
 
     def test_input_error_leaves_no_out(self, tmp_path, capsys):
         cfg = write_cfg(
