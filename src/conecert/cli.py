@@ -25,7 +25,8 @@ Importing this module (or the package) loads neither ``dataclasses`` nor
 constructors ``solid._Record`` builds from ``__slots__``, and ``cmd_axioms``
 imports ``axioms``, whose two dataclasses stay, when it runs.  Nor does it
 load ``csv``: no cell of ``trace.csv`` or ``report.csv`` needs quoting, so
-each row is one ``%`` template.
+each row is one ``%`` template.  Nor ``argparse`` and the ``gettext`` it
+imports: ``_parse_args`` reads the command line from ``_COMMANDS``.
 
 This module is the only one that knows the config format.  Each JSON value
 kind has one reader here, and every config value passes through one of them:
@@ -40,7 +41,9 @@ way to set a run: no flag overrides a key.
 Each subcommand takes ``--config`` and ``--out``, and only the other flags
 it reads: ``axioms`` takes ``--seed`` and ``--samples``, ``demo-normality``
 takes ``--samples``.  ``_COMMANDS`` lists them with their defaults, so a new
-flag is one entry there.
+flag is one entry there.  A flag is given as ``--flag value`` or
+``--flag=value``, spelled out in full; a usage error prints argparse's usage
+line and message to stderr and exits 1.
 
 This module defines no map.  ``_map_from_config`` reads a map's keys,
 checks them against ``x0`` and the metric, and constructs a record:
@@ -51,12 +54,12 @@ no case of its own for a ``Weierstrass``, which owns its noise floor.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .gauge import GaugeNorm, mink_norm
 from .maps import Affine, Halve
@@ -206,8 +209,12 @@ def instance_from_json(obj) -> ConeMetric:
 
 
 def _polynomial(raw) -> Polynomial:
-    """Polynomial from its complex coefficients, constant term first."""
-    return Polynomial([_complex(v, "coefficients") for v in _array(raw, "coefficients")])
+    """Polynomial from its complex coefficients, constant term first, of degree
+    at most ``MAX_CLI_DEGREE``."""
+    poly = Polynomial([_complex(v, "coefficients") for v in _array(raw, "coefficients")])
+    if poly.degree > MAX_CLI_DEGREE:
+        raise ValueError(f"degree {poly.degree} exceeds the CLI cap of {MAX_CLI_DEGREE}")
+    return poly
 
 
 def _run_settings(cfg: dict, max_iter: int) -> tuple:
@@ -370,8 +377,6 @@ def cmd_roots(args) -> int:
     if "coefficients" not in cfg:
         raise ValueError('roots config needs a "coefficients" array')
     poly = _polynomial(cfg["coefficients"])
-    if poly.degree > MAX_CLI_DEGREE:
-        raise ValueError(f"degree {poly.degree} exceeds the CLI cap of {MAX_CLI_DEGREE}")
     weights = _optional(cfg, "weights")
     weights = (1.0,) * poly.degree if weights is None else _numbers(weights, "weights")
     # solve_roots checks that there is one weight per root.
@@ -438,39 +443,103 @@ _COMMANDS = {
     "demo-normality": ("tabulate the sandwiched C^1 pair", [("--samples", 50, "largest n tabulated")]),
 }
 
+# A word that starts with "-" is a flag unless it is a negative number.
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser; ``args.command`` names the subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="conecert",
-        description="Fixed-point iteration with componentwise certificates over cone metrics",
+
+def _flags(command: str) -> list:
+    """``(flag, default, help)`` of every flag ``command`` takes."""
+    return [
+        ("--config", None, "path to a JSON config file"),
+        ("--out", None, "output directory (default: current)"),
+        *[(flag, default, f"{text} (default: {default})") for flag, default, text in _COMMANDS[command][1]],
+    ]
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: conecert [-h] {{{','.join(_COMMANDS)}}} ...\n"
+    flags = "".join(f" [{flag} {_dest(flag).upper()}]" for flag, _, _ in _flags(command))
+    return f"usage: conecert {command} [-h]{flags}\n"
+
+
+def _help(command) -> str:
+    """``-h``'s text: the subcommands, or ``command``'s flags with their defaults."""
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        intro = "\nFixed-point iteration with componentwise certificates over cone metrics\n"
+        sections = {"subcommands": [(name, text) for name, (text, _) in _COMMANDS.items()]}
+    else:
+        intro, sections = "", {}
+        options += [(f"{flag} {_dest(flag).upper()}", text) for flag, _, text in _flags(command)]
+    sections["options"] = options
+    width = max(len(name) for rows in sections.values() for name, _ in rows) + 2
+    return _usage(command) + intro + "".join(
+        f"\n{title}:\n" + "".join(f"  {name:<{width}}{text}\n" for name, text in rows)
+        for title, rows in sections.items()
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--out", help="output directory (default: current)")
-        for flag, default, flag_help in flags:
-            p.add_argument(flag, type=int, default=default, help=f"{flag_help} (default: {default})")
-    return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first main() call, not at import, and reused afterwards:
-    # parse_args leaves a parser unchanged, and building one costs about a
-    # millisecond.
-    return build_parser()
+class _UsageError(Exception):
+    """A refused command line; ``str()`` is the usage line and argparse's message."""
+
+    def __init__(self, command, message: str):
+        prog = "conecert" if command is None else f"conecert {command}"
+        super().__init__(f"{_usage(command)}{prog}: error: {message}")
+
+
+def _parse_args(argv: list) -> SimpleNamespace:
+    """The subcommand and its flags, read from ``argv`` as argparse read them.
+
+    ``--flag value`` and ``--flag=value``; a repeated flag keeps its last
+    value, and a flag that is not spelled out in full is unrecognized.
+    ``-h`` prints help and raises ``SystemExit(0)``.
+    """
+    if not argv:
+        raise _UsageError(None, "the following arguments are required: command")
+    command, *words = argv
+    if command in ("-h", "--help"):
+        print(_help(None), end="")
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    flags = {flag: default for flag, default, _ in _flags(command)}
+    args = SimpleNamespace(command=command, **{_dest(flag): d for flag, d in flags.items()})
+    unrecognized = []
+    words = iter(words)
+    for word in words:
+        if word in ("-h", "--help"):
+            print(_help(command), end="")
+            raise SystemExit(0)
+        flag, eq, value = word.partition("=")
+        if flag not in flags:
+            unrecognized.append(word)
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None or (value[:1] == "-" and value != "-" and not _NEGATIVE.match(value)):
+                raise _UsageError(command, f"argument {flag}: expected one argument")
+        if flags[flag] is not None:  # --config and --out alone default to None
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(command, f"argument {flag}: invalid int value: {value!r}") from None
+        setattr(args, _dest(flag), value)
+    if unrecognized:
+        raise _UsageError(None, f"unrecognized arguments: {' '.join(unrecognized)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse has printed its message; a usage error is an input error,
-        # while --help exits 0 as before.
-        if not exc.code:
-            raise
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_INPUT
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -600,10 +600,21 @@ class TestInputErrors:
         assert capsys.readouterr().err == "error: point has 2 coordinates, expected 1\n"
 
     def test_degree_cap(self, tmp_path, capsys):
+        # One cap for every polynomial the CLI reads, a picard map's included.
         coeffs = [1.0] + [0.0] * 12 + [1.0]
-        cfg = write_cfg(tmp_path, {"coefficients": coeffs})
-        assert main(["roots", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "cap" in capsys.readouterr().err
+        configs = {
+            "roots": {"coefficients": coeffs},
+            "picard": {
+                "map": {"name": "weierstrass", "coefficients": coeffs},
+                "metric": {"kind": "weighted", "alpha": [1.0] * 13, "field": "complex"},
+                "x0": [[1.0 + k, 0.5] for k in range(13)],
+            },
+        }
+        for command, payload in configs.items():
+            out = tmp_path / command
+            assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: degree 13 exceeds the CLI cap of 12\n"
+            assert not out.exists()
 
 
 class TestRootsCommand:
@@ -854,7 +865,7 @@ def artifacts(out):
 
 
 class TestParserReuse:
-    """main() builds its parser once per process and reuses it."""
+    """main() reads each command line afresh: no call depends on an earlier one."""
 
     def test_back_to_back_calls_match_fresh_ones(self, tmp_path, monkeypatch, capsys):
         # axioms keeps its default of 1000 samples, on one dimension only.
@@ -872,22 +883,19 @@ class TestParserReuse:
             ["axioms"],
         ]
 
-        def run(tag, fresh):
-            cli._parser.cache_clear()
-            outcomes = []
-            for i, argv in enumerate(calls):
-                if fresh:
-                    cli._parser.cache_clear()
+        def run(tag, order):
+            outcomes = {}
+            for i in order:
                 out = tmp_path / f"{tag}{i}"
-                code = main([*argv, "--out", str(out)])
-                outcomes.append((code, capsys.readouterr(), artifacts(out)))
-            return outcomes
+                code = main([*calls[i], "--out", str(out)])
+                outcomes[i] = (code, capsys.readouterr(), artifacts(out))
+            return [outcomes[i] for i in range(len(calls))]
 
-        reused = run("reused", fresh=False)
-        assert cli._parser.cache_info().misses == 1
-        assert reused == run("fresh", fresh=True)
-        assert [code for code, _, _ in reused] == [2, 0, 0, 0]
-        report = json.loads(reused[3][2]["report.json"])
+        # In reverse order every call follows different ones, the last first.
+        back_to_back = run("forward", range(len(calls)))
+        assert back_to_back == run("reverse", reversed(range(len(calls))))
+        assert [code for code, _, _ in back_to_back] == [2, 0, 0, 0]
+        report = json.loads(back_to_back[3][2]["report.json"])
         assert (report["seed"], report["samples"]) == (0, 1000)
 
     def test_handler_rebound_after_the_first_call_runs(self, tmp_path, monkeypatch, capsys):
@@ -899,30 +907,15 @@ class TestParserReuse:
         assert main(["gauge", "--config", cfg]) == 7
         assert seen == [cfg]
 
-    def test_build_parser_returns_a_fresh_parser(self):
-        assert cli.build_parser() is not cli.build_parser()
-
-    def test_import_builds_no_parser(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        probe = "import conecert.cli as c; print(c._parser.cache_info().currsize)"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0\n"
-
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # -S keeps site from preloading anything; dataclasses imports inspect,
         # and the two together cost most of what importing the CLI used to.
-        # No writer needs csv either: each row is one % template.
+        # No writer needs csv either: each row is one % template.  The
+        # command line is read from _COMMANDS, not by argparse and its gettext.
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
             "import sys, conecert.cli, conecert\n"
-            "print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))"
+            "print(sorted({'argparse', 'csv', 'dataclasses', 'gettext', 'inspect'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe],
@@ -935,7 +928,7 @@ class TestParserReuse:
         assert proc.stdout == "[]\n"
 
 
-# What parse_args gives each subcommand with no flags: --config and --out,
+# What the reader gives each subcommand with no flags: --config and --out,
 # and only the other flags the subcommand reads, with their defaults.
 SUBCOMMAND_FLAGS = {
     "axioms": {"config": None, "out": None, "seed": 0, "samples": 1000},
@@ -949,12 +942,21 @@ SUBCOMMAND_FLAGS = {
 class TestSubcommandFlags:
     """Each subcommand takes only the flags it reads; the config sets a run."""
 
-    def test_each_subcommand_has_its_own_flags(self):
-        parser = cli.build_parser()
-        assert "{axioms,gauge,picard,roots,demo-normality}" in parser.format_usage()
-        got = {name: vars(parser.parse_args([name])) for name in SUBCOMMAND_FLAGS}
+    def test_each_subcommand_has_its_own_flags(self, capsys):
+        assert main(["solve"]) == 1
+        assert "{axioms,gauge,picard,roots,demo-normality}" in capsys.readouterr().err
+        got = {name: vars(cli._parse_args([name])) for name in SUBCOMMAND_FLAGS}
         assert got == {name: {"command": name, **f} for name, f in SUBCOMMAND_FLAGS.items()}
         assert sum(map(len, SUBCOMMAND_FLAGS.values())) == 13
+        # Every flag set, both ways it can be written.
+        argv = ["axioms", "--config", "c.json", "--out=o", "--seed=7", "--samples", "9"]
+        assert vars(cli._parse_args(argv)) == {
+            "command": "axioms", "config": "c.json", "out": "o", "seed": 7, "samples": 9
+        }
+
+    def test_a_repeated_flag_keeps_its_last_value(self):
+        args = cli._parse_args(["demo-normality", "--samples", "3", "--samples=-4", "--out", "a", "--out=b"])
+        assert (args.samples, args.out) == (-4, "b")
 
     @pytest.mark.parametrize(
         "flags",
@@ -1016,6 +1018,66 @@ class TestUsageErrors:
         )
         assert proc.returncode == 1
         assert "invalid int value" in proc.stderr
+
+
+class TestCommandLineReader:
+    """The edges of main()'s command line reader, argparse's wording kept."""
+
+    def test_config_given_with_equals(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["picard", f"--config={write_cfg(tmp_path, HALVE)}", f"--out={out}"]) == 0
+        assert json.loads((out / "certificate.json").read_text())["converged"] is True
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["picard", "--out", "{out}", "--config"],
+                "conecert picard: error: argument --config: expected one argument",
+            ),
+            (
+                ["picard", "--config", "--out", "{out}"],
+                "conecert picard: error: argument --config: expected one argument",
+            ),
+            (
+                ["picard", "--conf", "{cfg}", "--out", "{out}"],
+                "conecert: error: unrecognized arguments: --conf {cfg}",
+            ),
+            ([], "conecert: error: the following arguments are required: command"),
+        ],
+        ids=["trailing-flag", "flag-as-value", "abbreviation", "no-arguments"],
+    )
+    def test_usage_error_exits_one_without_out(self, tmp_path, capsys, argv, error):
+        cfg, out = write_cfg(tmp_path, HALVE), tmp_path / "out"
+        argv = [a.format(cfg=cfg, out=out) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: conecert")
+        assert captured.err.endswith(error.format(cfg=cfg) + "\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["picard", "-h"], ["--config CONFIG  path to a JSON config file", "--out OUT"]),
+            (
+                ["axioms", "--help"],
+                ["--seed SEED        root seed of the suites (default: 0)", "samples per suite (default: 1000)"],
+            ),
+        ],
+        ids=["picard", "axioms"],
+    )
+    def test_subcommand_help_lists_its_flags(self, tmp_path, capsys, argv, lines):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: conecert {argv[0]} [-h] [--config CONFIG] [--out OUT]")
+        assert all(line in captured.out for line in lines)
+        assert captured.err == ""
+        assert not out.exists()
 
 
 # Valid configs for the value table below; each row changes one key of one.
