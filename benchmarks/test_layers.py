@@ -5,10 +5,11 @@ cost and a whole ``picard`` call, the CLI's import, and the axiom suites.
 
 One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``Problem`` built at n=200 with a ball domain, one two-weight metric, one
-``run_picard`` call per way of getting the factor, one ``estimate_lambda``
-call on the trace of an estimated diagonal run at n in {50, 200}, one
-``verify_step_contraction`` call on the trace of a lambda-given run at n=200
-whose last pairs do not contract and on one whose every pair does, one
+``run_picard`` call per way of getting the factor and one in a ball domain,
+one ``estimate_lambda`` call on the trace of an estimated diagonal run at n
+in {50, 200}, one ``verify_step_contraction`` call on the trace of a
+lambda-given run at n=200 whose last pairs do not contract and on one whose
+every pair does, one
 ``weierstrass_step`` sweep and one ``solve_roots`` call (its report not
 read) over the roots 1..m at m in {3, 12}, one
 ``run_all(seed, 20)`` call, the unit of the axioms-suite workload, and
@@ -185,7 +186,7 @@ def test_affine_call(benchmark, n):
     assert len(benchmark(f, tuple(coords(n, 0.5)))) == n
 
 
-def diagonal_problem(n=200, lam=0.9):
+def diagonal_problem(n=200, lam=0.9, domain=None):
     """x -> l*x + o with l in [0.5, 0.9); with lambda 0.9 given, 217 iterates."""
     diag = [0.5 + (k % 40) / 100 for k in range(n)]
     offset = [0.1 + (k % 9) / 10 for k in range(n)]
@@ -197,6 +198,7 @@ def diagonal_problem(n=200, lam=0.9):
         stop_c=Vec([1e-10] * n),
         max_iter=1000,
         lam=lam,
+        domain=domain,
     )
 
 
@@ -229,10 +231,18 @@ def diagonal_run(n=200):
     return result.trace, result.certificate, p.metric
 
 
-@pytest.mark.parametrize("lam", [0.9, None], ids=["given", "estimated"])
-def test_run_picard(benchmark, lam):
-    """The whole engine at n=200, certificate included, no artifacts."""
-    assert benchmark(run_picard, diagonal_problem(lam=lam)).converged
+@pytest.mark.parametrize("case", ["given", "estimated", "ball"])
+def test_run_picard(benchmark, case):
+    """The whole engine at n=200, certificate included, no artifacts.
+
+    ``ball`` is the ``given`` problem in a closed ball domain around 0 of
+    radius 10, which holds the whole orbit (its fixed point is below 8.2),
+    so every iteration runs the ball test.
+    """
+    n = 200
+    domain = Ball((0.0,) * n, Vec([10.0] * n)) if case == "ball" else None
+    p = diagonal_problem(n, None if case == "estimated" else 0.9, domain)
+    assert benchmark(run_picard, p).converged
 
 
 @pytest.mark.parametrize("n", [50, 200])

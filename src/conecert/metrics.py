@@ -9,13 +9,19 @@ Three concrete instances are provided:
 
 On top of them: scalarization through the gauge, cone balls, scalar
 inequality transfer, and a nested-ball probe.
+
+Every ball question in the package, whether a point x lies in B(c, r) or
+a ball B(x, s) lies inside it, compares one cone vector with r: d(x, c),
+plus s for a ball, from :func:`_reach`.  A distance or sum beyond the float
+range is beyond every radius: such a point lies outside the ball, and such
+a ball does not fit inside it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .gauge import GaugeNorm, mink_norm
 from .solid import (
@@ -186,7 +192,10 @@ ConeMetric = Union[WeightedConeMetric, DiscreteConeMetric, PlusConeMetric]
 
 
 class Ball(_Record):
-    """Cone ball around a center; closed balls take cone radii, open ones interior radii."""
+    """Cone ball around a center; closed balls take cone radii, open ones interior radii.
+
+    Membership follows the module's one ball rule, through :func:`_reach`.
+    """
 
     __slots__ = ("center", "radius", "closed")
 
@@ -206,9 +215,24 @@ def scalarize(inst: ConeMetric, g: GaugeNorm, x, y) -> float:
     return mink_norm(inst.distance(x, y), g)
 
 
+def _reach(inst: ConeMetric, x, center, radius: Optional[Vec] = None) -> Optional[Vec]:
+    """d(x, center), plus ``radius`` when given, or None beyond the float range.
+
+    ``x`` and ``center`` have passed ``inst.validate_point``.  The one place
+    that reads the :class:`NonFiniteError` of an overflow as beyond every radius.
+    """
+    try:
+        d = inst._distance(x, center)
+        return d if radius is None else d + radius
+    except NonFiniteError:
+        return None
+
+
 def ball_contains(ball: Ball, inst: ConeMetric, x) -> bool:
-    d = inst.distance(x, ball.center)
-    return leq(d, ball.radius) if ball.closed else lt(d, ball.radius)
+    """Whether ``x`` lies in ``ball``: False when its distance to the center
+    lies beyond the float range, as in the engine's ball domain test."""
+    d = _reach(inst, inst.validate_point(x), inst.validate_point(ball.center))
+    return d is not None and (leq(d, ball.radius) if ball.closed else lt(d, ball.radius))
 
 
 def inequality_transfer_check(
@@ -250,19 +274,21 @@ def nested_ball_probe(
     """Point lying in every ball of a nested family with vanishing radii.
 
     Nesting of consecutive closed balls is certified by the arithmetic
-    condition d(c[k+1], c[k]) + r[k+1] <= r[k]; a violation, or a final
-    radius whose gauge has not dropped below ``tol``, is a precondition
-    error.  Returns the last center, which the nesting chain places in every
-    earlier ball.
+    condition d(c[k+1], c[k]) + r[k+1] <= r[k], read through :func:`_reach`,
+    so a left side beyond the float range violates it.  A violation, or a
+    final radius whose gauge has not dropped below ``tol``, is a
+    precondition error.  Returns the last center, which the nesting chain
+    places in every earlier ball.
     """
     if len(centers) != len(radii) or not centers:
         raise ValueError("need equally many centers and radii, at least one each")
     for r in radii:
         if not in_cone(r):
             raise ValueError("radii must lie in the cone")
-    for k in range(len(centers) - 1):
-        step = inst.distance(centers[k + 1], centers[k])
-        if not leq(step + radii[k + 1], radii[k]):
+    points = [inst.validate_point(c) for c in centers]
+    for k in range(len(points) - 1):
+        reach = _reach(inst, points[k + 1], points[k], radii[k + 1])
+        if reach is None or not leq(reach, radii[k]):
             raise ValueError(f"nesting violated between balls {k} and {k + 1}")
     if not mink_norm(radii[-1], g) < tol:
         raise ValueError(f"final radius gauge is not below {tol!r}")

@@ -36,7 +36,8 @@ is validated once, on entry.  Steps and ball tests are measured between
 already validated points.  Past the start point's domain check a run always
 returns.  An iterate outside the domain ends it with halt
 ``domain_escape``, that iterate last in the trace; one whose distance to a
-ball's center overflows lies outside the ball.  A map output, step
+ball's center overflows lies outside the ball, as for
+:func:`~conecert.metrics.ball_contains`.  A map output, step
 distance or halting bound that overflows, or a map that raises
 :class:`NonFiniteError` itself, ends it with halt ``overflow``, the trace
 stopping at the last iterate before it; so does a certificate whose radius
@@ -56,7 +57,7 @@ from struct import Struct
 from typing import Callable, Optional
 
 from .gauge import GaugeNorm, cone_gauge
-from .metrics import Ball, ConeMetric, WeightedConeMetric
+from .metrics import Ball, ConeMetric, WeightedConeMetric, _reach
 from .solid import NonFiniteError, Vec, _finite, _Record, in_interior, leq
 
 __all__ = [
@@ -336,15 +337,24 @@ def _backward_factor(lam: float) -> float:
     return lam / (1.0 - lam)
 
 
+# The halt causes of a converged run: the only ones that return a point.
+_CONVERGED_HALTS = ("stop_c", "noise_floor")
+
+
 class PicardResult(_Record):
     """The trace of a run, its certificate (or None) and how it ended.
 
     ``fixed_point`` is the returned point, or None.  ``halt`` names the
     cause: ``"stop_c"``, ``"noise_floor"``, ``"max_iter"``, ``"overflow"`` or
-    ``"domain_escape"``.
+    ``"domain_escape"``.  ``converged`` is read from it, not stored.
     """
 
-    __slots__ = ("trace", "certificate", "fixed_point", "converged", "halt")
+    __slots__ = ("trace", "certificate", "fixed_point", "halt")
+
+    @property
+    def converged(self) -> bool:
+        """True when the run halted at ``stop_c`` or at its noise floor."""
+        return self.halt in _CONVERGED_HALTS
 
 
 def apriori_bound(n: int, lam: float, d01: Vec) -> Vec:
@@ -438,18 +448,16 @@ def check_domain_condition(p: Problem, r: Vec) -> str:
     """'verified' when the invariance ball provably sits inside the domain.
 
     The whole space verifies trivially; a closed ball domain verifies through
-    d(x0, center) + r <= radius, where a distance or sum beyond the float
-    range exceeds every finite radius; a predicate can only ever be checked
-    on the iterates themselves, hence 'conditional'.
+    d(x0, center) + r <= radius, read by :func:`metrics._reach`, so a
+    distance or sum beyond the float range exceeds every finite radius; a
+    predicate can only ever be checked on the iterates themselves, hence
+    'conditional'.
     """
     if p.domain is None:
         return "verified"
     if isinstance(p.domain, Ball):
-        try:
-            reach = p.metric._distance(p.x0, p.domain.center) + r
-        except NonFiniteError:
-            return "conditional"
-        return "verified" if leq(reach, p.domain.radius) else "conditional"
+        reach = _reach(p.metric, p.x0, p.domain.center, r)
+        return "verified" if reach is not None and leq(reach, p.domain.radius) else "conditional"
     return "conditional"
 
 
@@ -486,11 +494,8 @@ def _in_domain(p: Problem, x) -> bool:
     if p.domain is None:
         return True
     if isinstance(p.domain, Ball):
-        try:
-            d = p.metric._distance(x, p.domain.center)
-        except NonFiniteError:  # beyond the float range, so beyond every radius
-            return False
-        return leq(d, p.domain.radius)
+        d = _reach(p.metric, x, p.domain.center)
+        return d is not None and leq(d, p.domain.radius)
     return bool(p.domain(x))
 
 
@@ -576,12 +581,10 @@ def run_picard(p: Problem) -> PicardResult:
             cert = _build_certificate(p, trace)
         except NonFiniteError:
             cause = "overflow"
-    converged = cause in ("stop_c", "noise_floor")
     return PicardResult(
         trace=trace,
         certificate=cert,
-        fixed_point=x if converged else None,
-        converged=converged,
+        fixed_point=x if cause in _CONVERGED_HALTS else None,
         halt=cause,
     )
 

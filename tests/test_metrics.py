@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecert.cli import instance_from_json, parse_point
@@ -18,7 +18,7 @@ from conecert.metrics import (
     nested_ball_probe,
     scalarize,
 )
-from conecert.picard import Problem, run_picard
+from conecert.picard import Problem, _in_domain, run_picard
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, in_cone, leq
 
 from helpers import dims, dyadic_coord, dyadic_pos_coord, vec_st
@@ -440,6 +440,26 @@ class TestScalarize:
         )
 
 
+# Coordinates up to 1e308 in modulus, with the ends and the overflowing pair
+# drawn often, so a difference can leave the float range; weights up to 4,
+# so a weighted modulus can too.
+huge_coord = st.sampled_from([1e308, -1e308, 0.0, 1.0]) | st.floats(-1e308, 1e308)
+huge_radius = st.sampled_from([0.0, 1.0, 1e308]) | st.floats(0.0, 1e308)
+weight = st.sampled_from([1.0, 4.0]) | st.floats(0.25, 4.0)
+
+
+@st.composite
+def ball_cases(draw):
+    """A weighted metric of dimension 1-3, a closed ball and a point."""
+    n = draw(st.integers(1, 3))
+    field = draw(st.sampled_from(["real", "complex"]))
+    metric = WeightedConeMetric(draw(st.lists(weight, min_size=n, max_size=n)), field)
+    coord = huge_coord if field == "real" else st.builds(complex, huge_coord, huge_coord)
+    point = st.lists(coord, min_size=n, max_size=n).map(tuple)
+    radius = Vec(draw(st.lists(huge_radius, min_size=n, max_size=n)))
+    return metric, Ball(draw(point), radius), draw(point)
+
+
 class TestBalls:
     def test_radius_validation(self):
         Ball(center=(0.0,), radius=Vec([0.0]), closed=True)
@@ -472,6 +492,32 @@ class TestBalls:
         assert not ball_contains(opened, inst, (1.0, 1.0))
         assert ball_contains(opened, inst, (0.5, -0.5))
         assert not ball_contains(closed, inst, (1.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "ball, inst, x",
+        [
+            (Ball((-1e308,), Vec([1.0])), WeightedConeMetric([1.0]), (1e308,)),
+            (Ball((-1e308,), Vec([1.0]), closed=False), WeightedConeMetric([1.0]), (1e308,)),
+            (Ball(Vec([1e308]), Vec([1.0])), PlusConeMetric(1), Vec([1.5e308])),
+        ],
+        ids=["closed", "open", "plus"],
+    )
+    def test_a_distance_beyond_the_float_range_is_outside(self, ball, inst, x):
+        assert ball_contains(ball, inst, x) is False
+
+    @given(case=ball_cases())
+    @example(case=(WeightedConeMetric([1.0]), Ball((-1e308,), Vec([1.0])), (1e308,)))
+    @settings(max_examples=300, deadline=None)
+    def test_membership_is_the_engines_ball_test(self, case):
+        """``ball_contains`` answers as the engine's domain test on every
+        iterate, also where the distance to the center overflows."""
+        metric, ball, x = case
+        n = metric.dim
+        problem = Problem(
+            lambda y: y, ball.center, metric, GaugeNorm(SpaceSpec(n, Vec.ones(n))), Vec.ones(n),
+            domain=ball,
+        )
+        assert ball_contains(ball, metric, x) is _in_domain(problem, metric.validate_point(x))
 
 
 class TestInequalityTransfer:
@@ -573,6 +619,12 @@ class TestNestedBallProbe:
             nested_ball_probe(
                 [(0.0,), (5.0,)], [Vec([1.0]), Vec([0.5])], inst, g
             )
+
+    def test_a_step_beyond_the_float_range_violates_nesting(self):
+        inst = WeightedConeMetric([1.0])
+        g = GaugeNorm(SpaceSpec(1, Vec([1.0])))
+        with pytest.raises(ValueError, match="^nesting violated between balls 0 and 1$"):
+            nested_ball_probe([(1e308,), (-1e308,)], [Vec([1.0]), Vec([1e-12])], inst, g)
 
     def test_radii_must_shrink(self):
         inst = WeightedConeMetric([1.0])

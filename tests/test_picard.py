@@ -21,6 +21,7 @@ from conecert.picard import (
     LAMBDA_CEILING,
     Certificate,
     IterationTrace,
+    PicardResult,
     Problem,
     apost_backward_bound,
     apost_forward_bound,
@@ -234,13 +235,24 @@ class TestRecords:
         with pytest.raises(TypeError):
             hash(a)
 
+    def test_converged_is_read_from_the_halt(self):
+        trace = IterationTrace([(1.0,)], [])
+        for halt in ("stop_c", "noise_floor", "max_iter", "overflow", "domain_escape"):
+            result = PicardResult(trace, None, None, halt)
+            assert result.converged is (halt in ("stop_c", "noise_floor"))
+        assert PicardResult._names == ("trace", "certificate", "fixed_point", "halt")
+        with pytest.raises(TypeError, match="takes 4 fields"):
+            PicardResult(trace, None, None, True, "max_iter")
+        with pytest.raises(AttributeError):
+            run_picard(halve_problem()).converged = False
+
     def test_repr_names_the_class_and_fields(self):
         trace = IterationTrace([(1.0,)], [Vec([0.5])])
         assert repr(trace) == "IterationTrace(iterates=[(1.0,)], step_dists=[Vec([0.5])])"
         text = repr(run_picard(halve_problem()))
         assert text.startswith("PicardResult(trace=IterationTrace(iterates=[(1.0,), (0.5,)")
         assert "certificate=Certificate(lambda_used=0.5, lambda_source='given'" in text
-        assert text.endswith("converged=True, halt='stop_c')")
+        assert text.endswith("fixed_point=(5.820766091346741e-11,), halt='stop_c')")
 
 
 class TestBoundArithmetic:
