@@ -9,7 +9,7 @@ On the cone itself ``|x_i| == x_i``, so the gauge is ``max_i x_i / base_i``
 and needs no pass of ``abs``: :func:`cone_gauge`.  A distance of any of the
 package's metrics lies in the cone (the first cone-metric axiom), so the
 engine gauges its steps that way; :func:`mink_norm` takes a vector of any
-sign.
+sign.  ``_cone_max`` holds the cone formula once, over bare coordinates.
 """
 
 from __future__ import annotations
@@ -77,9 +77,14 @@ def cone_gauge(x: Vec, g: GaugeNorm) -> float:
         fits = False
     if not fits:  # mink_norm raises the error that names the misfit
         return mink_norm(x, g)
+    return _cone_max(coords, g)
+
+
+def _cone_max(coords, g: GaugeNorm) -> float:
+    """:func:`cone_gauge` of coordinates of ``g``'s dimension (not checked)."""
     if g._unit:
         return max(coords) or 0.0
-    return max(map(truediv, coords, spec.base.coords)) or 0.0
+    return max(map(truediv, coords, g.spec.base.coords)) or 0.0
 
 
 def strict_ball_test(x: Vec, eps: float, g: GaugeNorm) -> bool:

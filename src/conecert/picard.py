@@ -13,8 +13,8 @@ A :class:`Certificate` stores only the factor and the step distances; each
 bound family is a read-only sequence whose entries are computed from those
 closed forms when read.  A trace keeps each step as the bytes of its
 doubles, which the cyclic garbage collector does not track, so a run keeps
-one tracked object per iteration, its iterate, and reads back the same
-vectors.
+one tracked object per iteration, its iterate, and reads back equal
+vectors, bit for bit.
 
 A supplied factor covers the whole run.  Without one, the factor is the
 largest gauge ratio of consecutive steps over the longest contracting tail
@@ -56,7 +56,7 @@ from itertools import pairwise, repeat
 from struct import Struct
 from typing import Callable, Optional
 
-from .gauge import GaugeNorm, cone_gauge
+from .gauge import GaugeNorm, _cone_max, cone_gauge
 from .metrics import Ball, ConeMetric, WeightedConeMetric, _reach
 from .solid import NonFiniteError, Vec, _finite, _Record, in_interior, leq
 
@@ -166,26 +166,25 @@ class _Steps(Sequence):
 
     Built from an iterable of :class:`Vec` of one length: a step that is not
     a ``Vec`` raises ``TypeError``, one of another length than the first
-    ``ValueError``.  Entry k reads back as a ``Vec`` equal bit for bit to
-    the one stored (a ``Vec`` holds no NaN or inf, and a signed zero keeps
-    its sign); ``[-1]`` returns the last stored ``Vec`` itself.  A slice is
-    a sequence of the same kind that shares the bytes.  ``==`` compares the
-    entries as ``Vec`` with another such sequence or a list, as a list does;
-    ``repr`` reads as the list, and a pickle holds the list.  Only
-    :func:`run_picard` appends, through ``_append``.  Reading a middle entry
-    builds a ``Vec``, so the module's per-run readers take the doubles
-    straight from ``_packed``.
+    ``ValueError``.  Entry k reads back as a new ``Vec`` equal bit for bit
+    to the one stored (a ``Vec`` holds no NaN or inf, and a signed zero
+    keeps its sign).  A slice is a sequence of the same kind that shares the
+    bytes.  ``==`` compares the entries as ``Vec`` with another such
+    sequence or a list, as a list does; ``repr`` reads as the list, and a
+    pickle holds the list.  Only :func:`run_picard` appends, through
+    ``_append``; the module's per-run readers take coordinate tuples from
+    ``_rows``.
     """
 
-    __slots__ = ("_packed", "_struct", "_last")
+    __slots__ = ("_packed", "_struct")
 
     def __init__(self, steps=()):
-        self._packed, self._struct, self._last = [], None, None
+        self._packed, self._struct = [], None
         for v in steps:
             if not isinstance(v, Vec):
                 raise TypeError(f"expected Vec, got {type(v).__name__}")
-            if self._struct is not None and len(v.coords) != len(self._last.coords):
-                raise ValueError(f"dimension mismatch: {len(self._last.coords)} vs {len(v.coords)}")
+            if self._struct is not None and 8 * len(v.coords) != self._struct.size:
+                raise ValueError(f"dimension mismatch: {self._struct.size // 8} vs {len(v.coords)}")
             self._append(v)
 
     def _append(self, v: Vec) -> None:
@@ -193,24 +192,16 @@ class _Steps(Sequence):
         if self._struct is None:
             self._struct = Struct(f"{len(v.coords)}d")
         self._packed.append(self._struct.pack(*v.coords))
-        self._last = v
 
     def __len__(self) -> int:
         return len(self._packed)
 
     def __getitem__(self, k):
-        packed = self._packed
-        if k == -1 and type(k) is int and packed:  # a stall rule's per-iteration read
-            return self._last
         if isinstance(k, slice):
             view = _Steps()
-            view._packed, view._struct = packed[k], self._struct
-            if view._packed:
-                view._last = self[range(len(packed))[k][-1]]
+            view._packed, view._struct = self._packed[k], self._struct
             return view
-        b = packed[k]
-        if b is packed[-1]:
-            return self._last
+        b = self._packed[k]  # read first: an empty sequence has no struct
         return Vec._of(self._struct.unpack(b))
 
     def _rows(self, reverse: bool = False):
@@ -240,11 +231,12 @@ class IterationTrace(_Record):
     """Iterates x_0, x_1, ... and the step distances d(x_k, x_{k+1}).
 
     ``step_dists`` is built from a list of :class:`Vec` of one length and
-    kept as a read-only sequence of packed doubles that reads back the same
-    vectors (see the module docstring); a step that is not a ``Vec`` raises
-    ``TypeError: expected Vec, got ...``, one whose length differs from the
-    first step's ``ValueError: dimension mismatch: ...``.  ``iterates`` is
-    the list it is given.
+    kept as a read-only sequence of packed doubles whose entries read back
+    as new vectors equal bit for bit to the ones given.  A step that is not
+    a ``Vec`` raises ``TypeError: expected Vec, got ...``, one whose length
+    differs from the first step's ``ValueError: dimension mismatch: ...``.
+    ``iterates`` is the list it is given.  A run writes its trace and never
+    reads it to halt (see :func:`run_picard`).
     """
 
     __slots__ = ("iterates", "step_dists")
@@ -414,7 +406,7 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
     steps, None)`` when the last step is nonzero and the last pair does not
     contract.  The gauges are taken from the last step back, so a
     non-contracting prefix costs nothing past its last pair, and each one
-    before the last straight from the step's packed doubles, with
+    before the last from the step's coordinate tuple, with
     :func:`cone_gauge`'s bits.
     """
     steps = trace.step_dists
@@ -424,10 +416,10 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
     later = cone_gauge(steps[-1], g)  # raises on a gauge of another dimension
     if later == 0.0:
         start, lam = start - 1, 0.0
-    packed, unit, base = steps._packed, g._unit, g.spec.base.coords
-    for k in range(len(steps) - 2, -1, -1):
-        coords = memoryview(packed[k]).cast("d")
-        earlier = (max(coords) if unit else max(map(operator.truediv, coords, base))) or 0.0
+    rows = steps._rows(reverse=True)
+    next(rows)  # the last step, gauged above
+    for k, coords in zip(range(len(steps) - 2, -1, -1), rows):
+        earlier = _cone_max(coords, g)
         if earlier == 0.0:
             if later != 0.0:
                 break
@@ -510,9 +502,9 @@ def run_picard(p: Problem) -> PicardResult:
     overflows: the same decision as checking every coordinate's product.
     A map's stall rule (``Problem._stall_rule``) is called once, after the
     start point's domain check, and may reject the start with ``ValueError``;
-    the predicate it returns, if any, is called on the trace after every
-    iteration whose ``stop_c`` test fails, and true ends the run as
-    converged with halt ``noise_floor``: only rounding noise is left.
+    its predicate, if any, is called as ``stalled(z, s)``, ``z`` the iterate
+    the step ``s`` left, after every iteration whose ``stop_c`` test fails,
+    and true ends the run as converged with halt ``noise_floor``.
     Reaching ``max_iter`` is not an error: the result comes back with
     ``converged=False``, halt ``max_iter`` and whatever certificate the
     trace supports.  Nor is a domain escape or an overflow (see the module
@@ -567,11 +559,11 @@ def run_picard(p: Problem) -> PicardResult:
         if not _in_domain(p, x_next):
             cause = "domain_escape"
             break
-        x = x_next
+        z, x = x, x_next
         if all(map(operator.lt, halt, stop)):
             cause = "stop_c"
             break
-        if stalled is not None and stalled(trace):
+        if stalled is not None and stalled(z, s):
             cause = "noise_floor"
             break
 

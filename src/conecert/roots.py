@@ -202,32 +202,31 @@ class Weierstrass(_Record):
     def __call__(self, z) -> tuple[complex, ...]:
         return weierstrass_step(self.poly, z)
 
-    def stall_rule(self, p: Problem) -> Optional[Callable[[IterationTrace], bool]]:
+    def stall_rule(self, p: Problem) -> Optional[Callable[[tuple, Vec], bool]]:
         """Check a run's start, then return its noise-floor test, if any.
 
         A start with two equal entries raises :func:`as_root_vector`'s
         ``ValueError``.  Under a :class:`WeightedConeMetric` the returned
-        predicate is true once a step's gauge under ``p.gauge`` is finite and
-        not below the previous step's while the inclusion discs around the
-        iterate the step left are pairwise disjoint.  A step is a weighted
-        modulus vector, so it lies in the cone and its gauge is one ``max``
+        predicate ``stalled(z, s)``, handed the iterate ``z`` a sweep left
+        and its step ``s``, is true once the step's gauge under ``p.gauge``
+        is finite and not below the previous step's while the inclusion discs
+        around ``z`` are pairwise disjoint.  A step is a weighted modulus
+        vector, so it lies in the cone and its gauge is one ``max``
         (:func:`cone_gauge`).  A gauge that overflows under a tiny base shows
         no stall.  A metric without weights measures no discs: None.
         """
         as_root_vector(p.x0)
         if not isinstance(p.metric, WeightedConeMetric):
             return None
-        norms: list[float] = []
         g, alpha = p.gauge, p.metric.alpha
+        prev = math.inf  # no step yet: nothing to stall against
 
-        def stalled(trace: IterationTrace) -> bool:
-            s = trace.step_dists[-1]
-            norms.append(cone_gauge(s, g))
-            return (
-                len(norms) > 1
-                and norms[-2] <= norms[-1] < math.inf
-                and _discs_disjoint(trace.iterates[-2], s, alpha)
-            )
+        def stalled(z: tuple, s: Vec) -> bool:
+            nonlocal prev
+            gauge = cone_gauge(s, g)
+            flat = prev <= gauge < math.inf
+            prev = gauge
+            return flat and _discs_disjoint(z, s, alpha)
 
         return stalled
 

@@ -66,9 +66,8 @@ def halve(x):
 
 
 class StallAfter(_Record):
-    """A test map: ``step``, with a stall rule that is true once ``after``
-    steps are taken and logs the step count of every trace it is asked on
-    in ``asked``."""
+    """A test map: ``step``, with a stall rule that is true on its ``after``-th
+    call and logs every ``(z, s)`` it is handed in ``asked``."""
 
     __slots__ = ("step", "after", "asked")
 
@@ -76,9 +75,9 @@ class StallAfter(_Record):
         return self.step(x)
 
     def stall_rule(self, p):
-        def stalled(trace):
-            self.asked.append(len(trace.step_dists))
-            return len(trace.step_dists) == self.after
+        def stalled(z, s):
+            self.asked.append((z, s))
+            return len(self.asked) == self.after
 
         return stalled
 
@@ -446,8 +445,6 @@ class TestStepStorage:
         assert hexes(steps[cut][::-1]) == hexes(vecs[cut][::-1])
         assert steps == vecs and vecs == steps and steps == IterationTrace([], vecs).step_dists
         assert repr(steps) == repr(vecs)
-        if vecs:
-            assert steps[-1] is vecs[-1]
         with pytest.raises(IndexError):
             steps[len(vecs)]
 
@@ -640,8 +637,12 @@ class TestRunPicard:
         seen = []
         plain = run_picard(halve_problem())
         result = run_picard(halve_problem(map_fn=StallAfter(halve, None, seen)))
-        k = len(result.trace.step_dists)
-        assert seen == list(range(1, k))
+        trace = result.trace
+        k = len(trace.step_dists)
+        # Call j gets the iterate step j left (that very object) and the step.
+        assert len(seen) == k - 1
+        assert all(z is x for (z, _), x in zip(seen, trace.iterates))
+        assert hexes([s for _, s in seen]) == hexes(trace.step_dists[: k - 1])
         assert result.halt == "stop_c"
         assert result.trace == plain.trace
 
@@ -1312,3 +1313,21 @@ class TestTraceCsvBytes:
     def test_same_bytes_as_the_csv_writer_loop(self, case):
         trace, inst = case
         assert written(write_trace_csv, trace, inst) == written(csv_writer_trace, trace, inst)
+
+
+def test_library_runs_match_the_golden_engine_digest():
+    """Every halt, iterate and step bit and every certificate of the
+    benchmark's picard-wide and roots-batch units, seeds 1-2, rounds 0-1,
+    under one sha256 (``tests/engine_digest.py``), against that script's
+    golden digest."""
+    from engine_digest import GOLDEN, UNITS, engine_digest
+
+    assert engine_digest() == (GOLDEN, UNITS)
+
+
+@pytest.mark.parametrize("python", other_pythons())
+def test_engine_digest_script_on_other_pythons(python):
+    """The digest script, run as a plain script by another interpreter, finds
+    the same golden digest: the engine decides alike on every Python."""
+    proc = run_script(python, "engine_digest.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr

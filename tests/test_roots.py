@@ -602,6 +602,40 @@ class TestStallRule:
         with pytest.raises(ValueError, match="^coincident entries at positions 0 and 1$"):
             solve_roots(QUAD_REAL, z0=problem.x0)
 
+    def test_the_predicate_replays_wilkinson_12_from_its_iterates_and_steps(self):
+        # A fresh predicate, handed the run's (iterate, step) pairs in turn,
+        # reads no trace and first says stalled at the step the run halted on.
+        result = solve_roots(WILKINSON_12, max_iter=300)
+        assert result.halt == "noise_floor"
+        trace = result.trace
+        problem = Problem(
+            map_fn=Weierstrass(WILKINSON_12),
+            x0=trace.iterates[0],
+            metric=WeightedConeMetric([1.0] * 12, field="complex"),
+            gauge=GaugeNorm(SpaceSpec(12, Vec.ones(12))),
+            stop_c=Vec([1e-12] * 12),
+        )
+        stalled = problem.map_fn.stall_rule(problem)
+        said = [stalled(z, s) for z, s in zip(trace.iterates, trace.step_dists)]
+        assert said == [False] * (len(said) - 1) + [True]
+
+    def test_an_equal_gauge_is_a_stall_and_overlapping_discs_are_not(self):
+        problem = Problem(
+            map_fn=Weierstrass(QUAD_REAL),
+            x0=(2 + 0j, -2 + 0j),
+            metric=WeightedConeMetric([1.0, 1.0], field="complex"),
+            gauge=GaugeNorm(SpaceSpec(2, Vec.ones(2))),
+            stop_c=Vec([1e-12, 1e-12]),
+        )
+        stalled = problem.map_fn.stall_rule(problem)
+        # Disc radii are n * step_i = 2 * step_i.  The discs around `apart`
+        # (centres 2 apart) never meet; eighth steps around `close` (centres
+        # 0.5 apart) touch, which counts as overlapping.
+        apart, close = (1 + 0j, -1 + 0j), (0.25 + 0j, -0.25 + 0j)
+        quarter, eighth = Vec([0.25, 0.25]), Vec([0.125, 0.125])
+        calls = [(apart, quarter), (apart, quarter), (apart, eighth), (close, eighth), (apart, quarter)]
+        assert [stalled(z, s) for z, s in calls] == [False, True, False, False, True]
+
     def test_a_metric_without_weights_keeps_the_plain_halt(self):
         # A discrete metric measures no discs: the run stops at stop_c once
         # an iterate repeats exactly.
