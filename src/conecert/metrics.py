@@ -11,16 +11,19 @@ On top of them: scalarization through the gauge, cone balls, scalar
 inequality transfer, and a nested-ball probe.
 
 Every ball question in the package, whether a point x lies in B(c, r) or
-a ball B(x, s) lies inside it, compares one cone vector with r: d(x, c),
-plus s for a ball, from :func:`_reach`.  A distance or sum beyond the float
-range is beyond every radius: such a point lies outside the ball, and such
-a ball does not fit inside it.
+a ball B(x, s) lies inside it, compares d(x, c), plus s for a ball, with r.
+A distance or sum beyond the float range is beyond every radius: such a
+point lies outside the ball, and such a ball does not fit inside it.  Whether
+a point lies in a ball is :func:`_in_ball`, which compares a weighted
+metric's distance coordinate by coordinate as it goes; every other question
+takes the cone vector from :func:`_reach`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from typing import Optional, Sequence, Union
 
 from .gauge import GaugeNorm, mink_norm
@@ -194,7 +197,7 @@ ConeMetric = Union[WeightedConeMetric, DiscreteConeMetric, PlusConeMetric]
 class Ball(_Record):
     """Cone ball around a center; closed balls take cone radii, open ones interior radii.
 
-    Membership follows the module's one ball rule, through :func:`_reach`.
+    Membership follows the module's one ball rule, through :func:`_in_ball`.
     """
 
     __slots__ = ("center", "radius", "closed")
@@ -219,7 +222,8 @@ def _reach(inst: ConeMetric, x, center, radius: Optional[Vec] = None) -> Optiona
     """d(x, center), plus ``radius`` when given, or None beyond the float range.
 
     ``x`` and ``center`` have passed ``inst.validate_point``.  The one place
-    that reads the :class:`NonFiniteError` of an overflow as beyond every radius.
+    that reads the :class:`NonFiniteError` of an overflow as beyond every
+    radius; :func:`_in_ball` reads a weighted metric's overflow the same way.
     """
     try:
         d = inst._distance(x, center)
@@ -228,11 +232,35 @@ def _reach(inst: ConeMetric, x, center, radius: Optional[Vec] = None) -> Optiona
         return None
 
 
+def _in_ball(inst: ConeMetric, x, center, radius: Vec, closed: bool = True) -> bool:
+    """Whether ``x`` lies in the closed (or open) ball B(center, radius).
+
+    ``x`` and ``center`` have passed ``inst.validate_point``.  For a weighted
+    metric, a_i * |x_i - c_i| is compared with r_i coordinate by coordinate
+    and the test stops at the first that misses, so no distance is built: a
+    product that overflows to inf, or a complex modulus whose ``abs`` raises
+    ``OverflowError``, is beyond every radius, as :func:`_reach` reads it.
+    Other metrics, and a radius of another length (whose order compare names
+    the mismatch), compare :func:`_reach`'s distance in the cone order.
+    """
+    if isinstance(inst, WeightedConeMetric) and len(radius.coords) == len(x):
+        gaps = map(abs, map(operator.sub, x, center))
+        if not inst._unit:
+            gaps = map(operator.mul, inst.alpha, gaps)
+        try:
+            return all(map(operator.le if closed else operator.lt, gaps, radius.coords))
+        except OverflowError:
+            return False
+    d = _reach(inst, x, center)
+    return d is not None and (leq(d, radius) if closed else lt(d, radius))
+
+
 def ball_contains(ball: Ball, inst: ConeMetric, x) -> bool:
     """Whether ``x`` lies in ``ball``: False when its distance to the center
     lies beyond the float range, as in the engine's ball domain test."""
-    d = _reach(inst, inst.validate_point(x), inst.validate_point(ball.center))
-    return d is not None and (leq(d, ball.radius) if ball.closed else lt(d, ball.radius))
+    return _in_ball(
+        inst, inst.validate_point(x), inst.validate_point(ball.center), ball.radius, ball.closed
+    )
 
 
 def inequality_transfer_check(

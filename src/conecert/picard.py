@@ -12,15 +12,18 @@ family in cone-vector form:
 A :class:`Certificate` stores only the factor and the step distances; each
 bound family is a read-only sequence whose entries are computed from those
 closed forms when read.  A trace keeps each step as the bytes of its
-doubles, which the cyclic garbage collector does not track, so a run keeps
-one tracked object per iteration, its iterate, and reads back equal
-vectors, bit for bit.
+doubles, and so each iterate of a run over a real weighted metric, whose
+points are tuples of exact floats; it reads back equal vectors and tuples,
+bit for bit.  The cyclic garbage collector does not track bytes, nor the
+floats in which a run without a factor records each step's gauge as it
+goes, so such a run keeps no tracked object per iteration.
 
 A supplied factor covers the whole run.  Without one, the factor is the
 largest gauge ratio of consecutive steps over the longest contracting tail
-of the trace: the iterated contraction principle asks only that steps
-contract along the orbit, which the tail shows for the orbit from its first
-iterate, so the families cover the run from there (``Certificate.start``).
+of the trace, one rule for a run and :func:`estimate_lambda`: the iterated
+contraction principle asks only that steps contract along the orbit, which
+the tail shows for the orbit from its first iterate, so the families cover
+the run from there (``Certificate.start``).
 
 A certificate is marked ``certified`` only when the factor was supplied by
 the caller, the invariance ball fits inside the declared domain, and the
@@ -57,7 +60,7 @@ from struct import Struct
 from typing import Callable, Optional
 
 from .gauge import GaugeNorm, _cone_max, cone_gauge
-from .metrics import Ball, ConeMetric, WeightedConeMetric, _reach
+from .metrics import Ball, ConeMetric, WeightedConeMetric, _in_ball, _reach
 from .solid import NonFiniteError, Vec, _finite, _Record, in_interior, leq
 
 __all__ = [
@@ -161,60 +164,65 @@ class Problem(_Record):
         object.__setattr__(self, "_stall_rule", getattr(map_fn, "stall_rule", None))
 
 
-class _Steps(Sequence):
-    """Read-only sequence of step vectors, each kept as the bytes of its doubles.
+class _Rows(Sequence):
+    """Read-only sequence of rows of doubles of one length, each kept as bytes.
 
-    Built from an iterable of :class:`Vec` of one length: a step that is not
-    a ``Vec`` raises ``TypeError``, one of another length than the first
-    ``ValueError``.  Entry k reads back as a new ``Vec`` equal bit for bit
-    to the one stored (a ``Vec`` holds no NaN or inf, and a signed zero
-    keeps its sign).  A slice is a sequence of the same kind that shares the
-    bytes.  ``==`` compares the entries as ``Vec`` with another such
+    Two kinds share it.  Steps (``vecs`` true) are built from an iterable of
+    :class:`Vec`: a step that is not a ``Vec`` raises ``TypeError``, one of
+    another length than the first ``ValueError``, and entry k reads back as
+    a new ``Vec`` equal bit for bit to the one stored.  Iterates (``vecs``
+    false) are the tuples of exact floats that a real
+    :class:`WeightedConeMetric` validates, and entry k reads back as a new
+    tuple equal bit for bit to the one stored.  No row holds NaN or inf, and
+    a signed zero keeps its sign.  A slice is a sequence of the same kind
+    that shares the bytes.  ``==`` compares the entries with another such
     sequence or a list, as a list does; ``repr`` reads as the list, and a
     pickle holds the list.  Only :func:`run_picard` appends, through
     ``_append``; the module's per-run readers take coordinate tuples from
     ``_rows``.
     """
 
-    __slots__ = ("_packed", "_struct")
+    __slots__ = ("_packed", "_struct", "_vecs")
 
-    def __init__(self, steps=()):
-        self._packed, self._struct = [], None
-        for v in steps:
-            if not isinstance(v, Vec):
-                raise TypeError(f"expected Vec, got {type(v).__name__}")
-            if self._struct is not None and 8 * len(v.coords) != self._struct.size:
-                raise ValueError(f"dimension mismatch: {self._struct.size // 8} vs {len(v.coords)}")
-            self._append(v)
+    def __init__(self, rows=(), vecs: bool = True):
+        self._packed, self._struct, self._vecs = [], None, vecs
+        for row in rows:
+            if vecs:
+                if not isinstance(row, Vec):
+                    raise TypeError(f"expected Vec, got {type(row).__name__}")
+                row = row.coords
+            if self._struct is not None and 8 * len(row) != self._struct.size:
+                raise ValueError(f"dimension mismatch: {self._struct.size // 8} vs {len(row)}")
+            self._append(row)
 
-    def _append(self, v: Vec) -> None:
-        """Keep a step of the sequence's length (not checked): the engine's write."""
+    def _append(self, coords: tuple) -> None:
+        """Keep a row of the sequence's length (not checked): the engine's write."""
         if self._struct is None:
-            self._struct = Struct(f"{len(v.coords)}d")
-        self._packed.append(self._struct.pack(*v.coords))
+            self._struct = Struct(f"{len(coords)}d")
+        self._packed.append(self._struct.pack(*coords))
 
     def __len__(self) -> int:
         return len(self._packed)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            view = _Steps()
+            view = _Rows((), self._vecs)
             view._packed, view._struct = self._packed[k], self._struct
             return view
         b = self._packed[k]  # read first: an empty sequence has no struct
-        return Vec._of(self._struct.unpack(b))
+        return Vec._of(self._struct.unpack(b)) if self._vecs else self._struct.unpack(b)
 
     def _rows(self, reverse: bool = False):
-        """The steps' coordinate tuples, from the last one back when ``reverse``."""
+        """The rows' coordinate tuples, from the last one back when ``reverse``."""
         if not self._packed:
             return iter(())
         return map(self._struct.unpack, reversed(self._packed) if reverse else self._packed)
 
     def __iter__(self):
-        return map(Vec._of, self._rows())
+        return map(Vec._of, self._rows()) if self._vecs else self._rows()
 
     def __eq__(self, other):
-        if not isinstance(other, (_Steps, list)):
+        if not isinstance(other, (_Rows, list)):
             return NotImplemented
         return list(self) == list(other)
 
@@ -224,7 +232,7 @@ class _Steps(Sequence):
         return repr(list(self))
 
     def __reduce__(self):
-        return _Steps, (list(self),)
+        return _Rows, (list(self), self._vecs)
 
 
 class IterationTrace(_Record):
@@ -235,14 +243,17 @@ class IterationTrace(_Record):
     as new vectors equal bit for bit to the ones given.  A step that is not
     a ``Vec`` raises ``TypeError: expected Vec, got ...``, one whose length
     differs from the first step's ``ValueError: dimension mismatch: ...``.
-    ``iterates`` is the list it is given.  A run writes its trace and never
-    reads it to halt (see :func:`run_picard`).
+    ``iterates`` is the sequence it is given.  A run over a real
+    :class:`WeightedConeMetric` gives it a read-only sequence of packed
+    doubles too, whose entries read back as tuples equal bit for bit to the
+    iterates; any other run gives it a list.  A run writes its trace and
+    never reads it to halt (see :func:`run_picard`).
     """
 
     __slots__ = ("iterates", "step_dists")
 
     def __init__(self, iterates: list, step_dists: Sequence[Vec]):
-        super().__init__(iterates, _Steps(step_dists))
+        super().__init__(iterates, _Rows(step_dists))
 
 
 class _BoundFamily(Sequence):
@@ -404,22 +415,28 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
     index: the run landed on its fixed point.  Returns ``(start, lam)``: the
     index of the suffix's first step and its largest ratio, or ``(number of
     steps, None)`` when the last step is nonzero and the last pair does not
-    contract.  The gauges are taken from the last step back, so a
-    non-contracting prefix costs nothing past its last pair, and each one
-    before the last from the step's coordinate tuple, with
-    :func:`cone_gauge`'s bits.
+    contract.  Each gauge is taken from the step's coordinate tuple, with
+    :func:`cone_gauge`'s bits, from the last step back, so a
+    non-contracting prefix costs nothing past its last pair.  A run applies
+    the same rule to the gauges it recorded as it went.
     """
     steps = trace.step_dists
-    start, lam = len(steps), None
-    if not steps:
+    if steps:
+        cone_gauge(steps[-1], g)  # raises on a gauge of another dimension
+    return _contracting_tail(len(steps), map(_cone_max, steps._rows(reverse=True), repeat(g)))
+
+
+def _contracting_tail(n: int, gauges) -> tuple[int, Optional[float]]:
+    """:func:`estimate_lambda` of ``n`` steps from their gauges, given from
+    the last step back and drawn only as far as the tail reaches."""
+    start, lam = n, None
+    gauges = iter(gauges)
+    later = next(gauges, None)
+    if later is None:
         return start, lam
-    later = cone_gauge(steps[-1], g)  # raises on a gauge of another dimension
     if later == 0.0:
         start, lam = start - 1, 0.0
-    rows = steps._rows(reverse=True)
-    next(rows)  # the last step, gauged above
-    for k, coords in zip(range(len(steps) - 2, -1, -1), rows):
-        earlier = _cone_max(coords, g)
+    for k, earlier in zip(range(n - 2, -1, -1), gauges):
         if earlier == 0.0:
             if later != 0.0:
                 break
@@ -486,8 +503,7 @@ def _in_domain(p: Problem, x) -> bool:
     if p.domain is None:
         return True
     if isinstance(p.domain, Ball):
-        d = _reach(p.metric, x, p.domain.center)
-        return d is not None and leq(d, p.domain.radius)
+        return _in_ball(p.metric, x, p.domain.center, p.domain.radius)
     return bool(p.domain(x))
 
 
@@ -504,7 +520,11 @@ def run_picard(p: Problem) -> PicardResult:
     start point's domain check, and may reject the start with ``ValueError``;
     its predicate, if any, is called as ``stalled(z, s)``, ``z`` the iterate
     the step ``s`` left, after every iteration whose ``stop_c`` test fails,
-    and true ends the run as converged with halt ``noise_floor``.
+    and true ends the run as converged with halt ``noise_floor``.  Over a
+    real :class:`WeightedConeMetric` the trace packs each iterate's doubles
+    (see :class:`IterationTrace`); without a supplied factor the run records
+    each kept step's gauge, from which its certificate takes the contracting
+    tail that :func:`estimate_lambda` would find on the trace.
     Reaching ``max_iter`` is not an error: the result comes back with
     ``converged=False``, halt ``max_iter`` and whatever certificate the
     trace supports.  Nor is a domain escape or an overflow (see the module
@@ -517,8 +537,21 @@ def run_picard(p: Problem) -> PicardResult:
     if not _in_domain(p, x):
         raise ValueError("the start point is outside the declared domain")
     stalled = None if p._stall_rule is None else p._stall_rule(p)
-    trace = IterationTrace([x], [])
+    # A real weighted metric's points are tuples of exact floats: the trace
+    # packs them, as it packs the steps, so no iterate is an object to keep.
+    if isinstance(inst, WeightedConeMetric) and inst.field == "real":
+        iterates = _Rows(vecs=False)
+        keep_iterate = iterates._append
+    else:
+        iterates = []
+        keep_iterate = iterates.append
+    keep_iterate(x)
+    trace = IterationTrace(iterates, [])
     keep_step = trace.step_dists._append
+    # Without a factor the certificate is estimated from the steps' gauges,
+    # taken here as each step is kept: plain floats, which no collection scans.
+    g = p.gauge
+    gauges = [] if p.lam is None else None
 
     # The halting bound is apost_backward_bound(s, lam), compared with stop_c
     # coordinate by coordinate; its factor _backward_factor is computed once.
@@ -540,7 +573,9 @@ def run_picard(p: Problem) -> PicardResult:
             cause = "overflow"
             break
         halt = s.coords
-        if factor is not None:
+        if factor is None:
+            gauges.append(_cone_max(halt, g))
+        else:
             # sum(halt) >= max(halt) for finite floats >= 0 on every CPython:
             # up to 3.11 sum adds naively, and each rounded partial sum is at
             # least each of its addends; from 3.12 it uses Neumaier's
@@ -554,8 +589,8 @@ def run_picard(p: Problem) -> PicardResult:
                 cause = "overflow"
                 break
             halt = map(operator.mul, halt, repeat(factor))
-        trace.iterates.append(x_next)
-        keep_step(s)
+        keep_iterate(x_next)
+        keep_step(s.coords)
         if not _in_domain(p, x_next):
             cause = "domain_escape"
             break
@@ -570,7 +605,7 @@ def run_picard(p: Problem) -> PicardResult:
     cert = None
     if cause not in ("domain_escape", "overflow"):
         try:
-            cert = _build_certificate(p, trace)
+            cert = _build_certificate(p, trace, gauges)
         except NonFiniteError:
             cause = "overflow"
     return PicardResult(
@@ -581,13 +616,16 @@ def run_picard(p: Problem) -> PicardResult:
     )
 
 
-def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificate]:
+def _build_certificate(
+    p: Problem, trace: IterationTrace, gauges: Optional[list]
+) -> Optional[Certificate]:
     """Certificate of a run that neither overflowed nor escaped, so has a step.
 
     A given factor covers the run from iterate 0.  Without one the factor is
-    estimated from the contracting tail (:func:`estimate_lambda`) and covers
-    the run from the tail's start (all-zero steps give λ 0 from iterate 0);
-    a trace with no contracting tail gets no certificate.  A radius or final
+    estimated from the contracting tail of ``gauges``, the steps' gauges the
+    run recorded, by :func:`estimate_lambda`'s rule, and covers the run from
+    the tail's start (all-zero steps give λ 0 from iterate 0); a trace with
+    no contracting tail gets no certificate.  A radius or final
     bound entry that overflows raises :class:`NonFiniteError`.  Only a given
     factor certifies.
     """
@@ -595,7 +633,7 @@ def _build_certificate(p: Problem, trace: IterationTrace) -> Optional[Certificat
     if p.lam is not None:
         start, lam, source = 0, p.lam, "given"
     else:
-        start, lam = estimate_lambda(trace, p.gauge)
+        start, lam = _contracting_tail(len(gauges), reversed(gauges))
         if lam is None:
             return None
         source = "estimated"

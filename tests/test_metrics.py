@@ -13,13 +13,15 @@ from conecert.metrics import (
     DiscreteConeMetric,
     PlusConeMetric,
     WeightedConeMetric,
+    _in_ball,
+    _reach,
     ball_contains,
     inequality_transfer_check,
     nested_ball_probe,
     scalarize,
 )
 from conecert.picard import Problem, _in_domain, run_picard
-from conecert.solid import NonFiniteError, SpaceSpec, Vec, in_cone, leq
+from conecert.solid import NonFiniteError, SpaceSpec, Vec, in_cone, leq, lt
 
 from helpers import dims, dyadic_coord, dyadic_pos_coord, vec_st
 
@@ -518,6 +520,56 @@ class TestBalls:
             domain=ball,
         )
         assert ball_contains(ball, metric, x) is _in_domain(problem, metric.validate_point(x))
+
+    @given(case=ball_cases(), closed=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_the_coordinate_test_decides_as_the_distance_vector(self, case, closed):
+        """A weighted metric's point-in-ball test, coordinate by coordinate,
+        answers as d(x, center) compared with the radius in the cone order,
+        where ``_reach`` reads a distance beyond the float range as outside."""
+        metric, ball, x = case
+        x, center = metric.validate_point(x), metric.validate_point(ball.center)
+        d = _reach(metric, x, center)
+        expected = d is not None and (leq(d, ball.radius) if closed else lt(d, ball.radius))
+        assert _in_ball(metric, x, center, ball.radius, closed) is expected
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_miss_ahead_of_an_overflowing_coordinate_is_outside(self, field):
+        # Coordinate 0 misses the radius; |1e308 - (-1e308)| overflows in coordinate 1.
+        metric = WeightedConeMetric([1.0, 2.0], field)
+        x, center = metric.validate_point((5.0, 1e308)), metric.validate_point((0.0, -1e308))
+        for closed in (True, False):
+            assert not _in_ball(metric, x, center, Vec([1.0, 1.0]), closed)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_an_overflowing_complex_modulus_is_outside(self, alpha):
+        """|1.5e308 + 1.5e308j| lies beyond the float range, so ``abs`` raises
+        OverflowError, even where a weight below 1 would bring it back."""
+        metric = WeightedConeMetric([alpha], "complex")
+        ball = Ball((0j,), Vec([1e308]))
+        x = (1.5e308 + 1.5e308j,)
+        with pytest.raises(OverflowError):
+            abs(x[0])
+        assert not ball_contains(ball, metric, x)
+        assert not ball_contains(Ball((0j,), Vec([1e308]), closed=False), metric, x)
+        one = Vec([1.0])
+        problem = Problem(lambda y: y, (0j,), metric, GaugeNorm(SpaceSpec(1, one)), one, domain=ball)
+        assert not _in_domain(problem, x)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_point_on_the_boundary_is_inside_the_closed_ball_only(self, field):
+        # 2 * |1.5 - 0.5| equals the radius 2 in coordinate 0.
+        metric = WeightedConeMetric([2.0, 1.0], field)
+        x, closed = (1.5, 0.0), Ball((0.5, 0.0), Vec([2.0, 1.0]))
+        assert ball_contains(closed, metric, x)
+        assert not ball_contains(Ball((0.5, 0.0), Vec([2.0, 1.0]), closed=False), metric, x)
+        problem = Problem(lambda y: y, closed.center, metric, ONES2, Vec([1.0, 1.0]), domain=closed)
+        assert _in_domain(problem, metric.validate_point(x))
+
+    def test_a_radius_of_another_length_is_refused_as_before(self):
+        ball = Ball((0.0,), Vec([1.0, 1.0]))
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
+            ball_contains(ball, WeightedConeMetric([1.0]), (0.0,))
 
 
 class TestInequalityTransfer:

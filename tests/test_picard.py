@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conecert import picard
 from conecert.gauge import GaugeNorm, cone_gauge, mink_norm
 from conecert.maps import Affine, Halve
-from conecert.metrics import Ball, DiscreteConeMetric, WeightedConeMetric
+from conecert.metrics import Ball, DiscreteConeMetric, PlusConeMetric, WeightedConeMetric
 from conecert.picard import (
     LAMBDA_CEILING,
     Certificate,
@@ -493,6 +493,77 @@ class TestStepStorage:
         assert grown <= iterations + 64, (grown, iterations)
 
 
+@st.composite
+def point_lists(draw):
+    n = draw(st.integers(1, 8))
+    coords = st.lists(finite_coord, min_size=n, max_size=n).map(tuple)
+    return draw(st.lists(coords, max_size=12))
+
+
+def point_hexes(points):
+    return [[float.hex(c) for c in x] for x in points]
+
+
+class TestIterateStorage:
+    """A run over a real weighted metric keeps its iterates as packed
+    doubles, in the store that keeps steps, and reads back the same tuples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_lists(), st.integers(-14, 14), st.integers(-14, 14), st.integers(-3, 3))
+    def test_reads_give_the_stored_tuples_bit_for_bit(self, points, i, j, stride):
+        stored = picard._Rows(points, vecs=False)
+        assert len(stored) == len(points)
+        assert point_hexes(stored) == point_hexes(points)
+        assert all(type(x) is tuple for x in stored)
+        both = [stored[k] for k in range(-len(points), len(points))]
+        assert point_hexes(both) == point_hexes(points + points)
+        cut = slice(i, j, stride or None)
+        assert point_hexes(stored[cut]) == point_hexes(points[cut])
+        assert point_hexes(stored[cut][::-1]) == point_hexes(points[cut][::-1])
+        assert stored == points and points == stored and stored == picard._Rows(points, False)
+        assert repr(stored) == repr(points)
+        again = pickle.loads(pickle.dumps(stored))
+        assert point_hexes(again) == point_hexes(points) and again == stored
+        assert point_hexes(again[cut]) == point_hexes(points[cut])
+        with pytest.raises(IndexError):
+            stored[len(points)]
+
+    def test_only_a_real_weighted_run_packs_its_iterates(self):
+        real = run_picard(halve_problem()).trace.iterates
+        assert type(real) is not list and not hasattr(real, "append")
+        assert real[:2] == [(1.0,), (0.5,)] and repr(real).startswith("[(1.0,), (0.5,), ")
+        complex_metric = WeightedConeMetric([1.0], "complex")
+        others = [
+            halve_problem(x0=(1 + 1j,), metric=complex_metric),
+            halve_problem(map_fn=lambda x: "b", x0="a", metric=DiscreteConeMetric(ONES), lam=None),
+            halve_problem(map_fn=lambda x: x, x0=Vec([1.0]), metric=PlusConeMetric(1), lam=None),
+        ]
+        for p in others:
+            assert type(run_picard(p).trace.iterates) is list
+        given = [(1.0,), (0.5,)]
+        assert IterationTrace(given, [Vec([0.5])]).iterates is given
+
+    @pytest.mark.parametrize("lam", [0.9, None], ids=["given", "estimated"])
+    def test_a_real_run_keeps_no_collector_tracked_object_per_iteration(self, lam):
+        """Iterates and steps are bytes and gauges floats, none of which the
+        cyclic collector tracks: over a whole n=200 run of more than 200
+        iterations, the tracked objects grow by a constant."""
+        n = 200
+        p = diagonal_problem([0.899] * n, [0.5] * n, [0.0] * n, lam, [1e-10] * n, max_iter=1000)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            before = gc.get_count()[0]
+            result = run_picard(p)
+            grown = gc.get_count()[0] - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert result.halt == "stop_c" and len(result.trace.step_dists) >= 200
+        assert grown <= 64, grown
+
+
 class TestRunPicard:
     def test_halving_run(self):
         result = run_picard(halve_problem())
@@ -639,9 +710,11 @@ class TestRunPicard:
         result = run_picard(halve_problem(map_fn=StallAfter(halve, None, seen)))
         trace = result.trace
         k = len(trace.step_dists)
-        # Call j gets the iterate step j left (that very object) and the step.
+        # Call j gets the iterate step j left and the step, bit for bit.
         assert len(seen) == k - 1
-        assert all(z is x for (z, _), x in zip(seen, trace.iterates))
+        assert [list(map(float.hex, z)) for z, _ in seen] == [
+            list(map(float.hex, x)) for x in trace.iterates[: k - 1]
+        ]
         assert hexes([s for _, s in seen]) == hexes(trace.step_dists[: k - 1])
         assert result.halt == "stop_c"
         assert result.trace == plain.trace
@@ -1045,11 +1118,63 @@ def same_outcome(p):
     loop.  The certificate is left out: one whose radius overflows turns any
     halt into ``overflow``, whatever the halting rule decided."""
     iterates, converged = per_iteration_run(p)
-    with mock.patch.object(picard, "_build_certificate", lambda p, trace: None):
+    with mock.patch.object(picard, "_build_certificate", lambda p, trace, gauges: None):
         result = run_picard(p)
     assert repr(result.trace.iterates) == repr(iterates)
     assert result.converged is converged
     return iterates, converged
+
+
+@st.composite
+def estimated_runs(draw):
+    """A λ-estimated diagonal affine run of dimension 1-3 under a unit,
+    dyadic or tiny gauge base (where gauges overflow to inf), some after a
+    prefix of equal or growing steps that does not contract."""
+    n = draw(st.integers(1, 3))
+    diag = draw(st.lists(st.floats(-1.25, 1.25), min_size=n, max_size=n))
+    offset = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    start = st.sampled_from([0.0, 1e10]) | st.floats(-1e10, 1e10)
+    x0 = draw(st.lists(start, min_size=n, max_size=n))
+    shifts = sorted(draw(st.lists(st.sampled_from([1.0, 2.0, 1e3]), max_size=4)))
+    base = draw(st.sampled_from([1.0, 0.25, 1e-300, 5e-324]))
+    return diag, offset, x0, shifts, base, draw(st.integers(1, 60))
+
+
+def prefixed_diagonal_problem(diag, offset, x0, shifts, base, max_iter):
+    """λ-estimated run of x -> x + shift for each of ``shifts`` in turn,
+    then of the diagonal affine map, under the gauge of ``base``."""
+    n = len(diag)
+    affine = diagonal_problem(diag, offset, x0, None, [1e-10] * n, max_iter)
+    pending = iter(shifts)
+
+    def step(x):
+        shift = next(pending, None)
+        return affine.map_fn(x) if shift is None else tuple([c + shift for c in x])
+
+    gauge = GaugeNorm(SpaceSpec(n, Vec([base] * n)))
+    return Problem(step, affine.x0, affine.metric, gauge, affine.stop_c, max_iter)
+
+
+class TestOneTailRule:
+    @settings(max_examples=300, deadline=None)
+    @given(estimated_runs())
+    @example(([0.0, 0.0], [2.0, 3.0], [2.0, 3.0], [], 1.0, 5))  # every step zero
+    @example(([-1.0], [0.0], [1e308], [], 1.0, 5))  # the first step overflows: no step
+    @example(([0.5], [1.0], [0.0], [1.0, 1.0, 2.0], 1.0, 30))  # a non-contracting prefix
+    @example(([0.5], [1.0], [1e10], [], 1e-300, 60))  # gauges overflow to inf, then not
+    def test_a_run_certifies_from_the_tail_estimate_lambda_finds(self, case):
+        """The gauges a run records as it goes give its certificate the
+        (start, lam) that ``estimate_lambda`` finds on its trace, and it has
+        no certificate exactly when that lam is None."""
+        p = prefixed_diagonal_problem(*case)
+        result = run_picard(p)
+        start, lam = estimate_lambda(result.trace, p.gauge)
+        ref_start, ref_lam = reference_estimate_lambda(list(result.trace.step_dists), p.gauge)
+        assert (start, repr(lam)) == (ref_start, repr(ref_lam))
+        cert = result.certificate
+        assert (cert is None) is (lam is None)
+        if cert is not None:
+            assert (cert.start, repr(cert.lambda_used)) == (start, repr(lam))
 
 
 class TestHaltingDecision:
