@@ -204,7 +204,7 @@ def diagonal_problem(n=200, lam=0.9, domain=None):
 
 def test_build_problem(benchmark):
     """A ``Problem`` at n=200 with a ball domain: every field checked, the
-    start point and the ball's center validated."""
+    start point and the ball's center validated, and the start's ball test."""
     n = 200
     args = (
         lambda x: x,

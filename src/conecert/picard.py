@@ -15,8 +15,8 @@ closed forms when read.  A trace keeps each step as the bytes of its
 doubles, and so each iterate of a run over a real weighted metric, whose
 points are tuples of exact floats; it reads back equal vectors and tuples,
 bit for bit.  The cyclic garbage collector does not track bytes, nor the
-floats in which a run without a factor records each step's gauge as it
-goes, so such a run keeps no tracked object per iteration.
+floats in which a run records each step's gauge as it goes, so such a run
+keeps no tracked object per iteration.
 
 A supplied factor covers the whole run.  Without one, the factor is the
 largest gauge ratio of consecutive steps over the longest contracting tail
@@ -34,20 +34,22 @@ yields ``heuristic``; a domain checked only pointwise on iterates yields
 ``conditional``.
 
 The start point and a ball domain's center are validated once, when the
-:class:`Problem` is built, which then refuses assignment; every map output
-is validated once, on entry.  Steps and ball tests are measured between
-already validated points.  Past the start point's domain check a run always
-returns.  An iterate outside the domain ends it with halt
-``domain_escape``, that iterate last in the trace; one whose distance to a
-ball's center overflows lies outside the ball, as for
-:func:`~conecert.metrics.ball_contains`.  A map output, step
-distance or halting bound that overflows, or a map that raises
-:class:`NonFiniteError` itself, ends it with halt ``overflow``, the trace
-stopping at the last iterate before it; so does a certificate whose radius
-or final bound overflows.  Neither ending converges or has a certificate.
-Any other exception from the map propagates.  Every result names its halt
-cause: ``stop_c``, ``noise_floor``, ``max_iter``, ``overflow`` or
-``domain_escape``.
+:class:`Problem` is built, which then refuses assignment; the start's
+domain test and the map's start check run there too.  Every map output is
+validated once, on entry.  Steps and ball tests are measured between
+already validated points.  A run makes no start check and returns, unless
+the map raises other than :class:`NonFiniteError` or the metric refuses a
+map output (another length, a complex coordinate in a real metric, a
+plus-metric point outside the cone).  An iterate outside the domain ends it
+with halt ``domain_escape``, that iterate last in the trace; one whose
+distance to a ball's center overflows lies outside the ball, as for
+:func:`~conecert.metrics.ball_contains`.  A map output, step distance or
+halting bound that overflows, or a map that raises :class:`NonFiniteError`
+itself, ends it with halt ``overflow``, the trace stopping at the last
+iterate before it; so does a certificate whose radius or final bound
+overflows.  Neither ending converges or has a certificate.  Every result
+names its halt cause: ``stop_c``, ``noise_floor``, ``max_iter``,
+``overflow`` or ``domain_escape``.
 """
 
 from __future__ import annotations
@@ -104,13 +106,15 @@ class Problem(_Record):
     closed :class:`Ball`, whose center is validated here too, or a predicate
     called on every iterate.  ``lam`` is the contraction factor when the
     caller can supply one; left None it is estimated from the trace and
-    every certificate is downgraded to heuristic.  The derived slot
-    ``_stall_rule`` holds the map's ``stall_rule`` method, or None, read here
-    (see :func:`run_picard`), so a run depends on the problem alone.
+    every certificate is downgraded to heuristic.  A start outside the
+    domain raises ``ValueError``; then the map's ``stall_rule``, if any, is
+    called once, may refuse the start, and returns a noise-floor test or
+    None, kept in the derived slot ``_stalled`` (see :func:`run_picard`), so
+    a run depends on the problem alone.
     """
 
     __slots__ = ("map_fn", "x0", "metric", "gauge", "stop_c", "max_iter", "lam", "domain",
-                 "_stall_rule")
+                 "_stalled")
 
     def __init__(
         self,
@@ -161,7 +165,10 @@ class Problem(_Record):
                 f"domain must be None, a Ball or a predicate, got {type(domain).__name__}"
             )
         super().__init__(map_fn, x0, metric, gauge, stop_c, max_iter, lam, domain)
-        object.__setattr__(self, "_stall_rule", getattr(map_fn, "stall_rule", None))
+        if not _in_domain(self, x0):
+            raise ValueError("the start point is outside the declared domain")
+        rule = getattr(map_fn, "stall_rule", None)
+        object.__setattr__(self, "_stalled", None if rule is None else rule(self))
 
 
 class _Rows(Sequence):
@@ -516,27 +523,26 @@ def run_picard(p: Problem) -> PicardResult:
     checked for overflow with one product, the step's ``sum`` times the
     factor, and with the step's ``max`` times it only when that one
     overflows: the same decision as checking every coordinate's product.
-    A map's stall rule (``Problem._stall_rule``) is called once, after the
-    start point's domain check, and may reject the start with ``ValueError``;
-    its predicate, if any, is called as ``stalled(z, s)``, ``z`` the iterate
-    the step ``s`` left, after every iteration whose ``stop_c`` test fails,
-    and true ends the run as converged with halt ``noise_floor``.  Over a
-    real :class:`WeightedConeMetric` the trace packs each iterate's doubles
-    (see :class:`IterationTrace`); without a supplied factor the run records
-    each kept step's gauge, from which its certificate takes the contracting
-    tail that :func:`estimate_lambda` would find on the trace.
+    Without a supplied factor, or with the problem's noise-floor test
+    (``Problem._stalled``), the run records one :func:`cone_gauge` per kept
+    step.  The test, ``stalled(z, s)`` with ``z`` the iterate the step ``s``
+    left, is asked when the ``stop_c`` test fails and the step's gauge is
+    finite and not below the previous step's; true ends the run as
+    converged with halt ``noise_floor``.  Without a factor the certificate
+    takes the contracting tail of those gauges that :func:`estimate_lambda`
+    would find on the trace.  Over a real :class:`WeightedConeMetric` the
+    trace packs each iterate's doubles (see :class:`IterationTrace`).
     Reaching ``max_iter`` is not an error: the result comes back with
     ``converged=False``, halt ``max_iter`` and whatever certificate the
     trace supports.  Nor is a domain escape or an overflow (see the module
     docstring): the run ends unconverged with halt ``domain_escape`` or
-    ``overflow`` and no certificate.  The problem validated the start point
-    when it was built, so only those two start checks raise.
+    ``overflow`` and no certificate.  The problem checked its start when it
+    was built; a run raises only what the map raises other than
+    :class:`NonFiniteError`, and the metric's error for an output it refuses.
     """
     inst = p.metric
     x = p.x0
-    if not _in_domain(p, x):
-        raise ValueError("the start point is outside the declared domain")
-    stalled = None if p._stall_rule is None else p._stall_rule(p)
+    stalled = p._stalled
     # A real weighted metric's points are tuples of exact floats: the trace
     # packs them, as it packs the steps, so no iterate is an object to keep.
     if isinstance(inst, WeightedConeMetric) and inst.field == "real":
@@ -548,10 +554,11 @@ def run_picard(p: Problem) -> PicardResult:
     keep_iterate(x)
     trace = IterationTrace(iterates, [])
     keep_step = trace.step_dists._append
-    # Without a factor the certificate is estimated from the steps' gauges,
-    # taken here as each step is kept: plain floats, which no collection scans.
+    # The steps' gauges, taken once as each step is kept: plain floats, which
+    # no collection scans.  The estimated factor and the noise floor read them.
     g = p.gauge
-    gauges = [] if p.lam is None else None
+    gauges = [] if p.lam is None or stalled is not None else None
+    gauge = math.inf  # no step yet: nothing to stall against
 
     # The halting bound is apost_backward_bound(s, lam), compared with stop_c
     # coordinate by coordinate; its factor _backward_factor is computed once.
@@ -573,9 +580,7 @@ def run_picard(p: Problem) -> PicardResult:
             cause = "overflow"
             break
         halt = s.coords
-        if factor is None:
-            gauges.append(_cone_max(halt, g))
-        else:
+        if factor is not None:
             # sum(halt) >= max(halt) for finite floats >= 0 on every CPython:
             # up to 3.11 sum adds naively, and each rounded partial sum is at
             # least each of its addends; from 3.12 it uses Neumaier's
@@ -591,6 +596,9 @@ def run_picard(p: Problem) -> PicardResult:
             halt = map(operator.mul, halt, repeat(factor))
         keep_iterate(x_next)
         keep_step(s.coords)
+        if gauges is not None:
+            prev, gauge = gauge, _cone_max(s.coords, g)
+            gauges.append(gauge)
         if not _in_domain(p, x_next):
             cause = "domain_escape"
             break
@@ -598,7 +606,8 @@ def run_picard(p: Problem) -> PicardResult:
         if all(map(operator.lt, halt, stop)):
             cause = "stop_c"
             break
-        if stalled is not None and stalled(z, s):
+        # A gauge that overflows under a tiny base shows no stall.
+        if stalled is not None and prev <= gauge < math.inf and stalled(z, s):
             cause = "noise_floor"
             break
 

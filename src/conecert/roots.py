@@ -8,16 +8,16 @@ the engine's: estimated from the longest contracting tail of the observed
 trace, and so heuristic, unless the caller supplies a factor.
 
 The map, :class:`Weierstrass`, owns its rules (:meth:`~Weierstrass.stall_rule`),
-so every engine run of it follows them: its start must hold distinct
-entries, and under a weighted metric it halts, as converged, at its
-rounding-noise floor: once a step's gauge stops shrinking while the
-Braess-Hadeler inclusion discs ``|w - z_i| <= n |W_i|`` around the previous
-iterate are pairwise disjoint.  The discs together contain every zero and a
-component of m discs holds exactly m of them, so disjoint discs isolate each
-root; further sweeps only move noise.  Such a run has no contracting tail
-and hence no certificate.  The discs are built from float corrections with
-no rounding-error term for ``p(z_i)``, so around a multiple root they can
-look disjoint too.
+which its :class:`Problem` takes when built: its start must hold distinct
+entries, and under a weighted metric a run halts, as converged, at its
+rounding-noise floor: once a step's gauge stops shrinking (the engine's
+test) while the Braess-Hadeler inclusion discs ``|w - z_i| <= n |W_i|``
+around the previous iterate are pairwise disjoint (the map's).  The discs
+together contain every zero and a component of m discs holds exactly m of
+them, so disjoint discs isolate each root; further sweeps only move noise.
+Such a run has no contracting tail and hence no certificate.  The discs are
+built from float corrections with no rounding-error term for ``p(z_i)``, so
+around a multiple root they can look disjoint too.
 
 The payoff of keeping distances as vectors is measured by
 :func:`compare_bounds`: per-root a posteriori bounds against the single
@@ -29,7 +29,6 @@ max-norm bound broadcast to all roots.  A run's comparison,
 from __future__ import annotations
 
 import cmath
-import math
 from itertools import combinations
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
@@ -203,32 +202,21 @@ class Weierstrass(_Record):
         return weierstrass_step(self.poly, z)
 
     def stall_rule(self, p: Problem) -> Optional[Callable[[tuple, Vec], bool]]:
-        """Check a run's start, then return its noise-floor test, if any.
+        """Check a problem's start, then return its noise-floor test, if any.
 
-        A start with two equal entries raises :func:`as_root_vector`'s
-        ``ValueError``.  Under a :class:`WeightedConeMetric` the returned
-        predicate ``stalled(z, s)``, handed the iterate ``z`` a sweep left
-        and its step ``s``, is true once the step's gauge under ``p.gauge``
-        is finite and not below the previous step's while the inclusion discs
-        around ``z`` are pairwise disjoint.  A step is a weighted modulus
-        vector, so it lies in the cone and its gauge is one ``max``
-        (:func:`cone_gauge`).  A gauge that overflows under a tiny base shows
-        no stall.  A metric without weights measures no discs: None.
+        :class:`Problem` calls it once, when built.  A start with two equal
+        entries raises :func:`as_root_vector`'s ``ValueError``.  Under a
+        :class:`WeightedConeMetric` the test ``stalled(z, s)``, ``z`` the
+        iterate a sweep left and ``s`` its step, says whether the inclusion
+        discs around ``z`` are pairwise disjoint; it keeps no state and
+        gauges nothing (see :func:`run_picard`).  A metric without weights
+        measures no discs: None.
         """
         as_root_vector(p.x0)
         if not isinstance(p.metric, WeightedConeMetric):
             return None
-        g, alpha = p.gauge, p.metric.alpha
-        prev = math.inf  # no step yet: nothing to stall against
-
-        def stalled(z: tuple, s: Vec) -> bool:
-            nonlocal prev
-            gauge = cone_gauge(s, g)
-            flat = prev <= gauge < math.inf
-            prev = gauge
-            return flat and _discs_disjoint(z, s, alpha)
-
-        return stalled
+        alpha = p.metric.alpha
+        return lambda z, s: _discs_disjoint(z, s, alpha)
 
 
 class ComparisonRow(_Record):
@@ -335,10 +323,12 @@ def solve_roots(
     """Refine all roots at once and certify from the observed trace.
 
     Halts once the step distance drops strictly below ``stop_c`` (default
-    1e-12 per root), or at the noise floor of :meth:`Weierstrass.stall_rule`,
-    as any engine run of the map does.  The returned result carries the
-    trace, the engine's certificate (from the contracting tail unless ``lam``
-    was supplied) and the final residual moduli; its ``report``, the
+    1e-12 per root), or at the noise floor, as any engine run of the map
+    does: once a step's gauge is finite and not below the previous step's
+    while the test of :meth:`Weierstrass.stall_rule` holds.  The returned
+    result carries the trace, the engine's certificate (from the
+    contracting tail unless ``lam`` was supplied) and the final residual
+    moduli; its ``report``, the
     componentwise-versus-broadcast bound comparison over the steps the
     certificate covers, is built only when read.  ``weights`` that are not
     one entry per root, or a ``z0`` that is not one finite complex entry per

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ import pytest
 from conecert import axioms, cli
 from conecert.cli import main
 from conecert.gauge import GaugeNorm
-from conecert.metrics import WeightedConeMetric
+from conecert.maps import Affine
+from conecert.metrics import PlusConeMetric, WeightedConeMetric
 from conecert.normality import normality_table
 from conecert.picard import (
     Problem,
@@ -337,6 +339,51 @@ class TestPicardCommand:
         assert main(["picard", "--config", cfg, "--out", str(out)]) == 1
         assert "start point is outside the declared domain" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "metric, map_fn, cfg, message",
+        [
+            (
+                PlusConeMetric(1),
+                Affine([[1.0]], [-5.0]),
+                {
+                    "map": {"name": "affine", "matrix": [[1.0]], "offset": [-5.0]},
+                    "metric": {"kind": "plus", "n": 1},
+                },
+                "points of the plus metric must lie in the cone",
+            ),
+            (
+                WeightedConeMetric([1.0]),
+                Affine([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+                {
+                    "map": {"name": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0]},
+                    "metric": {"kind": "weighted", "alpha": [1.0]},
+                },
+                "point has 2 coordinates, expected 1",
+            ),
+            (
+                WeightedConeMetric([1.0]),
+                lambda x: (1j * x[0],),
+                None,  # the CLI's maps are real
+                "complex coordinate 1j in a real instance",
+            ),
+        ],
+        ids=["outside-the-cone", "another-length", "complex-in-real"],
+    )
+    def test_a_map_output_the_metric_refuses_raises(self, tmp_path, capsys, metric, map_fn, cfg, message):
+        """Besides the map's own errors, the one way a run raises: the metric
+        refuses a map output.  The CLI reports it as an input error, exit 1,
+        and leaves no ``--out``."""
+        n = metric.dim
+        problem = Problem(map_fn, (1.0,), metric, GaugeNorm(SpaceSpec(n, Vec.ones(n))), Vec.ones(n))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_picard(problem)
+        if cfg is not None:
+            path = write_cfg(tmp_path, {**cfg, "x0": [1.0]})
+            out = tmp_path / "out"
+            assert main(["picard", "--config", path, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_stop_c_override_shortens_run(self, tmp_path):
         # The config's stop_c overrides the default 1e-10.

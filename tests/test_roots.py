@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conecert.gauge import GaugeNorm
-from conecert.metrics import DiscreteConeMetric, WeightedConeMetric
+from conecert import gauge, picard
+from conecert.gauge import GaugeNorm, _cone_max, cone_gauge
+from conecert.metrics import Ball, DiscreteConeMetric, WeightedConeMetric
 from conecert.picard import (
     IterationTrace,
     PicardResult,
@@ -586,11 +587,11 @@ class TestNoiseFloorHalt:
 
 
 class TestStallRule:
-    """``Weierstrass.stall_rule``: the start check and noise floor every
-    engine run of the map gets."""
+    """``Weierstrass.stall_rule``: the start check and noise-floor test every
+    problem of the map takes when it is built."""
 
     def test_a_coincident_start_is_refused_before_the_first_sweep(self):
-        problem = Problem(
+        kw = dict(
             map_fn=Weierstrass(QUAD_REAL),
             x0=(0.5 + 0.5j, 0.5 + 0.5j),
             metric=WeightedConeMetric([1.0, 1.0], field="complex"),
@@ -598,16 +599,21 @@ class TestStallRule:
             stop_c=Vec([1e-12, 1e-12]),
         )
         with pytest.raises(ValueError, match="^coincident entries at positions 0 and 1$"):
-            run_picard(problem)
+            Problem(**kw)
         with pytest.raises(ValueError, match="^coincident entries at positions 0 and 1$"):
-            solve_roots(QUAD_REAL, z0=problem.x0)
+            solve_roots(QUAD_REAL, z0=kw["x0"])
+        # The domain test comes first.
+        far = Ball((5 + 0j, 5 + 0j), Vec([1.0, 1.0]))
+        with pytest.raises(ValueError, match="^the start point is outside the declared domain$"):
+            Problem(**kw, domain=far)
 
     def test_the_predicate_replays_wilkinson_12_from_its_iterates_and_steps(self):
-        # A fresh predicate, handed the run's (iterate, step) pairs in turn,
-        # reads no trace and first says stalled at the step the run halted on.
+        # The problem's test, asked wherever the step's gauge is finite and
+        # not below the previous one, reads no trace and first says stalled
+        # at the step the run halted on; a second pass gives the same answers.
         result = solve_roots(WILKINSON_12, max_iter=300)
-        assert result.halt == "noise_floor"
         trace = result.trace
+        assert (result.halt, len(trace.step_dists)) == ("noise_floor", 243)
         problem = Problem(
             map_fn=Weierstrass(WILKINSON_12),
             x0=trace.iterates[0],
@@ -615,11 +621,26 @@ class TestStallRule:
             gauge=GaugeNorm(SpaceSpec(12, Vec.ones(12))),
             stop_c=Vec([1e-12] * 12),
         )
-        stalled = problem.map_fn.stall_rule(problem)
-        said = [stalled(z, s) for z, s in zip(trace.iterates, trace.step_dists)]
-        assert said == [False] * (len(said) - 1) + [True]
+        stalled = problem._stalled
+        gauges = [cone_gauge(s, problem.gauge) for s in trace.step_dists]
+        pairs = list(zip([math.inf] + gauges, gauges, trace.iterates, trace.step_dists))
+        said = [prev <= g < math.inf and stalled(z, s) for prev, g, z, s in pairs]
+        assert said.index(True) == 242
+        assert [prev <= g < math.inf and stalled(z, s) for prev, g, z, s in pairs] == said
 
-    def test_an_equal_gauge_is_a_stall_and_overlapping_discs_are_not(self):
+    def test_an_estimated_wilkinson_12_run_gauges_each_step_once(self, monkeypatch):
+        calls = []
+
+        def counted(coords, g):
+            calls.append(coords)
+            return _cone_max(coords, g)
+
+        monkeypatch.setattr(gauge, "_cone_max", counted)
+        monkeypatch.setattr(picard, "_cone_max", counted)
+        result = solve_roots(WILKINSON_12, max_iter=300)
+        assert (result.halt, len(result.trace.step_dists), len(calls)) == ("noise_floor", 243, 243)
+
+    def test_the_predicate_is_the_disc_check_and_keeps_no_state(self):
         problem = Problem(
             map_fn=Weierstrass(QUAD_REAL),
             x0=(2 + 0j, -2 + 0j),
@@ -630,11 +651,13 @@ class TestStallRule:
         stalled = problem.map_fn.stall_rule(problem)
         # Disc radii are n * step_i = 2 * step_i.  The discs around `apart`
         # (centres 2 apart) never meet; eighth steps around `close` (centres
-        # 0.5 apart) touch, which counts as overlapping.
+        # 0.5 apart) touch, which counts as overlapping.  The answers do not
+        # depend on the order of the calls.
         apart, close = (1 + 0j, -1 + 0j), (0.25 + 0j, -0.25 + 0j)
         quarter, eighth = Vec([0.25, 0.25]), Vec([0.125, 0.125])
-        calls = [(apart, quarter), (apart, quarter), (apart, eighth), (close, eighth), (apart, quarter)]
-        assert [stalled(z, s) for z, s in calls] == [False, True, False, False, True]
+        calls = [(apart, quarter), (apart, quarter), (apart, eighth), (close, eighth), (apart, eighth)]
+        assert [stalled(z, s) for z, s in calls] == [True, True, True, False, True]
+        assert [stalled(z, s) for z, s in reversed(calls)] == [True, False, True, True, True]
 
     def test_a_metric_without_weights_keeps_the_plain_halt(self):
         # A discrete metric measures no discs: the run stops at stop_c once
