@@ -18,7 +18,7 @@ one ``Sampler.vec`` draw at the suites' sizes n in {2, 8}.  The
 ``setup_s`` probe does: ``cli`` runs ``import conecert.cli`` and ``base``
 runs ``pass``, so their difference is the import alone.  Distance
 and gauge take rows with unit and with non-unit weights or base, since unit
-ones skip a multiply or a division.  The ``calibration_probe`` row times the
+weights skip a multiply; the gauge divides by either base.  The ``calibration_probe`` row times the
 fixed pure-Python kernel that ``bench/run.py`` scales its timings by: on a
 shared machine a core's speed drifts between runs, so compare a row across
 runs as its ratio to this one.  This directory is not in the suite's

@@ -1,6 +1,6 @@
 """Fixed-point iteration with componentwise error certificates over cone metrics."""
 
-from .gauge import GaugeNorm, cone_gauge, mink_norm, strict_ball_test
+from .gauge import GaugeNorm, mink_norm, strict_ball_test
 from .maps import Affine, Halve
 from .metrics import (
     Ball,

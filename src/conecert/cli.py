@@ -35,8 +35,10 @@ a number is a finite JSON number, never a string or a boolean; a count
 as 1000); a complex scalar is a number or ``[re, im]``; an affine map's
 ``x0``, a ``weierstrass`` map's ``x0`` and ``roots``' ``weights`` are checked
 against the matrix size and the degree; NaN and Infinity are rejected; an
-optional key set to null reads like an absent key.  The config is the one
-way to set a run: no flag overrides a key.
+optional key set to null reads like an absent key, and a required key that
+is absent, or whose object is not a JSON object, is an error of one form:
+``metric needs "kind"``.  The config is the one way to set a run: no flag
+overrides a key.
 
 Each subcommand takes ``--config`` and ``--out``, and only the other flags
 it reads: ``axioms`` takes ``--seed`` and ``--samples``, ``demo-normality``
@@ -111,6 +113,14 @@ def _load_config(args) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path!r} must hold a JSON object")
     return cfg
+
+
+def _required(obj, key: str, what: str):
+    """``obj[key]``; ``what`` names ``obj`` in the error when it is not a
+    JSON object or lacks the key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f'{what} needs "{key}"')
+    return obj[key]
 
 
 def _optional(obj: dict, key: str, default=None):
@@ -190,21 +200,14 @@ def point_to_json(inst: ConeMetric, p):
 
 
 def instance_from_json(obj) -> ConeMetric:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError('metric instance needs a "kind" field')
-    kind = obj["kind"]
+    kind = _required(obj, "kind", "metric")
     if kind in ("weighted", "weighted_norm"):
-        if "alpha" not in obj:
-            raise ValueError('weighted instance needs an "alpha" weight list')
-        return WeightedConeMetric(_numbers(obj["alpha"], "alpha"), _optional(obj, "field", "real"))
+        alpha = _numbers(_required(obj, "alpha", "weighted metric"), "alpha")
+        return WeightedConeMetric(alpha, _optional(obj, "field", "real"))
     if kind == "discrete":
-        if "a" not in obj:
-            raise ValueError('discrete instance needs an "a" distance vector')
-        return DiscreteConeMetric(vec_from_json(obj["a"], "a"))
+        return DiscreteConeMetric(vec_from_json(_required(obj, "a", "discrete metric"), "a"))
     if kind in ("plus", "plus_metric"):
-        if "n" not in obj:
-            raise ValueError('plus instance needs a dimension "n"')
-        return PlusConeMetric(_count(obj["n"], "n"))
+        return PlusConeMetric(_count(_required(obj, "n", "plus metric"), "n"))
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
@@ -247,16 +250,13 @@ def _out_dir(args) -> Path:
 
 def _map_from_config(spec: dict, inst: ConeMetric, x0):
     """The configured map, built once its keys are read and checked against ``x0``."""
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ValueError('map config needs a "name" field')
-    name = spec["name"]
+    name = _required(spec, "name", "map")
     if name == "halve":
         return Halve()
     if name == "affine":
-        if "matrix" not in spec or "offset" not in spec:
-            raise ValueError('affine map needs "matrix" and "offset"')
-        rows = [_numbers(row, "matrix") for row in _array(spec["matrix"], "matrix")]
-        affine = Affine(rows, _numbers(spec["offset"], "offset"))
+        matrix = _array(_required(spec, "matrix", "affine map"), "matrix")
+        rows = [_numbers(row, "matrix") for row in matrix]
+        affine = Affine(rows, _numbers(_required(spec, "offset", "affine map"), "offset"))
         n = len(affine.offset)
         if len(x0) > n:
             raise ValueError(f'"x0" has {len(x0)} coordinates, but the affine "matrix" is {n}x{n}')
@@ -265,9 +265,7 @@ def _map_from_config(spec: dict, inst: ConeMetric, x0):
             raise ValueError(f"point has {n} coordinates, expected {len(x0)}")
         return affine
     if name == "weierstrass":
-        if "coefficients" not in spec:
-            raise ValueError('weierstrass map needs "coefficients"')
-        poly = _polynomial(spec["coefficients"])
+        poly = _polynomial(_required(spec, "coefficients", "weierstrass map"))
         # Its iterates are complex, which only a complex weighted metric measures.
         if not (isinstance(inst, WeightedConeMetric) and inst.field == "complex"):
             raise ValueError("weierstrass map needs a complex weighted metric")
@@ -281,12 +279,10 @@ def _map_from_config(spec: dict, inst: ConeMetric, x0):
 
 
 def _problem_from_config(cfg: dict) -> Problem:
-    for key in ("map", "metric", "x0"):
-        if key not in cfg:
-            raise ValueError(f'problem config needs a "{key}" field')
-    inst = instance_from_json(cfg["metric"])
+    map_cfg, metric, x0 = [_required(cfg, key, "picard config") for key in ("map", "metric", "x0")]
+    inst = instance_from_json(metric)
     # Checked against the metric before anything of its dimension is built.
-    x0 = parse_point(inst, cfg["x0"], "x0")
+    x0 = parse_point(inst, x0, "x0")
     n = inst.dim
     base = _optional(cfg, "gauge_base")
     base = Vec.ones(n) if base is None else vec_from_json(base, "gauge_base")
@@ -294,16 +290,14 @@ def _problem_from_config(cfg: dict) -> Problem:
     stop_c, max_iter, lam = _run_settings(cfg, max_iter=200)
     domain = _optional(cfg, "domain")
     if domain is not None:
-        if not isinstance(domain, dict) or "center" not in domain or "radius" not in domain:
-            raise ValueError('domain needs "center" and "radius"')
         # Problem validates the center and checks both lengths.
         domain = Ball(
-            center=_coordinates(inst, domain["center"], "center"),
-            radius=vec_from_json(domain["radius"], "radius"),
+            center=_coordinates(inst, _required(domain, "center", "domain"), "center"),
+            radius=vec_from_json(_required(domain, "radius", "domain"), "radius"),
             closed=True,
         )
     return Problem(
-        map_fn=_map_from_config(cfg["map"], inst, x0),
+        map_fn=_map_from_config(map_cfg, inst, x0),
         x0=x0,
         metric=inst,
         gauge=gauge,
@@ -331,11 +325,8 @@ def cmd_axioms(args) -> int:
 
 def cmd_gauge(args) -> int:
     cfg = _load_config(args)
-    for key in ("x", "base"):
-        if key not in cfg:
-            raise ValueError(f'gauge config needs an "{key}" array')
-    x = vec_from_json(cfg["x"], "x")
-    g = GaugeNorm(SpaceSpec(len(x), vec_from_json(cfg["base"], "base")))
+    x = vec_from_json(_required(cfg, "x", "gauge config"), "x")
+    g = GaugeNorm(SpaceSpec(len(x), vec_from_json(_required(cfg, "base", "gauge config"), "base")))
     value = mink_norm(x, g)
     if not math.isfinite(value):
         raise ValueError(f"the gauge of x is {value!r}: some |x_i| / base_i overflows")
@@ -374,9 +365,7 @@ def cmd_picard(args) -> int:
 
 def cmd_roots(args) -> int:
     cfg = _load_config(args)
-    if "coefficients" not in cfg:
-        raise ValueError('roots config needs a "coefficients" array')
-    poly = _polynomial(cfg["coefficients"])
+    poly = _polynomial(_required(cfg, "coefficients", "roots config"))
     weights = _optional(cfg, "weights")
     weights = (1.0,) * poly.degree if weights is None else _numbers(weights, "weights")
     # solve_roots checks that there is one weight per root.

@@ -6,10 +6,10 @@ through it.  A slow bisection oracle using only the order predicates lives in
 the test suite and cross-checks the closed form.
 
 On the cone itself ``|x_i| == x_i``, so the gauge is ``max_i x_i / base_i``
-and needs no pass of ``abs``: :func:`cone_gauge`.  A distance of any of the
-package's metrics lies in the cone (the first cone-metric axiom), so the
-engine gauges its steps that way; :func:`mink_norm` takes a vector of any
-sign.  ``_cone_max`` holds the cone formula once, over bare coordinates.
+and needs no pass of ``abs``.  A distance of any of the package's metrics
+lies in the cone (the first cone-metric axiom), so the engine gauges its
+steps that way, with ``_cone_max`` over bare coordinates; :func:`mink_norm`
+takes a checked vector of any sign and gives the same bits on the cone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from operator import truediv
 
 from .solid import SpaceSpec, Vec, _Record, lt
 
-__all__ = ["GaugeNorm", "cone_gauge", "mink_norm", "strict_ball_test"]
+__all__ = ["GaugeNorm", "mink_norm", "strict_ball_test"]
 
 
 class GaugeNorm(_Record):
@@ -30,7 +30,7 @@ class GaugeNorm(_Record):
         if not isinstance(spec, SpaceSpec):
             raise TypeError(f"spec must be a SpaceSpec, got {type(spec).__name__}")
         object.__setattr__(self, "spec", spec)
-        # |x_i| / 1.0 == |x_i| exactly, so a unit base skips the division.
+        # x_i / 1.0 == x_i exactly, so _cone_max skips the division under a unit base.
         base = spec.base.coords
         object.__setattr__(self, "_unit", base.count(1.0) == len(base))
 
@@ -54,34 +54,14 @@ def mink_norm(x: Vec, g: GaugeNorm) -> float:
         raise TypeError(f"g must be a GaugeNorm, got {type(g).__name__}") from None
     if len(coords) != spec.n:
         raise ValueError(f"dimension mismatch: {len(coords)} vs {spec.n}")
-    if g._unit:
-        return max(map(abs, coords))
     return max(map(truediv, map(abs, coords), spec.base.coords))
 
 
-def cone_gauge(x: Vec, g: GaugeNorm) -> float:
-    """:func:`mink_norm` of an ``x`` in the cone, bit for bit: ``max_i x_i / base_i``.
-
-    Precondition, not checked: every coordinate of ``x`` is ``>= 0`` (a
-    ``-0.0`` counts).  A check would cost the pass over ``x`` that this
-    kernel saves over ``mink_norm``; every metric's distance meets it.
-    Outside the cone the result is not the gauge.  A zero vector gives
-    ``+0.0`` even from ``-0.0`` coordinates, and a quotient that overflows
-    under a tiny base gives ``inf``.  Arguments that do not fit raise the
-    ``TypeError`` or ``ValueError`` of :func:`mink_norm`.
-    """
-    try:
-        coords, spec = x.coords, g.spec
-        fits = len(coords) == spec.n
-    except AttributeError:
-        fits = False
-    if not fits:  # mink_norm raises the error that names the misfit
-        return mink_norm(x, g)
-    return _cone_max(coords, g)
-
-
 def _cone_max(coords, g: GaugeNorm) -> float:
-    """:func:`cone_gauge` of coordinates of ``g``'s dimension (not checked)."""
+    """:func:`mink_norm`'s bits for coordinates of ``g``'s dimension that lie
+    in the cone (``-0.0`` counts): ``+0.0`` for a zero vector, ``inf`` for a
+    quotient that overflows.  Neither precondition is checked: a check would
+    cost the pass this saves, and every metric's distance meets both."""
     if g._unit:
         return max(coords) or 0.0
     return max(map(truediv, coords, g.spec.base.coords)) or 0.0

@@ -18,7 +18,8 @@ class Affine(_Record):
     """``x -> matrix·x + offset``, one dense dot product per row.
 
     ``matrix`` is a tuple of rows and ``offset`` a tuple, both of finite
-    floats: a NaN or infinite entry is a ``ValueError`` that names it.
+    floats: a NaN or infinite entry is a ``ValueError`` that names it, and a
+    point of another length one that names both lengths.
     Each row's products are summed by :func:`math.fsum`, correctly rounded
     on every Python, so a coordinate carries one rounding per product, one
     for their sum and one for the offset.  A complex point (under a complex
@@ -45,6 +46,9 @@ class Affine(_Record):
 
     def __call__(self, x) -> tuple:
         rows = self.matrix
+        n = len(rows)
+        if len(x) != n:  # zip and map would drop the extra coordinates
+            raise ValueError(f"affine map is {n}x{n}, but the point has {len(x)} coordinates")
         try:
             try:
                 return tuple([fsum(map(mul, row, x)) + ci for row, ci in zip(rows, self.offset)])

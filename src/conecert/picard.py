@@ -61,7 +61,7 @@ from itertools import pairwise, repeat
 from struct import Struct
 from typing import Callable, Optional
 
-from .gauge import GaugeNorm, _cone_max, cone_gauge
+from .gauge import GaugeNorm, _cone_max, mink_norm
 from .metrics import Ball, ConeMetric, WeightedConeMetric, _in_ball, _reach
 from .solid import NonFiniteError, Vec, _finite, _Record, in_interior, leq
 
@@ -298,7 +298,7 @@ class Certificate(_Record):
 
     ``lambda_source`` is ``"given"`` or ``"estimated"``, ``status``
     ``"certified"``, ``"conditional"`` or ``"heuristic"``, and ``residual``
-    :func:`residual_check` at the last iterate, or None when that failed.
+    :func:`residual_check` at the last iterate, or None when that overflowed.
     ``steps`` holds d(x_k, x_{k+1}) for k >= ``start``, the first iterate the
     families cover (0 for a given factor); a run's certificate holds a
     slice of its trace's steps, which shares their packed doubles.  ``apriori``,
@@ -413,7 +413,7 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
     """Start and factor of the longest suffix of steps contracting in the gauge.
 
     A step is a distance, so it lies in the cone, where its gauge is one
-    ``max`` (:func:`cone_gauge`, the bits of :func:`mink_norm`).  A pair of
+    ``max`` (``gauge._cone_max``, the bits of :func:`mink_norm`).  A pair of
     consecutive steps contracts when the later gauge is at most
     ``LAMBDA_CEILING`` times the earlier one; two zero steps contract with
     ratio 0, a nonzero step after a zero one does not, and no step whose
@@ -422,14 +422,13 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
     index: the run landed on its fixed point.  Returns ``(start, lam)``: the
     index of the suffix's first step and its largest ratio, or ``(number of
     steps, None)`` when the last step is nonzero and the last pair does not
-    contract.  Each gauge is taken from the step's coordinate tuple, with
-    :func:`cone_gauge`'s bits, from the last step back, so a
-    non-contracting prefix costs nothing past its last pair.  A run applies
-    the same rule to the gauges it recorded as it went.
+    contract.  Each gauge is taken from the step's coordinate tuple, from
+    the last step back, so a non-contracting prefix costs nothing past its
+    last pair.  A run applies the same rule to the gauges it recorded.
     """
     steps = trace.step_dists
     if steps:
-        cone_gauge(steps[-1], g)  # raises on a gauge of another dimension
+        mink_norm(steps[-1], g)  # raises on a gauge of another dimension
     return _contracting_tail(len(steps), map(_cone_max, steps._rows(reverse=True), repeat(g)))
 
 
@@ -524,21 +523,25 @@ def run_picard(p: Problem) -> PicardResult:
     factor, and with the step's ``max`` times it only when that one
     overflows: the same decision as checking every coordinate's product.
     Without a supplied factor, or with the problem's noise-floor test
-    (``Problem._stalled``), the run records one :func:`cone_gauge` per kept
-    step.  The test, ``stalled(z, s)`` with ``z`` the iterate the step ``s``
-    left, is asked when the ``stop_c`` test fails and the step's gauge is
-    finite and not below the previous step's; true ends the run as
-    converged with halt ``noise_floor``.  Without a factor the certificate
-    takes the contracting tail of those gauges that :func:`estimate_lambda`
-    would find on the trace.  Over a real :class:`WeightedConeMetric` the
-    trace packs each iterate's doubles (see :class:`IterationTrace`).
-    Reaching ``max_iter`` is not an error: the result comes back with
-    ``converged=False``, halt ``max_iter`` and whatever certificate the
-    trace supports.  Nor is a domain escape or an overflow (see the module
+    (``Problem._stalled``), the run records one gauge per kept step, as
+    :func:`estimate_lambda` takes it.  The test, ``stalled(z, s)`` with
+    ``z`` the iterate the step ``s`` left, is asked when the ``stop_c``
+    test fails and the step's gauge is finite and not below the previous
+    step's; true ends the run as converged with halt ``noise_floor``.
+    Without a factor the certificate takes the contracting tail of those
+    gauges that :func:`estimate_lambda` would find on the trace.  Over a
+    real :class:`WeightedConeMetric` the trace packs each iterate's doubles
+    (see :class:`IterationTrace`).  Reaching ``max_iter`` is not an error:
+    the result comes back with ``converged=False``, halt ``max_iter`` and
+    whatever certificate the trace supports.  Nor is a domain escape or an overflow (see the module
     docstring): the run ends unconverged with halt ``domain_escape`` or
     ``overflow`` and no certificate.  The problem checked its start when it
     was built; a run raises only what the map raises other than
     :class:`NonFiniteError`, and the metric's error for an output it refuses.
+    A run calls the map at most ``max_iter + 1`` times: when it builds a
+    certificate, one last call at the last iterate measures
+    :func:`residual_check`, under the same rule, except that a
+    :class:`NonFiniteError` there leaves the residual None.
     """
     inst = p.metric
     x = p.x0
@@ -662,7 +665,7 @@ def _build_certificate(
     residual = None
     try:
         residual = residual_check(trace.iterates[-1], p)
-    except (ValueError, ArithmeticError, OverflowError, ZeroDivisionError):
+    except NonFiniteError:
         pass
     return Certificate(
         lambda_used=lam,

@@ -33,7 +33,7 @@ from itertools import combinations
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
-from .gauge import GaugeNorm, cone_gauge
+from .gauge import GaugeNorm, mink_norm
 from .metrics import WeightedConeMetric
 from .picard import (
     IterationTrace,
@@ -250,8 +250,8 @@ def compare_bounds(
 
     For each recorded step from ``start`` on, the componentwise bound is the
     forward a posteriori vector; the scalar pipeline collapses the step to
-    its gauge first (a step lies in the cone: :func:`cone_gauge`), and its
-    bound is broadcast back through the base vector.
+    its gauge first (:func:`mink_norm`), and its bound is broadcast back
+    through the base vector.
     With a common factor the componentwise vector can never exceed the
     broadcast one; rows where it is strictly smaller in some coordinate are
     counted as improvements.
@@ -262,7 +262,7 @@ def compare_bounds(
     q = _forward_factor(lam)
     for k, s in enumerate(trace.step_dists[start:], start):
         comp = apost_forward_bound(s, lam)
-        scalar = cone_gauge(s, g_scalar) * q
+        scalar = mink_norm(s, g_scalar) * q
         broadcast = scalar * base
         exceeded = any(c > b for c, b in zip(comp.coords, broadcast.coords))
         improved = any(c < b for c, b in zip(comp.coords, broadcast.coords))

@@ -354,7 +354,8 @@ class TestPicardCommand:
             ),
             (
                 WeightedConeMetric([1.0]),
-                Affine([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+                # A plain callable: an Affine refuses a point of another length itself.
+                lambda x: (x[0], 0.0),
                 {
                     "map": {"name": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0]},
                     "metric": {"kind": "weighted", "alpha": [1.0]},
@@ -1167,13 +1168,19 @@ PLUS_2D = {
 INF = float("inf")  # json.dumps writes it as the literal Infinity
 
 
+ABSENT = object()  # the value that makes with_key remove its key
+
+
 def with_key(base, path, value):
     cfg = copy.deepcopy(base)
     *parents, key = path
     node = cfg
     for name in parents:
         node = node[name]
-    node[key] = value
+    if value is ABSENT:
+        del node[key]
+    else:
+        node[key] = value
     return cfg
 
 
@@ -1227,8 +1234,47 @@ BAD_VALUES = [
 ]
 
 
+GAUGE = {"x": [2.0, -3.0], "base": [1.0, 2.0]}
+# (command, valid config, path of a required key, ABSENT or a value, error):
+# each required key removed once, and each object that holds some set to an
+# array, which has none of its keys.
+MISSING_KEYS = [
+    ("picard", HALVE, ["map"], ABSENT, 'picard config needs "map"'),
+    ("picard", HALVE, ["metric"], ABSENT, 'picard config needs "metric"'),
+    ("picard", HALVE, ["x0"], ABSENT, 'picard config needs "x0"'),
+    ("picard", HALVE, ["metric", "kind"], ABSENT, 'metric needs "kind"'),
+    ("picard", HALVE, ["metric", "alpha"], ABSENT, 'weighted metric needs "alpha"'),
+    ("picard", DISCRETE, ["metric", "a"], ABSENT, 'discrete metric needs "a"'),
+    ("picard", PLUS_2D, ["metric", "n"], ABSENT, 'plus metric needs "n"'),
+    ("picard", HALVE, ["map", "name"], ABSENT, 'map needs "name"'),
+    ("picard", AFFINE, ["map", "matrix"], ABSENT, 'affine map needs "matrix"'),
+    ("picard", AFFINE, ["map", "offset"], ABSENT, 'affine map needs "offset"'),
+    ("picard", WEIERSTRASS, ["map", "coefficients"], ABSENT, 'weierstrass map needs "coefficients"'),
+    ("picard", ESCAPING, ["domain", "center"], ABSENT, 'domain needs "center"'),
+    ("picard", ESCAPING, ["domain", "radius"], ABSENT, 'domain needs "radius"'),
+    ("roots", CUBIC_ROOTS, ["coefficients"], ABSENT, 'roots config needs "coefficients"'),
+    ("gauge", GAUGE, ["x"], ABSENT, 'gauge config needs "x"'),
+    ("gauge", GAUGE, ["base"], ABSENT, 'gauge config needs "base"'),
+    ("picard", HALVE, ["metric"], [1.0], 'metric needs "kind"'),
+    ("picard", HALVE, ["map"], ["halve"], 'map needs "name"'),
+    ("picard", ESCAPING, ["domain"], [[0.0], [2.5]], 'domain needs "center"'),
+]
+
+
 class TestConfigValues:
     """Every config value is read strictly: a bad one is an input error."""
+
+    @pytest.mark.parametrize(
+        "command, base, path, value, message",
+        MISSING_KEYS,
+        ids=[f"{c}-{'.'.join(p)}{'' if v is ABSENT else '=array'}" for c, _, p, v, _ in MISSING_KEYS],
+    )
+    def test_a_missing_key_exits_one_naming_it(self, tmp_path, capsys, command, base, path, value, message):
+        cfg = write_cfg(tmp_path, with_key(base, path, value))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, base, path, value",

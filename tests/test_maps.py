@@ -51,6 +51,15 @@ def test_a_complex_point_sums_each_part_correctly_rounded(case, imag):
     assert f(x) == expected
 
 
+@pytest.mark.parametrize("n, x", [(1, (1.0, 2.0)), (2, (1.0,))], ids=["longer", "shorter"])
+def test_a_point_of_another_length_is_refused(n, x):
+    # zip would otherwise drop a longer point's extra coordinates, and a
+    # shorter point would give each row a partial dot product.
+    f = Affine([[0.5] * n] * n, [1.0] * n)
+    with pytest.raises(ValueError, match=f"^affine map is {n}x{n}, but the point has {len(x)} coordinates$"):
+        f(x)
+
+
 def test_a_cancelling_row_is_exact():
     # A left-to-right sum gives 0.0: 1e16 + 1.0 rounds back to 1e16.
     assert Affine([[1.0, 1.0, 1.0]] * 3, [0.0] * 3)((1e16, 1.0, -1e16)) == (1.0,) * 3

@@ -380,8 +380,8 @@ class TestPlus:
 
 class TestDistanceLiesInTheCone:
     """Every metric's distance lies in the cone, and its largest coordinate is
-    never ``-0.0``: the precondition of ``cone_gauge``, which gauges the
-    engine's steps.  Weighted: a positive weight times ``abs``.  Discrete:
+    never ``-0.0``: the precondition of ``gauge._cone_max``, which gauges
+    the engine's steps.  Weighted: a positive weight times ``abs``.  Discrete:
     ``Vec.zeros`` or the nonzero cone value ``a``.  Plus: ``Vec.zeros`` or
     ``x + y`` with a positive coordinate where the points differ."""
 

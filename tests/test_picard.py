@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecert import picard
-from conecert.gauge import GaugeNorm, cone_gauge, mink_norm
+from conecert.gauge import GaugeNorm, _cone_max, mink_norm
 from conecert.maps import Affine, Halve
 from conecert.metrics import Ball, DiscreteConeMetric, PlusConeMetric, WeightedConeMetric
 from conecert.picard import (
@@ -805,6 +805,19 @@ class TestRunPicard:
         assert abs(limits[0] - limits[1]) <= 1e-8
 
 
+def halve_raising_at_call(k, exc):
+    """``halve``, save that its ``k``-th call raises ``exc``."""
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        if len(calls) == k:
+            raise exc
+        return halve(x)
+
+    return step
+
+
 class CountingMetric(WeightedConeMetric):
     """Records every point it validates, in a list: a metric refuses assignment."""
 
@@ -862,6 +875,23 @@ class TestEngineBoundary:
         assert len(result.trace.iterates) == steps + 1
         assert all(math.isfinite(x[0]) for x in result.trace.iterates)
 
+    def test_an_overflow_at_the_residual_call_leaves_only_the_residual_none(self):
+        """Three map calls make the run; the fourth measures the residual."""
+        plain = run_picard(halve_problem(max_iter=3))
+        result = run_picard(halve_problem(map_fn=halve_raising_at_call(4, NonFiniteError("inf")), max_iter=3))
+        assert (result.halt, result.certificate.status) == (plain.halt, plain.certificate.status)
+        assert plain.halt == "max_iter" and plain.certificate.status == "certified"
+        assert result.trace == plain.trace
+        assert plain.certificate.residual == Vec([0.0625])
+        assert result.certificate.residual is None
+
+    def test_another_error_at_the_residual_call_propagates(self):
+        # The run's rule: only a NonFiniteError from the map is not raised.
+        p = halve_problem(map_fn=halve_raising_at_call(4, ValueError("no image")), max_iter=3)
+        with pytest.raises(ValueError, match="^no image$") as info:
+            run_picard(p)
+        assert type(info.value) is ValueError
+
     def test_overflowed_gauges_leave_no_factor(self):
         """Every step's gauge overflows under base 1e-300: the run returns
         with halt max_iter and no certificate, not a ValueError for lam NaN."""
@@ -890,7 +920,7 @@ class TestEngineBoundary:
         gauges = [mink_norm(s, tiny.gauge) for s in steps]
         assert gauges[:4] == [math.inf] * 4 and math.isfinite(gauges[4])
         # The estimator's one-max gauge of a step gives the same bits.
-        assert [cone_gauge(s, tiny.gauge) for s in steps] == gauges
+        assert [_cone_max(s.coords, tiny.gauge) for s in steps] == gauges
         # An overflowed gauge measures nothing, so the tail starts at the
         # first finite one, and lam is the unit gauge's ratio over that tail.
         cert = result.certificate

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecert import gauge, picard
-from conecert.gauge import GaugeNorm, _cone_max, cone_gauge
+from conecert.gauge import GaugeNorm, _cone_max, mink_norm
 from conecert.metrics import Ball, DiscreteConeMetric, WeightedConeMetric
 from conecert.picard import (
     IterationTrace,
@@ -622,7 +622,7 @@ class TestStallRule:
             stop_c=Vec([1e-12] * 12),
         )
         stalled = problem._stalled
-        gauges = [cone_gauge(s, problem.gauge) for s in trace.step_dists]
+        gauges = [mink_norm(s, problem.gauge) for s in trace.step_dists]
         pairs = list(zip([math.inf] + gauges, gauges, trace.iterates, trace.step_dists))
         said = [prev <= g < math.inf and stalled(z, s) for prev, g, z, s in pairs]
         assert said.index(True) == 242
