@@ -6,10 +6,11 @@ cost and a whole ``picard`` call, the CLI's import, and the axiom suites.
 One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``Problem`` built at n=200 with a ball domain, one two-weight metric, one
 ``run_picard`` call per way of getting the factor and one in a ball domain,
-one ``estimate_lambda`` call on the trace of an estimated diagonal run at n
-in {50, 200}, one ``verify_step_contraction`` call on the trace of a
-lambda-given run at n=200 whose last pairs do not contract and on one whose
-every pair does, one
+one read of every step of a real lambda-given run at n=200, which measures
+them from its iterates, one ``estimate_lambda`` call on the trace of an
+estimated diagonal run at n in {50, 200}, one ``verify_step_contraction``
+call on the trace of a lambda-given run at n=200 whose last pairs do not
+contract and on one whose every pair does, one
 ``weierstrass_step`` sweep and one ``solve_roots`` call (its report not
 read) over the roots 1..m at m in {3, 12}, one
 ``run_all(seed, 20)`` call, the unit of the axioms-suite workload, and
@@ -17,8 +18,8 @@ one ``Sampler.vec`` draw at the suites' sizes n in {2, 8}.  The
 ``import_cli`` rows start a fresh ``python -I``, as the benchmark's
 ``setup_s`` probe does: ``cli`` runs ``import conecert.cli`` and ``base``
 runs ``pass``, so their difference is the import alone.  Distance
-and gauge take rows with unit and with non-unit weights or base, since unit
-weights skip a multiply; the gauge divides by either base.  The ``calibration_probe`` row times the
+takes rows with unit and with non-unit weights, since unit weights skip a
+multiply; the gauge takes a non-unit base.  The ``calibration_probe`` row times the
 fixed pure-Python kernel that ``bench/run.py`` scales its timings by: on a
 shared machine a core's speed drifts between runs, so compare a row across
 runs as its ratio to this one.  This directory is not in the suite's
@@ -144,10 +145,9 @@ def test_distance_weighted(benchmark, field, n):
     benchmark(inst.distance, x, y)
 
 
-@pytest.mark.parametrize("base", ["unit", "weighted"])
 @pytest.mark.parametrize("n", SIZES)
-def test_mink_norm(benchmark, base, n):
-    g = GaugeNorm(SpaceSpec(n, Vec.ones(n) if base == "unit" else Vec(weights(n))))
+def test_mink_norm(benchmark, n):
+    g = GaugeNorm(SpaceSpec(n, Vec(weights(n))))
     benchmark(mink_norm, Vec(coords(n, -1.0)), g)
 
 
@@ -243,6 +243,13 @@ def test_run_picard(benchmark, case):
     domain = Ball((0.0,) * n, Vec([10.0] * n)) if case == "ball" else None
     p = diagonal_problem(n, None if case == "estimated" else 0.9, domain)
     assert benchmark(run_picard, p).converged
+
+
+def test_read_steps(benchmark):
+    """Every step of ``diagonal_run``'s trace, 216 at n=200: a real run keeps
+    none, so each is measured from the packed iterates as it is read."""
+    trace, _, _ = diagonal_run()
+    assert len(benchmark(list, trace.step_dists)) == 216
 
 
 @pytest.mark.parametrize("n", [50, 200])

@@ -11,12 +11,13 @@ family in cone-vector form:
 
 A :class:`Certificate` stores only the factor and the step distances; each
 bound family is a read-only sequence whose entries are computed from those
-closed forms when read.  A trace keeps each step as the bytes of its
-doubles, and so each iterate of a run over a real weighted metric, whose
-points are tuples of exact floats; it reads back equal vectors and tuples,
-bit for bit.  The cyclic garbage collector does not track bytes, nor the
-floats in which a run records each step's gauge as it goes, so such a run
-keeps no tracked object per iteration.
+closed forms when read.  A run over a real weighted metric, whose points
+are tuples of exact floats, keeps each iterate as the bytes of its doubles
+and no step: its trace measures step k from iterates k and k + 1 when it
+is read, the run's step bit for bit.  Any other trace keeps each step as
+the bytes of its doubles.  The cyclic garbage collector does not track
+bytes, nor the floats in which a run records each step's gauge as it goes,
+so a real run keeps no tracked object per iteration.
 
 A supplied factor covers the whole run.  Without one, the factor is the
 largest gauge ratio of consecutive steps over the longest contracting tail
@@ -57,7 +58,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from itertools import pairwise, repeat
+from itertools import pairwise, repeat, tee
 from struct import Struct
 from typing import Callable, Optional
 
@@ -183,10 +184,10 @@ class _Rows(Sequence):
     tuple equal bit for bit to the one stored.  No row holds NaN or inf, and
     a signed zero keeps its sign.  A slice is a sequence of the same kind
     that shares the bytes.  ``==`` compares the entries with another such
-    sequence or a list, as a list does; ``repr`` reads as the list, and a
-    pickle holds the list.  Only :func:`run_picard` appends, through
-    ``_append``; the module's per-run readers take coordinate tuples from
-    ``_rows``.
+    sequence, a :class:`_StepView` or a list, as a list does; ``repr`` reads
+    as the list, and a pickle holds the list.  Only :func:`run_picard`
+    appends, through ``_append``; the module's per-run readers take
+    coordinate tuples from ``_rows``.
     """
 
     __slots__ = ("_packed", "_struct", "_vecs")
@@ -229,7 +230,7 @@ class _Rows(Sequence):
         return map(Vec._of, self._rows()) if self._vecs else self._rows()
 
     def __eq__(self, other):
-        if not isinstance(other, (_Rows, list)):
+        if not isinstance(other, (_Rows, _StepView, list)):
             return NotImplemented
         return list(self) == list(other)
 
@@ -242,6 +243,61 @@ class _Rows(Sequence):
         return _Rows, (list(self), self._vecs)
 
 
+class _StepView(Sequence):
+    """Read-only steps of a real run, measured from its packed iterates.
+
+    Entry k is ``metric._distance(x_k, x_{k+1})`` over the :class:`_Rows`
+    of iterates it views: the same function of the same doubles as the run's
+    step, so the same ``Vec`` bit for bit.  Nothing is stored; each read
+    measures again.  There is one step fewer than iterates, none for one
+    iterate, and the count follows the iterates as the run appends.  A slice
+    of consecutive steps views the iterates it spans; any other slice is a
+    :class:`_Rows` of the steps it selects.  ``==``, ``repr`` and ``hash``
+    are those of :class:`_Rows`, and a pickle holds the list of steps, so it
+    loads as a :class:`_Rows`.  ``_rows`` walks consecutive iterates in
+    pairs, unpacking each iterate once.
+    """
+
+    __slots__ = ("_iterates", "_metric")
+
+    def __init__(self, iterates: _Rows, metric: WeightedConeMetric):
+        self._iterates, self._metric = iterates, metric
+
+    def __len__(self) -> int:
+        return max(len(self._iterates) - 1, 0)
+
+    def __getitem__(self, k):
+        at = range(len(self))[k]
+        if isinstance(at, int):
+            x = self._iterates
+            return self._metric._distance(x[at], x[at + 1])
+        if at.step == 1:
+            return _StepView(self._iterates[at.start : at.stop + 1], self._metric)
+        return _Rows(map(self.__getitem__, at))
+
+    def _steps(self, reverse: bool = False):
+        """The steps, from the last one back when ``reverse``."""
+        first, second = tee(self._iterates._rows(reverse))
+        next(second, None)
+        if reverse:  # pairs (x_{k+1}, x_k)
+            first, second = second, first
+        return map(self._metric._distance, first, second)
+
+    def __iter__(self):
+        return self._steps()
+
+    def _rows(self, reverse: bool = False):
+        """The steps' coordinate tuples, from the last one back when ``reverse``."""
+        return map(operator.attrgetter("coords"), self._steps(reverse))
+
+    __eq__ = _Rows.__eq__
+    __hash__ = None
+    __repr__ = _Rows.__repr__
+
+    def __reduce__(self):
+        return _Rows, (list(self),)
+
+
 class IterationTrace(_Record):
     """Iterates x_0, x_1, ... and the step distances d(x_k, x_{k+1}).
 
@@ -252,15 +308,20 @@ class IterationTrace(_Record):
     differs from the first step's ``ValueError: dimension mismatch: ...``.
     ``iterates`` is the sequence it is given.  A run over a real
     :class:`WeightedConeMetric` gives it a read-only sequence of packed
-    doubles too, whose entries read back as tuples equal bit for bit to the
-    iterates; any other run gives it a list.  A run writes its trace and
-    never reads it to halt (see :func:`run_picard`).
+    doubles, whose entries read back as tuples equal bit for bit to the
+    iterates, and keeps no step: its ``step_dists`` is a read-only view that
+    measures entry k from iterates k and k + 1 when it is read, the run's
+    step bit for bit, with the same reads, ``==``, ``repr`` and pickle.  Any
+    other run gives it a list of iterates and packs its steps.  A run writes
+    its trace and never reads it to halt (see :func:`run_picard`).
     """
 
     __slots__ = ("iterates", "step_dists")
 
     def __init__(self, iterates: list, step_dists: Sequence[Vec]):
-        super().__init__(iterates, _Rows(step_dists))
+        if not isinstance(step_dists, _StepView):
+            step_dists = _Rows(step_dists)
+        super().__init__(iterates, step_dists)
 
 
 class _BoundFamily(Sequence):
@@ -523,7 +584,7 @@ def run_picard(p: Problem) -> PicardResult:
     factor, and with the step's ``max`` times it only when that one
     overflows: the same decision as checking every coordinate's product.
     Without a supplied factor, or with the problem's noise-floor test
-    (``Problem._stalled``), the run records one gauge per kept step, as
+    (``Problem._stalled``), the run records one gauge per step, as
     :func:`estimate_lambda` takes it.  The test, ``stalled(z, s)`` with
     ``z`` the iterate the step ``s`` left, is asked when the ``stop_c``
     test fails and the step's gauge is finite and not below the previous
@@ -531,9 +592,15 @@ def run_picard(p: Problem) -> PicardResult:
     Without a factor the certificate takes the contracting tail of those
     gauges that :func:`estimate_lambda` would find on the trace.  Over a
     real :class:`WeightedConeMetric` the trace packs each iterate's doubles
-    (see :class:`IterationTrace`).  Reaching ``max_iter`` is not an error:
-    the result comes back with ``converged=False``, halt ``max_iter`` and
-    whatever certificate the trace supports.  Nor is a domain escape or an overflow (see the module
+    and keeps no step; it measures a step when the step is read (see
+    :class:`IterationTrace`).  Such a run with a supplied factor and no
+    noise-floor test builds no step either while one ``math.dist`` pass
+    shows that no step coordinate or bound can overflow: its halting test
+    then forms each bound coordinate from the iterates, the same product as
+    from the step, and stops at the first that is not below ``stop_c``.
+    Reaching ``max_iter`` is not an error: the result comes back with
+    ``converged=False``, halt ``max_iter`` and whatever certificate the
+    trace supports.  Nor is a domain escape or an overflow (see the module
     docstring): the run ends unconverged with halt ``domain_escape`` or
     ``overflow`` and no certificate.  The problem checked its start when it
     was built; a run raises only what the map raises other than
@@ -547,18 +614,20 @@ def run_picard(p: Problem) -> PicardResult:
     x = p.x0
     stalled = p._stalled
     # A real weighted metric's points are tuples of exact floats: the trace
-    # packs them, as it packs the steps, so no iterate is an object to keep.
-    if isinstance(inst, WeightedConeMetric) and inst.field == "real":
+    # packs them and measures the steps from them when read, so the run
+    # keeps no step.
+    real = isinstance(inst, WeightedConeMetric) and inst.field == "real"
+    if real:
         iterates = _Rows(vecs=False)
-        keep_iterate = iterates._append
+        trace = IterationTrace(iterates, _StepView(iterates, inst))
+        keep_iterate, keep_step = iterates._append, None
     else:
-        iterates = []
-        keep_iterate = iterates.append
+        trace = IterationTrace([], [])
+        keep_iterate, keep_step = trace.iterates.append, trace.step_dists._append
     keep_iterate(x)
-    trace = IterationTrace(iterates, [])
-    keep_step = trace.step_dists._append
-    # The steps' gauges, taken once as each step is kept: plain floats, which
-    # no collection scans.  The estimated factor and the noise floor read them.
+    # The steps' gauges, taken once as each step is measured: plain floats,
+    # which no collection scans.  The estimated factor and the noise floor
+    # read them.
     g = p.gauge
     gauges = [] if p.lam is None or stalled is not None else None
     gauge = math.inf  # no step yet: nothing to stall against
@@ -574,34 +643,52 @@ def run_picard(p: Problem) -> PicardResult:
     # max(s) times the factor is finite: one product checks them all.
     stop = p.stop_c.coords
     factor = None if p.lam is None else _backward_factor(p.lam)
+    # A real run that reads its step only in that test measures it only as
+    # far as the test reads, a_i * |x_i - y_i| * factor coordinate by
+    # coordinate, once one C-level pass shows that nothing can overflow:
+    # each |x_i - y_i| is at most the Euclidean distance, so while that
+    # times max(a) * (1 + factor) stays below 2**1000, far below the float
+    # range, every step coordinate and every product is finite.
+    lazy = real and gauges is None
+    if lazy:
+        scale = max(inst.alpha) * (1.0 + factor)
     cause = "max_iter"
     for _ in range(p.max_iter):
         try:
             x_next = inst.validate_point(p.map_fn(x))
-            s = inst._distance(x, x_next)
+            if lazy and math.dist(x, x_next) * scale < 2.0**1000:
+                s = None
+                # a_i * |x_i - y_i| as _distance forms it (1.0 * m == m)
+                gaps = map(operator.mul, inst.alpha, map(abs, map(operator.sub, x, x_next)))
+                halt = map(operator.mul, gaps, repeat(factor))
+            else:
+                s = inst._distance(x, x_next)
         except NonFiniteError:
             cause = "overflow"
             break
-        halt = s.coords
-        if factor is not None:
-            # sum(halt) >= max(halt) for finite floats >= 0 on every CPython:
-            # up to 3.11 sum adds naively, and each rounded partial sum is at
-            # least each of its addends; from 3.12 it uses Neumaier's
-            # compensated summation, where each addition's exact error is at
-            # most its smaller operand, so the compensation totals about the
-            # non-maximal terms, by which the sum exceeds the max, and its own
-            # rounding is a tiny fraction of that.  So a finite
-            # sum(halt) * factor makes every product finite, and max(halt) *
-            # factor decides only when that product is not finite.
-            if not math.isfinite(sum(halt) * factor) and not math.isfinite(max(halt) * factor):
-                cause = "overflow"
-                break
-            halt = map(operator.mul, halt, repeat(factor))
+        if s is not None:
+            halt = s.coords
+            if factor is not None:
+                # sum(halt) >= max(halt) for finite floats >= 0 on every
+                # CPython: up to 3.11 sum adds naively, and each rounded
+                # partial sum is at least each of its addends; from 3.12 it
+                # uses Neumaier's compensated summation, where each
+                # addition's exact error is at most its smaller operand, so
+                # the compensation totals about the non-maximal terms, by
+                # which the sum exceeds the max, and its own rounding is a
+                # tiny fraction of that.  So a finite sum(halt) * factor
+                # makes every product finite, and max(halt) * factor decides
+                # only when that product is not finite.
+                if not math.isfinite(sum(halt) * factor) and not math.isfinite(max(halt) * factor):
+                    cause = "overflow"
+                    break
+                halt = map(operator.mul, halt, repeat(factor))
+            if keep_step is not None:
+                keep_step(s.coords)
+            if gauges is not None:
+                prev, gauge = gauge, _cone_max(s.coords, g)
+                gauges.append(gauge)
         keep_iterate(x_next)
-        keep_step(s.coords)
-        if gauges is not None:
-            prev, gauge = gauge, _cone_max(s.coords, g)
-            gauges.append(gauge)
         if not _in_domain(p, x_next):
             cause = "domain_escape"
             break

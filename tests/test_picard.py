@@ -535,9 +535,9 @@ class TestIterateStorage:
 
     @pytest.mark.parametrize("lam", [0.9, None], ids=["given", "estimated"])
     def test_a_real_run_keeps_no_collector_tracked_object_per_iteration(self, lam):
-        """Iterates and steps are bytes and gauges floats, none of which the
-        cyclic collector tracks: over a whole n=200 run of more than 200
-        iterations, the tracked objects grow by a constant."""
+        """Iterates are bytes, steps are not kept and gauges are floats, none
+        of which the cyclic collector tracks: over a whole n=200 run of more
+        than 200 iterations, the tracked objects grow by a constant."""
         n = 200
         p = diagonal_problem([0.899] * n, [0.5] * n, [0.0] * n, lam, [1e-10] * n, max_iter=1000)
         enabled = gc.isenabled()
@@ -552,6 +552,112 @@ class TestIterateStorage:
                 gc.enable()
         assert result.halt == "stop_c" and len(result.trace.step_dists) >= 200
         assert grown <= 64, grown
+
+
+def alternating_halves(x):
+    """x -> -x/2: signed iterates that reach -0.0 or 0.0 and stay there."""
+    return tuple([-c / 2 for c in x])
+
+
+# Real runs whose trace measures its steps when read: unit and non-unit
+# weights, the factor given and estimated, a domain escape, signed zeros.
+VIEW_RUNS = {
+    "unit-given": lambda: affine_problem(lam=0.5),
+    "unit-estimated": lambda: affine_problem(lam=None),
+    "weighted-given": lambda: affine_problem(metric=WeightedConeMetric([0.75, 3.0]), lam=0.5),
+    "weighted-estimated": lambda: affine_problem(metric=WeightedConeMetric([0.75, 3.0]), lam=None),
+    "escape": lambda: halve_problem(map_fn=plus_one, domain=Ball((0.0,), Vec([2.5]))),
+    "signed-zeros": lambda: halve_problem(
+        map_fn=alternating_halves, x0=(1.0, -3.0), metric=W2, gauge=G2,
+        stop_c=Vec([5e-324, 5e-324]), max_iter=2000,
+    ),
+}
+
+
+@st.composite
+def view_cases(draw):
+    """Iterates of dimension 1-4, none of whose steps overflows, and a
+    weighted metric to measure them."""
+    n = draw(st.integers(1, 4))
+    coord = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300]) | st.floats(-1e300, 1e300)
+    points = draw(st.lists(st.lists(coord, min_size=n, max_size=n).map(tuple), max_size=12))
+    alpha = draw(st.lists(st.sampled_from([1.0, 0.75, 4.0]), min_size=n, max_size=n))
+    return points, WeightedConeMetric(alpha)
+
+
+class TestStepView:
+    """A real run keeps no step: its trace measures step k from iterates k
+    and k + 1 when it is read, the step the run measured, bit for bit."""
+
+    @pytest.mark.parametrize("case", VIEW_RUNS)
+    def test_each_step_is_the_distance_of_its_iterates(self, case):
+        p = VIEW_RUNS[case]()
+        result = run_picard(p)
+        steps, points = result.trace.step_dists, list(result.trace.iterates)
+        expected = [p.metric.distance(a, b) for a, b in zip(points, points[1:])]
+        assert type(steps) is picard._StepView and len(steps) == len(expected) >= 2
+        assert result.halt == ("domain_escape" if case == "escape" else "stop_c")
+        assert hexes([steps[k] for k in range(len(steps))]) == hexes(expected)
+        assert hexes(steps) == hexes(expected)
+        assert hexes([steps[k] for k in range(-len(steps), 0)]) == hexes(expected)
+        assert [list(map(float.hex, s)) for s in steps._rows(reverse=True)] == hexes(expected[::-1])
+        for k in (len(steps), -len(steps) - 1):
+            with pytest.raises(IndexError):
+                steps[k]
+        # Certificate.steps and compare_bounds slice from a start this way.
+        for start in (0, 1, len(steps) // 2, len(steps) - 1, len(steps), len(steps) + 3):
+            assert hexes(steps[start:]) == hexes(expected[start:])
+        if result.certificate is not None:
+            cert = result.certificate
+            assert hexes(cert.steps) == hexes(expected[cert.start :])
+
+    @pytest.mark.parametrize("case", VIEW_RUNS)
+    def test_compares_reads_and_pickles_as_its_list(self, case):
+        result = run_picard(VIEW_RUNS[case]())
+        trace = result.trace
+        steps = trace.step_dists
+        listed = list(steps)
+        packed = picard._Rows(listed)
+        assert steps == listed and listed == steps and steps == packed and packed == steps
+        assert steps == steps[:] and not steps != packed
+        assert steps != listed[:-1] and listed[:-1] != steps and packed[:-1] != steps
+        assert steps != tuple(listed) and repr(steps) == repr(listed)
+        assert type(steps).__hash__ is None
+        with pytest.raises(TypeError):
+            hash(steps)
+        again = pickle.loads(pickle.dumps(result))
+        assert again == result and result == again and again.trace == trace
+        assert type(again.trace.step_dists) is picard._Rows
+        assert hexes(again.trace.step_dists) == hexes(listed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(view_cases(), st.integers(-14, 14), st.integers(-14, 14), st.integers(-3, 3))
+    def test_every_slice_reads_the_steps_it_selects(self, case, i, j, stride):
+        points, metric = case
+        steps = picard._StepView(picard._Rows(points, vecs=False), metric)
+        expected = [metric.distance(a, b) for a, b in zip(points, points[1:])]
+        assert len(steps) == len(expected)
+        assert hexes(steps) == hexes(expected) and steps == expected
+        cut = slice(i, j, stride or None)
+        assert hexes(steps[cut]) == hexes(expected[cut])
+        assert hexes(steps[cut][::-1]) == hexes(expected[cut][::-1])
+        assert len(steps[cut]) == len(expected[cut]) and steps[cut] == expected[cut]
+
+    def test_a_trace_of_one_iterate_has_no_steps(self):
+        """The first map output overflows: the trace holds x0 alone."""
+        result = run_picard(halve_problem(map_fn=lambda x: (-x[0],), x0=(1e308,)))
+        steps = result.trace.step_dists
+        assert (result.halt, len(result.trace.iterates)) == ("overflow", 1)
+        assert type(steps) is picard._StepView
+        assert len(steps) == 0 and list(steps) == [] and steps == [] and steps[0:] == []
+        assert list(steps._rows(reverse=True)) == [] and repr(steps) == "[]"
+        for k in (0, -1):
+            with pytest.raises(IndexError):
+                steps[k]
+
+    def test_a_hand_built_trace_still_packs_its_steps(self):
+        trace = IterationTrace([(1.0,), (0.5,)], [Vec([0.5])])
+        assert type(trace.step_dists) is picard._Rows and trace.step_dists == [Vec([0.5])]
 
 
 class TestRunPicard:
@@ -1334,6 +1440,125 @@ class TestHaltingDecision:
         assert (len(iterates) - 1, converged) == (2, True)
         result = run_picard(p)
         assert (result.halt, result.certificate.status) == ("stop_c", "certified")
+
+
+def exact_step_run(p):
+    """A λ-given run's loop with every step built by ``_distance`` and its
+    halting bound checked for overflow by ``sum`` and then ``max``, as
+    before a run measured only what its halting test reads.  Returns the
+    halt, the iterates and the steps."""
+    inst, x, stop = p.metric, p.x0, p.stop_c.coords
+    factor = picard._backward_factor(p.lam)
+    iterates, steps = [x], []
+    for _ in range(p.max_iter):
+        try:
+            x_next = inst.validate_point(p.map_fn(x))
+            s = inst._distance(x, x_next)
+        except NonFiniteError:
+            return "overflow", iterates, steps
+        if not math.isfinite(sum(s.coords) * factor) and not math.isfinite(max(s.coords) * factor):
+            return "overflow", iterates, steps
+        iterates.append(x_next)
+        steps.append(s)
+        x = x_next
+        if all(c * factor < t for c, t in zip(s.coords, stop)):
+            return "stop_c", iterates, steps
+    return "max_iter", iterates, steps
+
+
+def counting_distances():
+    """Patch ``WeightedConeMetric._distance`` to log each call's points."""
+    calls = []
+    measure = WeightedConeMetric._distance
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return measure(self, x, y)
+
+    return calls, mock.patch.object(WeightedConeMetric, "_distance", counted)
+
+
+def flips_at(threshold):
+    """Halve coordinate 0; negate coordinate 1 once coordinate 0 drops below
+    ``threshold``, so a run meets one large step after many small ones."""
+    def step(x):
+        return (x[0] / 2, -x[1] if x[0] < threshold else x[1])
+
+    return step
+
+
+class TestMeasuredOnlyAsRead:
+    """A λ-given real run with no noise-floor test builds no step while one
+    ``math.dist`` pass rules out overflow; past 2**1000 it measures the step
+    exactly.  Either way it ends as the loop that builds every step."""
+
+    @pytest.mark.parametrize(
+        "kw, halt, kept",
+        [
+            # Steps of 2**1002, 2**1001, 2**1000 and 2**999, times 2 = 1 + the
+            # factor 1 of lam 0.5, meet the margin; every later step is small.
+            (dict(x0=(2.0**1003,), max_iter=1100), "stop_c", None),
+            # Coordinate 1 flips from 1e308 to -1e308: the step overflows.
+            (dict(map_fn=flips_at(1e-3), x0=(1.0, 1e308), metric=W2, gauge=G2,
+                  stop_c=Vec([1e-10, 1e-10])), "overflow", 11),
+            # The step 2e297 is finite; times the factor ~1e12 of lam near 1,
+            # its bound overflows.
+            (dict(map_fn=flips_at(1e-3), x0=(1.0, 1e297), metric=W2, gauge=G2,
+                  stop_c=Vec([1e-10, 1e-10]), lam=LAMBDA_CEILING), "overflow", 11),
+            # A weight of 1e300 on finite differences: the first steps are
+            # measured exactly and do not overflow, ...
+            (dict(x0=(100.0, 1.0), metric=WeightedConeMetric([1e300, 1.0]), gauge=G2,
+                  stop_c=Vec([1e-10, 1e-10]), max_iter=1100), "stop_c", None),
+            # ... and the first step of 1e300 * 5e9 does.
+            (dict(x0=(1e10,), metric=WeightedConeMetric([1e300])), "overflow", 1),
+        ],
+        ids=["near-range", "step-overflows", "bound-overflows", "weight-goes-on", "weight-overflows"],
+    )
+    def test_same_end_as_the_loop_that_builds_every_step(self, kw, halt, kept):
+        p = halve_problem(**kw)
+        ref_halt, iterates, steps = exact_step_run(p)
+        with mock.patch.object(picard, "_build_certificate", lambda p, trace, gauges: None):
+            result = run_picard(p)
+        assert (result.halt, ref_halt) == (halt, halt)
+        assert kept is None or len(iterates) == kept
+        assert point_hexes(result.trace.iterates) == point_hexes(iterates)
+        assert hexes(result.trace.step_dists) == hexes(steps)
+
+    def test_steps_near_the_float_range_are_measured_exactly(self):
+        """Only the steps whose distance times max(a) * (1 + factor) reaches
+        2**1000 are built during the run: the first four from 2**1003."""
+        p = halve_problem(x0=(2.0**1003,), max_iter=1100)
+        calls, patch = counting_distances()
+        with patch, mock.patch.object(picard, "_build_certificate", lambda p, trace, gauges: None):
+            result = run_picard(p)
+        assert result.halt == "stop_c" and len(result.trace.iterates) > 1000
+        assert [abs(x[0] - y[0]) for x, y in calls] == [2.0**1002, 2.0**1001, 2.0**1000, 2.0**999]
+
+    def test_a_given_run_measures_a_handful_of_steps(self):
+        """The λ-given n=200 problem of the layer benchmarks keeps 217
+        iterates.  The run measures no step; its certificate measures the
+        first and the last, the last pair in its step check (which fails
+        there) and the residual: 5 of 216 steps, not every one."""
+        n = 200
+        diag = [0.5 + (k % 40) / 100 for k in range(n)]
+        offset = [0.1 + (k % 9) / 10 for k in range(n)]
+        p = diagonal_problem(diag, offset, [0.0] * n, 0.9, [1e-10] * n, max_iter=1000)
+        calls, patch = counting_distances()
+        with patch:
+            result = run_picard(p)
+        assert (result.halt, len(result.trace.iterates)) == ("stop_c", 217)
+        assert len(calls) <= 10, len(calls)
+
+    @pytest.mark.parametrize("lam", [None, 0.9], ids=["estimated", "stalled"])
+    def test_a_run_that_gauges_its_steps_builds_each_and_keeps_none(self, lam):
+        """An estimated factor or a noise-floor test reads each step's gauge."""
+        p = halve_problem(map_fn=StallWhen(halve, lambda z, s: False, []), lam=lam)
+        calls, patch = counting_distances()
+        with patch, mock.patch.object(picard, "_build_certificate", lambda p, trace, gauges: None):
+            result = run_picard(p)
+        steps = result.trace.step_dists
+        assert result.halt == "stop_c" and type(steps) is picard._StepView
+        assert len(calls) == len(steps) > 30
 
 
 def test_sum_bound_check():
