@@ -6,9 +6,10 @@ cost and a whole ``picard`` call, the CLI's import, and the axiom suites.
 One row per operation and size n in {2, 50, 200}, one per writer input, one
 ``Problem`` built at n=200 with a ball domain, one two-weight metric, one
 ``run_picard`` call per way of getting the factor and one in a ball domain,
-one read of every step of a real lambda-given run at n=200, which measures
-them from its iterates, one ``estimate_lambda`` call on the trace of an
-estimated diagonal run at n in {50, 200}, one ``verify_step_contraction``
+one read of every step of a real lambda-given run at n=200 and of the
+Wilkinson-12 ``solve_roots`` run, each measuring them from its iterates,
+one ``estimate_lambda`` call on the trace of an estimated diagonal run at
+n in {50, 200}, one ``verify_step_contraction``
 call on the trace of a lambda-given run at n=200 whose last pairs do not
 contract and on one whose every pair does, one
 ``weierstrass_step`` sweep and one ``solve_roots`` call (its report not
@@ -245,11 +246,15 @@ def test_run_picard(benchmark, case):
     assert benchmark(run_picard, p).converged
 
 
-def test_read_steps(benchmark):
-    """Every step of ``diagonal_run``'s trace, 216 at n=200: a real run keeps
-    none, so each is measured from the packed iterates as it is read."""
-    trace, _, _ = diagonal_run()
-    assert len(benchmark(list, trace.step_dists)) == 216
+@pytest.mark.parametrize(
+    "case, steps", [("picard_n200", 216), ("wilkinson12", 242)], ids=["picard_n200", "wilkinson12"]
+)
+def test_read_steps(benchmark, case, steps):
+    """Every step of a run's trace: ``diagonal_run``'s at n=200, measured from
+    its packed iterates, and ``wilkinson_run``'s, measured from its complex
+    ones.  A run keeps no step, so each is measured as it is read."""
+    trace, _, _ = (diagonal_run if case == "picard_n200" else wilkinson_run)()
+    assert len(benchmark(list, trace.step_dists)) == steps
 
 
 @pytest.mark.parametrize("n", [50, 200])

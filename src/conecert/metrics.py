@@ -126,6 +126,14 @@ class WeightedConeMetric(_Record):
         except OverflowError:
             raise NonFiniteError("non-finite coordinate: inf") from None
 
+    def _gaps(self, x, y):
+        """a_i * |x_i - y_i| for validated points, drawn one coordinate at a
+        time: the coordinates of ``_distance(x, y)``, built only as far as a
+        reader goes.  A complex modulus beyond the float range raises
+        ``OverflowError`` when drawn."""
+        gaps = map(abs, map(operator.sub, x, y))
+        return gaps if self._unit else map(operator.mul, self.alpha, gaps)
+
 
 class DiscreteConeMetric(_Record):
     """Fixed nonzero cone value between any two distinct points."""
@@ -244,9 +252,7 @@ def _in_ball(inst: ConeMetric, x, center, radius: Vec, closed: bool = True) -> b
     the mismatch), compare :func:`_reach`'s distance in the cone order.
     """
     if isinstance(inst, WeightedConeMetric) and len(radius.coords) == len(x):
-        gaps = map(abs, map(operator.sub, x, center))
-        if not inst._unit:
-            gaps = map(operator.mul, inst.alpha, gaps)
+        gaps = inst._gaps(x, center)
         try:
             return all(map(operator.le if closed else operator.lt, gaps, radius.coords))
         except OverflowError:

@@ -11,11 +11,11 @@ family in cone-vector form:
 
 A :class:`Certificate` stores only the factor and the step distances; each
 bound family is a read-only sequence whose entries are computed from those
-closed forms when read.  A run over a real weighted metric, whose points
-are tuples of exact floats, keeps each iterate as the bytes of its doubles
-and no step: its trace measures step k from iterates k and k + 1 when it
-is read, the run's step bit for bit.  Any other trace keeps each step as
-the bytes of its doubles.  The cyclic garbage collector does not track
+closed forms when read.  A run keeps only its iterates: its trace
+measures step k from iterates k and k + 1 when it is read, the run's step
+bit for bit.  A run over a real weighted metric, whose points are tuples of
+exact floats, keeps each iterate as the bytes of its doubles; any other run
+keeps its iterates in a list.  The cyclic garbage collector does not track
 bytes, nor the floats in which a run records each step's gauge as it goes,
 so a real run keeps no tracked object per iteration.
 
@@ -175,19 +175,20 @@ class Problem(_Record):
 class _Rows(Sequence):
     """Read-only sequence of rows of doubles of one length, each kept as bytes.
 
-    Two kinds share it.  Steps (``vecs`` true) are built from an iterable of
-    :class:`Vec`: a step that is not a ``Vec`` raises ``TypeError``, one of
-    another length than the first ``ValueError``, and entry k reads back as
-    a new ``Vec`` equal bit for bit to the one stored.  Iterates (``vecs``
-    false) are the tuples of exact floats that a real
-    :class:`WeightedConeMetric` validates, and entry k reads back as a new
-    tuple equal bit for bit to the one stored.  No row holds NaN or inf, and
-    a signed zero keeps its sign.  A slice is a sequence of the same kind
-    that shares the bytes.  ``==`` compares the entries with another such
-    sequence, a :class:`_StepView` or a list, as a list does; ``repr`` reads
-    as the list, and a pickle holds the list.  Only :func:`run_picard`
-    appends, through ``_append``; the module's per-run readers take
-    coordinate tuples from ``_rows``.
+    Two kinds share it.  Iterates (``vecs`` false) are the tuples of exact
+    floats that a real :class:`WeightedConeMetric` validates, and entry k
+    reads back as a new tuple equal bit for bit to the one stored; only
+    :func:`run_picard` appends, through ``_append``.  Steps (``vecs`` true)
+    are those a caller hands in, as a hand-built :class:`IterationTrace`, a
+    strided slice of a :class:`_StepView` or an unpickled trace does, built
+    from an iterable of :class:`Vec`: a step that is not a ``Vec`` raises
+    ``TypeError``, one of another length than the first ``ValueError``, and
+    entry k reads back as a new ``Vec`` equal bit for bit to the one stored.
+    No row holds NaN or inf, and a signed zero keeps its sign.  A slice is a
+    sequence of the same kind that shares the bytes.  ``iter`` and
+    ``reversed`` read the entries in either order.  ``==`` compares the
+    entries with another such sequence, a :class:`_StepView` or a list, as
+    a list does; ``repr`` reads as the list, and a pickle holds the list.
     """
 
     __slots__ = ("_packed", "_struct", "_vecs")
@@ -220,14 +221,12 @@ class _Rows(Sequence):
         b = self._packed[k]  # read first: an empty sequence has no struct
         return Vec._of(self._struct.unpack(b)) if self._vecs else self._struct.unpack(b)
 
-    def _rows(self, reverse: bool = False):
-        """The rows' coordinate tuples, from the last one back when ``reverse``."""
-        if not self._packed:
-            return iter(())
-        return map(self._struct.unpack, reversed(self._packed) if reverse else self._packed)
-
     def __iter__(self):
-        return map(Vec._of, self._rows()) if self._vecs else self._rows()
+        rows = map(self._struct.unpack, self._packed) if self._packed else iter(())
+        return map(Vec._of, rows) if self._vecs else rows
+
+    def __reversed__(self):
+        return iter(self[::-1])
 
     def __eq__(self, other):
         if not isinstance(other, (_Rows, _StepView, list)):
@@ -244,23 +243,25 @@ class _Rows(Sequence):
 
 
 class _StepView(Sequence):
-    """Read-only steps of a real run, measured from its packed iterates.
+    """Read-only steps of a run, measured from its iterates.
 
-    Entry k is ``metric._distance(x_k, x_{k+1})`` over the :class:`_Rows`
-    of iterates it views: the same function of the same doubles as the run's
-    step, so the same ``Vec`` bit for bit.  Nothing is stored; each read
-    measures again.  There is one step fewer than iterates, none for one
-    iterate, and the count follows the iterates as the run appends.  A slice
-    of consecutive steps views the iterates it spans; any other slice is a
-    :class:`_Rows` of the steps it selects.  ``==``, ``repr`` and ``hash``
-    are those of :class:`_Rows`, and a pickle holds the list of steps, so it
-    loads as a :class:`_Rows`.  ``_rows`` walks consecutive iterates in
-    pairs, unpacking each iterate once.
+    Entry k is ``metric._distance(x_k, x_{k+1})`` over the iterates it
+    views, a :class:`_Rows` of packed doubles for a real
+    :class:`WeightedConeMetric` and a list for any other metric: the same
+    function of the same points as the run's step, so the same ``Vec`` bit
+    for bit.  Nothing is stored; each read measures again.  There is one
+    step fewer than iterates, none for one iterate, and the count follows
+    the iterates as the run appends.  A slice of consecutive steps views the
+    iterates it spans; any other slice is a :class:`_Rows` of the steps it
+    selects.  ``iter`` and ``reversed`` walk consecutive iterates in pairs,
+    reading each iterate once.  ``==``, ``repr`` and ``hash`` are those of
+    :class:`_Rows`, and a pickle holds the list of steps, so it loads as a
+    :class:`_Rows`.
     """
 
     __slots__ = ("_iterates", "_metric")
 
-    def __init__(self, iterates: _Rows, metric: WeightedConeMetric):
+    def __init__(self, iterates: Sequence, metric: ConeMetric):
         self._iterates, self._metric = iterates, metric
 
     def __len__(self) -> int:
@@ -275,20 +276,15 @@ class _StepView(Sequence):
             return _StepView(self._iterates[at.start : at.stop + 1], self._metric)
         return _Rows(map(self.__getitem__, at))
 
-    def _steps(self, reverse: bool = False):
-        """The steps, from the last one back when ``reverse``."""
-        first, second = tee(self._iterates._rows(reverse))
-        next(second, None)
-        if reverse:  # pairs (x_{k+1}, x_k)
-            first, second = second, first
-        return map(self._metric._distance, first, second)
-
     def __iter__(self):
-        return self._steps()
+        earlier, later = tee(self._iterates)
+        next(later, None)
+        return map(self._metric._distance, earlier, later)
 
-    def _rows(self, reverse: bool = False):
-        """The steps' coordinate tuples, from the last one back when ``reverse``."""
-        return map(operator.attrgetter("coords"), self._steps(reverse))
+    def __reversed__(self):
+        later, earlier = tee(reversed(self._iterates))
+        next(earlier, None)
+        return map(self._metric._distance, earlier, later)
 
     __eq__ = _Rows.__eq__
     __hash__ = None
@@ -301,19 +297,19 @@ class _StepView(Sequence):
 class IterationTrace(_Record):
     """Iterates x_0, x_1, ... and the step distances d(x_k, x_{k+1}).
 
-    ``step_dists`` is built from a list of :class:`Vec` of one length and
-    kept as a read-only sequence of packed doubles whose entries read back
-    as new vectors equal bit for bit to the ones given.  A step that is not
-    a ``Vec`` raises ``TypeError: expected Vec, got ...``, one whose length
-    differs from the first step's ``ValueError: dimension mismatch: ...``.
-    ``iterates`` is the sequence it is given.  A run over a real
-    :class:`WeightedConeMetric` gives it a read-only sequence of packed
-    doubles, whose entries read back as tuples equal bit for bit to the
-    iterates, and keeps no step: its ``step_dists`` is a read-only view that
-    measures entry k from iterates k and k + 1 when it is read, the run's
-    step bit for bit, with the same reads, ``==``, ``repr`` and pickle.  Any
-    other run gives it a list of iterates and packs its steps.  A run writes
-    its trace and never reads it to halt (see :func:`run_picard`).
+    ``iterates`` is the sequence it is given.  A run gives it its iterates
+    and keeps no step: its ``step_dists`` is a read-only view that measures
+    entry k from iterates k and k + 1 when it is read, the run's step bit
+    for bit.  A run over a real :class:`WeightedConeMetric` keeps its
+    iterates as a read-only sequence of packed doubles, whose entries read
+    back as tuples equal bit for bit to the iterates; any other run keeps a
+    list.  Steps handed in as a list of :class:`Vec` of one length are kept
+    as a read-only sequence of packed doubles whose entries read back as new
+    vectors equal bit for bit to the ones given, with the view's reads,
+    ``==``, ``repr`` and pickle.  A step that is not a ``Vec`` raises
+    ``TypeError: expected Vec, got ...``, one whose length differs from the
+    first step's ``ValueError: dimension mismatch: ...``.  A run writes its
+    trace and never reads it to halt (see :func:`run_picard`).
     """
 
     __slots__ = ("iterates", "step_dists")
@@ -362,12 +358,13 @@ class Certificate(_Record):
     :func:`residual_check` at the last iterate, or None when that overflowed.
     ``steps`` holds d(x_k, x_{k+1}) for k >= ``start``, the first iterate the
     families cover (0 for a given factor); a run's certificate holds a
-    slice of its trace's steps, which shares their packed doubles.  ``apriori``,
-    ``apost_forward`` and ``apost_backward`` are read-only sequences whose
-    entry k is :func:`apriori_bound`, :func:`apost_forward_bound` or
-    :func:`apost_backward_bound` of (``lambda_used``, ``steps``) called when
-    it is read, so building a certificate costs no per-iterate bound work;
-    ``radius_r`` is ``apriori``'s entry 0, read the same way.
+    slice of its trace's steps, which measures them from the iterates it
+    spans.  ``apriori``, ``apost_forward`` and ``apost_backward`` are
+    read-only sequences whose entry k is :func:`apriori_bound`,
+    :func:`apost_forward_bound` or :func:`apost_backward_bound` of
+    (``lambda_used``, ``steps``) called when it is read, so building a
+    certificate costs no per-iterate bound work; ``radius_r`` is
+    ``apriori``'s entry 0, read the same way.
     """
 
     __slots__ = ("lambda_used", "lambda_source", "steps", "status", "residual", "start")
@@ -455,8 +452,8 @@ def verify_step_contraction(trace: IterationTrace, lam: float) -> bool:
     True when ``leq(steps[k + 1], lam * steps[k])`` holds for every pair of
     consecutive steps.  The trace holds steps of one length (see
     :class:`IterationTrace`), so no pair can be malformed.  Pairs are
-    checked from the last one back, on the packed doubles: a run's rounding
-    noise, which breaks contraction, sits at its end.
+    checked from the last one back: a run's rounding noise, which breaks
+    contraction, sits at its end.
     """
     lam = _check_lambda(lam)
     steps = trace.step_dists
@@ -464,8 +461,8 @@ def verify_step_contraction(trace: IterationTrace, lam: float) -> bool:
         raise ValueError("need at least two recorded steps")
     # leq(later, lam * earlier) without building lam * earlier: lam < 1, so
     # the products of finite steps cannot overflow.
-    for later, earlier in pairwise(steps._rows(reverse=True)):
-        if not all(map(operator.le, later, map(operator.mul, earlier, repeat(lam)))):
+    for later, earlier in pairwise(reversed(steps)):
+        if not all(map(operator.le, later.coords, map(operator.mul, earlier.coords, repeat(lam)))):
             return False
     return True
 
@@ -490,7 +487,7 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
     steps = trace.step_dists
     if steps:
         mink_norm(steps[-1], g)  # raises on a gauge of another dimension
-    return _contracting_tail(len(steps), map(_cone_max, steps._rows(reverse=True), repeat(g)))
+    return _contracting_tail(len(steps), (_cone_max(s.coords, g) for s in reversed(steps)))
 
 
 def _contracting_tail(n: int, gauges) -> tuple[int, Optional[float]]:
@@ -580,9 +577,8 @@ def run_picard(p: Problem) -> PicardResult:
     With a supplied factor the engine halts once the backward a posteriori
     bound drops strictly below ``stop_c`` (halt ``stop_c``); without one it
     halts once the last step distance does.  A supplied factor's bound is
-    checked for overflow with one product, the step's ``sum`` times the
-    factor, and with the step's ``max`` times it only when that one
-    overflows: the same decision as checking every coordinate's product.
+    checked for overflow with one product, the step's ``max`` times the
+    factor: the same decision as checking every coordinate's product.
     Without a supplied factor, or with the problem's noise-floor test
     (``Problem._stalled``), the run records one gauge per step, as
     :func:`estimate_lambda` takes it.  The test, ``stalled(z, s)`` with
@@ -590,10 +586,10 @@ def run_picard(p: Problem) -> PicardResult:
     test fails and the step's gauge is finite and not below the previous
     step's; true ends the run as converged with halt ``noise_floor``.
     Without a factor the certificate takes the contracting tail of those
-    gauges that :func:`estimate_lambda` would find on the trace.  Over a
-    real :class:`WeightedConeMetric` the trace packs each iterate's doubles
-    and keeps no step; it measures a step when the step is read (see
-    :class:`IterationTrace`).  Such a run with a supplied factor and no
+    gauges that :func:`estimate_lambda` would find on the trace.  The trace
+    keeps only the iterates, packing each one's doubles over a real
+    :class:`WeightedConeMetric`, and measures a step when the step is read
+    (see :class:`IterationTrace`).  A real run with a supplied factor and no
     noise-floor test builds no step either while one ``math.dist`` pass
     shows that no step coordinate or bound can overflow: its halting test
     then forms each bound coordinate from the iterates, the same product as
@@ -613,17 +609,13 @@ def run_picard(p: Problem) -> PicardResult:
     inst = p.metric
     x = p.x0
     stalled = p._stalled
-    # A real weighted metric's points are tuples of exact floats: the trace
-    # packs them and measures the steps from them when read, so the run
-    # keeps no step.
+    # The trace measures the steps from the iterates when read, so the run
+    # keeps no step.  A real weighted metric's points are tuples of exact
+    # floats, which the trace packs.
     real = isinstance(inst, WeightedConeMetric) and inst.field == "real"
-    if real:
-        iterates = _Rows(vecs=False)
-        trace = IterationTrace(iterates, _StepView(iterates, inst))
-        keep_iterate, keep_step = iterates._append, None
-    else:
-        trace = IterationTrace([], [])
-        keep_iterate, keep_step = trace.iterates.append, trace.step_dists._append
+    iterates = _Rows(vecs=False) if real else []
+    trace = IterationTrace(iterates, _StepView(iterates, inst))
+    keep_iterate = iterates._append if real else iterates.append
     keep_iterate(x)
     # The steps' gauges, taken once as each step is measured: plain floats,
     # which no collection scans.  The estimated factor and the noise floor
@@ -639,8 +631,7 @@ def run_picard(p: Problem) -> PicardResult:
     # The products are formed lazily, so the compare stops at the first
     # coordinate not below stop_c.  Steps and the factor are finite and >= 0,
     # and rounded multiplication is monotone, so every product is finite
-    # exactly when max(s) * factor is, and whenever some number at least
-    # max(s) times the factor is finite: one product checks them all.
+    # exactly when max(s) * factor is: one product checks them all.
     stop = p.stop_c.coords
     factor = None if p.lam is None else _backward_factor(p.lam)
     # A real run that reads its step only in that test measures it only as
@@ -658,9 +649,7 @@ def run_picard(p: Problem) -> PicardResult:
             x_next = inst.validate_point(p.map_fn(x))
             if lazy and math.dist(x, x_next) * scale < 2.0**1000:
                 s = None
-                # a_i * |x_i - y_i| as _distance forms it (1.0 * m == m)
-                gaps = map(operator.mul, inst.alpha, map(abs, map(operator.sub, x, x_next)))
-                halt = map(operator.mul, gaps, repeat(factor))
+                halt = map(operator.mul, inst._gaps(x, x_next), repeat(factor))
             else:
                 s = inst._distance(x, x_next)
         except NonFiniteError:
@@ -669,22 +658,10 @@ def run_picard(p: Problem) -> PicardResult:
         if s is not None:
             halt = s.coords
             if factor is not None:
-                # sum(halt) >= max(halt) for finite floats >= 0 on every
-                # CPython: up to 3.11 sum adds naively, and each rounded
-                # partial sum is at least each of its addends; from 3.12 it
-                # uses Neumaier's compensated summation, where each
-                # addition's exact error is at most its smaller operand, so
-                # the compensation totals about the non-maximal terms, by
-                # which the sum exceeds the max, and its own rounding is a
-                # tiny fraction of that.  So a finite sum(halt) * factor
-                # makes every product finite, and max(halt) * factor decides
-                # only when that product is not finite.
-                if not math.isfinite(sum(halt) * factor) and not math.isfinite(max(halt) * factor):
+                if not math.isfinite(max(halt) * factor):
                     cause = "overflow"
                     break
                 halt = map(operator.mul, halt, repeat(factor))
-            if keep_step is not None:
-                keep_step(s.coords)
             if gauges is not None:
                 prev, gauge = gauge, _cone_max(s.coords, g)
                 gauges.append(gauge)
@@ -786,7 +763,7 @@ def write_trace_csv(fh, trace: IterationTrace, inst: ConeMetric) -> None:
         cols = [f"{c}_{part}" for c in cols for part in ("re", "im")]
     cols += [f"step_d{j}" for j in range(m)]
     fh.write("iter," + ",".join(cols) + "\n")
-    cells = trace.step_dists._rows()
+    steps = iter(trace.step_dists)
     no_step = "," * m + "\n"
     for n, point in enumerate(trace.iterates):
         values = [n]
@@ -795,11 +772,11 @@ def write_trace_csv(fh, trace: IterationTrace, inst: ConeMetric) -> None:
                 values += (float(c.real), float(c.imag))
         else:
             values += map(float, point)
-        step = next(cells, None)
+        step = next(steps, None)
         if step is None:
             end = no_step
         else:
-            values += step
+            values += step.coords
             end = "\n"
         fh.write(("%d" + ",%.17g" * (len(values) - 1) + end) % tuple(values))
 

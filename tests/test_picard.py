@@ -35,7 +35,7 @@ from conecert.picard import (
     verify_step_contraction,
     write_trace_csv,
 )
-from conecert.roots import Polynomial, Weierstrass, solve_roots
+from conecert.roots import Polynomial, Weierstrass, default_starts, solve_roots
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, _Record, leq, lt
 
 from helpers import geometric_tail, other_pythons, run_script
@@ -455,6 +455,7 @@ class TestStepStorage:
         cut = slice(i, j, stride or None)
         assert hexes(steps[cut]) == hexes(vecs[cut])
         assert hexes(steps[cut][::-1]) == hexes(vecs[cut][::-1])
+        assert hexes(reversed(steps)) == hexes(vecs[::-1])
         assert steps == vecs and vecs == steps and steps == IterationTrace([], vecs).step_dists
         assert repr(steps) == repr(vecs)
         with pytest.raises(IndexError):
@@ -491,12 +492,15 @@ def point_lists(draw):
 
 
 def point_hexes(points):
-    return [[float.hex(c) for c in x] for x in points]
+    """The bits of each coordinate, a complex one's as its two parts."""
+    return [[(c.real.hex(), c.imag.hex()) if type(c) is complex else float.hex(c) for c in x]
+            for x in points]
 
 
 class TestIterateStorage:
     """A run over a real weighted metric keeps its iterates as packed
-    doubles, in the store that keeps steps, and reads back the same tuples."""
+    doubles, in the store that keeps hand-built steps, and reads back the
+    same tuples."""
 
     @settings(max_examples=300, deadline=None)
     @given(point_lists(), st.integers(-14, 14), st.integers(-14, 14), st.integers(-3, 3))
@@ -510,6 +514,7 @@ class TestIterateStorage:
         cut = slice(i, j, stride or None)
         assert point_hexes(stored[cut]) == point_hexes(points[cut])
         assert point_hexes(stored[cut][::-1]) == point_hexes(points[cut][::-1])
+        assert point_hexes(reversed(stored)) == point_hexes(points[::-1])
         assert stored == points and points == stored and stored == picard._Rows(points, False)
         assert repr(stored) == repr(points)
         again = pickle.loads(pickle.dumps(stored))
@@ -559,8 +564,28 @@ def alternating_halves(x):
     return tuple([-c / 2 for c in x])
 
 
-# Real runs whose trace measures its steps when read: unit and non-unit
-# weights, the factor given and estimated, a domain escape, signed zeros.
+def cubic_problem():
+    """The Weierstrass sweep of z^3 + 1 from its default starts: with no
+    factor and a stop_c below every step, it halts at its noise floor."""
+    poly = Polynomial([1.0, 0.0, 0.0, 1.0])
+    return Problem(
+        map_fn=Weierstrass(poly),
+        x0=default_starts(poly),
+        metric=WeightedConeMetric([1.0] * 3, field="complex"),
+        gauge=GaugeNorm(SpaceSpec(3, Vec.ones(3))),
+        stop_c=Vec([5e-324] * 3),
+        max_iter=500,
+    )
+
+
+def halve_plus(x):
+    return x * 0.5
+
+
+# Runs whose trace measures its steps when read.  Real ones: unit and
+# non-unit weights, the factor given and estimated, a domain escape, signed
+# zeros.  Complex ones: a Weierstrass run that halts at its noise floor and
+# a run with the factor given.  A discrete run and a plus-metric run.
 VIEW_RUNS = {
     "unit-given": lambda: affine_problem(lam=0.5),
     "unit-estimated": lambda: affine_problem(lam=None),
@@ -571,7 +596,18 @@ VIEW_RUNS = {
         map_fn=alternating_halves, x0=(1.0, -3.0), metric=W2, gauge=G2,
         stop_c=Vec([5e-324, 5e-324]), max_iter=2000,
     ),
+    "complex-noise-floor": cubic_problem,
+    "complex-given": lambda: halve_problem(
+        map_fn=Weierstrass(Polynomial([-2.0, 0.0, 1.0])), x0=(1 + 1j, -1 + 0.5j),
+        metric=WeightedConeMetric([1.0, 0.5], field="complex"), gauge=G2,
+        stop_c=Vec([1e-12, 1e-12]),
+    ),
+    "discrete": lambda: halve_problem(
+        map_fn=lambda x: "b", x0="a", metric=DiscreteConeMetric(ONES), lam=None
+    ),
+    "plus": lambda: halve_problem(map_fn=halve_plus, x0=Vec([1.0]), metric=PlusConeMetric(1)),
 }
+VIEW_HALTS = {"escape": "domain_escape", "complex-noise-floor": "noise_floor"}
 
 
 @st.composite
@@ -586,8 +622,8 @@ def view_cases(draw):
 
 
 class TestStepView:
-    """A real run keeps no step: its trace measures step k from iterates k
-    and k + 1 when it is read, the step the run measured, bit for bit."""
+    """A run keeps no step: its trace measures step k from iterates k and
+    k + 1 when it is read, the step the run measured, bit for bit."""
 
     @pytest.mark.parametrize("case", VIEW_RUNS)
     def test_each_step_is_the_distance_of_its_iterates(self, case):
@@ -596,16 +632,16 @@ class TestStepView:
         steps, points = result.trace.step_dists, list(result.trace.iterates)
         expected = [p.metric.distance(a, b) for a, b in zip(points, points[1:])]
         assert type(steps) is picard._StepView and len(steps) == len(expected) >= 2
-        assert result.halt == ("domain_escape" if case == "escape" else "stop_c")
+        assert result.halt == VIEW_HALTS.get(case, "stop_c")
         assert hexes([steps[k] for k in range(len(steps))]) == hexes(expected)
         assert hexes(steps) == hexes(expected)
         assert hexes([steps[k] for k in range(-len(steps), 0)]) == hexes(expected)
-        assert [list(map(float.hex, s)) for s in steps._rows(reverse=True)] == hexes(expected[::-1])
+        assert hexes(reversed(steps)) == hexes(expected[::-1])
         for k in (len(steps), -len(steps) - 1):
             with pytest.raises(IndexError):
                 steps[k]
         # Certificate.steps and compare_bounds slice from a start this way.
-        for start in (0, 1, len(steps) // 2, len(steps) - 1, len(steps), len(steps) + 3):
+        for start in range(len(steps) + 3):
             assert hexes(steps[start:]) == hexes(expected[start:])
         if result.certificate is not None:
             cert = result.certificate
@@ -650,14 +686,19 @@ class TestStepView:
         assert (result.halt, len(result.trace.iterates)) == ("overflow", 1)
         assert type(steps) is picard._StepView
         assert len(steps) == 0 and list(steps) == [] and steps == [] and steps[0:] == []
-        assert list(steps._rows(reverse=True)) == [] and repr(steps) == "[]"
+        assert list(reversed(steps)) == [] and repr(steps) == "[]"
         for k in (0, -1):
             with pytest.raises(IndexError):
                 steps[k]
 
     def test_a_hand_built_trace_still_packs_its_steps(self):
-        trace = IterationTrace([(1.0,), (0.5,)], [Vec([0.5])])
-        assert type(trace.step_dists) is picard._Rows and trace.step_dists == [Vec([0.5])]
+        """Steps handed in are kept, not measured: these are no distance of
+        the iterates, and the trace reads them back in either order."""
+        trace = IterationTrace([(1.0,), (0.5,)], [Vec([0.5]), Vec([0.75])])
+        steps = trace.step_dists
+        assert type(steps) is picard._Rows and steps == [Vec([0.5]), Vec([0.75])]
+        assert list(reversed(steps)) == [Vec([0.75]), Vec([0.5])]
+        assert pickle.loads(pickle.dumps(trace)) == trace
 
 
 class TestRunPicard:
@@ -1430,9 +1471,10 @@ class TestHaltingDecision:
             IterationTrace(iterates=[], step_dists=[(1.0,), Vec([1.0])])
 
     def test_overflow_guard_falls_back_to_the_largest_product(self):
-        """The first step's sum times the factor of lam = 2/3 overflows and
-        its max times it does not: the run goes on, halts as the per-iteration
-        bound does and certifies."""
+        """The guard reads the largest product alone: the first step's sum
+        times the factor of lam = 2/3 overflows and its max times it does
+        not, so the run goes on, halts as the per-iteration bound does and
+        certifies."""
         p = diagonal_problem([0.0, 0.0], [5e307, 5e307], [0.0, 0.0], 2 / 3, [1.0, 1.0])
         factor = picard._backward_factor(2 / 3)
         assert math.isinf(sum([5e307, 5e307]) * factor) and math.isfinite(5e307 * factor)
@@ -1443,10 +1485,9 @@ class TestHaltingDecision:
 
 
 def exact_step_run(p):
-    """A λ-given run's loop with every step built by ``_distance`` and its
-    halting bound checked for overflow by ``sum`` and then ``max``, as
-    before a run measured only what its halting test reads.  Returns the
-    halt, the iterates and the steps."""
+    """A λ-given run's loop with every step built by ``_distance`` and every
+    coordinate of its halting bound checked for overflow.  Returns the halt,
+    the iterates and the steps."""
     inst, x, stop = p.metric, p.x0, p.stop_c.coords
     factor = picard._backward_factor(p.lam)
     iterates, steps = [x], []
@@ -1456,7 +1497,7 @@ def exact_step_run(p):
             s = inst._distance(x, x_next)
         except NonFiniteError:
             return "overflow", iterates, steps
-        if not math.isfinite(sum(s.coords) * factor) and not math.isfinite(max(s.coords) * factor):
+        if not all(math.isfinite(c * factor) for c in s.coords):
             return "overflow", iterates, steps
         iterates.append(x_next)
         steps.append(s)
@@ -1482,7 +1523,7 @@ def flips_at(threshold):
     """Halve coordinate 0; negate coordinate 1 once coordinate 0 drops below
     ``threshold``, so a run meets one large step after many small ones."""
     def step(x):
-        return (x[0] / 2, -x[1] if x[0] < threshold else x[1])
+        return (x[0] / 2, -x[1] if abs(x[0]) < threshold else x[1])
 
     return step
 
@@ -1490,7 +1531,8 @@ def flips_at(threshold):
 class TestMeasuredOnlyAsRead:
     """A λ-given real run with no noise-floor test builds no step while one
     ``math.dist`` pass rules out overflow; past 2**1000 it measures the step
-    exactly.  Either way it ends as the loop that builds every step."""
+    exactly, as a run over any other metric measures every step.  Each ends
+    as the loop that builds every step."""
 
     @pytest.mark.parametrize(
         "kw, halt, kept",
@@ -1511,8 +1553,17 @@ class TestMeasuredOnlyAsRead:
                   stop_c=Vec([1e-10, 1e-10]), max_iter=1100), "stop_c", None),
             # ... and the first step of 1e300 * 5e9 does.
             (dict(x0=(1e10,), metric=WeightedConeMetric([1e300])), "overflow", 1),
+            # Built steps of other metrics: a complex step of 2e297 whose
+            # bound overflows under lam near 1, ...
+            (dict(map_fn=flips_at(1e-3), x0=(1 + 0j, 1e297 + 0j), gauge=G2,
+                  metric=WeightedConeMetric([1.0, 1.0], "complex"),
+                  stop_c=Vec([1e-10, 1e-10]), lam=LAMBDA_CEILING), "overflow", 11),
+            # ... a complex run and a plus-metric run that halt at stop_c.
+            (dict(x0=(1 + 1j,), metric=WeightedConeMetric([1.0], "complex")), "stop_c", None),
+            (dict(map_fn=halve_plus, x0=Vec([1.0]), metric=PlusConeMetric(1)), "stop_c", None),
         ],
-        ids=["near-range", "step-overflows", "bound-overflows", "weight-goes-on", "weight-overflows"],
+        ids=["near-range", "step-overflows", "bound-overflows", "weight-goes-on", "weight-overflows",
+             "complex-bound-overflows", "complex-stop-c", "plus"],
     )
     def test_same_end_as_the_loop_that_builds_every_step(self, kw, halt, kept):
         p = halve_problem(**kw)
@@ -1559,22 +1610,6 @@ class TestMeasuredOnlyAsRead:
         steps = result.trace.step_dists
         assert result.halt == "stop_c" and type(steps) is picard._StepView
         assert len(calls) == len(steps) > 30
-
-
-def test_sum_bound_check():
-    """The lemma behind run_picard's overflow guard (``tests/sum_bound_check.py``):
-    a finite sum of finite floats >= 0 is at least their max."""
-    from sum_bound_check import first_violation
-
-    assert first_violation(20000) is None
-
-
-@pytest.mark.parametrize("python", other_pythons())
-def test_sum_bound_check_on_other_pythons(python):
-    """The lemma holds under every other installed interpreter: from 3.12
-    ``sum`` adds floats with compensated summation."""
-    proc = run_script(python, "sum_bound_check.py")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # -- trace.csv bytes against the csv.writer loop it replaced --
