@@ -229,7 +229,7 @@ def test_build_weighted_metric(benchmark):
 def diagonal_run(n=200):
     p = diagonal_problem(n)
     result = run_picard(p)
-    return result.trace, result.certificate, p.metric
+    return result.trace, result.certificate
 
 
 @pytest.mark.parametrize("case", ["given", "estimated", "ball"])
@@ -253,7 +253,7 @@ def test_read_steps(benchmark, case, steps):
     """Every step of a run's trace: ``diagonal_run``'s at n=200, measured from
     its packed iterates, and ``wilkinson_run``'s, measured from its complex
     ones.  A run keeps no step, so each is measured as it is read."""
-    trace, _, _ = (diagonal_run if case == "picard_n200" else wilkinson_run)()
+    trace, _ = (diagonal_run if case == "picard_n200" else wilkinson_run)()
     assert len(benchmark(list, trace.step_dists)) == steps
 
 
@@ -309,7 +309,7 @@ def wilkinson_run(m=12):
     per root, above its noise floor: halt stop_c after 242 sweeps, with a
     certificate."""
     result = solve_roots(wilkinson(m), stop_c=Vec([1e-8] * m), max_iter=300)
-    return result.trace, result.certificate, WeightedConeMetric([1.0] * m, field="complex")
+    return result.trace, result.certificate
 
 
 @pytest.mark.parametrize("m", [3, 12])
@@ -330,17 +330,17 @@ def test_solve_roots(benchmark, m):
 
 @pytest.mark.parametrize("case", [diagonal_run, wilkinson_run], ids=["picard_n200", "wilkinson12"])
 def test_write_trace_csv(benchmark, case):
-    trace, _, metric = case()
+    trace, _ = case()
 
     def write():
-        write_trace_csv(io.StringIO(), trace, metric)
+        write_trace_csv(io.StringIO(), trace)
 
     benchmark(write)
 
 
 def test_certificate_to_dict(benchmark):
     """The n=200 certificate of ``diagonal_run``: each family's final entry."""
-    _, cert, _ = diagonal_run()
+    _, cert = diagonal_run()
     out = benchmark(certificate_to_dict, cert)
     assert [len(out[k]) for k in ("apriori", "apost_forward", "apost_backward")] == [1, 1, 1]
     assert math.isfinite(out["apriori"][-1][0])

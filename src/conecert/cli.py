@@ -337,17 +337,17 @@ def cmd_gauge(args) -> int:
     return EXIT_OK
 
 
-def _write_run(out: Path, result: PicardResult, metric: ConeMetric) -> None:
+def _write_run(out: Path, result: PicardResult) -> None:
     """``trace.csv`` and ``certificate.json`` of an engine run, ``roots`` included."""
     with open(out / "trace.csv", "w", newline="") as fh:
-        write_trace_csv(fh, result.trace, metric)
+        write_trace_csv(fh, result.trace)
     point = result.fixed_point
     payload = {
         "converged": result.converged,
         "halt": result.halt,
         "iterations": len(result.trace.iterates) - 1,
         "certificate": certificate_to_dict(result.certificate),
-        "fixed_point": None if point is None else point_to_json(metric, point),
+        "fixed_point": None if point is None else point_to_json(result.trace.metric, point),
         "schema": CERT_SCHEMA,
     }
     _write_json(out / "certificate.json", payload)
@@ -357,7 +357,7 @@ def cmd_picard(args) -> int:
     cfg = _load_config(args)
     problem = _problem_from_config(cfg)
     result = run_picard(problem)
-    _write_run(_out_dir(args), result, problem.metric)
+    _write_run(_out_dir(args), result)
     if result.halt == "domain_escape":
         print(f"iterate {len(result.trace.iterates) - 1} left the domain", file=sys.stderr)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
@@ -379,7 +379,7 @@ def cmd_roots(args) -> int:
         poly, z0=z0, weights=metric.alpha, stop_c=stop_c, max_iter=max_iter, lam=lam
     )
     out = _out_dir(args)
-    _write_run(out, result, metric)
+    _write_run(out, result)
     report = result.report  # built on each read
     _write_json(
         out / "report.json",

@@ -11,13 +11,14 @@ family in cone-vector form:
 
 A :class:`Certificate` stores only the factor and the step distances; each
 bound family is a read-only sequence whose entries are computed from those
-closed forms when read.  A run keeps only its iterates: its trace
-measures step k from iterates k and k + 1 when it is read, the run's step
-bit for bit.  A run over a real weighted metric, whose points are tuples of
-exact floats, keeps each iterate as the bytes of its doubles; any other run
-keeps its iterates in a list.  The cyclic garbage collector does not track
-bytes, nor the floats in which a run records each step's gauge as it goes,
-so a real run keeps no tracked object per iteration.
+closed forms when read.  A trace is its orbit: the iterates and the metric,
+with step k measured from iterates k and k + 1 when it is read, the run's
+step bit for bit.  Over a real weighted metric, whose points are tuples of
+exact floats, a trace keeps each iterate as the bytes of its doubles; over
+any other metric it keeps its iterates in a list.  The cyclic garbage
+collector does not track bytes, nor the floats in which a run records each
+step's gauge as it goes, so a real run keeps no tracked object per
+iteration.
 
 A supplied factor covers the whole run.  Without one, the factor is the
 largest gauge ratio of consecutive steps over the longest contracting tail
@@ -173,39 +174,30 @@ class Problem(_Record):
 
 
 class _Rows(Sequence):
-    """Read-only sequence of rows of doubles of one length, each kept as bytes.
+    """Read-only iterates of a run over a real :class:`WeightedConeMetric`,
+    each kept as the bytes of its doubles.
 
-    Two kinds share it.  Iterates (``vecs`` false) are the tuples of exact
-    floats that a real :class:`WeightedConeMetric` validates, and entry k
-    reads back as a new tuple equal bit for bit to the one stored; only
-    :func:`run_picard` appends, through ``_append``.  Steps (``vecs`` true)
-    are those a caller hands in, as a hand-built :class:`IterationTrace`, a
-    strided slice of a :class:`_StepView` or an unpickled trace does, built
-    from an iterable of :class:`Vec`: a step that is not a ``Vec`` raises
-    ``TypeError``, one of another length than the first ``ValueError``, and
-    entry k reads back as a new ``Vec`` equal bit for bit to the one stored.
-    No row holds NaN or inf, and a signed zero keeps its sign.  A slice is a
-    sequence of the same kind that shares the bytes.  ``iter`` and
-    ``reversed`` read the entries in either order.  ``==`` compares the
-    entries with another such sequence, a :class:`_StepView` or a list, as
-    a list does; ``repr`` reads as the list, and a pickle holds the list.
+    Every row is a tuple of exact finite floats of the metric's dimension,
+    as its ``validate_point`` returns it: :class:`IterationTrace` fills one
+    with the points it validated and :func:`run_picard` appends through
+    ``_append``, which checks nothing.  Entry k reads back as a new tuple
+    equal bit for bit to the one stored, a signed zero keeping its sign.  A
+    slice is a ``_Rows`` that shares the bytes.  ``iter`` and ``reversed``
+    read the entries in either order.  ``==`` compares the entries with
+    another such sequence, a :class:`_StepView` or a list, as a list does;
+    ``repr`` reads as the list, and a pickle holds the list and loads as a
+    ``_Rows``.
     """
 
-    __slots__ = ("_packed", "_struct", "_vecs")
+    __slots__ = ("_packed", "_struct")
 
-    def __init__(self, rows=(), vecs: bool = True):
-        self._packed, self._struct, self._vecs = [], None, vecs
+    def __init__(self, rows=()):
+        self._packed, self._struct = [], None
         for row in rows:
-            if vecs:
-                if not isinstance(row, Vec):
-                    raise TypeError(f"expected Vec, got {type(row).__name__}")
-                row = row.coords
-            if self._struct is not None and 8 * len(row) != self._struct.size:
-                raise ValueError(f"dimension mismatch: {self._struct.size // 8} vs {len(row)}")
             self._append(row)
 
     def _append(self, coords: tuple) -> None:
-        """Keep a row of the sequence's length (not checked): the engine's write."""
+        """Keep a validated point: the store's one write."""
         if self._struct is None:
             self._struct = Struct(f"{len(coords)}d")
         self._packed.append(self._struct.pack(*coords))
@@ -215,15 +207,14 @@ class _Rows(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            view = _Rows((), self._vecs)
+            view = _Rows()
             view._packed, view._struct = self._packed[k], self._struct
             return view
         b = self._packed[k]  # read first: an empty sequence has no struct
-        return Vec._of(self._struct.unpack(b)) if self._vecs else self._struct.unpack(b)
+        return self._struct.unpack(b)
 
     def __iter__(self):
-        rows = map(self._struct.unpack, self._packed) if self._packed else iter(())
-        return map(Vec._of, rows) if self._vecs else rows
+        return map(self._struct.unpack, self._packed) if self._packed else iter(())
 
     def __reversed__(self):
         return iter(self[::-1])
@@ -239,24 +230,21 @@ class _Rows(Sequence):
         return repr(list(self))
 
     def __reduce__(self):
-        return _Rows, (list(self), self._vecs)
+        return _Rows, (list(self),)
 
 
 class _StepView(Sequence):
-    """Read-only steps of a run, measured from its iterates.
+    """Read-only steps of a trace, measured from its iterates.
 
     Entry k is ``metric._distance(x_k, x_{k+1})`` over the iterates it
-    views, a :class:`_Rows` of packed doubles for a real
-    :class:`WeightedConeMetric` and a list for any other metric: the same
-    function of the same points as the run's step, so the same ``Vec`` bit
-    for bit.  Nothing is stored; each read measures again.  There is one
-    step fewer than iterates, none for one iterate, and the count follows
-    the iterates as the run appends.  A slice of consecutive steps views the
-    iterates it spans; any other slice is a :class:`_Rows` of the steps it
-    selects.  ``iter`` and ``reversed`` walk consecutive iterates in pairs,
-    reading each iterate once.  ``==``, ``repr`` and ``hash`` are those of
-    :class:`_Rows`, and a pickle holds the list of steps, so it loads as a
-    :class:`_Rows`.
+    views: the same function of the same points as the run's step, so the
+    same ``Vec`` bit for bit.  Nothing is stored; each read measures again.
+    There is one step fewer than iterates, none for one iterate, and the
+    count follows the iterates as the run appends.  A slice of consecutive
+    steps views the iterates it spans; any other slice is a list of the
+    steps it selects.  ``iter`` and ``reversed`` walk consecutive iterates
+    in pairs, reading each iterate once.  ``==``, ``repr`` and ``hash`` are
+    those of :class:`_Rows`, and a pickle holds the iterates and the metric.
     """
 
     __slots__ = ("_iterates", "_metric")
@@ -274,7 +262,7 @@ class _StepView(Sequence):
             return self._metric._distance(x[at], x[at + 1])
         if at.step == 1:
             return _StepView(self._iterates[at.start : at.stop + 1], self._metric)
-        return _Rows(map(self.__getitem__, at))
+        return list(map(self.__getitem__, at))
 
     def __iter__(self):
         earlier, later = tee(self._iterates)
@@ -290,34 +278,33 @@ class _StepView(Sequence):
     __hash__ = None
     __repr__ = _Rows.__repr__
 
-    def __reduce__(self):
-        return _Rows, (list(self),)
-
 
 class IterationTrace(_Record):
-    """Iterates x_0, x_1, ... and the step distances d(x_k, x_{k+1}).
+    """Iterates x_0, x_1, ... of an orbit and the metric that measures them.
 
-    ``iterates`` is the sequence it is given.  A run gives it its iterates
-    and keeps no step: its ``step_dists`` is a read-only view that measures
-    entry k from iterates k and k + 1 when it is read, the run's step bit
-    for bit.  A run over a real :class:`WeightedConeMetric` keeps its
-    iterates as a read-only sequence of packed doubles, whose entries read
-    back as tuples equal bit for bit to the iterates; any other run keeps a
-    list.  Steps handed in as a list of :class:`Vec` of one length are kept
-    as a read-only sequence of packed doubles whose entries read back as new
-    vectors equal bit for bit to the ones given, with the view's reads,
-    ``==``, ``repr`` and pickle.  A step that is not a ``Vec`` raises
-    ``TypeError: expected Vec, got ...``, one whose length differs from the
-    first step's ``ValueError: dimension mismatch: ...``.  A run writes its
+    The constructor runs ``metric.validate_point`` on each iterate it is
+    given, so a point the metric refuses raises the metric's own error, and
+    keeps the validated points: over a real :class:`WeightedConeMetric` as
+    a read-only sequence of packed doubles whose entries read back as
+    tuples equal bit for bit to the points, and in a list over any other
+    metric.  ``step_dists`` is a read-only view whose entry k is
+    d(x_k, x_{k+1}), measured from iterates k and k + 1 when it is read, so
+    a trace's steps are always the distances of its iterates.  A run builds
+    its trace empty and appends each point as it validates it; it writes its
     trace and never reads it to halt (see :func:`run_picard`).
     """
 
-    __slots__ = ("iterates", "step_dists")
+    __slots__ = ("iterates", "metric")
 
-    def __init__(self, iterates: list, step_dists: Sequence[Vec]):
-        if not isinstance(step_dists, _StepView):
-            step_dists = _Rows(step_dists)
-        super().__init__(iterates, step_dists)
+    def __init__(self, iterates, metric: ConeMetric):
+        points = map(metric.validate_point, iterates)
+        real = isinstance(metric, WeightedConeMetric) and metric.field == "real"
+        super().__init__(_Rows(points) if real else list(points), metric)
+
+    @property
+    def step_dists(self) -> _StepView:
+        """d(x_k, x_{k+1}) for each pair of consecutive iterates."""
+        return _StepView(self.iterates, self.metric)
 
 
 class _BoundFamily(Sequence):
@@ -450,10 +437,10 @@ def verify_step_contraction(trace: IterationTrace, lam: float) -> bool:
     """Exact check that consecutive step distances contract by lam.
 
     True when ``leq(steps[k + 1], lam * steps[k])`` holds for every pair of
-    consecutive steps.  The trace holds steps of one length (see
-    :class:`IterationTrace`), so no pair can be malformed.  Pairs are
-    checked from the last one back: a run's rounding noise, which breaks
-    contraction, sits at its end.
+    consecutive steps.  Each step is a distance between the trace's
+    validated iterates (see :class:`IterationTrace`), so every pair has the
+    metric's dimension.  Pairs are checked from the last one back: a run's
+    rounding noise, which breaks contraction, sits at its end.
     """
     lam = _check_lambda(lam)
     steps = trace.step_dists
@@ -587,13 +574,14 @@ def run_picard(p: Problem) -> PicardResult:
     step's; true ends the run as converged with halt ``noise_floor``.
     Without a factor the certificate takes the contracting tail of those
     gauges that :func:`estimate_lambda` would find on the trace.  The trace
-    keeps only the iterates, packing each one's doubles over a real
-    :class:`WeightedConeMetric`, and measures a step when the step is read
-    (see :class:`IterationTrace`).  A real run with a supplied factor and no
-    noise-floor test builds no step either while one ``math.dist`` pass
-    shows that no step coordinate or bound can overflow: its halting test
-    then forms each bound coordinate from the iterates, the same product as
-    from the step, and stops at the first that is not below ``stop_c``.
+    is built empty and takes each point as the run validates it, so no
+    point is validated twice; it keeps only the iterates and measures a
+    step when the step is read (see :class:`IterationTrace`).  A real run
+    with a supplied factor and no noise-floor test builds no step either
+    while one ``math.dist`` pass shows that no step coordinate or bound can
+    overflow: its halting test then forms each bound coordinate from the
+    iterates, the same product as from the step, and stops at the first
+    that is not below ``stop_c``.
     Reaching ``max_iter`` is not an error: the result comes back with
     ``converged=False``, halt ``max_iter`` and whatever certificate the
     trace supports.  Nor is a domain escape or an overflow (see the module
@@ -609,12 +597,10 @@ def run_picard(p: Problem) -> PicardResult:
     inst = p.metric
     x = p.x0
     stalled = p._stalled
-    # The trace measures the steps from the iterates when read, so the run
-    # keeps no step.  A real weighted metric's points are tuples of exact
-    # floats, which the trace packs.
-    real = isinstance(inst, WeightedConeMetric) and inst.field == "real"
-    iterates = _Rows(vecs=False) if real else []
-    trace = IterationTrace(iterates, _StepView(iterates, inst))
+    # The trace picks the store; the run appends each point it validated.
+    trace = IterationTrace((), inst)
+    iterates = trace.iterates
+    real = isinstance(iterates, _Rows)
     keep_iterate = iterates._append if real else iterates.append
     keep_iterate(x)
     # The steps' gauges, taken once as each step is measured: plain floats,
@@ -741,14 +727,14 @@ def _build_certificate(
     )
 
 
-def write_trace_csv(fh, trace: IterationTrace, inst: ConeMetric) -> None:
+def write_trace_csv(fh, trace: IterationTrace) -> None:
     """Deterministic per-iterate table: the iterate number, point and step.
 
-    Row n holds x_n and d(x_n, x_{n+1}); the last row's step cells stay
-    empty, since no step leaves the last iterate.  The table holds data, not
-    claims: entry k of each bound family is a closed form of the
-    certificate's factor and the steps from row ``start`` on (see
-    :class:`Certificate`).  Floats are written with 17 significant digits
+    Row n holds x_n and d(x_n, x_{n+1}), read from ``trace.step_dists``
+    under ``trace.metric``; the last row's step cells stay empty, since no
+    step leaves the last iterate.  The table holds data, not claims: entry
+    k of each bound family is a closed form of the certificate's factor and
+    the steps from row ``start`` on (see :class:`Certificate`).  Floats are written with 17 significant digits
     and a '.' decimal separator, so identical runs produce byte-identical
     files.
 
@@ -756,6 +742,7 @@ def write_trace_csv(fh, trace: IterationTrace, inst: ConeMetric) -> None:
     quoting, so each row is one ``%`` template of its own width filled in a
     single call; ``'%.17g'`` gives the bytes of ``format(v, ".17g")``.
     """
+    inst = trace.metric
     m = inst.dim
     complex_field = isinstance(inst, WeightedConeMetric) and inst.field == "complex"
     cols = [f"x{j}" for j in range(len(tuple(trace.iterates[0])))]

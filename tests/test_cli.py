@@ -1425,7 +1425,7 @@ class TestProblemsAreValues:
         cert = json.loads((out / "certificate.json").read_text())
         assert (cert["halt"], cert["iterations"]) == ("noise_floor", 243)
         written = io.StringIO()
-        write_trace_csv(written, library.trace, WeightedConeMetric([1.0] * 12, field="complex"))
+        write_trace_csv(written, library.trace)
         assert (out / "trace.csv").read_text() == written.getvalue()
         assert solve_roots(poly, max_iter=300).trace == library.trace
 

@@ -507,7 +507,7 @@ class TestSolveRoots:
         # componentwise check, so derive the componentwise factor here.
         result = solve_roots(CUBIC, z0=(1.3, 1.8, 3.4))
         start = result.tail_start
-        tail = IterationTrace(result.trace.iterates[start:], result.trace.step_dists[start:])
+        tail = IterationTrace(result.trace.iterates[start:], result.trace.metric)
         lam_cw = 0.0
         for a, b in zip(tail.step_dists, tail.step_dists[1:]):
             for num, den in zip(b.coords, a.coords):
@@ -699,8 +699,15 @@ class TestDiscsDisjoint:
 class TestCompareBounds:
     GS = GaugeNorm(SpaceSpec(2, Vec([1.0, 1.0])))
 
-    def make_trace(self, steps):
-        return IterationTrace([(0j, 0j)] * (len(steps) + 1), [Vec(s) for s in steps])
+    def make_trace(self, steps, n=2):
+        """Iterates on the real axis from 0 whose gaps are ``steps``: each
+        partial sum here is exact, so each step is measured exactly."""
+        points = [(0j,) * n]
+        for s in steps:
+            points.append(tuple([z + c for z, c in zip(points[-1], s)]))
+        trace = IterationTrace(points, WeightedConeMetric([1.0] * n, field="complex"))
+        assert trace.step_dists == [Vec(s) for s in steps]
+        return trace
 
     def test_empty_trace(self):
         report = compare_bounds(self.make_trace([]), self.GS, 0.5)
@@ -726,7 +733,7 @@ class TestCompareBounds:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compare_bounds(self.make_trace([[0.5]]), self.GS, 0.5)
+            compare_bounds(self.make_trace([[0.5]], n=1), self.GS, 0.5)
 
     def test_reports_compare_row_by_row(self):
         trace = self.make_trace([[0.5, 0.001], [0.25, 0.001]])
