@@ -13,12 +13,12 @@ one layout; ``certificate.json`` and ``roots``' ``report.json`` name the
 halt cause: ``stop_c``, ``noise_floor``, ``max_iter``, ``overflow`` or
 ``domain_escape``.
 ``--out`` is created after the run, so an input error leaves none behind.
-Every ``certificate.json`` carries ``"schema": 4``: its bound families hold
-only their final entries, and ``trace.csv`` holds data, not claims: each
-iterate and the step that leaves it.  Every other entry of a family is a
-closed form of ``lambda_used`` and those steps.  All runs are
-single-threaded and all emitted files are byte-identical for identical
-config and seed.
+Every ``certificate.json`` carries ``"schema": 5``: its bound families hold
+only their final entries, and ``trace.csv`` holds the orbit alone, one row
+per iterate.  Step k is d(x_k, x_{k+1}) under the config's metric, read from
+rows k and k + 1, and every other entry of a family is a closed form of
+``lambda_used`` and those steps.  All runs are single-threaded and all
+emitted files are byte-identical for identical config and seed.
 
 Importing this module (or the package) loads neither ``dataclasses`` nor
 ``inspect``: the package's record types are plain slotted classes whose
@@ -82,7 +82,7 @@ EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 
 # Version of the certificate.json layout.
-CERT_SCHEMA = 4
+CERT_SCHEMA = 5
 
 MAX_CLI_DEGREE = 12
 

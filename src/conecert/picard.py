@@ -278,6 +278,9 @@ class _StepView(Sequence):
     __hash__ = None
     __repr__ = _Rows.__repr__
 
+    def __reduce__(self):
+        return _StepView, (self._iterates, self._metric)
+
 
 class IterationTrace(_Record):
     """Iterates x_0, x_1, ... of an orbit and the metric that measures them.
@@ -728,44 +731,33 @@ def _build_certificate(
 
 
 def write_trace_csv(fh, trace: IterationTrace) -> None:
-    """Deterministic per-iterate table: the iterate number, point and step.
+    """Deterministic per-iterate table: the iterate number and the point.
 
-    Row n holds x_n and d(x_n, x_{n+1}), read from ``trace.step_dists``
-    under ``trace.metric``; the last row's step cells stay empty, since no
-    step leaves the last iterate.  The table holds data, not claims: entry
-    k of each bound family is a closed form of the certificate's factor and
-    the steps from row ``start`` on (see :class:`Certificate`).  Floats are written with 17 significant digits
-    and a '.' decimal separator, so identical runs produce byte-identical
-    files.
+    Row n holds n and x_n, a complex coordinate as its real and imaginary
+    parts: the orbit alone.  Step k is ``d(x_k, x_{k+1})`` under
+    ``trace.metric``, a function of rows k and k + 1, and each bound entry a
+    closed form of the certificate's factor and the steps from row ``start``
+    on (see :class:`Certificate`).  Floats are written with 17 significant
+    digits and a '.' decimal separator, so each cell reads back to the same
+    double, recomputed steps are the trace's bit for bit, and identical runs
+    produce byte-identical files.
 
-    Rows are streamed to ``fh`` one ``write`` each.  No cell ever needs CSV
-    quoting, so each row is one ``%`` template of its own width filled in a
-    single call; ``'%.17g'`` gives the bytes of ``format(v, ".17g")``.
+    Rows are streamed to ``fh`` one ``write`` each, all from one ``%``
+    template, since no cell ever needs CSV quoting; ``'%.17g'`` gives the
+    bytes of ``format(v, ".17g")``.  A point whose width is not the first's
+    (a discrete metric admits one) does not fit it: ``%`` raises ``TypeError``.
     """
     inst = trace.metric
-    m = inst.dim
     complex_field = isinstance(inst, WeightedConeMetric) and inst.field == "complex"
     cols = [f"x{j}" for j in range(len(tuple(trace.iterates[0])))]
     if complex_field:
         cols = [f"{c}_{part}" for c in cols for part in ("re", "im")]
-    cols += [f"step_d{j}" for j in range(m)]
     fh.write("iter," + ",".join(cols) + "\n")
-    steps = iter(trace.step_dists)
-    no_step = "," * m + "\n"
+    row = "%d" + ",%.17g" * len(cols) + "\n"
     for n, point in enumerate(trace.iterates):
-        values = [n]
         if complex_field:
-            for c in point:
-                values += (float(c.real), float(c.imag))
-        else:
-            values += map(float, point)
-        step = next(steps, None)
-        if step is None:
-            end = no_step
-        else:
-            values += step.coords
-            end = "\n"
-        fh.write(("%d" + ",%.17g" * (len(values) - 1) + end) % tuple(values))
+            point = [part for c in point for part in (c.real, c.imag)]
+        fh.write(row % (n, *map(float, point)))
 
 
 def certificate_to_dict(cert: Optional[Certificate]) -> Optional[dict]:
@@ -775,7 +767,7 @@ def certificate_to_dict(cert: Optional[Certificate]) -> Optional[dict]:
     ``apost_forward`` the one before it; each stays a one-entry list, so
     ``[-1]`` reads the same vector as in the full family.  The per-iterate
     entries stay in the library, each a closed form of ``lambda_used`` and
-    the step cells of :func:`write_trace_csv` (see :class:`Certificate`).
+    the steps, read from consecutive rows of :func:`write_trace_csv`.
     """
     if cert is None:
         return None

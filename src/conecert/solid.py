@@ -108,6 +108,9 @@ class Vec:
     def __repr__(self) -> str:
         return f"Vec({list(self.coords)!r})"
 
+    def __reduce__(self):
+        return Vec, (self.coords,)
+
     def _same_dim(self, other: "Vec") -> None:
         if not isinstance(other, Vec):
             raise TypeError(f"expected Vec, got {type(other).__name__}")

@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 ROUNDS = range(4)
-GOLDEN = "17d29a7ed2928727a23c2f3f7f2d07a527b9f60ec39fe426d182a2d9d9ddacf5"
+GOLDEN = "e32da214e505c98c2560350f83fc37f55d0c1c2cd920c8794c5271d6b3fabbf7"
 UNITS, FILES = 144, 276
 
 

@@ -1,5 +1,6 @@
-"""Shared test oracles and strategies, a call counter, and the other installed
-interpreters with a runner for the plain scripts in this directory.
+"""Shared test oracles and strategies, a ``trace.csv`` reader, a call counter,
+and the other installed interpreters with a runner for the plain scripts in
+this directory.
 
 The oracles recompute expected values through a route independent of the
 implementation under test: interval bisection against the raw order
@@ -119,6 +120,20 @@ def poly_from_roots(roots) -> list[complex]:
         for k in range(len(coeffs) - 1):
             coeffs[k] -= r * coeffs[k + 1]
     return coeffs
+
+
+def trace_csv_points(text: str) -> list[tuple]:
+    """The iterates of a ``trace.csv``, one tuple per row, read back from
+    the cells: each row holds the iterate number and the point, a complex
+    coordinate as its ``_re`` and ``_im`` cells, and so as many cells as
+    the header names."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    assert header[0] == "iter" and all(len(row) == len(header) for row in rows)
+    assert [int(row[0]) for row in rows] == list(range(len(rows)))
+    points = [tuple(map(float, row[1:])) for row in rows]
+    if header[1].endswith("_re"):
+        points = [tuple(map(complex, x[::2], x[1::2])) for x in points]
+    return points
 
 
 def count_compare_bounds(monkeypatch) -> list:

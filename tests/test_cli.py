@@ -29,7 +29,14 @@ from conecert.picard import (
 from conecert.roots import Polynomial, default_starts, solve_roots
 from conecert.solid import SpaceSpec, Vec
 
-from helpers import count_compare_bounds, greedy_match, other_pythons, poly_from_roots, run_script
+from helpers import (
+    count_compare_bounds,
+    greedy_match,
+    other_pythons,
+    poly_from_roots,
+    run_script,
+    trace_csv_points,
+)
 
 HALVE = {
     "map": {"name": "halve"},
@@ -195,7 +202,7 @@ class TestPicardCommand:
         assert cert["certificate"]["lambda_source"] == "given"
         assert cert["fixed_point"][0] == pytest.approx(0.0, abs=1e-9)
         header = (out / "trace.csv").read_text().splitlines()[0]
-        assert header == "iter,x0,step_d0"
+        assert header == "iter,x0"
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, HALVE)
@@ -300,7 +307,7 @@ class TestPicardCommand:
             "fixed_point": None,
             "halt": "domain_escape",
             "iterations": 3,
-            "schema": 4,
+            "schema": 5,
         }
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0", "1", "2", "3"]
@@ -526,22 +533,19 @@ class TestPicardCommand:
         assert cert["certificate"]["status"] == "heuristic"
 
 
-def trace_rows(path):
-    """Header names and rows of a trace.csv, as lists of cells."""
-    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
-    return header, rows
+def trace_steps(path, metric):
+    """The steps of a trace.csv, rebuilt as the README says: step k is
+    d(x_k, x_{k+1}) under the config's metric, from rows k and k + 1."""
+    points = trace_csv_points(path.read_text())
+    return [metric.distance(a, b) for a, b in zip(points, points[1:])]
 
 
-def trace_steps(path):
-    """The step cells of a trace.csv, as one Vec per row that has them.
-
-    The step block ends every row, and the last row's cells are empty.
-    """
-    header, rows = trace_rows(path)
-    cols = [j for j, name in enumerate(header) if name.startswith("step_d")]
-    assert cols == list(range(len(header) - len(cols), len(header)))
-    assert [rows[-1][j] for j in cols] == [""] * len(cols)
-    return [Vec([float(row[j]) for j in cols]) for row in rows[:-1]]
+def config_metric(command, payload):
+    """The metric a ``picard`` or ``roots`` config measures its run in."""
+    if command == "roots":
+        degree = len(payload["coefficients"]) - 1
+        return WeightedConeMetric(payload.get("weights", [1.0] * degree), field="complex")
+    return cli._problem_from_config(payload).metric
 
 
 FAMILIES = ("apriori", "apost_forward", "apost_backward")
@@ -577,13 +581,14 @@ class TestCertificateSchema:
         ids=["picard-given", "picard-estimated", "roots-tail"],
     )
     def test_final_entries_are_the_last_trace_cells(self, tmp_path, command, payload, source):
-        """Each final entry is a closed form of ``lambda_used`` and the step
-        cells of ``trace.csv``, so the table needs no bound columns."""
+        """Each final entry is a closed form of ``lambda_used`` and the steps
+        rebuilt from the rows of ``trace.csv``, so the table needs no bound
+        or step columns."""
         out = tmp_path / "out"
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 0
         cert = json.loads((out / "certificate.json").read_text())["certificate"]
         assert cert["lambda_source"] == source
-        steps = trace_steps(out / "trace.csv")
+        steps = trace_steps(out / "trace.csv", config_metric(command, payload))
         lam = cert["lambda_used"]
         if source == "given":
             # apriori and apost_backward bound the last iterate, apost_forward the one before.
@@ -610,7 +615,7 @@ class TestCertificateSchema:
         out = tmp_path / "out"
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == code
         cert = json.loads((out / "certificate.json").read_text())
-        assert cert["schema"] == 4
+        assert cert["schema"] == 5
         assert sorted(cert) == ["certificate", "converged", "fixed_point", "halt", "iterations", "schema"]
 
 
@@ -1362,12 +1367,12 @@ class TestConfigValues:
     def test_discrete_point_the_map_fixes_takes_one_zero_step(self, tmp_path):
         # The point is read as numbers, like the map's output, so d(x0, T x0)
         # compares equal coordinates rather than a list with a tuple.
-        cfg = write_cfg(tmp_path, with_key(DISCRETE, ["x0"], [0.0]))
+        payload = with_key(DISCRETE, ["x0"], [0.0])
         out = tmp_path / "out"
-        assert main(["picard", "--config", cfg, "--out", str(out)]) == 0
-        row0 = (out / "trace.csv").read_text().splitlines()[1]
-        assert row0.split(",")[:3] == ["0", "0", "0"]  # iter, x0, step_d0
+        assert main(["picard", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+        assert (out / "trace.csv").read_text().splitlines()[1:] == ["0,0", "1,0"]
         assert json.loads((out / "certificate.json").read_text())["iterations"] == 1
+        assert trace_steps(out / "trace.csv", config_metric("picard", payload)) == [Vec([0.0])]
 
     @pytest.mark.parametrize(
         "command, base, key",

@@ -38,7 +38,7 @@ from conecert.picard import (
 from conecert.roots import Polynomial, Weierstrass, default_starts, solve_roots
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, _Record, leq, lt
 
-from helpers import geometric_tail, other_pythons, run_script
+from helpers import geometric_tail, other_pythons, run_script, trace_csv_points
 
 ONES = Vec([1.0])
 G1 = GaugeNorm(SpaceSpec(1, ONES))
@@ -476,6 +476,20 @@ class TestStepStorage:
         assert again == result and again.certificate == result.certificate
         assert hexes(again.trace.step_dists) == hexes(result.trace.step_dists)
         assert hexes(again.certificate.steps) == hexes(result.certificate.steps)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_protocol_pickles_by_value(self, protocol):
+        """A vector, a real or complex trace, its certificate and its result
+        load equal at every protocol, the steps bit for bit."""
+        vec = Vec([-0.0, 1 / 3])
+        assert hexes([pickle.loads(pickle.dumps(vec, protocol))]) == hexes([vec])
+        for case in ("unit-given", "complex-given"):
+            result = run_picard(VIEW_RUNS[case]())
+            for value in (result, result.trace, result.certificate):
+                assert pickle.loads(pickle.dumps(value, protocol)) == value
+            again = pickle.loads(pickle.dumps(result, protocol))
+            assert hexes(again.trace.step_dists) == hexes(result.trace.step_dists)
+            assert hexes(again.certificate.steps) == hexes(result.certificate.steps)
 
 
 @st.composite
@@ -1207,7 +1221,38 @@ class TestBoundFamilies:
         assert json.dumps(certificate_to_dict(cert)) == json.dumps(expected)
 
 
+def count_down(x):
+    return (max(x[0] - 1.0, 0.0),)
+
+
+# The runs of VIEW_RUNS whose points the table can hold (the discrete run's
+# points there are strings), and a discrete run over numbers.
+TABLE_RUNS = {
+    **{case: run for case, run in VIEW_RUNS.items() if case != "discrete"},
+    "discrete-numbers": lambda: halve_problem(
+        map_fn=count_down, x0=(3.0,), metric=DiscreteConeMetric(ONES), lam=None
+    ),
+}
+
+
 class TestTraceCsv:
+    @pytest.mark.parametrize("case", TABLE_RUNS)
+    def test_steps_rebuilt_from_the_table_are_the_runs_steps(self, case):
+        """The table holds the orbit alone, one width per row, and a reader
+        rebuilds step k from rows k and k + 1 under the run's metric: the
+        trace's step bit for bit, signed zeros included."""
+        result = run_picard(TABLE_RUNS[case]())
+        assert result.halt == VIEW_HALTS.get(case, "stop_c")
+        trace, buf = result.trace, io.StringIO()
+        write_trace_csv(buf, trace)
+        text = buf.getvalue()
+        parts = 2 if type(trace.iterates[0][0]) is complex else 1
+        assert text.count(",", 0, text.index("\n")) == len(trace.iterates[0]) * parts
+        points = list(map(trace.metric.validate_point, trace_csv_points(text)))
+        assert point_hexes(points) == point_hexes(trace.iterates)
+        rebuilt = [trace.metric._distance(a, b) for a, b in zip(points, points[1:])]
+        assert len(rebuilt) >= 2 and hexes(rebuilt) == hexes(trace.step_dists)
+
     def test_structure_and_determinism(self):
         result = run_picard(halve_problem(max_iter=6, stop_c=Vec([0.02])))
         buffers = []
@@ -1217,10 +1262,11 @@ class TestTraceCsv:
             buffers.append(buf.getvalue())
         assert buffers[0] == buffers[1]
         lines = buffers[0].splitlines()
-        assert lines[0] == "iter,x0,step_d0"
-        assert lines[1] == "0,1,0.5"
-        assert lines[-1].endswith(",")  # no step leaves the last iterate
+        assert lines[0] == "iter,x0"
+        assert lines[1:3] == ["0,1", "1,0.5"]
         assert len(lines) == len(result.trace.iterates) + 1
+        # The orbit alone: every row holds the iterate number and the point.
+        assert all(line.count(",") == 1 for line in lines)
         # Iterate 0's bounds stay in the library.
         cert = result.certificate
         assert cert.apriori[0].coords == cert.apost_forward[0].coords == (1.0,)
@@ -1239,7 +1285,7 @@ class TestTraceCsv:
         buf = io.StringIO()
         write_trace_csv(buf, result.trace)
         header = buf.getvalue().splitlines()[0]
-        assert header == "iter,x0_re,x0_im,step_d0"
+        assert header == "iter,x0_re,x0_im"
 
 
 # -- halting and step-contraction decisions against the per-iteration forms --
@@ -1619,7 +1665,8 @@ class TestMeasuredOnlyAsRead:
 
 
 def csv_writer_trace(fh, trace):
-    """The csv.writer table of points and steps, as first written."""
+    """The csv.writer table of the points, as first written less its step
+    cells."""
     inst = trace.metric
     fmt = lambda v: format(float(v), ".17g")  # noqa: E731
     complex_field = isinstance(inst, WeightedConeMetric) and inst.field == "complex"
@@ -1629,14 +1676,11 @@ def csv_writer_trace(fh, trace):
         header = [f"x{j}_{part}" for j in range(width) for part in ("re", "im")]
     else:
         header = [f"x{j}" for j in range(width)]
-    header += [f"step_d{j}" for j in range(inst.dim)]
     writer.writerow(["iter"] + header)
-    steps = trace.step_dists
     for n, point in enumerate(trace.iterates):
         row = [str(n)]
         for c in point:
             row += [fmt(c.real), fmt(c.imag)] if complex_field else [fmt(c)]
-        row += [fmt(c) for c in steps[n]] if n < len(steps) else [""] * inst.dim
         writer.writerow(row)
 
 
@@ -1696,14 +1740,15 @@ class TestTraceCsvBytes:
         assert error is None
         assert written(csv_writer_trace, trace) == (text, None, None)
         header, *rows = [line.split(",") for line in text.splitlines()]
-        m, width = 4, 4 if field == "real" else 8
-        assert len(header) == 1 + width + m  # points and steps, no bound columns
-        assert rows[-1][1 + width :] == [""] * m  # no step after the last iterate
+        width = 4 if field == "real" else 8
+        assert len(header) == 1 + width  # points only: no step or bound columns
+        assert all(len(row) == 1 + width for row in rows)
         if start is None:
             return
-        # The bounds stay in the library, and the step cells read back from
-        # the table rebuild every entry, from row ``start`` on.
-        read = [Vec([float(c) for c in row[1 + width :]]) for row in rows[:-1]]
+        # The bounds stay in the library, and the steps rebuilt from the
+        # table's rows rebuild every entry, from row ``start`` on.
+        points = trace_csv_points(text)
+        read = [trace.metric._distance(a, b) for a, b in zip(points, points[1:])]
         assert [bits(s) for s in read] == [bits(s) for s in trace.step_dists]
         cert = tail_certificate(trace, start, 0.25)
         for name, ref in eager_families(read[start:], 0.25).items():
@@ -1719,22 +1764,23 @@ class TestTraceCsvBytes:
             tail_certificate(trace, 0, 0.75).apriori[0]
         text, error, _ = written(write_trace_csv, trace)
         assert error is None
-        assert text.splitlines()[1:] == ["0,0,1e+308", "1,1e+308,1e+308", "2,0,"]
+        assert text.splitlines()[1:] == ["0,0", "1,1e+308", "2,0"]
         assert written(csv_writer_trace, trace) == (text, None, None)
 
     def test_points_that_are_not_floats(self):
         """Point coordinates go through float() first, as with format().  A
-        discrete metric's points can change width, and each row keeps its own."""
+        discrete metric's points can change width, but the table has one:
+        a row that does not fit it raises, the rows before it written."""
         inst = DiscreteConeMetric(Vec([1.0, 1.0]))
         points = [(1, Fraction(1, 3)), ("0.5", True), ("-0", 2**60)]
         trace = IterationTrace(points, inst)
         text, error, _ = written(write_trace_csv, trace)
-        assert error is None and text.splitlines()[1] == "0,1,0.33333333333333331,1,1"
+        assert error is None and text.splitlines()[1] == "0,1,0.33333333333333331"
         assert written(csv_writer_trace, trace) == (text, None, None)
-        ragged = IterationTrace([(1.0, 2.0, 3.0), (0.5,)], inst)
-        text, error, _ = written(write_trace_csv, ragged)
-        assert error is None and text.splitlines()[1:] == ["0,1,2,3,1,1", "1,0.5,,"]
-        assert written(csv_writer_trace, ragged) == (text, None, None)
+        for ragged in ([(1.0, 2.0, 3.0), (0.5,)], [(0.5,), (1.0, 2.0, 3.0)]):
+            text, error, _ = written(write_trace_csv, IterationTrace(ragged, inst))
+            assert error is TypeError
+            assert text == written(csv_writer_trace, IterationTrace(ragged[:1], inst))[0]
         bad = IterationTrace([("x", 1.0)], inst)
         assert written(write_trace_csv, bad) == written(csv_writer_trace, bad)
 

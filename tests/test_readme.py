@@ -5,7 +5,11 @@ import re
 import shlex
 from pathlib import Path
 
+from conecert import cli
 from conecert.cli import main
+from conecert.picard import write_trace_csv
+
+from helpers import trace_csv_points
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FENCE = re.compile(r"```(\w+)\n(.*?)```", re.S)
@@ -45,6 +49,33 @@ def test_readme_cli_examples_exit_zero(tmp_path, capsys):
             str(tmp_path / a) if a in configs or a == "run/" else a for a in argv[1:]
         ]
         assert main(argv) == 0, (line, capsys.readouterr().err)
+
+
+def test_readme_runs_rebuild_their_steps_from_trace_csv(tmp_path, monkeypatch):
+    """The README's recipe: step k of a `picard` or `roots` run is
+    d(x_k, x_{k+1}) under the config's metric, from rows k and k + 1 of its
+    `trace.csv`, the run's step bit for bit."""
+    configs, commands = readme_examples()
+    for name, body in configs.items():
+        (tmp_path / name).write_text(body)
+    traces = []
+
+    def keep(fh, trace):
+        traces.append(trace)
+        write_trace_csv(fh, trace)
+
+    monkeypatch.setattr(cli, "write_trace_csv", keep)
+    runs = [shlex.split(line)[1:] for line in commands if line.split()[1] in ("picard", "roots")]
+    assert [argv[0] for argv in runs] == ["picard", "roots"]
+    for argv in runs:
+        out = tmp_path / argv[0]
+        assert argv[-2:] == ["--out", "run/"]
+        assert main([str(tmp_path / a) if a in configs else a for a in argv[:-1]] + [str(out)]) == 0
+        trace = traces.pop()
+        points = trace_csv_points((out / "trace.csv").read_text())
+        rebuilt = [trace.metric.distance(a, b) for a, b in zip(points, points[1:])]
+        hexes = [[[c.hex() for c in s.coords] for s in steps] for steps in (rebuilt, trace.step_dists)]
+        assert len(rebuilt) >= 2 and hexes[0] == hexes[1]
 
 
 def test_readme_quick_start_certifies_the_fixed_point():
