@@ -163,10 +163,10 @@ def test_validate_point(benchmark, field, n):
 @pytest.mark.parametrize("record", ["certificate", "comparison_row"])
 def test_record_init(benchmark, record):
     """One record built by the shared constructor: a ``Certificate`` by
-    position with its default ``start``, a ``ComparisonRow`` by keyword."""
+    position, all six fields, a ``ComparisonRow`` by keyword."""
     v = Vec(coords(2, 0.5))
     if record == "certificate":
-        benchmark(Certificate, 0.5, "given", v, [v], "certified", None)
+        benchmark(Certificate, 0.5, "given", [v], "certified", None, 0)
     else:
         benchmark(
             lambda: ComparisonRow(

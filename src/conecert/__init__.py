@@ -8,7 +8,6 @@ from .metrics import (
     DiscreteConeMetric,
     PlusConeMetric,
     WeightedConeMetric,
-    ball_contains,
     inequality_transfer_check,
     nested_ball_probe,
     scalarize,

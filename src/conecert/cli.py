@@ -294,7 +294,6 @@ def _problem_from_config(cfg: dict) -> Problem:
         domain = Ball(
             center=_coordinates(inst, _required(domain, "center", "domain"), "center"),
             radius=vec_from_json(_required(domain, "radius", "domain"), "radius"),
-            closed=True,
         )
     return Problem(
         map_fn=_map_from_config(map_cfg, inst, x0),

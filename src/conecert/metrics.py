@@ -7,14 +7,17 @@ Three concrete instances are provided:
 * discrete: d(x, y) = a for x != y, zero otherwise, over an arbitrary set,
 * plus: d(x, y) = x + y for x != y, zero otherwise, on the positive cone.
 
-On top of them: scalarization through the gauge, cone balls, scalar
+On top of them: scalarization through the gauge, closed cone balls, scalar
 inequality transfer, and a nested-ball probe.
 
-Every ball question in the package, whether a point x lies in B(c, r) or
-a ball B(x, s) lies inside it, compares d(x, c), plus s for a ball, with r.
-A distance or sum beyond the float range is beyond every radius: such a
-point lies outside the ball, and such a ball does not fit inside it.  Whether
-a point lies in a ball is :func:`_in_ball`, which compares a weighted
+Every ball is closed: B(c, r) = {x : d(x, c) <= r} for a radius r in the
+cone.  The open balls of the topology are the strict order's, read through
+:func:`~conecert.gauge.strict_ball_test`.  Every ball question in the
+package, whether a point x lies in B(c, r) or a ball B(x, s) lies inside
+it, compares d(x, c), plus s for a ball, with r.  A distance or sum beyond
+the float range is beyond every radius: such a point lies outside the ball,
+and such a ball does not fit inside it.  Whether a point lies in a ball is
+:func:`_in_ball`, the engine's domain test, which compares a weighted
 metric's distance coordinate by coordinate as it goes; every other question
 takes the cone vector from :func:`_reach`.
 """
@@ -33,9 +36,7 @@ from .solid import (
     _finite,
     _Record,
     in_cone,
-    in_interior,
     leq,
-    lt,
 )
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "ConeMetric",
     "Ball",
     "scalarize",
-    "ball_contains",
     "inequality_transfer_check",
     "nested_ball_probe",
 ]
@@ -203,22 +203,20 @@ ConeMetric = Union[WeightedConeMetric, DiscreteConeMetric, PlusConeMetric]
 
 
 class Ball(_Record):
-    """Cone ball around a center; closed balls take cone radii, open ones interior radii.
+    """Closed cone ball B(center, radius) = {x : d(x, center) <= radius}.
 
-    Membership follows the module's one ball rule, through :func:`_in_ball`.
+    The radius lies in the cone.  Membership follows the module's one ball
+    rule, through :func:`_in_ball`.
     """
 
-    __slots__ = ("center", "radius", "closed")
+    __slots__ = ("center", "radius")
 
-    def __init__(self, center: object, radius: Vec, closed: bool = True):
+    def __init__(self, center: object, radius: Vec):
         if not isinstance(radius, Vec):
             raise TypeError(f"radius must be a Vec, got {type(radius).__name__}")
-        if closed:
-            if not in_cone(radius):
-                raise ValueError("closed ball radius must lie in the cone")
-        elif not in_interior(radius):
-            raise ValueError("open ball radius must lie in the cone interior")
-        super().__init__(center, radius, closed)
+        if not in_cone(radius):
+            raise ValueError("closed ball radius must lie in the cone")
+        super().__init__(center, radius)
 
 
 def scalarize(inst: ConeMetric, g: GaugeNorm, x, y) -> float:
@@ -240,8 +238,8 @@ def _reach(inst: ConeMetric, x, center, radius: Optional[Vec] = None) -> Optiona
         return None
 
 
-def _in_ball(inst: ConeMetric, x, center, radius: Vec, closed: bool = True) -> bool:
-    """Whether ``x`` lies in the closed (or open) ball B(center, radius).
+def _in_ball(inst: ConeMetric, x, center, radius: Vec) -> bool:
+    """Whether ``x`` lies in the closed ball B(center, radius).
 
     ``x`` and ``center`` have passed ``inst.validate_point``.  For a weighted
     metric, a_i * |x_i - c_i| is compared with r_i coordinate by coordinate
@@ -254,19 +252,11 @@ def _in_ball(inst: ConeMetric, x, center, radius: Vec, closed: bool = True) -> b
     if isinstance(inst, WeightedConeMetric) and len(radius.coords) == len(x):
         gaps = inst._gaps(x, center)
         try:
-            return all(map(operator.le if closed else operator.lt, gaps, radius.coords))
+            return all(map(operator.le, gaps, radius.coords))
         except OverflowError:
             return False
     d = _reach(inst, x, center)
-    return d is not None and (leq(d, radius) if closed else lt(d, radius))
-
-
-def ball_contains(ball: Ball, inst: ConeMetric, x) -> bool:
-    """Whether ``x`` lies in ``ball``: False when its distance to the center
-    lies beyond the float range, as in the engine's ball domain test."""
-    return _in_ball(
-        inst, inst.validate_point(x), inst.validate_point(ball.center), ball.radius, ball.closed
-    )
+    return d is not None and leq(d, radius)
 
 
 def inequality_transfer_check(

@@ -44,8 +44,8 @@ the map raises other than :class:`NonFiniteError` or the metric refuses a
 map output (another length, a complex coordinate in a real metric, a
 plus-metric point outside the cone).  An iterate outside the domain ends it
 with halt ``domain_escape``, that iterate last in the trace; one whose
-distance to a ball's center overflows lies outside the ball, as for
-:func:`~conecert.metrics.ball_contains`.  A map output, step distance or
+distance to a ball's center overflows lies outside the ball, as
+:func:`~conecert.metrics._in_ball` reads it.  A map output, step distance or
 halting bound that overflows, or a map that raises :class:`NonFiniteError`
 itself, ends it with halt ``overflow``, the trace stopping at the last
 iterate before it; so does a certificate whose radius or final bound
@@ -105,14 +105,14 @@ class Problem(_Record):
     Every field is checked here, once, and a problem refuses assignment, so
     a run certifies the problem as built.  ``x0`` is kept as the metric's
     ``validate_point`` returns it.  ``domain`` is None for the whole space, a
-    closed :class:`Ball`, whose center is validated here too, or a predicate
-    called on every iterate.  ``lam`` is the contraction factor when the
-    caller can supply one; left None it is estimated from the trace and
-    every certificate is downgraded to heuristic.  A start outside the
-    domain raises ``ValueError``; then the map's ``stall_rule``, if any, is
-    called once, may refuse the start, and returns a noise-floor test or
-    None, kept in the derived slot ``_stalled`` (see :func:`run_picard`), so
-    a run depends on the problem alone.
+    :class:`Ball` (every ball is closed), whose center is validated here
+    too, or a predicate called on every iterate.  ``lam`` is the contraction
+    factor when the caller can supply one; left None it is estimated from
+    the trace and every certificate is downgraded to heuristic.  A start
+    outside the domain raises ``ValueError``; then the map's ``stall_rule``,
+    if any, is called once, may refuse the start, and returns a noise-floor
+    test or None, kept in the derived slot ``_stalled`` (see
+    :func:`run_picard`), so a run depends on the problem alone.
     """
 
     __slots__ = ("map_fn", "x0", "metric", "gauge", "stop_c", "max_iter", "lam", "domain",
@@ -153,8 +153,6 @@ class Problem(_Record):
         if lam is not None:
             lam = _check_lambda(lam)
         if isinstance(domain, Ball):
-            if not domain.closed:
-                raise ValueError("a ball domain must be closed")
             try:
                 center = metric.validate_point(domain.center)
             except (TypeError, ValueError) as exc:
@@ -402,17 +400,22 @@ _CONVERGED_HALTS = ("stop_c", "noise_floor")
 class PicardResult(_Record):
     """The trace of a run, its certificate (or None) and how it ended.
 
-    ``fixed_point`` is the returned point, or None.  ``halt`` names the
-    cause: ``"stop_c"``, ``"noise_floor"``, ``"max_iter"``, ``"overflow"`` or
-    ``"domain_escape"``.  ``converged`` is read from it, not stored.
+    ``halt`` names the cause: ``"stop_c"``, ``"noise_floor"``,
+    ``"max_iter"``, ``"overflow"`` or ``"domain_escape"``.  ``converged``
+    and ``fixed_point`` are read from it and the orbit, not stored.
     """
 
-    __slots__ = ("trace", "certificate", "fixed_point", "halt")
+    __slots__ = ("trace", "certificate", "halt")
 
     @property
     def converged(self) -> bool:
         """True when the run halted at ``stop_c`` or at its noise floor."""
         return self.halt in _CONVERGED_HALTS
+
+    @property
+    def fixed_point(self):
+        """The returned point: the last iterate of a converged run, else None."""
+        return self.trace.iterates[-1] if self.converged else None
 
 
 def apriori_bound(n: int, lam: float, d01: Vec) -> Vec:
@@ -673,12 +676,7 @@ def run_picard(p: Problem) -> PicardResult:
             cert = _build_certificate(p, trace, gauges)
         except NonFiniteError:
             cause = "overflow"
-    return PicardResult(
-        trace=trace,
-        certificate=cert,
-        fixed_point=x if cause in _CONVERGED_HALTS else None,
-        halt=cause,
-    )
+    return PicardResult(trace=trace, certificate=cert, halt=cause)
 
 
 def _build_certificate(
@@ -742,22 +740,26 @@ def write_trace_csv(fh, trace: IterationTrace) -> None:
     double, recomputed steps are the trace's bit for bit, and identical runs
     produce byte-identical files.
 
-    Rows are streamed to ``fh`` one ``write`` each, all from one ``%``
-    template, since no cell ever needs CSV quoting; ``'%.17g'`` gives the
-    bytes of ``format(v, ".17g")``.  A point whose width is not the first's
-    (a discrete metric admits one) does not fit it: ``%`` raises ``TypeError``.
+    Rows are streamed to ``fh`` one ``write`` each, the header with row 0,
+    all from one ``%`` template, since no cell ever needs CSV quoting;
+    ``'%.17g'`` gives the bytes of ``format(v, ".17g")``.  A first point
+    with a cell that is not a number raises ``ValueError`` or ``TypeError``
+    with ``fh`` untouched.  A later point whose width is not the first's (a
+    discrete metric admits one) does not fit the template: ``%`` raises
+    ``TypeError``, the rows before it written.
     """
     inst = trace.metric
     complex_field = isinstance(inst, WeightedConeMetric) and inst.field == "complex"
     cols = [f"x{j}" for j in range(len(tuple(trace.iterates[0])))]
     if complex_field:
         cols = [f"{c}_{part}" for c in cols for part in ("re", "im")]
-    fh.write("iter," + ",".join(cols) + "\n")
     row = "%d" + ",%.17g" * len(cols) + "\n"
+    head = "iter," + ",".join(cols) + "\n"
     for n, point in enumerate(trace.iterates):
         if complex_field:
             point = [part for c in point for part in (c.real, c.imag)]
-        fh.write(row % (n, *map(float, point)))
+        fh.write(head + row % (n, *map(float, point)))
+        head = ""
 
 
 def certificate_to_dict(cert: Optional[Certificate]) -> Optional[dict]:

@@ -15,13 +15,12 @@ from conecert.metrics import (
     WeightedConeMetric,
     _in_ball,
     _reach,
-    ball_contains,
     inequality_transfer_check,
     nested_ball_probe,
     scalarize,
 )
 from conecert.picard import Problem, _in_domain, run_picard
-from conecert.solid import NonFiniteError, SpaceSpec, Vec, in_cone, leq, lt
+from conecert.solid import NonFiniteError, SpaceSpec, Vec, in_cone, leq
 
 from helpers import dims, dyadic_coord, dyadic_pos_coord, vec_st
 
@@ -462,13 +461,36 @@ def ball_cases(draw):
     return metric, Ball(draw(point), radius), draw(point)
 
 
+@st.composite
+def discrete_ball_cases(draw):
+    """A discrete metric, a ball around one of four points, and a point."""
+    n = draw(st.integers(1, 3))
+    a = Vec(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+    radius = Vec(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+    point = st.integers(0, 3)
+    return DiscreteConeMetric(a), Ball(draw(point), radius), draw(point)
+
+
+@st.composite
+def plus_ball_cases(draw):
+    """A plus metric of dimension 1-3, a ball and a point, coordinates up to
+    1e308 so that a sum can leave the float range."""
+    n = draw(st.integers(1, 3))
+    point = st.lists(huge_radius, min_size=n, max_size=n).map(Vec)
+    radius = Vec(draw(st.lists(huge_radius, min_size=n, max_size=n)))
+    return PlusConeMetric(n), Ball(draw(point), radius), draw(point)
+
+
+def contains(ball, inst, x):
+    """The engine's test of ``x`` against ``ball``, on validated points."""
+    return _in_ball(inst, inst.validate_point(x), inst.validate_point(ball.center), ball.radius)
+
+
 class TestBalls:
     def test_radius_validation(self):
-        Ball(center=(0.0,), radius=Vec([0.0]), closed=True)
-        with pytest.raises(ValueError):
-            Ball(center=(0.0,), radius=Vec([0.0]), closed=False)
-        with pytest.raises(ValueError):
-            Ball(center=(0.0,), radius=Vec([-1.0]), closed=True)
+        Ball(center=(0.0,), radius=Vec([0.0]))
+        with pytest.raises(ValueError, match="^closed ball radius must lie in the cone$"):
+            Ball(center=(0.0,), radius=Vec([-1.0]))
 
     def test_radius_must_be_a_vec(self):
         with pytest.raises(TypeError, match="^radius must be a Vec, got list$"):
@@ -476,70 +498,56 @@ class TestBalls:
 
     def test_equal_balls_compare_and_hash_alike(self):
         a = Ball((0.0,), Vec([1.0]))
-        assert a == Ball(center=(0.0,), radius=Vec([1.0]), closed=True)
-        assert hash(a) == hash(Ball((0.0,), Vec([1.0]), True))
-        assert a != Ball((0.0,), Vec([1.0]), closed=False)
+        assert a == Ball(center=(0.0,), radius=Vec([1.0]))
+        assert hash(a) == hash(Ball((0.0,), Vec([1.0])))
+        assert a != Ball((0.0,), Vec([2.0]))
+        assert Ball._names == ("center", "radius")
 
     def test_frozen(self):
         ball = Ball((0.0,), Vec([1.0]))
         with pytest.raises(AttributeError):
-            ball.closed = False
-        assert ball.closed
+            ball.radius = Vec([2.0])
+        assert ball.radius == Vec([1.0])
 
     def test_membership(self):
         inst = WeightedConeMetric([1.0, 1.0])
-        closed = Ball(center=(0.0, 0.0), radius=Vec([1.0, 1.0]), closed=True)
-        opened = Ball(center=(0.0, 0.0), radius=Vec([1.0, 1.0]), closed=False)
-        assert ball_contains(closed, inst, (1.0, 1.0))  # boundary point
-        assert not ball_contains(opened, inst, (1.0, 1.0))
-        assert ball_contains(opened, inst, (0.5, -0.5))
-        assert not ball_contains(closed, inst, (1.5, 0.0))
+        ball = Ball(center=(0.0, 0.0), radius=Vec([1.0, 1.0]))
+        assert contains(ball, inst, (1.0, 1.0))  # boundary point
+        assert contains(ball, inst, (0.5, -0.5))
+        assert not contains(ball, inst, (1.5, 0.0))
 
     @pytest.mark.parametrize(
         "ball, inst, x",
         [
             (Ball((-1e308,), Vec([1.0])), WeightedConeMetric([1.0]), (1e308,)),
-            (Ball((-1e308,), Vec([1.0]), closed=False), WeightedConeMetric([1.0]), (1e308,)),
             (Ball(Vec([1e308]), Vec([1.0])), PlusConeMetric(1), Vec([1.5e308])),
         ],
-        ids=["closed", "open", "plus"],
+        ids=["closed", "plus"],
     )
     def test_a_distance_beyond_the_float_range_is_outside(self, ball, inst, x):
-        assert ball_contains(ball, inst, x) is False
+        assert contains(ball, inst, x) is False
 
-    @given(case=ball_cases())
+    @given(case=ball_cases() | discrete_ball_cases() | plus_ball_cases())
     @example(case=(WeightedConeMetric([1.0]), Ball((-1e308,), Vec([1.0])), (1e308,)))
+    @example(case=(PlusConeMetric(1), Ball(Vec([1e308]), Vec([1e308])), Vec([1e308])))
     @settings(max_examples=300, deadline=None)
-    def test_membership_is_the_engines_ball_test(self, case):
-        """``ball_contains`` answers as the engine's domain test on every
-        iterate, also where the distance to the center overflows."""
-        metric, ball, x = case
-        n = metric.dim
-        problem = Problem(
-            lambda y: y, ball.center, metric, GaugeNorm(SpaceSpec(n, Vec.ones(n))), Vec.ones(n),
-            domain=ball,
-        )
-        assert ball_contains(ball, metric, x) is _in_domain(problem, metric.validate_point(x))
-
-    @given(case=ball_cases(), closed=st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_the_coordinate_test_decides_as_the_distance_vector(self, case, closed):
-        """A weighted metric's point-in-ball test, coordinate by coordinate,
-        answers as d(x, center) compared with the radius in the cone order,
-        where ``_reach`` reads a distance beyond the float range as outside."""
+    def test_the_coordinate_test_decides_as_the_distance_vector(self, case):
+        """The point-in-ball test, coordinate by coordinate for a weighted
+        metric, answers as d(x, center) compared with the radius in the cone
+        order, where ``_reach`` reads a distance beyond the float range as
+        outside; so does it for the discrete and plus metrics."""
         metric, ball, x = case
         x, center = metric.validate_point(x), metric.validate_point(ball.center)
         d = _reach(metric, x, center)
-        expected = d is not None and (leq(d, ball.radius) if closed else lt(d, ball.radius))
-        assert _in_ball(metric, x, center, ball.radius, closed) is expected
+        expected = d is not None and leq(d, ball.radius)
+        assert _in_ball(metric, x, center, ball.radius) is expected
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_a_miss_ahead_of_an_overflowing_coordinate_is_outside(self, field):
         # Coordinate 0 misses the radius; |1e308 - (-1e308)| overflows in coordinate 1.
         metric = WeightedConeMetric([1.0, 2.0], field)
         x, center = metric.validate_point((5.0, 1e308)), metric.validate_point((0.0, -1e308))
-        for closed in (True, False):
-            assert not _in_ball(metric, x, center, Vec([1.0, 1.0]), closed)
+        assert not _in_ball(metric, x, center, Vec([1.0, 1.0]))
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_an_overflowing_complex_modulus_is_outside(self, alpha):
@@ -550,8 +558,7 @@ class TestBalls:
         x = (1.5e308 + 1.5e308j,)
         with pytest.raises(OverflowError):
             abs(x[0])
-        assert not ball_contains(ball, metric, x)
-        assert not ball_contains(Ball((0j,), Vec([1e308]), closed=False), metric, x)
+        assert not contains(ball, metric, x)
         one = Vec([1.0])
         problem = Problem(lambda y: y, (0j,), metric, GaugeNorm(SpaceSpec(1, one)), one, domain=ball)
         assert not _in_domain(problem, x)
@@ -561,15 +568,14 @@ class TestBalls:
         # 2 * |1.5 - 0.5| equals the radius 2 in coordinate 0.
         metric = WeightedConeMetric([2.0, 1.0], field)
         x, closed = (1.5, 0.0), Ball((0.5, 0.0), Vec([2.0, 1.0]))
-        assert ball_contains(closed, metric, x)
-        assert not ball_contains(Ball((0.5, 0.0), Vec([2.0, 1.0]), closed=False), metric, x)
+        assert contains(closed, metric, x)
         problem = Problem(lambda y: y, closed.center, metric, ONES2, Vec([1.0, 1.0]), domain=closed)
         assert _in_domain(problem, metric.validate_point(x))
 
     def test_a_radius_of_another_length_is_refused_as_before(self):
         ball = Ball((0.0,), Vec([1.0, 1.0]))
         with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
-            ball_contains(ball, WeightedConeMetric([1.0]), (0.0,))
+            contains(ball, WeightedConeMetric([1.0]), (0.0,))
 
 
 class TestInequalityTransfer:
@@ -662,7 +668,7 @@ class TestNestedBallProbe:
         radii = [Vec([2.0**-k * 2, 2.0**-k * 2]) for k in range(40)]
         point = nested_ball_probe(centers, radii, inst, g)
         for c, r in zip(centers, radii):
-            assert ball_contains(Ball(center=c, radius=r), inst, point)
+            assert leq(inst.distance(point, c), r)
 
     def test_nesting_violation(self):
         inst = WeightedConeMetric([1.0])

@@ -14,7 +14,7 @@ import pytest
 import conecert
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "conecert").glob("*.py"))
-# A Sphinx cross-reference such as :func:`~conecert.metrics.ball_contains`.
+# A Sphinx cross-reference such as :func:`~conecert.metrics.scalarize`.
 ROLE = re.compile(r":(?:func|class|meth|attr|exc|mod):`~?([\w.]+)`")
 
 
@@ -76,3 +76,24 @@ def test_docstring_roles_resolve(path):
     module = module_of(path)
     roles = docstring_roles(ast.parse(path.read_text()))
     assert [name for name in roles if not resolves(name, module)] == []
+
+
+def unread_imports(tree: ast.Module) -> list:
+    """Names bound by a top-level import, ``__future__`` aside, that the
+    module never reads: a read is an ``ast.Name`` in load context, which
+    covers the base of an attribute and every name in an annotation."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unread_imports(ast.parse(path.read_text())) == []

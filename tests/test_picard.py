@@ -130,7 +130,7 @@ class TestRecords:
             (dict(stop_c=Vec([1e-10, 1e-10])), "stop_c must be a strictly positive vector"),
             (dict(max_iter=0), "max_iter must be at least 1, got 0"),
             (dict(lam=1.0), "contraction factor must lie in"),
-            (dict(domain=Ball((0.0,), Vec([1.0]), closed=False)), "a ball domain must be closed"),
+            (dict(domain=Ball((5.0,), Vec([1.0]))), "^the start point is outside the declared domain$"),
             (
                 dict(domain=Ball((0.0, 0.0), Vec([1.0]))),
                 "^domain center: point has 2 coordinates, expected 1$",
@@ -249,11 +249,12 @@ class TestRecords:
     def test_converged_is_read_from_the_halt(self):
         trace = IterationTrace([(1.0,)], W1)
         for halt in ("stop_c", "noise_floor", "max_iter", "overflow", "domain_escape"):
-            result = PicardResult(trace, None, None, halt)
+            result = PicardResult(trace, None, halt)
             assert result.converged is (halt in ("stop_c", "noise_floor"))
-        assert PicardResult._names == ("trace", "certificate", "fixed_point", "halt")
-        with pytest.raises(TypeError, match="takes 4 fields"):
-            PicardResult(trace, None, None, True, "max_iter")
+            assert result.fixed_point == ((1.0,) if result.converged else None)
+        assert PicardResult._names == ("trace", "certificate", "halt")
+        with pytest.raises(TypeError, match="takes 3 fields"):
+            PicardResult(trace, None, True, "max_iter")
         with pytest.raises(AttributeError):
             run_picard(halve_problem()).converged = False
 
@@ -268,7 +269,7 @@ class TestRecords:
         text = repr(run_picard(halve_problem()))
         assert text.startswith("PicardResult(trace=IterationTrace(iterates=[(1.0,), (0.5,)")
         assert "certificate=Certificate(lambda_used=0.5, lambda_source='given'" in text
-        assert text.endswith("fixed_point=(5.820766091346741e-11,), halt='stop_c')")
+        assert text.endswith("), halt='stop_c')") and "fixed_point" not in text
 
 
 class TestBoundArithmetic:
@@ -417,7 +418,7 @@ class TestDomainCondition:
         assert check_domain_condition(halve_problem(), Vec([1.0])) == "verified"
 
     def test_ball_domain(self):
-        ball = Ball(center=(0.0,), radius=Vec([2.0]), closed=True)
+        ball = Ball(center=(0.0,), radius=Vec([2.0]))
         p = halve_problem(domain=ball)
         # d(x0, center) = 1, so radius 1 fits and radius 1.5 does not.
         assert check_domain_condition(p, Vec([1.0])) == "verified"
@@ -429,7 +430,7 @@ class TestDomainCondition:
 
     def test_a_sum_beyond_the_float_range_is_conditional(self):
         """d(x0, center) + r overflows: it exceeds every finite radius."""
-        ball = Ball(center=(0.0,), radius=Vec([1.7e308]), closed=True)
+        ball = Ball(center=(0.0,), radius=Vec([1.7e308]))
         p = halve_problem(x0=(1.5e308,), domain=ball)
         assert check_domain_condition(p, Vec([1.5e308])) == "conditional"
         result = run_picard(halve_problem(x0=(1.5e308,), domain=ball, max_iter=2000))
@@ -437,7 +438,7 @@ class TestDomainCondition:
         assert result.certificate.status == "conditional"
 
     def test_a_distance_beyond_the_float_range_is_outside_the_ball(self):
-        ball = Ball(center=(-1e308,), radius=Vec([1.5e308]), closed=True)
+        ball = Ball(center=(-1e308,), radius=Vec([1.5e308]))
         p = halve_problem(map_fn=lambda x: (x[0] + 1e308,), x0=(0.0,), lam=None, domain=ball)
         result = run_picard(p)
         assert (result.halt, result.certificate, result.trace.iterates) == (
@@ -824,7 +825,7 @@ class TestRunPicard:
         assert residual_check(result.fixed_point, p) == res
 
     def test_domain_escape_carries_trace(self):
-        ball = Ball(center=(0.0,), radius=Vec([2.5]), closed=True)
+        ball = Ball(center=(0.0,), radius=Vec([2.5]))
         p = halve_problem(
             map_fn=lambda x: (x[0] + 1.0,), x0=(0.0,), lam=None, domain=ball
         )
@@ -872,7 +873,7 @@ class TestRunPicard:
         assert len(result.trace.iterates) == 3
 
     def test_start_outside_domain(self):
-        ball = Ball(center=(10.0,), radius=Vec([1.0]), closed=True)
+        ball = Ball(center=(10.0,), radius=Vec([1.0]))
         with pytest.raises(ValueError, match="^the start point is outside the declared domain$"):
             halve_problem(domain=ball)
         with pytest.raises(ValueError, match="^the start point is outside the declared domain$"):
@@ -942,7 +943,7 @@ class TestRunPicard:
             rule.side_effect = ValueError("bad start")
             with pytest.raises(ValueError, match="^bad start$"):
                 halve_problem(map_fn=fn)
-            ball = Ball(center=(10.0,), radius=Vec([1.0]), closed=True)
+            ball = Ball(center=(10.0,), radius=Vec([1.0]))
             with pytest.raises(ValueError, match="^the start point is outside the declared domain$"):
                 halve_problem(map_fn=fn, domain=ball)
             assert rule.call_count == 2
@@ -1781,8 +1782,24 @@ class TestTraceCsvBytes:
             text, error, _ = written(write_trace_csv, IterationTrace(ragged, inst))
             assert error is TypeError
             assert text == written(csv_writer_trace, IterationTrace(ragged[:1], inst))[0]
+        # Row 0 is formatted before the header, so a first point that is not
+        # numbers raises as the csv.writer loop does, with nothing written.
         bad = IterationTrace([("x", 1.0)], inst)
-        assert written(write_trace_csv, bad) == written(csv_writer_trace, bad)
+        assert written(write_trace_csv, bad) == ("", *written(csv_writer_trace, bad)[1:])
+
+    @pytest.mark.parametrize(
+        "trace, error",
+        [
+            (lambda: run_picard(VIEW_RUNS["discrete"]()).trace, ValueError),
+            (lambda: IterationTrace([3, 4], DiscreteConeMetric(ONES)), TypeError),
+        ],
+        ids=["strings", "ints"],
+    )
+    def test_a_first_point_that_is_not_a_row_of_numbers_writes_nothing(self, trace, error):
+        """A discrete run over "a" and "b", or over ints, has no table: the
+        writer raises before its first write."""
+        text, raised, _ = written(write_trace_csv, trace())
+        assert (text, raised) == ("", error)
 
     @settings(max_examples=400, deadline=None)
     @given(synthetic_traces())
