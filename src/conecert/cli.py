@@ -7,7 +7,8 @@ an iteration fails to converge, escapes its domain or overflows (an iterate,
 a Weierstrass sweep that divides by zero, or a certificate's radius or final
 bound), 1 on any input error: a usage error, or a ``weierstrass`` start
 (``roots``' ``z0``, ``picard``'s ``x0``) with two equal entries, among
-others.  ``picard`` and ``roots`` write ``trace.csv`` and
+others, or an artifact that cannot be written (the error names its path).
+``picard`` and ``roots`` write ``trace.csv`` and
 ``certificate.json`` for every run through one writer, so both files have
 one layout; ``certificate.json`` and ``roots``' ``report.json`` name the
 halt cause: ``stop_c``, ``noise_floor``, ``max_iter``, ``overflow`` or
@@ -32,13 +33,13 @@ This module is the only one that knows the config format.  Each JSON value
 kind has one reader here, and every config value passes through one of them:
 a number is a finite JSON number, never a string or a boolean; a count
 (``max_iter``, a ``plus`` metric's ``n``) is a whole number (``1000.0`` reads
-as 1000); a complex scalar is a number or ``[re, im]``; an affine map's
-``x0``, a ``weierstrass`` map's ``x0`` and ``roots``' ``weights`` are checked
-against the matrix size and the degree; NaN and Infinity are rejected; an
-optional key set to null reads like an absent key, and a required key that
-is absent, or whose object is not a JSON object, is an error of one form:
-``metric needs "kind"``.  The config is the one way to set a run: no flag
-overrides a key.
+as 1000); a complex scalar is a number or ``[re, im]``; NaN and Infinity
+are rejected; an optional key set to null reads like an absent key, and a
+required key that is absent, or whose object is not a JSON object, is an
+error of one form: ``metric needs "kind"``.  The config is the one way to
+set a run: no flag overrides a key.  The library checks that values fit
+one another, for library callers too: ``Problem`` asks the map whether
+``x0`` fits it, and ``solve_roots`` checks ``weights`` and ``z0``.
 
 Each subcommand takes ``--config`` and ``--out``, and only the other flags
 it reads: ``axioms`` takes ``--seed`` and ``--samples``, ``demo-normality``
@@ -47,11 +48,13 @@ flag is one entry there.  A flag is given as ``--flag value`` or
 ``--flag=value``, spelled out in full; a usage error prints argparse's usage
 line and message to stderr and exits 1.
 
-This module defines no map.  ``_map_from_config`` reads a map's keys,
-checks them against ``x0`` and the metric, and constructs a record:
-``maps.Halve``, ``maps.Affine`` or ``roots.Weierstrass``.  So two problems
-built from one config compare, hash, pickle and run alike: ``picard`` has
-no case of its own for a ``Weierstrass``, which owns its noise floor.
+This module defines no map.  ``_map_from_config`` reads a map's keys and
+constructs a record: ``maps.Halve``, ``maps.Affine`` or
+``roots.Weierstrass``.  It refuses one pairing, a ``weierstrass`` map under
+a metric that is not complex weighted, whose points the writers cannot put
+into JSON or CSV.  So two problems built from one config compare, hash,
+pickle and run alike: ``picard`` has no case of its own for a
+``Weierstrass``, which owns its noise floor.
 """
 
 from __future__ import annotations
@@ -183,8 +186,6 @@ def _coordinates(inst: ConeMetric, raw, key: str):
     """
     if isinstance(inst, WeightedConeMetric) and inst.field == "complex":
         return tuple([_complex(v, key) for v in _array(raw, key)])
-    if isinstance(inst, PlusConeMetric):
-        return vec_from_json(raw, key)
     return _numbers(raw, key)
 
 
@@ -248,32 +249,20 @@ def _out_dir(args) -> Path:
     return Path(out)
 
 
-def _map_from_config(spec: dict, inst: ConeMetric, x0):
-    """The configured map, built once its keys are read and checked against ``x0``."""
+def _map_from_config(spec: dict, inst: ConeMetric):
+    """The configured map, built once its keys are read; ``Problem`` checks ``x0`` against it."""
     name = _required(spec, "name", "map")
     if name == "halve":
         return Halve()
     if name == "affine":
         matrix = _array(_required(spec, "matrix", "affine map"), "matrix")
         rows = [_numbers(row, "matrix") for row in matrix]
-        affine = Affine(rows, _numbers(_required(spec, "offset", "affine map"), "offset"))
-        n = len(affine.offset)
-        if len(x0) > n:
-            raise ValueError(f'"x0" has {len(x0)} coordinates, but the affine "matrix" is {n}x{n}')
-        if len(x0) < n:
-            # The image would not fit the point; worded as a metric rejects it.
-            raise ValueError(f"point has {n} coordinates, expected {len(x0)}")
-        return affine
+        return Affine(rows, _numbers(_required(spec, "offset", "affine map"), "offset"))
     if name == "weierstrass":
         poly = _polynomial(_required(spec, "coefficients", "weierstrass map"))
-        # Its iterates are complex, which only a complex weighted metric measures.
+        # The writers put complex points into JSON and CSV under this metric alone.
         if not (isinstance(inst, WeightedConeMetric) and inst.field == "complex"):
             raise ValueError("weierstrass map needs a complex weighted metric")
-        if len(x0) != poly.degree:
-            raise ValueError(
-                f'"x0" has {len(x0)} approximations, but the weierstrass "coefficients" '
-                f"have degree {poly.degree}"
-            )
         return Weierstrass(poly)
     raise ValueError(f"unknown map {name!r}")
 
@@ -296,7 +285,7 @@ def _problem_from_config(cfg: dict) -> Problem:
             radius=vec_from_json(_required(domain, "radius", "domain"), "radius"),
         )
     return Problem(
-        map_fn=_map_from_config(map_cfg, inst, x0),
+        map_fn=_map_from_config(map_cfg, inst),
         x0=x0,
         metric=inst,
         gauge=gauge,
@@ -365,18 +354,13 @@ def cmd_picard(args) -> int:
 def cmd_roots(args) -> int:
     cfg = _load_config(args)
     poly = _polynomial(_required(cfg, "coefficients", "roots config"))
-    weights = _optional(cfg, "weights")
-    weights = (1.0,) * poly.degree if weights is None else _numbers(weights, "weights")
-    # solve_roots checks that there is one weight per root.
-    metric = WeightedConeMetric(weights, field="complex")
-    z0 = _optional(cfg, "z0")
-    if z0 is not None:
-        # solve_roots checks the start: its length, entries and distinctness.
-        z0 = _coordinates(metric, z0, "z0")
+    weights, z0 = _optional(cfg, "weights"), _optional(cfg, "z0")
+    weights = None if weights is None else _numbers(weights, "weights")
+    z0 = None if z0 is None else [_complex(v, "z0") for v in _array(z0, "z0")]
     stop_c, max_iter, lam = _run_settings(cfg, max_iter=100)
-    result = solve_roots(
-        poly, z0=z0, weights=metric.alpha, stop_c=stop_c, max_iter=max_iter, lam=lam
-    )
+    # solve_roots checks the weights and the start: one of each per root,
+    # the weights positive and the start's entries distinct.
+    result = solve_roots(poly, z0=z0, weights=weights, stop_c=stop_c, max_iter=max_iter, lam=lam)
     out = _out_dir(args)
     _write_run(out, result)
     report = result.report  # built on each read
@@ -385,7 +369,7 @@ def cmd_roots(args) -> int:
         {
             "converged": result.converged,
             "halt": result.halt,
-            "roots": None if result.roots is None else point_to_json(metric, result.roots),
+            "roots": None if result.roots is None else point_to_json(result.trace.metric, result.roots),
             "residuals": result.residuals,
             "comparison": {
                 "rows": len(report.rows),
@@ -531,7 +515,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError names the artifact it could not write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -57,6 +57,12 @@ class Affine(_Record):
         except (OverflowError, ValueError):
             raise NonFiniteError("non-finite coordinate: an affine row overflowed") from None
 
+    def stall_rule(self, p) -> None:
+        """Refuse a start of another length when :class:`Problem` is built; no noise-floor test."""
+        n = len(self.offset)
+        if len(p.x0) != n:
+            raise ValueError(f'"x0" has {len(p.x0)} coordinates, but the affine "matrix" is {n}x{n}')
+
 
 def _complex_dot(row, x) -> complex:
     """``row·x`` for a complex ``x``: one ``fsum`` per part of the products."""

@@ -110,8 +110,9 @@ class Problem(_Record):
     factor when the caller can supply one; left None it is estimated from
     the trace and every certificate is downgraded to heuristic.  A start
     outside the domain raises ``ValueError``; then the map's ``stall_rule``,
-    if any, is called once, may refuse the start, and returns a noise-floor
-    test or None, kept in the derived slot ``_stalled`` (see
+    if any, is called once, may refuse the start (``Affine`` and
+    ``Weierstrass`` refuse one that does not fit them), and returns a
+    noise-floor test or None, kept in the derived slot ``_stalled`` (see
     :func:`run_picard`), so a run depends on the problem alone.
     """
 

@@ -204,14 +204,20 @@ class Weierstrass(_Record):
     def stall_rule(self, p: Problem) -> Optional[Callable[[tuple, Vec], bool]]:
         """Check a problem's start, then return its noise-floor test, if any.
 
-        :class:`Problem` calls it once, when built.  A start with two equal
-        entries raises :func:`as_root_vector`'s ``ValueError``.  Under a
+        :class:`Problem` calls it once, when built.  A start that is not one
+        approximation per root, or that holds two equal entries
+        (:func:`as_root_vector`), raises ``ValueError``.  Under a
         :class:`WeightedConeMetric` the test ``stalled(z, s)``, ``z`` the
         iterate a sweep left and ``s`` its step, says whether the inclusion
         discs around ``z`` are pairwise disjoint; it keeps no state and
         gauges nothing (see :func:`run_picard`).  A metric without weights
         measures no discs: None.
         """
+        if len(p.x0) != self.poly.degree:
+            raise ValueError(
+                f'"x0" has {len(p.x0)} approximations, but the weierstrass "coefficients" '
+                f"have degree {self.poly.degree}"
+            )
         as_root_vector(p.x0)
         if not isinstance(p.metric, WeightedConeMetric):
             return None

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -361,12 +362,10 @@ class TestPicardCommand:
             ),
             (
                 WeightedConeMetric([1.0]),
-                # A plain callable: an Affine refuses a point of another length itself.
+                # A plain callable: an Affine refuses a start of another length
+                # when the problem is built (test_affine_matrix_wider_than_the_metric).
                 lambda x: (x[0], 0.0),
-                {
-                    "map": {"name": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0]},
-                    "metric": {"kind": "weighted", "alpha": [1.0]},
-                },
+                None,
                 "point has 2 coordinates, expected 1",
             ),
             (
@@ -650,7 +649,8 @@ class TestInputErrors:
             {**HALVE, "map": {"name": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [1.0, 1.0]}},
         )
         assert main(["picard", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "error: point has 2 coordinates, expected 1\n"
+        assert capsys.readouterr().err == 'error: "x0" has 1 coordinates, but the affine "matrix" is 2x2\n'
+        assert not (tmp_path / "o").exists()
 
     def test_degree_cap(self, tmp_path, capsys):
         # One cap for every polynomial the CLI reads, a picard map's included.
@@ -698,6 +698,24 @@ class TestRootsCommand:
         assert json.loads((out / "certificate.json").read_text())["certificate"] is not None
         assert len(calls) == 1
         assert json.loads((out / "report.json").read_text())["comparison"]["rows"] >= 1
+
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (CUBIC_ROOTS, "555b8480f21167fcad05b405f9ca414b8f957e442f5afe31c389ee14564514b9"),
+            (
+                {"coefficients": CUBIC_ROOTS["coefficients"], "weights": [2, 3, 5]},
+                "1ee2786252e778c6d711a8aa977022386ba72893ebe480078c463636d6e3e01f",
+            ),
+        ],
+        ids=["default-weights", "explicit-weights"],
+    )
+    def test_report_bytes_are_pinned(self, tmp_path, cfg, digest):
+        """``report.json`` writes its roots under the run's own metric, so the
+        weights, given or not, leave its bytes as pinned here."""
+        out = tmp_path / "out"
+        assert main(["roots", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, CUBIC_ROOTS)
@@ -1305,8 +1323,12 @@ class TestConfigValues:
                 {**DISCRETE, "map": AFFINE["map"], "x0": [1, 2, 3]},
                 '"x0" has 3 coordinates, but the affine "matrix" is 1x1',
             ),
-            # A wider matrix is worded as a metric rejects its image.
-            ("picard", {**DISCRETE, "map": AFFINE_2X2}, "point has 2 coordinates, expected 1"),
+            # A wider matrix is worded as a narrower one.
+            (
+                "picard",
+                {**DISCRETE, "map": AFFINE_2X2},
+                '"x0" has 1 coordinates, but the affine "matrix" is 2x2',
+            ),
             (
                 "picard",
                 {**AFFINE_3D, "map": AFFINE_2X2},
@@ -1353,6 +1375,7 @@ class TestConfigValues:
         path = write_cfg(tmp_path, cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_dimension_reads_as_a_count(self, tmp_path, capsys):
         runs = []
@@ -1436,7 +1459,8 @@ class TestProblemsAreValues:
 
 
 class TestOutputDirectory:
-    """An --out that names a file, or a path under one, is an input error."""
+    """An --out that names a file, or a path under one, is an input error, and
+    so is an artifact that cannot be written."""
 
     def test_gauge_out_is_a_file(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"x": [2.0], "base": [1.0]})
@@ -1454,6 +1478,34 @@ class TestOutputDirectory:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot use output directory {str(afile / 'sub')!r}: ")
         assert afile.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "argv, cfg, artifact",
+        [
+            (["picard"], HALVE, "trace.csv"),
+            (["picard"], HALVE, "certificate.json"),
+            (["roots"], CUBIC_ROOTS, "trace.csv"),
+            (["roots"], CUBIC_ROOTS, "report.json"),
+            (["gauge"], GAUGE, "report.json"),
+            (["axioms", "--samples", "2"], None, "report.json"),
+            (["demo-normality", "--samples", "3"], None, "report.csv"),
+        ],
+        ids=[
+            "picard-trace", "picard-certificate", "roots-trace", "roots-report", "gauge",
+            "axioms", "demo-normality",
+        ],
+    )
+    def test_an_artifact_that_cannot_be_written_is_one_error_line(
+        self, tmp_path, capsys, argv, cfg, artifact
+    ):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)  # a directory where the file goes
+        if cfg is not None:
+            argv = [*argv, "--config", write_cfg(tmp_path, cfg)]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(out / artifact)) in err
 
 
 def test_cli_batch_fixture_matches_golden_digest(tmp_path):

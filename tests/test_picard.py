@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import pickle
+import re
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -125,27 +126,104 @@ class TestRecords:
     @pytest.mark.parametrize(
         "kw, message",
         [
-            (dict(gauge=G2), "gauge dimension 2 does not match metric dimension 1"),
-            (dict(stop_c=Vec([0.0])), "stop_c must be a strictly positive vector"),
-            (dict(stop_c=Vec([1e-10, 1e-10])), "stop_c must be a strictly positive vector"),
-            (dict(max_iter=0), "max_iter must be at least 1, got 0"),
-            (dict(lam=1.0), "contraction factor must lie in"),
-            (dict(domain=Ball((5.0,), Vec([1.0]))), "^the start point is outside the declared domain$"),
-            (
+            # Each id is set by hand, so a case can go without renaming the others.
+            pytest.param(
+                dict(gauge=G2),
+                "gauge dimension 2 does not match metric dimension 1",
+                id="kw0-gauge dimension 2 does not match metric dimension 1",
+            ),
+            pytest.param(
+                dict(stop_c=Vec([0.0])),
+                "stop_c must be a strictly positive vector",
+                id="kw1-stop_c must be a strictly positive vector",
+            ),
+            pytest.param(
+                dict(stop_c=Vec([1e-10, 1e-10])),
+                "stop_c must be a strictly positive vector",
+                id="kw2-stop_c must be a strictly positive vector",
+            ),
+            pytest.param(
+                dict(max_iter=0),
+                "max_iter must be at least 1, got 0",
+                id="kw3-max_iter must be at least 1, got 0",
+            ),
+            pytest.param(
+                dict(lam=1.0),
+                "contraction factor must lie in",
+                id="kw4-contraction factor must lie in",
+            ),
+            pytest.param(
+                dict(domain=Ball((5.0,), Vec([1.0]))),
+                "^the start point is outside the declared domain$",
+                id="kw5-^the start point is outside the declared domain$",
+            ),
+            pytest.param(
                 dict(domain=Ball((0.0, 0.0), Vec([1.0]))),
                 "^domain center: point has 2 coordinates, expected 1$",
+                id="kw6-^domain center: point has 2 coordinates, expected 1$",
             ),
-            (
+            pytest.param(
                 dict(domain=Ball((0.0,), Vec([1.0, 1.0]))),
                 "^domain radius: 2 coordinates, expected 1$",
+                id="kw7-^domain radius: 2 coordinates, expected 1$",
             ),
-            (dict(domain=Ball((1j,), Vec([1.0]))), "^domain center: complex coordinate"),
-            (dict(domain=Ball((math.inf,), Vec([1.0]))), "^domain center: non-finite coordinate"),
+            pytest.param(
+                dict(domain=Ball((1j,), Vec([1.0]))),
+                "^domain center: complex coordinate",
+                id="kw8-^domain center: complex coordinate",
+            ),
+            pytest.param(
+                dict(domain=Ball((math.inf,), Vec([1.0]))),
+                "^domain center: non-finite coordinate",
+                id="kw9-^domain center: non-finite coordinate",
+            ),
         ],
     )
     def test_problem_validates(self, kw, message):
         with pytest.raises(ValueError, match=message):
             halve_problem(**kw)
+
+    @pytest.mark.parametrize(
+        "map_fn, x0, metric, message",
+        [
+            (
+                Affine([[0.5, 0.0], [0.0, 0.5]], [1.0, 1.0]),
+                (0.0, 0.0, 0.0),
+                WeightedConeMetric([1.0] * 3),
+                '"x0" has 3 coordinates, but the affine "matrix" is 2x2',
+            ),
+            (
+                Affine([[0.5, 0.0], [0.0, 0.5]], [1.0, 1.0]),
+                (0.0,),
+                W1,
+                '"x0" has 1 coordinates, but the affine "matrix" is 2x2',
+            ),
+            (
+                Weierstrass(Polynomial([-6.0, 11.0, -6.0, 1.0])),
+                (1.5j, 2.5j),
+                WeightedConeMetric([1.0, 1.0], "complex"),
+                '"x0" has 2 approximations, but the weierstrass "coefficients" have degree 3',
+            ),
+            (
+                Weierstrass(Polynomial([-6.0, 11.0, -6.0, 1.0])),
+                (1.5j, 2.5j, 3.5j, 4.5j),
+                WeightedConeMetric([1.0] * 4, "complex"),
+                '"x0" has 4 approximations, but the weierstrass "coefficients" have degree 3',
+            ),
+        ],
+        ids=["affine-wider-start", "affine-narrower-start", "weierstrass-short", "weierstrass-long"],
+    )
+    def test_a_built_in_map_refuses_a_start_that_does_not_fit_it(
+        self, monkeypatch, map_fn, x0, metric, message
+    ):
+        """The start is refused when the problem is built, before any map call,
+        so no run of a problem that is not a self-map's begins."""
+        calls = []
+        monkeypatch.setattr(type(map_fn), "__call__", lambda self, x: calls.append(x))
+        n = metric.dim
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Problem(map_fn, x0, metric, GaugeNorm(SpaceSpec(n, Vec.ones(n))), Vec.ones(n))
+        assert calls == []
 
     def test_ball_domain_center_is_kept_validated(self):
         p = halve_problem(domain=Ball([2], Vec([3.0])))
