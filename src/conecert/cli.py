@@ -7,7 +7,8 @@ an iteration fails to converge, escapes its domain or overflows (an iterate,
 a Weierstrass sweep that divides by zero, or a certificate's radius or final
 bound), 1 on any input error: a usage error, or a ``weierstrass`` start
 (``roots``' ``z0``, ``picard``'s ``x0``) with two equal entries, among
-others, or an artifact that cannot be written (the error names its path).
+others, or an artifact that cannot be written (the error names its path,
+and a ``picard`` or ``roots`` run then leaves none of its artifacts).
 ``picard`` and ``roots`` write ``trace.csv`` and
 ``certificate.json`` for every run through one writer, so both files have
 one layout; ``certificate.json`` and ``roots``' ``report.json`` name the
@@ -318,27 +319,47 @@ def cmd_gauge(args) -> int:
     value = mink_norm(x, g)
     if not math.isfinite(value):
         raise ValueError(f"the gauge of x is {value!r}: some |x_i| / base_i overflows")
-    out = _out_dir(args) if args.out else None
+    if args.out:
+        _write_json(_out_dir(args) / "report.json", {"norm": value})
     print(format(value, ".17g"))
-    if out is not None:
-        _write_json(out / "report.json", {"norm": value})
     return EXIT_OK
 
 
-def _write_run(out: Path, result: PicardResult) -> None:
-    """``trace.csv`` and ``certificate.json`` of an engine run, ``roots`` included."""
-    with open(out / "trace.csv", "w", newline="") as fh:
-        write_trace_csv(fh, result.trace)
+def _write_run(out: Path, result: PicardResult, report=None) -> None:
+    """``trace.csv`` and ``certificate.json`` of an engine run, ``roots``
+    included, then ``report.json`` holding ``report`` when one is given.
+
+    An ``OSError`` removes every file opened so far before it propagates, so
+    a run that cannot write one of its artifacts leaves none in ``out``.
+    """
     point = result.fixed_point
-    payload = {
-        "converged": result.converged,
-        "halt": result.halt,
-        "iterations": len(result.trace.iterates) - 1,
-        "certificate": certificate_to_dict(result.certificate),
-        "fixed_point": None if point is None else point_to_json(result.trace.metric, point),
-        "schema": CERT_SCHEMA,
+    payloads = {
+        "certificate.json": {
+            "converged": result.converged,
+            "halt": result.halt,
+            "iterations": len(result.trace.iterates) - 1,
+            "certificate": certificate_to_dict(result.certificate),
+            "fixed_point": None if point is None else point_to_json(result.trace.metric, point),
+            "schema": CERT_SCHEMA,
+        },
     }
-    _write_json(out / "certificate.json", payload)
+    if report is not None:
+        payloads["report.json"] = report
+    written = []
+    try:
+        path = out / "trace.csv"
+        with open(path, "w", newline="") as fh:
+            written.append(path)
+            write_trace_csv(fh, result.trace)
+        for name, payload in payloads.items():
+            path = out / name
+            with open(path, "w") as fh:
+                written.append(path)
+                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def cmd_picard(args) -> int:
@@ -361,23 +382,19 @@ def cmd_roots(args) -> int:
     # solve_roots checks the weights and the start: one of each per root,
     # the weights positive and the start's entries distinct.
     result = solve_roots(poly, z0=z0, weights=weights, stop_c=stop_c, max_iter=max_iter, lam=lam)
-    out = _out_dir(args)
-    _write_run(out, result)
-    report = result.report  # built on each read
-    _write_json(
-        out / "report.json",
-        {
-            "converged": result.converged,
-            "halt": result.halt,
-            "roots": None if result.roots is None else point_to_json(result.trace.metric, result.roots),
-            "residuals": result.residuals,
-            "comparison": {
-                "rows": len(report.rows),
-                "any_exceeded": report.any_exceeded,
-                "strict_improvement_rows": report.strict_improvement_rows,
-            },
+    comparison = result.report  # built on each read
+    report = {
+        "converged": result.converged,
+        "halt": result.halt,
+        "roots": None if result.roots is None else point_to_json(result.trace.metric, result.roots),
+        "residuals": result.residuals,
+        "comparison": {
+            "rows": len(comparison.rows),
+            "any_exceeded": comparison.any_exceeded,
+            "strict_improvement_rows": comparison.strict_improvement_rows,
         },
-    )
+    }
+    _write_run(_out_dir(args), result, report)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 

@@ -78,11 +78,14 @@ class WeightedConeMetric(_Record):
             raise ValueError(f"point has {len(coords)} coordinates, expected {self.dim}")
         # Fast path: a point of exact floats (real field, checked finite by
         # ``_finite``) or of exact finite complexes (complex field) is already
-        # what the loop below would return.  Everything else takes the loop.
+        # what the loop below would return.  One C-level count of the exact
+        # type tests it, with no set built.  Everything else takes the loop.
         if self.field == "real":
-            if set(map(type, coords)) == {float}:
+            if operator.countOf(map(type, coords), float) == len(coords):
                 return _finite(coords)
-        elif set(map(type, coords)) == {complex} and all(map(cmath.isfinite, coords)):
+        elif operator.countOf(map(type, coords), complex) == len(coords) and all(
+            map(cmath.isfinite, coords)
+        ):
             return coords
         out = []
         for c in coords:

@@ -18,7 +18,9 @@ exact floats, a trace keeps each iterate as the bytes of its doubles; over
 any other metric it keeps its iterates in a list.  The cyclic garbage
 collector does not track bytes, nor the floats in which a run records each
 step's gauge as it goes, so a real run keeps no tracked object per
-iteration.
+iteration.  Under a unit base a weighted step's gauge is its largest
+coordinate, taken from the two iterates in one pass, so recording it builds
+no step either.
 
 A supplied factor covers the whole run.  Without one, the factor is the
 largest gauge ratio of consecutive steps over the longest contracting tail
@@ -465,8 +467,8 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
     """Start and factor of the longest suffix of steps contracting in the gauge.
 
     A step is a distance, so it lies in the cone, where its gauge is one
-    ``max`` (``gauge._cone_max``, the bits of :func:`mink_norm`).  A pair of
-    consecutive steps contracts when the later gauge is at most
+    ``max`` (the bits of :func:`mink_norm`).  A pair of consecutive steps
+    contracts when the later gauge is at most
     ``LAMBDA_CEILING`` times the earlier one; two zero steps contract with
     ratio 0, a nonzero step after a zero one does not, and no step whose
     gauge overflows to inf under a tiny base starts a contracting pair: its
@@ -474,14 +476,39 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
     index: the run landed on its fixed point.  Returns ``(start, lam)``: the
     index of the suffix's first step and its largest ratio, or ``(number of
     steps, None)`` when the last step is nonzero and the last pair does not
-    contract.  Each gauge is taken from the step's coordinate tuple, from
-    the last step back, so a non-contracting prefix costs nothing past its
-    last pair.  A run applies the same rule to the gauges it recorded.
+    contract.  Each gauge is taken from a pair of consecutive iterates by
+    :func:`_step_gauge`, from the last pair back, so a non-contracting
+    prefix costs nothing past its last pair.  A run records the same gauges
+    through the same function and applies the same rule to them.
     """
     steps = trace.step_dists
     if steps:
         mink_norm(steps[-1], g)  # raises on a gauge of another dimension
-    return _contracting_tail(len(steps), (_cone_max(s.coords, g) for s in reversed(steps)))
+    later, earlier = tee(reversed(trace.iterates))
+    next(earlier, None)
+    gauges = map(_step_gauge, repeat(trace.metric), repeat(g), earlier, later)
+    return _contracting_tail(len(steps), gauges)
+
+
+def _step_gauge(metric: ConeMetric, g: GaugeNorm, x, y) -> float:
+    """The gauge of the step ``metric._distance(x, y)`` between validated
+    points, bit for bit, overflow raising the same :class:`NonFiniteError`.
+
+    Under a unit base the gauge of a step, which lies in the cone, is its
+    largest coordinate, so a weighted metric's step is gauged with one
+    ``max`` over its gaps and no ``Vec`` is built; an inf among them, or the
+    ``OverflowError`` of a complex modulus, is the overflow ``_distance``
+    reports.  Any other metric or base gauges the built step.
+    """
+    if g._unit and isinstance(metric, WeightedConeMetric):
+        try:
+            gauge = max(metric._gaps(x, y)) or 0.0
+        except OverflowError:
+            gauge = math.inf
+        if gauge == math.inf:
+            raise NonFiniteError("non-finite coordinate: inf")
+        return gauge
+    return _cone_max(metric._distance(x, y).coords, g)
 
 
 def _contracting_tail(n: int, gauges) -> tuple[int, Optional[float]]:
@@ -583,12 +610,16 @@ def run_picard(p: Problem) -> PicardResult:
     gauges that :func:`estimate_lambda` would find on the trace.  The trace
     is built empty and takes each point as the run validates it, so no
     point is validated twice; it keeps only the iterates and measures a
-    step when the step is read (see :class:`IterationTrace`).  A real run
-    with a supplied factor and no noise-floor test builds no step either
-    while one ``math.dist`` pass shows that no step coordinate or bound can
-    overflow: its halting test then forms each bound coordinate from the
-    iterates, the same product as from the step, and stops at the first
-    that is not below ``stop_c``.
+    step when the step is read (see :class:`IterationTrace`).  A weighted
+    run that records gauges under a unit base builds a step only for the
+    noise-floor test, when it is asked: it takes each gauge from the two
+    iterates (:func:`_step_gauge`), the step's largest coordinate, which
+    also guards the halting bound, and its halting test forms each bound
+    coordinate from the iterates, stopping at the first that is not below
+    ``stop_c``.  A real run with a supplied factor and no noise-floor test
+    builds no step either while one ``math.dist`` pass shows that no step
+    coordinate or bound can overflow, and tests its bound the same way.
+    Every other run builds each step and gauges it.
     Reaching ``max_iter`` is not an error: the result comes back with
     ``converged=False``, halt ``max_iter`` and whatever certificate the
     trace supports.  Nor is a domain escape or an overflow (see the module
@@ -636,27 +667,35 @@ def run_picard(p: Problem) -> PicardResult:
     lazy = real and gauges is None
     if lazy:
         scale = max(inst.alpha) * (1.0 + factor)
+    # A weighted run that gauges its steps under a unit base takes each gauge
+    # from the two iterates (_step_gauge), which is the step's largest
+    # coordinate, so it also guards the halting bound; the test reads the
+    # gaps lazily, and the step is built only when the noise floor is asked.
+    gapped = gauges is not None and g._unit and isinstance(inst, WeightedConeMetric)
     cause = "max_iter"
     for _ in range(p.max_iter):
         try:
             x_next = inst.validate_point(p.map_fn(x))
+            s = top = None
             if lazy and math.dist(x, x_next) * scale < 2.0**1000:
-                s = None
                 halt = map(operator.mul, inst._gaps(x, x_next), repeat(factor))
+            elif gapped:
+                halt, top = inst._gaps(x, x_next), _step_gauge(inst, g, x, x_next)
             else:
                 s = inst._distance(x, x_next)
+                halt = s.coords
+                top = max(halt)
         except NonFiniteError:
             cause = "overflow"
             break
-        if s is not None:
-            halt = s.coords
+        if top is not None:
             if factor is not None:
-                if not math.isfinite(max(halt) * factor):
+                if not math.isfinite(top * factor):
                     cause = "overflow"
                     break
                 halt = map(operator.mul, halt, repeat(factor))
             if gauges is not None:
-                prev, gauge = gauge, _cone_max(s.coords, g)
+                prev, gauge = gauge, top if s is None else _cone_max(s.coords, g)
                 gauges.append(gauge)
         keep_iterate(x_next)
         if not _in_domain(p, x_next):
@@ -667,9 +706,10 @@ def run_picard(p: Problem) -> PicardResult:
             cause = "stop_c"
             break
         # A gauge that overflows under a tiny base shows no stall.
-        if stalled is not None and prev <= gauge < math.inf and stalled(z, s):
-            cause = "noise_floor"
-            break
+        if stalled is not None and prev <= gauge < math.inf:
+            if stalled(z, inst._distance(z, x) if s is None else s):
+                cause = "noise_floor"
+                break
 
     cert = None
     if cause not in ("domain_escape", "overflow"):

@@ -1503,9 +1503,13 @@ class TestOutputDirectory:
         if cfg is not None:
             argv = [*argv, "--config", write_cfg(tmp_path, cfg)]
         assert main([*argv, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(str(out / artifact)) in err
+        # Nothing is printed, and no artifact written before it is left.
+        assert captured.out == ""
+        assert list(out.iterdir()) == [out / artifact]
 
 
 def test_cli_batch_fixture_matches_golden_digest(tmp_path):

@@ -137,6 +137,12 @@ class TestValidatePoint:
             ("real", (-0.0, 3)),
             ("complex", (1.5, -0.0)),
             ("complex", (1, 2j)),
+            # Every other type after an exact float or complex: one count
+            # sends the point to the loop wherever that coordinate sits.
+            ("real", (2.5, _Float(0.1))),
+            ("real", (1, 2)),
+            ("complex", (2j, 1)),
+            ("complex", (2j, _Complex(1 + 1j))),
         ],
     )
     def test_accepted_points_match_the_loop(self, field, point):
@@ -151,6 +157,9 @@ class TestValidatePoint:
             ((math.nan, 1.0), NonFiniteError, "non-finite coordinate: nan"),
             ((1.0, -math.inf), NonFiniteError, "non-finite coordinate: -inf"),
             ((1, math.inf), NonFiniteError, "non-finite coordinate: inf"),
+            ((1.0, True), ValueError, "not a scalar: True"),
+            ((1.0, 1 + 0j), ValueError, "complex coordinate (1+0j) in a real instance"),
+            ((1.0, _Float(math.inf)), NonFiniteError, "non-finite coordinate: inf"),
         ],
     )
     def test_rejected_points_keep_type_and_message(self, point, error, message):
@@ -184,6 +193,8 @@ class TestValidatePoint:
             ((complex(math.nan, 0.0), 1j), NonFiniteError, "non-finite coordinate: (nan+0j)"),
             ((0j, complex(0.0, -math.inf)), NonFiniteError, "non-finite coordinate: -infj"),
             ((math.inf, 1j), NonFiniteError, "non-finite coordinate: (inf+0j)"),
+            ((1j, False), ValueError, "not a scalar: False"),
+            ((1j, _Complex(complex(0.0, math.inf))), NonFiniteError, "non-finite coordinate: infj"),
         ],
     )
     def test_complex_field_rejects_like_the_loop(self, point, error, message):

@@ -8,6 +8,7 @@ import pickle
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -40,6 +41,13 @@ from conecert.roots import Polynomial, Weierstrass, default_starts, solve_roots
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, _Record, leq, lt
 
 from helpers import geometric_tail, other_pythons, run_script, trace_csv_points
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+try:
+    import workloads
+finally:
+    sys.path.remove(str(BENCH))
 
 ONES = Vec([1.0])
 G1 = GaugeNorm(SpaceSpec(1, ONES))
@@ -1647,6 +1655,23 @@ def counting_distances():
     return calls, mock.patch.object(WeightedConeMetric, "_distance", counted)
 
 
+def counting_step_gauges():
+    """Patch ``picard._step_gauge`` to log each call's points."""
+    calls = []
+    gauge = picard._step_gauge
+
+    def counted(metric, g, x, y):
+        calls.append((x, y))
+        return gauge(metric, g, x, y)
+
+    return calls, mock.patch.object(picard, "_step_gauge", counted)
+
+
+def no_certificate():
+    """Patch out the certificate, so a count covers the run's loop alone."""
+    return mock.patch.object(picard, "_build_certificate", lambda p, trace, gauges: None)
+
+
 def flips_at(threshold):
     """Halve coordinate 0; negate coordinate 1 once coordinate 0 drops below
     ``threshold``, so a run meets one large step after many small ones."""
@@ -1730,14 +1755,178 @@ class TestMeasuredOnlyAsRead:
 
     @pytest.mark.parametrize("lam", [None, 0.9], ids=["estimated", "stalled"])
     def test_a_run_that_gauges_its_steps_builds_each_and_keeps_none(self, lam):
-        """An estimated factor or a noise-floor test reads each step's gauge."""
-        p = halve_problem(map_fn=StallWhen(halve, lambda z, s: False, []), lam=lam)
+        """An estimated factor or a noise-floor test reads each step's gauge,
+        taken once per step by ``_step_gauge`` from the two iterates.  The
+        loop builds a step only for the noise-floor test, when it is asked,
+        and this one never is: each step is half the one before."""
+        asked = []
+        p = halve_problem(map_fn=StallWhen(halve, lambda z, s: False, asked), lam=lam)
         calls, patch = counting_distances()
-        with patch, mock.patch.object(picard, "_build_certificate", lambda p, trace, gauges: None):
+        gauged, gauge_patch = counting_step_gauges()
+        with patch, gauge_patch, no_certificate():
             result = run_picard(p)
         steps = result.trace.step_dists
         assert result.halt == "stop_c" and type(steps) is picard._StepView
-        assert len(calls) == len(steps) > 30
+        assert len(gauged) == len(steps) > 30
+        assert (calls, asked) == ([], [])
+
+    def test_an_estimated_picard_wide_unit_builds_no_step(self):
+        """The λ-estimated n=200 unit of picard-wide's round 0 gauges each
+        step from its iterates and builds none before its certificate."""
+        batch = workloads.PicardWide(9001, False)
+        unit = batch.round(0)[1]
+        assert (unit.lam, len(unit.diag)) == (None, 200)
+        calls, patch = counting_distances()
+        gauged, gauge_patch = counting_step_gauges()
+        with patch, gauge_patch, no_certificate():
+            result = batch.run(unit)
+        assert result.halt == "stop_c"
+        assert (len(calls), len(gauged)) == (0, len(result.trace.step_dists))
+
+
+# -- gauges taken from the iterates against the loop that builds every step --
+
+
+def gauged_reference_run(p):
+    """The engine loop with every step built by ``_distance``, gauged by
+    ``_cone_max`` as it is measured and handed to the noise-floor test, and
+    every coordinate of its halting bound checked for overflow; the
+    certificate is built from those gauges.  Returns the halt, the iterates
+    and the certificate.  The problem has no domain."""
+    inst, g, stalled, x = p.metric, p.gauge, p._stalled, p.x0
+    factor = None if p.lam is None else picard._backward_factor(p.lam)
+    iterates, gauges, gauge, halt = [x], [], math.inf, "max_iter"
+    for _ in range(p.max_iter):
+        try:
+            x_next = inst.validate_point(p.map_fn(x))
+            s = inst._distance(x, x_next)
+        except NonFiniteError:
+            return "overflow", iterates, None
+        bound = s.coords if factor is None else [c * factor for c in s.coords]
+        if not all(map(math.isfinite, bound)):
+            return "overflow", iterates, None
+        prev, gauge = gauge, _cone_max(s.coords, g)
+        gauges.append(gauge)
+        iterates.append(x_next)
+        z, x = x, x_next
+        if all(map(operator.lt, bound, p.stop_c.coords)):
+            halt = "stop_c"
+            break
+        if stalled is not None and prev <= gauge < math.inf and stalled(z, s):
+            halt = "noise_floor"
+            break
+    try:
+        return halt, iterates, picard._build_certificate(p, IterationTrace(iterates, inst), gauges)
+    except NonFiniteError:
+        return "overflow", iterates, None
+
+
+def certificate_fields(cert):
+    if cert is None:
+        return None
+    residual = None if cert.residual is None else hexes([cert.residual])
+    return (repr(cert.lambda_used), cert.start, cert.status, residual, hexes(cert.steps))
+
+
+def asked_fields(asked):
+    return [(point_hexes([z]), hexes([s])) for z, s in asked]
+
+
+@st.composite
+def weighted_problems(draw):
+    """A maker of one diagonal affine problem of dimension 1-3 over a real or
+    complex weighted metric, with unit or other weights and gauge base, a
+    given or estimated factor, and maybe a noise-floor test that says
+    stalled once a step's largest coordinate is at most a threshold.  Each
+    call makes a new problem with its own log of the test's questions."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    n = draw(st.integers(1, 3))
+    scalar = st.floats(-1e3, 1e3) | EDGE_FLOATS
+    if field == "complex":
+        scalar = st.builds(complex, scalar, scalar)
+    # A factor of 1 or -1 repeats a step's size, so the noise-floor test is asked.
+    scale = st.sampled_from([0.5, 1.0, -1.0]) | st.floats(-1.25, 1.25)
+    diag = draw(st.lists(scale, min_size=n, max_size=n))
+    offset = draw(st.lists(scalar, min_size=n, max_size=n))
+    x0 = tuple(draw(st.lists(scalar, min_size=n, max_size=n)))
+    other = st.sampled_from([0.5, 3.0, 1e-3, 1e300])
+    weights = [1.0] * n if draw(st.booleans()) else draw(st.lists(other, min_size=n, max_size=n))
+    base = [1.0] * n if draw(st.booleans()) else draw(st.lists(other, min_size=n, max_size=n))
+    stop = draw(st.lists(st.sampled_from([1e-300, 1e-10, 1e-3]), min_size=n, max_size=n))
+    lam = draw(st.none() | factor)
+    floor = draw(st.none() | st.sampled_from([0.0, 1e-6, 1.0, 1e3, math.inf]))
+    max_iter = draw(st.integers(1, 60))
+
+    def step(x):
+        return tuple([l * c + o for l, c, o in zip(diag, x, offset)])
+
+    def make():
+        asked = []
+        map_fn = step if floor is None else StallWhen(step, lambda z, s: max(s.coords) <= floor, asked)
+        problem = Problem(
+            map_fn, x0, WeightedConeMetric(weights, field), GaugeNorm(SpaceSpec(n, Vec(base))),
+            Vec(stop), max_iter, lam,
+        )
+        return problem, asked
+
+    return make
+
+
+def negate(x):
+    return tuple([-c for c in x])
+
+
+class TestGaugedFromTheIterates:
+    """A weighted run that gauges its steps under a unit base takes each
+    gauge from the two iterates and builds a step only for the noise-floor
+    test, when it is asked; every run ends as the loop that builds and
+    gauges every step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_problems())
+    def test_a_run_ends_as_the_loop_that_builds_every_step(self, make):
+        p, asked = make()
+        ref_p, ref_asked = make()
+        halt, iterates, cert = gauged_reference_run(ref_p)
+        result = run_picard(p)
+        assert result.halt == halt
+        assert point_hexes(result.trace.iterates) == point_hexes(iterates)
+        assert certificate_fields(result.certificate) == certificate_fields(cert)
+        assert asked_fields(asked) == asked_fields(ref_asked)
+
+    @pytest.mark.parametrize("lam", [None, 0.5], ids=["estimated", "stalled"])
+    @pytest.mark.parametrize(
+        "x0, metric",
+        [
+            # 1e308 - -1e308 rounds to inf.
+            ((1e308,), W1),
+            # Both parts of the gap are finite, but abs raises OverflowError.
+            ((7.5e307 + 7.5e307j,), WeightedConeMetric([1.0], "complex")),
+        ],
+        ids=["real", "complex-modulus"],
+    )
+    def test_a_step_that_overflows_ends_the_run_before_its_iterate(self, x0, metric, lam):
+        asked = []
+        p = halve_problem(map_fn=StallWhen(negate, always, asked), x0=x0, metric=metric, lam=lam)
+        result = run_picard(p)
+        assert (result.halt, result.certificate, asked) == ("overflow", None, [])
+        assert point_hexes(result.trace.iterates) == point_hexes([x0])
+        assert gauged_reference_run(p)[:2] == ("overflow", [x0])
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_the_gauge_is_the_built_steps_bit_for_bit(self, field):
+        """Signed zeros, a subnormal, unit and other weights and bases."""
+        x = (-0.0, 5e-324, 1.5, -2.0)
+        y = (0.0, 0.0, 1.5, 1e300)
+        if field == "complex":
+            x, y = tuple(complex(c, -c) for c in x), tuple(complex(c, c) for c in y)
+        for weights in ([1.0] * 4, [0.5, 3.0, 1e-3, 1e-300]):
+            metric = WeightedConeMetric(weights, field)
+            for base in ([1.0] * 4, [0.25, 4.0, 1e-3, 2.0]):
+                g = GaugeNorm(SpaceSpec(4, Vec(base)))
+                for a, b in [(x, y), (y, x), (x, x)]:
+                    got = picard._step_gauge(metric, g, a, b)
+                    assert got.hex() == mink_norm(metric._distance(a, b), g).hex()
 
 
 # -- trace.csv bytes against the csv.writer loop it replaced --

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conecert import gauge, picard
-from conecert.gauge import GaugeNorm, _cone_max, mink_norm
+from conecert import picard, roots
+from conecert.gauge import GaugeNorm, mink_norm
 from conecert.metrics import Ball, DiscreteConeMetric, WeightedConeMetric
 from conecert.picard import (
     IterationTrace,
@@ -629,16 +629,25 @@ class TestStallRule:
         assert [prev <= g < math.inf and stalled(z, s) for prev, g, z, s in pairs] == said
 
     def test_an_estimated_wilkinson_12_run_gauges_each_step_once(self, monkeypatch):
-        calls = []
-
-        def counted(coords, g):
-            calls.append(coords)
-            return _cone_max(coords, g)
-
-        monkeypatch.setattr(gauge, "_cone_max", counted)
-        monkeypatch.setattr(picard, "_cone_max", counted)
+        """Each step is gauged once, from its two iterates; before its
+        certificate the run builds a step only for each question it asks
+        the noise-floor test."""
+        gauged, built, asked = [], [], []
+        step_gauge, distance = picard._step_gauge, WeightedConeMetric._distance
+        discs_disjoint = roots._discs_disjoint
+        monkeypatch.setattr(
+            picard, "_step_gauge", lambda *args: gauged.append(args) or step_gauge(*args)
+        )
+        monkeypatch.setattr(
+            WeightedConeMetric, "_distance", lambda *args: built.append(args) or distance(*args)
+        )
+        monkeypatch.setattr(
+            roots, "_discs_disjoint", lambda *args: asked.append(args) or discs_disjoint(*args)
+        )
+        monkeypatch.setattr(picard, "_build_certificate", lambda p, trace, gauges: None)
         result = solve_roots(WILKINSON_12, max_iter=300)
-        assert (result.halt, len(result.trace.step_dists), len(calls)) == ("noise_floor", 243, 243)
+        assert (result.halt, len(result.trace.step_dists), len(gauged)) == ("noise_floor", 243, 243)
+        assert 0 < len(built) == len(asked) < 243
 
     def test_the_predicate_is_the_disc_check_and_keeps_no_state(self):
         problem = Problem(
