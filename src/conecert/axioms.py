@@ -107,9 +107,6 @@ class Sampler:
     def coord(self) -> float:
         return self._int(-(2**14), 2**15 + 1, 16) / 2**10
 
-    def nonneg_coord(self) -> float:
-        return self._int(0, 2**14 + 1, 15) / 2**10
-
     def pos_coord(self) -> float:
         return self._int(1, 2**14, 15) / 2**10
 

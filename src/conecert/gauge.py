@@ -8,8 +8,10 @@ the test suite and cross-checks the closed form.
 On the cone itself ``|x_i| == x_i``, so the gauge is ``max_i x_i / base_i``
 and needs no pass of ``abs``.  A distance of any of the package's metrics
 lies in the cone (the first cone-metric axiom), so the engine gauges its
-steps that way, with ``_cone_max`` over bare coordinates; :func:`mink_norm`
-takes a checked vector of any sign and gives the same bits on the cone.
+steps that way: under a unit base (``GaugeNorm._unit``) as the step's
+largest coordinate, and under any other base with ``_cone_max`` over bare
+coordinates.  :func:`mink_norm` takes a checked vector of any sign and
+gives the same bits on the cone.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ class GaugeNorm(_Record):
         if not isinstance(spec, SpaceSpec):
             raise TypeError(f"spec must be a SpaceSpec, got {type(spec).__name__}")
         object.__setattr__(self, "spec", spec)
-        # x_i / 1.0 == x_i exactly, so _cone_max skips the division under a unit base.
+        # x_i / 1.0 == x_i exactly, so under a unit base the engine takes a
+        # step's gauge as its largest coordinate, with no division.
         base = spec.base.coords
         object.__setattr__(self, "_unit", base.count(1.0) == len(base))
 
@@ -62,8 +65,6 @@ def _cone_max(coords, g: GaugeNorm) -> float:
     in the cone (``-0.0`` counts): ``+0.0`` for a zero vector, ``inf`` for a
     quotient that overflows.  Neither precondition is checked: a check would
     cost the pass this saves, and every metric's distance meets both."""
-    if g._unit:
-        return max(coords) or 0.0
     return max(map(truediv, coords, g.spec.base.coords)) or 0.0
 
 

@@ -7,6 +7,10 @@ Three concrete instances are provided:
 * discrete: d(x, y) = a for x != y, zero otherwise, over an arbitrary set,
 * plus: d(x, y) = x + y for x != y, zero otherwise, on the positive cone.
 
+Each metric's ``_gaps(x, y)`` draws the coordinates of d(x, y) one at a
+time for validated points, so a reader that needs less than the whole
+``Vec`` builds none: the engine's steps and every ball question read it.
+
 On top of them: scalarization through the gauge, closed cone balls, scalar
 inequality transfer, and a nested-ball probe.
 
@@ -14,12 +18,10 @@ Every ball is closed: B(c, r) = {x : d(x, c) <= r} for a radius r in the
 cone.  The open balls of the topology are the strict order's, read through
 :func:`~conecert.gauge.strict_ball_test`.  Every ball question in the
 package, whether a point x lies in B(c, r) or a ball B(x, s) lies inside
-it, compares d(x, c), plus s for a ball, with r.  A distance or sum beyond
-the float range is beyond every radius: such a point lies outside the ball,
-and such a ball does not fit inside it.  Whether a point lies in a ball is
-:func:`_in_ball`, the engine's domain test, which compares a weighted
-metric's distance coordinate by coordinate as it goes; every other question
-takes the cone vector from :func:`_reach`.
+it, compares d(x, c), plus s for a ball, with r: :func:`_within` answers
+all of them, coordinate by coordinate.  A distance or sum beyond the float
+range is beyond every radius: such a point lies outside the ball, and such
+a ball does not fit inside it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .solid import (
     _finite,
     _Record,
     in_cone,
-    leq,
 )
 
 __all__ = [
@@ -115,25 +116,21 @@ class WeightedConeMetric(_Record):
     def _distance(self, x, y) -> Vec:
         """Distance between points that already passed ``validate_point``.
 
-        Weights and moduli are exact floats, so their products go straight
-        to ``Vec._of``.  A complex modulus beyond the float range makes
-        ``abs`` raise ``OverflowError``; it is reported like a real modulus
-        that rounds to inf.
+        Weights and moduli are exact floats, so the gaps go straight to
+        ``Vec._of``.  A complex modulus beyond the float range makes ``abs``
+        raise ``OverflowError``; it is reported like a real modulus that
+        rounds to inf.
         """
         try:
-            if self._unit:
-                return Vec._of(tuple([abs(cx - cy) for cx, cy in zip(x, y)]))
-            return Vec._of(
-                tuple([a * abs(cx - cy) for a, cx, cy in zip(self.alpha, x, y)])
-            )
+            return Vec._of(tuple(self._gaps(x, y)))
         except OverflowError:
             raise NonFiniteError("non-finite coordinate: inf") from None
 
     def _gaps(self, x, y):
         """a_i * |x_i - y_i| for validated points, drawn one coordinate at a
         time: the coordinates of ``_distance(x, y)``, built only as far as a
-        reader goes.  A complex modulus beyond the float range raises
-        ``OverflowError`` when drawn."""
+        reader goes.  A gap beyond the float range is inf, except a complex
+        modulus, whose ``abs`` raises ``OverflowError`` when drawn."""
         gaps = map(abs, map(operator.sub, x, y))
         return gaps if self._unit else map(operator.mul, self.alpha, gaps)
 
@@ -171,6 +168,10 @@ class DiscreteConeMetric(_Record):
     def _distance(self, x, y) -> Vec:
         return Vec.zeros(self.dim) if x == y else self.a
 
+    def _gaps(self, x, y):
+        """The coordinates of ``_distance(x, y)``."""
+        return (0.0,) * self.dim if x == y else self.a.coords
+
 
 class PlusConeMetric(_Record):
     """Sum distance on the positive cone: d(x, y) = x + y for x != y."""
@@ -201,6 +202,11 @@ class PlusConeMetric(_Record):
     def _distance(self, x, y) -> Vec:
         return Vec.zeros(self.n) if x == y else x + y
 
+    def _gaps(self, x, y):
+        """The coordinates of ``_distance(x, y)``, one at a time; a sum beyond
+        the float range is inf, where ``_distance`` raises."""
+        return (0.0,) * self.n if x == y else map(operator.add, x.coords, y.coords)
+
 
 ConeMetric = Union[WeightedConeMetric, DiscreteConeMetric, PlusConeMetric]
 
@@ -209,7 +215,7 @@ class Ball(_Record):
     """Closed cone ball B(center, radius) = {x : d(x, center) <= radius}.
 
     The radius lies in the cone.  Membership follows the module's one ball
-    rule, through :func:`_in_ball`.
+    rule, through :func:`_within`.
     """
 
     __slots__ = ("center", "radius")
@@ -227,39 +233,28 @@ def scalarize(inst: ConeMetric, g: GaugeNorm, x, y) -> float:
     return mink_norm(inst.distance(x, y), g)
 
 
-def _reach(inst: ConeMetric, x, center, radius: Optional[Vec] = None) -> Optional[Vec]:
-    """d(x, center), plus ``radius`` when given, or None beyond the float range.
+def _within(inst: ConeMetric, x, center, radius: Vec, s: Optional[Vec] = None) -> bool:
+    """Whether d(x, center), plus ``s`` when given, is at most ``radius``:
+    whether ``x`` lies in B(center, radius), or B(x, s) inside it.
 
-    ``x`` and ``center`` have passed ``inst.validate_point``.  The one place
-    that reads the :class:`NonFiniteError` of an overflow as beyond every
-    radius; :func:`_in_ball` reads a weighted metric's overflow the same way.
+    ``x`` and ``center`` have passed ``inst.validate_point``.  The gaps are
+    compared coordinate by coordinate up to the first miss; an inf, or a
+    complex modulus whose ``abs`` raises ``OverflowError``, is beyond every
+    radius.  An ``s`` or radius of another length raises the ``ValueError``
+    of the ``Vec`` sum or order compare.
     """
+    n = inst.dim
+    if s is not None and len(s.coords) != n:
+        raise ValueError(f"dimension mismatch: {n} vs {len(s.coords)}")
+    if len(radius.coords) != n:
+        raise ValueError(f"dimension mismatch: {len(radius.coords)} vs {n}")
+    gaps = inst._gaps(x, center)
+    if s is not None:
+        gaps = map(operator.add, gaps, s.coords)
     try:
-        d = inst._distance(x, center)
-        return d if radius is None else d + radius
-    except NonFiniteError:
-        return None
-
-
-def _in_ball(inst: ConeMetric, x, center, radius: Vec) -> bool:
-    """Whether ``x`` lies in the closed ball B(center, radius).
-
-    ``x`` and ``center`` have passed ``inst.validate_point``.  For a weighted
-    metric, a_i * |x_i - c_i| is compared with r_i coordinate by coordinate
-    and the test stops at the first that misses, so no distance is built: a
-    product that overflows to inf, or a complex modulus whose ``abs`` raises
-    ``OverflowError``, is beyond every radius, as :func:`_reach` reads it.
-    Other metrics, and a radius of another length (whose order compare names
-    the mismatch), compare :func:`_reach`'s distance in the cone order.
-    """
-    if isinstance(inst, WeightedConeMetric) and len(radius.coords) == len(x):
-        gaps = inst._gaps(x, center)
-        try:
-            return all(map(operator.le, gaps, radius.coords))
-        except OverflowError:
-            return False
-    d = _reach(inst, x, center)
-    return d is not None and leq(d, radius)
+        return all(map(operator.le, gaps, radius.coords))
+    except OverflowError:
+        return False
 
 
 def inequality_transfer_check(
@@ -301,7 +296,7 @@ def nested_ball_probe(
     """Point lying in every ball of a nested family with vanishing radii.
 
     Nesting of consecutive closed balls is certified by the arithmetic
-    condition d(c[k+1], c[k]) + r[k+1] <= r[k], read through :func:`_reach`,
+    condition d(c[k+1], c[k]) + r[k+1] <= r[k], read through :func:`_within`,
     so a left side beyond the float range violates it.  A violation, or a
     final radius whose gauge has not dropped below ``tol``, is a
     precondition error.  Returns the last center, which the nesting chain
@@ -314,8 +309,7 @@ def nested_ball_probe(
             raise ValueError("radii must lie in the cone")
     points = [inst.validate_point(c) for c in centers]
     for k in range(len(points) - 1):
-        reach = _reach(inst, points[k + 1], points[k], radii[k + 1])
-        if reach is None or not leq(reach, radii[k]):
+        if not _within(inst, points[k + 1], points[k], radii[k], radii[k + 1]):
             raise ValueError(f"nesting violated between balls {k} and {k + 1}")
     if not mink_norm(radii[-1], g) < tol:
         raise ValueError(f"final radius gauge is not below {tol!r}")

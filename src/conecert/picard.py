@@ -18,9 +18,9 @@ exact floats, a trace keeps each iterate as the bytes of its doubles; over
 any other metric it keeps its iterates in a list.  The cyclic garbage
 collector does not track bytes, nor the floats in which a run records each
 step's gauge as it goes, so a real run keeps no tracked object per
-iteration.  Under a unit base a weighted step's gauge is its largest
-coordinate, taken from the two iterates in one pass, so recording it builds
-no step either.
+iteration.  A run reads each step through the metric's ``_gaps``: the
+largest gap guards the halting bound and, under a unit base, is the gauge,
+so a step is built only for a noise-floor test that asks for one.
 
 A supplied factor covers the whole run.  Without one, the factor is the
 largest gauge ratio of consecutive steps over the longest contracting tail
@@ -47,7 +47,7 @@ map output (another length, a complex coordinate in a real metric, a
 plus-metric point outside the cone).  An iterate outside the domain ends it
 with halt ``domain_escape``, that iterate last in the trace; one whose
 distance to a ball's center overflows lies outside the ball, as
-:func:`~conecert.metrics._in_ball` reads it.  A map output, step distance or
+:func:`~conecert.metrics._within` reads it.  A map output, step distance or
 halting bound that overflows, or a map that raises :class:`NonFiniteError`
 itself, ends it with halt ``overflow``, the trace stopping at the last
 iterate before it; so does a certificate whose radius or final bound
@@ -66,7 +66,7 @@ from struct import Struct
 from typing import Callable, Optional
 
 from .gauge import GaugeNorm, _cone_max, mink_norm
-from .metrics import Ball, ConeMetric, WeightedConeMetric, _in_ball, _reach
+from .metrics import Ball, ConeMetric, WeightedConeMetric, _within
 from .solid import NonFiniteError, Vec, _finite, _Record, in_interior, leq
 
 __all__ = [
@@ -490,25 +490,30 @@ def estimate_lambda(trace: IterationTrace, g: GaugeNorm) -> tuple[int, Optional[
     return _contracting_tail(len(steps), gauges)
 
 
+def _step_max(metric: ConeMetric, x, y) -> float:
+    """The largest coordinate of the step ``metric._distance(x, y)``,
+    ``+0.0`` for a zero step, in one pass over the gaps with no ``Vec``
+    built.  An inf gap, or the ``OverflowError`` of a complex modulus,
+    raises the :class:`NonFiniteError` that ``_distance`` raises."""
+    try:
+        top = max(metric._gaps(x, y)) or 0.0
+    except OverflowError:
+        top = math.inf
+    if top == math.inf:
+        raise NonFiniteError("non-finite coordinate: inf")
+    return top
+
+
 def _step_gauge(metric: ConeMetric, g: GaugeNorm, x, y) -> float:
     """The gauge of the step ``metric._distance(x, y)`` between validated
     points, bit for bit, overflow raising the same :class:`NonFiniteError`.
 
-    Under a unit base the gauge of a step, which lies in the cone, is its
-    largest coordinate, so a weighted metric's step is gauged with one
-    ``max`` over its gaps and no ``Vec`` is built; an inf among them, or the
-    ``OverflowError`` of a complex modulus, is the overflow ``_distance``
-    reports.  Any other metric or base gauges the built step.
+    A step lies in the cone, so under a unit base its gauge is its largest
+    coordinate, :func:`_step_max`; under any other base it is ``_cone_max``
+    over a second pass of the gaps, once the first has ruled out overflow.
     """
-    if g._unit and isinstance(metric, WeightedConeMetric):
-        try:
-            gauge = max(metric._gaps(x, y)) or 0.0
-        except OverflowError:
-            gauge = math.inf
-        if gauge == math.inf:
-            raise NonFiniteError("non-finite coordinate: inf")
-        return gauge
-    return _cone_max(metric._distance(x, y).coords, g)
+    top = _step_max(metric, x, y)
+    return top if g._unit else _cone_max(metric._gaps(x, y), g)
 
 
 def _contracting_tail(n: int, gauges) -> tuple[int, Optional[float]]:
@@ -542,7 +547,7 @@ def check_domain_condition(p: Problem, r: Vec) -> str:
     """'verified' when the invariance ball provably sits inside the domain.
 
     The whole space verifies trivially; a closed ball domain verifies through
-    d(x0, center) + r <= radius, read by :func:`metrics._reach`, so a
+    d(x0, center) + r <= radius, read by :func:`metrics._within`, so a
     distance or sum beyond the float range exceeds every finite radius; a
     predicate can only ever be checked on the iterates themselves, hence
     'conditional'.
@@ -550,8 +555,8 @@ def check_domain_condition(p: Problem, r: Vec) -> str:
     if p.domain is None:
         return "verified"
     if isinstance(p.domain, Ball):
-        reach = _reach(p.metric, p.x0, p.domain.center, r)
-        return "verified" if reach is not None and leq(reach, p.domain.radius) else "conditional"
+        within = _within(p.metric, p.x0, p.domain.center, p.domain.radius, r)
+        return "verified" if within else "conditional"
     return "conditional"
 
 
@@ -588,7 +593,7 @@ def _in_domain(p: Problem, x) -> bool:
     if p.domain is None:
         return True
     if isinstance(p.domain, Ball):
-        return _in_ball(p.metric, x, p.domain.center, p.domain.radius)
+        return _within(p.metric, x, p.domain.center, p.domain.radius)
     return bool(p.domain(x))
 
 
@@ -610,16 +615,16 @@ def run_picard(p: Problem) -> PicardResult:
     gauges that :func:`estimate_lambda` would find on the trace.  The trace
     is built empty and takes each point as the run validates it, so no
     point is validated twice; it keeps only the iterates and measures a
-    step when the step is read (see :class:`IterationTrace`).  A weighted
-    run that records gauges under a unit base builds a step only for the
-    noise-floor test, when it is asked: it takes each gauge from the two
-    iterates (:func:`_step_gauge`), the step's largest coordinate, which
-    also guards the halting bound, and its halting test forms each bound
-    coordinate from the iterates, stopping at the first that is not below
-    ``stop_c``.  A real run with a supplied factor and no noise-floor test
-    builds no step either while one ``math.dist`` pass shows that no step
-    coordinate or bound can overflow, and tests its bound the same way.
-    Every other run builds each step and gauges it.
+    step when the step is read (see :class:`IterationTrace`).  A step is
+    read through the metric's ``_gaps`` on one of two paths, and built only
+    for the noise-floor test, when it is asked.  A real run with a supplied
+    factor and no noise-floor test takes the first while one ``math.dist``
+    pass shows that no step coordinate or bound can overflow.  Every other
+    step takes the second: one pass finds its largest gap (:func:`_step_max`),
+    which raises on overflow, guards the halting bound and under a unit base
+    is the gauge; under any other base the gauge is a second pass, as in
+    :func:`_step_gauge`.  On both paths the halting test forms each bound
+    coordinate from the gaps, stopping at the first not below ``stop_c``.
     Reaching ``max_iter`` is not an error: the result comes back with
     ``converged=False``, halt ``max_iter`` and whatever certificate the
     trace supports.  Nor is a domain escape or an overflow (see the module
@@ -663,40 +668,32 @@ def run_picard(p: Problem) -> PicardResult:
     # coordinate, once one C-level pass shows that nothing can overflow:
     # each |x_i - y_i| is at most the Euclidean distance, so while that
     # times max(a) * (1 + factor) stays below 2**1000, far below the float
-    # range, every step coordinate and every product is finite.
+    # range, every step coordinate and every product is finite.  Every other
+    # step is checked by its largest gap, which is its gauge under a unit base.
     lazy = real and gauges is None
     if lazy:
         scale = max(inst.alpha) * (1.0 + factor)
-    # A weighted run that gauges its steps under a unit base takes each gauge
-    # from the two iterates (_step_gauge), which is the step's largest
-    # coordinate, so it also guards the halting bound; the test reads the
-    # gaps lazily, and the step is built only when the noise floor is asked.
-    gapped = gauges is not None and g._unit and isinstance(inst, WeightedConeMetric)
+    unit = g._unit
     cause = "max_iter"
     for _ in range(p.max_iter):
         try:
             x_next = inst.validate_point(p.map_fn(x))
-            s = top = None
             if lazy and math.dist(x, x_next) * scale < 2.0**1000:
-                halt = map(operator.mul, inst._gaps(x, x_next), repeat(factor))
-            elif gapped:
-                halt, top = inst._gaps(x, x_next), _step_gauge(inst, g, x, x_next)
+                top = None
             else:
-                s = inst._distance(x, x_next)
-                halt = s.coords
-                top = max(halt)
+                top = _step_max(inst, x, x_next)
         except NonFiniteError:
             cause = "overflow"
             break
-        if top is not None:
-            if factor is not None:
-                if not math.isfinite(top * factor):
-                    cause = "overflow"
-                    break
-                halt = map(operator.mul, halt, repeat(factor))
-            if gauges is not None:
-                prev, gauge = gauge, top if s is None else _cone_max(s.coords, g)
-                gauges.append(gauge)
+        halt = inst._gaps(x, x_next)
+        if factor is not None:
+            if top is not None and not math.isfinite(top * factor):
+                cause = "overflow"
+                break
+            halt = map(operator.mul, halt, repeat(factor))
+        if gauges is not None:
+            prev, gauge = gauge, top if unit else _cone_max(inst._gaps(x, x_next), g)
+            gauges.append(gauge)
         keep_iterate(x_next)
         if not _in_domain(p, x_next):
             cause = "domain_escape"
@@ -707,7 +704,7 @@ def run_picard(p: Problem) -> PicardResult:
             break
         # A gauge that overflows under a tiny base shows no stall.
         if stalled is not None and prev <= gauge < math.inf:
-            if stalled(z, inst._distance(z, x) if s is None else s):
+            if stalled(z, inst._distance(z, x)):
                 cause = "noise_floor"
                 break
 

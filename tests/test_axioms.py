@@ -86,7 +86,6 @@ def _dyadic_power(r):
 # Each Sampler method against the random.Random expression it stands for.
 SCALAR_DRAWS = {
     "coord": lambda r: r.randint(-(2**14), 2**14) / 2**10,
-    "nonneg_coord": lambda r: r.randint(0, 2**14) / 2**10,
     "pos_coord": lambda r: r.randint(1, 2**14) / 2**10,
     "scalar": lambda r: r.randint(-(2**12), 2**12) / 2**8,
     "scalar_nonneg": lambda r: r.randint(0, 2**12) / 2**8,
@@ -95,7 +94,7 @@ SCALAR_DRAWS = {
 }
 VECTOR_DRAWS = {
     "vec": lambda r, n: Vec([SCALAR_DRAWS["coord"](r) for _ in range(n)]),
-    "nonneg_vec": lambda r, n: Vec([SCALAR_DRAWS["nonneg_coord"](r) for _ in range(n)]),
+    "nonneg_vec": lambda r, n: Vec([r.randint(0, 2**14) / 2**10 for _ in range(n)]),
     "pos_vec": lambda r, n: Vec([SCALAR_DRAWS["pos_coord"](r) for _ in range(n)]),
     "rpoint": lambda r, n: tuple(SCALAR_DRAWS["coord"](r) for _ in range(n)),
     "cpoint": lambda r, n: tuple(

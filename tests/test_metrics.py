@@ -13,18 +13,20 @@ from conecert.metrics import (
     DiscreteConeMetric,
     PlusConeMetric,
     WeightedConeMetric,
-    _in_ball,
-    _reach,
+    _within,
     inequality_transfer_check,
     nested_ball_probe,
     scalarize,
 )
-from conecert.picard import Problem, _in_domain, run_picard
+from conecert.picard import Problem, _in_domain, check_domain_condition, run_picard
 from conecert.solid import NonFiniteError, SpaceSpec, Vec, in_cone, leq
 
 from helpers import dims, dyadic_coord, dyadic_pos_coord, vec_st
 
 ONES2 = GaugeNorm(SpaceSpec(2, Vec([1.0, 1.0])))
+G1 = GaugeNorm(SpaceSpec(1, Vec([1.0])))
+W1 = WeightedConeMetric([1.0])
+BALL_PROBLEM = Problem(lambda y: y, (0.0,), W1, G1, Vec([1.0]), domain=Ball((0.0,), Vec([4.0])))
 
 
 class TestWeighted:
@@ -388,6 +390,31 @@ class TestPlus:
         assert leq(inst.distance(x, z), inst.distance(x, y) + inst.distance(y, z))
 
 
+NONNEG_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e308]) | st.floats(
+    min_value=0.0, allow_nan=False, allow_infinity=False
+)
+METRIC_KINDS = ["weighted-real", "weighted-complex", "discrete", "plus"]
+
+
+def metric_case(kind, n, data):
+    """A metric of ``kind`` and dimension ``n``, and a strategy for its
+    points.  Weights and coordinates reach 1e308, so a weighted gap, a
+    complex modulus and a plus sum can each pass the float range."""
+    if kind == "weighted-real":
+        points = st.lists(finite_floats, min_size=n, max_size=n).map(tuple)
+    elif kind == "weighted-complex":
+        coord = st.builds(complex, finite_floats, finite_floats)
+        points = st.lists(coord, min_size=n, max_size=n).map(tuple)
+    elif kind == "discrete":
+        a = data.draw(st.lists(NONNEG_FLOATS, min_size=n, max_size=n).filter(any).map(Vec))
+        return DiscreteConeMetric(a), st.integers(0, 2)
+    else:
+        return PlusConeMetric(n), st.lists(NONNEG_FLOATS, min_size=n, max_size=n).map(Vec)
+    weight = st.floats(min_value=5e-324, max_value=1e308)
+    alpha = data.draw(st.lists(weight, min_size=n, max_size=n))
+    return WeightedConeMetric(alpha, field=kind.split("-")[1]), points
+
+
 class TestDistanceLiesInTheCone:
     """Every metric's distance lies in the cone, and its largest coordinate is
     never ``-0.0``: the precondition of ``gauge._cone_max``, which gauges
@@ -395,31 +422,12 @@ class TestDistanceLiesInTheCone:
     ``Vec.zeros`` or the nonzero cone value ``a``.  Plus: ``Vec.zeros`` or
     ``x + y`` with a positive coordinate where the points differ."""
 
-    nonneg = st.sampled_from([-0.0, 0.0, 5e-324, 1e308]) | st.floats(
-        min_value=0.0, allow_nan=False, allow_infinity=False
-    )
-
-    def draw_case(self, kind, n, data):
-        if kind == "weighted-real":
-            points = st.lists(finite_floats, min_size=n, max_size=n).map(tuple)
-        elif kind == "weighted-complex":
-            coord = st.builds(complex, finite_floats, finite_floats)
-            points = st.lists(coord, min_size=n, max_size=n).map(tuple)
-        elif kind == "discrete":
-            a = data.draw(st.lists(self.nonneg, min_size=n, max_size=n).filter(any).map(Vec))
-            return DiscreteConeMetric(a), st.integers(0, 2)
-        else:
-            return PlusConeMetric(n), st.lists(self.nonneg, min_size=n, max_size=n).map(Vec)
-        weight = st.floats(min_value=5e-324, max_value=1e308)
-        alpha = data.draw(st.lists(weight, min_size=n, max_size=n))
-        return WeightedConeMetric(alpha, field=kind.split("-")[1]), points
-
-    @pytest.mark.parametrize("kind", ["weighted-real", "weighted-complex", "discrete", "plus"])
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
     @settings(max_examples=300)
     @given(data=st.data())
     def test_distance_is_in_the_cone(self, kind, data):
         n = data.draw(st.integers(1, 4))
-        inst, points = self.draw_case(kind, n, data)
+        inst, points = metric_case(kind, n, data)
         x, y = data.draw(points), data.draw(points)
         try:
             d = inst.distance(x, y)
@@ -427,6 +435,50 @@ class TestDistanceLiesInTheCone:
             return
         assert in_cone(d)
         assert repr(max(d.coords)) != "-0.0"
+
+
+class TestGapsAreTheDistance:
+    """``_gaps(x, y)`` gives the coordinates of ``_distance(x, y)``, bit for
+    bit, for every metric; where the distance lies beyond the float range,
+    a gap is inf or a complex modulus raises ``OverflowError``."""
+
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_the_gaps_are_the_distance_coordinates(self, kind, data):
+        n = data.draw(st.integers(1, 4))
+        inst, points = metric_case(kind, n, data)
+        x, y = (inst.validate_point(data.draw(points)) for _ in "xy")
+        try:
+            d = inst._distance(x, y)
+        except NonFiniteError:
+            try:
+                gaps = tuple(inst._gaps(x, y))
+            except OverflowError:
+                assert kind == "weighted-complex"
+                return
+            assert math.inf in gaps
+            return
+        assert [c.hex() for c in inst._gaps(x, y)] == [c.hex() for c in d.coords]
+
+    @pytest.mark.parametrize(
+        "inst, x, y",
+        [
+            (WeightedConeMetric([1e308]), (2.0,), (0.0,)),
+            (WeightedConeMetric([1.0], "complex"), (1.5e308 + 0j,), (1.5e308j,)),
+            (PlusConeMetric(2), Vec([1e308, 0.0]), Vec([1e308, 1.0])),
+        ],
+        ids=["weight", "complex-modulus", "plus-sum"],
+    )
+    def test_a_distance_beyond_the_float_range_has_an_inf_gap(self, inst, x, y):
+        with pytest.raises(NonFiniteError):
+            inst._distance(x, y)
+        gaps = inst._gaps(x, y)
+        if inst == WeightedConeMetric([1.0], "complex"):
+            with pytest.raises(OverflowError):
+                tuple(gaps)
+        else:
+            assert math.inf in tuple(gaps)
 
 
 class TestScalarize:
@@ -494,7 +546,30 @@ def plus_ball_cases(draw):
 
 def contains(ball, inst, x):
     """The engine's test of ``x`` against ``ball``, on validated points."""
-    return _in_ball(inst, inst.validate_point(x), inst.validate_point(ball.center), ball.radius)
+    return _within(inst, inst.validate_point(x), inst.validate_point(ball.center), ball.radius)
+
+
+def within_by_distance(inst, x, center, radius, s=None):
+    """The ball question asked of the distance vector: d(x, center), plus
+    ``s`` when given, compared with ``radius`` in the cone order, a distance
+    or sum beyond the float range read as outside."""
+    try:
+        d = inst._distance(x, center)
+        if s is not None:
+            d = d + s
+    except NonFiniteError:
+        return False
+    return leq(d, radius)
+
+
+@st.composite
+def ball_questions(draw):
+    """A ball case of any metric and maybe an ``s``: a cone vector of the
+    metric's dimension, coordinates up to 1e308, so a sum can overflow."""
+    metric, ball, x = draw(ball_cases() | discrete_ball_cases() | plus_ball_cases())
+    n = metric.dim
+    s = draw(st.none() | st.lists(huge_radius, min_size=n, max_size=n).map(Vec))
+    return metric, ball, x, s
 
 
 class TestBalls:
@@ -538,27 +613,28 @@ class TestBalls:
     def test_a_distance_beyond_the_float_range_is_outside(self, ball, inst, x):
         assert contains(ball, inst, x) is False
 
-    @given(case=ball_cases() | discrete_ball_cases() | plus_ball_cases())
-    @example(case=(WeightedConeMetric([1.0]), Ball((-1e308,), Vec([1.0])), (1e308,)))
-    @example(case=(PlusConeMetric(1), Ball(Vec([1e308]), Vec([1e308])), Vec([1e308])))
+    @given(case=ball_questions())
+    @example(case=(WeightedConeMetric([1.0]), Ball((-1e308,), Vec([1.0])), (1e308,), None))
+    @example(case=(PlusConeMetric(1), Ball(Vec([1e308]), Vec([1e308])), Vec([1e308]), None))
+    @example(case=(WeightedConeMetric([1.0]), Ball((0.0,), Vec([1e308])), (1e308,), Vec([1e308])))
+    @example(case=(DiscreteConeMetric(Vec([1.0])), Ball(0, Vec([2.0])), 1, Vec([1.0])))
     @settings(max_examples=300, deadline=None)
     def test_the_coordinate_test_decides_as_the_distance_vector(self, case):
-        """The point-in-ball test, coordinate by coordinate for a weighted
-        metric, answers as d(x, center) compared with the radius in the cone
-        order, where ``_reach`` reads a distance beyond the float range as
-        outside; so does it for the discrete and plus metrics."""
-        metric, ball, x = case
+        """``_within``, coordinate by coordinate over the gaps, answers as
+        d(x, center), plus ``s`` when given, compared with the radius in the
+        cone order, a distance or sum beyond the float range read as
+        outside: for the weighted, discrete and plus metrics."""
+        metric, ball, x, s = case
         x, center = metric.validate_point(x), metric.validate_point(ball.center)
-        d = _reach(metric, x, center)
-        expected = d is not None and leq(d, ball.radius)
-        assert _in_ball(metric, x, center, ball.radius) is expected
+        expected = within_by_distance(metric, x, center, ball.radius, s)
+        assert _within(metric, x, center, ball.radius, s) is expected
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_a_miss_ahead_of_an_overflowing_coordinate_is_outside(self, field):
         # Coordinate 0 misses the radius; |1e308 - (-1e308)| overflows in coordinate 1.
         metric = WeightedConeMetric([1.0, 2.0], field)
         x, center = metric.validate_point((5.0, 1e308)), metric.validate_point((0.0, -1e308))
-        assert not _in_ball(metric, x, center, Vec([1.0, 1.0]))
+        assert not _within(metric, x, center, Vec([1.0, 1.0]))
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_an_overflowing_complex_modulus_is_outside(self, alpha):
@@ -587,6 +663,25 @@ class TestBalls:
         ball = Ball((0.0,), Vec([1.0, 1.0]))
         with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
             contains(ball, WeightedConeMetric([1.0]), (0.0,))
+
+    @pytest.mark.parametrize(
+        "ask, message",
+        [
+            # B(x0, r) against the domain: d + r, then the order compare.
+            (lambda: check_domain_condition(BALL_PROBLEM, Vec([1.0, 1.0])), "1 vs 2"),
+            # d(c1, c0) + r1 <= r0, with r1 and then r0 of another length.
+            (lambda: nested_ball_probe([(0.0,), (0.0,)], [Vec([1.0]), Vec([0.5, 0.5])], W1, G1), "1 vs 2"),
+            (lambda: nested_ball_probe([(0.0,), (0.0,)], [Vec([1.0, 1.0]), Vec([0.5])], W1, G1), "2 vs 1"),
+            # So even where the distance itself lies beyond the float range.
+            (lambda: nested_ball_probe([(1e308,), (-1e308,)], [Vec([1.0]), Vec([0.5, 0.5])], W1, G1), "1 vs 2"),
+        ],
+        ids=["domain-condition", "nested-inner", "nested-outer", "nested-overflow"],
+    )
+    def test_a_radius_of_another_length_is_refused_by_the_public_helpers(self, ask, message):
+        """No coordinate is dropped: the sum's or the compare's length
+        mismatch is raised, as the ``Vec`` operations raise it."""
+        with pytest.raises(ValueError, match=f"^dimension mismatch: {message}$"):
+            ask()
 
 
 class TestInequalityTransfer:

@@ -97,3 +97,39 @@ def unread_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unread_imports(ast.parse(path.read_text())) == []
+
+
+def private_definitions(tree: ast.Module) -> list:
+    """Top-level functions and classes, and the methods of those classes,
+    whose name starts with a single underscore."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, kinds):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f.name for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(tree: ast.Module) -> set:
+    """Every name the module reads: an ``ast.Name`` in load context, the
+    name of an attribute, or a name imported from another module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_helper_is_read():
+    """A private function, class or method that nothing in ``src/`` reads is
+    dead code: no caller outside the package may count on it."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    read = set().union(*map(names_read, trees.values()))
+    defined = [(name, helper) for name, tree in trees.items() for helper in private_definitions(tree)]
+    assert [f"{name}:{helper}" for name, helper in defined if helper not in read] == []

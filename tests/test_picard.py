@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -1643,28 +1644,33 @@ def exact_step_run(p):
     return "max_iter", iterates, steps
 
 
+def counting(name, *owners):
+    """Patch ``name`` on each owner to log the two points of every call.
+    Returns the log and one context manager that holds every patch."""
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(args[-2:]) or fn(*args)
+
+    @contextlib.contextmanager
+    def patched():
+        with contextlib.ExitStack() as stack:
+            for owner in owners:
+                stack.enter_context(mock.patch.object(owner, name, counted(getattr(owner, name))))
+            yield
+
+    return calls, patched()
+
+
 def counting_distances():
-    """Patch ``WeightedConeMetric._distance`` to log each call's points."""
-    calls = []
-    measure = WeightedConeMetric._distance
-
-    def counted(self, x, y):
-        calls.append((x, y))
-        return measure(self, x, y)
-
-    return calls, mock.patch.object(WeightedConeMetric, "_distance", counted)
+    """Patch every metric's ``_distance`` to log each call's points."""
+    return counting("_distance", WeightedConeMetric, DiscreteConeMetric, PlusConeMetric)
 
 
-def counting_step_gauges():
-    """Patch ``picard._step_gauge`` to log each call's points."""
-    calls = []
-    gauge = picard._step_gauge
-
-    def counted(metric, g, x, y):
-        calls.append((x, y))
-        return gauge(metric, g, x, y)
-
-    return calls, mock.patch.object(picard, "_step_gauge", counted)
+def counting_step_maxes():
+    """Patch ``picard._step_max``, the loop's one read of a whole step's
+    gaps, to log each call's points."""
+    return counting("_step_max", picard)
 
 
 def no_certificate():
@@ -1682,10 +1688,11 @@ def flips_at(threshold):
 
 
 class TestMeasuredOnlyAsRead:
-    """A λ-given real run with no noise-floor test builds no step while one
-    ``math.dist`` pass rules out overflow; past 2**1000 it measures the step
-    exactly, as a run over any other metric measures every step.  Each ends
-    as the loop that builds every step."""
+    """A λ-given real run with no noise-floor test reads only as much of a
+    step as its halting test needs while one ``math.dist`` pass rules out
+    overflow; past 2**1000 it takes the step's largest gap first, as a run
+    over any other metric does for every step.  Each ends as the loop that
+    builds every step."""
 
     @pytest.mark.parametrize(
         "kw, halt, kept",
@@ -1706,8 +1713,8 @@ class TestMeasuredOnlyAsRead:
                   stop_c=Vec([1e-10, 1e-10]), max_iter=1100), "stop_c", None),
             # ... and the first step of 1e300 * 5e9 does.
             (dict(x0=(1e10,), metric=WeightedConeMetric([1e300])), "overflow", 1),
-            # Built steps of other metrics: a complex step of 2e297 whose
-            # bound overflows under lam near 1, ...
+            # Steps of other metrics, each checked by its largest gap: a
+            # complex step of 2e297 whose bound overflows under lam near 1, ...
             (dict(map_fn=flips_at(1e-3), x0=(1 + 0j, 1e297 + 0j), gauge=G2,
                   metric=WeightedConeMetric([1.0, 1.0], "complex"),
                   stop_c=Vec([1e-10, 1e-10]), lam=LAMBDA_CEILING), "overflow", 11),
@@ -1730,13 +1737,16 @@ class TestMeasuredOnlyAsRead:
 
     def test_steps_near_the_float_range_are_measured_exactly(self):
         """Only the steps whose distance times max(a) * (1 + factor) reaches
-        2**1000 are built during the run: the first four from 2**1003."""
+        2**1000 have their largest gap taken, which guards the bound: the
+        first four from 2**1003.  The run builds no step."""
         p = halve_problem(x0=(2.0**1003,), max_iter=1100)
         calls, patch = counting_distances()
-        with patch, mock.patch.object(picard, "_build_certificate", lambda p, trace, gauges: None):
+        maxed, max_patch = counting_step_maxes()
+        with patch, max_patch, no_certificate():
             result = run_picard(p)
         assert result.halt == "stop_c" and len(result.trace.iterates) > 1000
-        assert [abs(x[0] - y[0]) for x, y in calls] == [2.0**1002, 2.0**1001, 2.0**1000, 2.0**999]
+        assert calls == []
+        assert [abs(x[0] - y[0]) for x, y in maxed] == [2.0**1002, 2.0**1001, 2.0**1000, 2.0**999]
 
     def test_a_given_run_measures_a_handful_of_steps(self):
         """The λ-given n=200 problem of the layer benchmarks keeps 217
@@ -1756,18 +1766,19 @@ class TestMeasuredOnlyAsRead:
     @pytest.mark.parametrize("lam", [None, 0.9], ids=["estimated", "stalled"])
     def test_a_run_that_gauges_its_steps_builds_each_and_keeps_none(self, lam):
         """An estimated factor or a noise-floor test reads each step's gauge,
-        taken once per step by ``_step_gauge`` from the two iterates.  The
-        loop builds a step only for the noise-floor test, when it is asked,
-        and this one never is: each step is half the one before."""
+        its largest gap under the unit base, taken once per step by
+        ``_step_max`` from the two iterates.  The loop builds a step only for
+        the noise-floor test, when it is asked, and this one never is: each
+        step is half the one before."""
         asked = []
         p = halve_problem(map_fn=StallWhen(halve, lambda z, s: False, asked), lam=lam)
         calls, patch = counting_distances()
-        gauged, gauge_patch = counting_step_gauges()
-        with patch, gauge_patch, no_certificate():
+        maxed, max_patch = counting_step_maxes()
+        with patch, max_patch, no_certificate():
             result = run_picard(p)
-        steps = result.trace.step_dists
+        steps, iterates = result.trace.step_dists, list(result.trace.iterates)
         assert result.halt == "stop_c" and type(steps) is picard._StepView
-        assert len(gauged) == len(steps) > 30
+        assert maxed == list(zip(iterates, iterates[1:])) and len(steps) > 30
         assert (calls, asked) == ([], [])
 
     def test_an_estimated_picard_wide_unit_builds_no_step(self):
@@ -1777,11 +1788,40 @@ class TestMeasuredOnlyAsRead:
         unit = batch.round(0)[1]
         assert (unit.lam, len(unit.diag)) == (None, 200)
         calls, patch = counting_distances()
-        gauged, gauge_patch = counting_step_gauges()
-        with patch, gauge_patch, no_certificate():
+        maxed, max_patch = counting_step_maxes()
+        with patch, max_patch, no_certificate():
             result = batch.run(unit)
         assert result.halt == "stop_c"
-        assert (len(calls), len(gauged)) == (0, len(result.trace.step_dists))
+        assert (len(calls), len(maxed)) == (0, len(result.trace.step_dists))
+
+    @pytest.mark.parametrize("lam", [None, 0.5], ids=["estimated", "given"])
+    @pytest.mark.parametrize(
+        "step, x0, metric, gauge",
+        [
+            (halve, (1.0,), DiscreteConeMetric(ONES), G1),
+            (halve_plus, Vec([1.0]), PlusConeMetric(1), G1),
+            (halve, (1 + 1j,), WeightedConeMetric([1.0], "complex"), G1),
+            (halve, (1.0,), W1, GaugeNorm(SpaceSpec(1, Vec([0.5])))),
+        ],
+        ids=["discrete", "plus", "complex", "real-other-base"],
+    )
+    def test_every_metric_reads_each_step_once_through_its_gaps(self, step, x0, metric, gauge, lam):
+        """Whatever the metric or base, a run that gauges its steps takes
+        each step's largest gap once, from its two iterates, and builds a
+        step only for each question it asks the noise-floor test, about the
+        iterate that step left.  The discrete run's steps never shrink, so
+        its test is asked at every step after the first."""
+        asked = []
+        p = halve_problem(map_fn=StallWhen(step, lambda z, s: False, asked), x0=x0, metric=metric,
+                          gauge=gauge, lam=lam, max_iter=60)
+        calls, patch = counting_distances()
+        maxed, max_patch = counting_step_maxes()
+        with patch, max_patch, no_certificate():
+            result = run_picard(p)
+        iterates = list(result.trace.iterates)
+        assert maxed == list(zip(iterates, iterates[1:])) and len(maxed) > 30
+        assert [z for z, _ in calls] == [z for z, _ in asked]
+        assert len(asked) == (59 if isinstance(metric, DiscreteConeMetric) else 0)
 
 
 # -- gauges taken from the iterates against the loop that builds every step --
@@ -1789,7 +1829,7 @@ class TestMeasuredOnlyAsRead:
 
 def gauged_reference_run(p):
     """The engine loop with every step built by ``_distance``, gauged by
-    ``_cone_max`` as it is measured and handed to the noise-floor test, and
+    ``mink_norm`` as it is measured and handed to the noise-floor test, and
     every coordinate of its halting bound checked for overflow; the
     certificate is built from those gauges.  Returns the halt, the iterates
     and the certificate.  The problem has no domain."""
@@ -1805,7 +1845,7 @@ def gauged_reference_run(p):
         bound = s.coords if factor is None else [c * factor for c in s.coords]
         if not all(map(math.isfinite, bound)):
             return "overflow", iterates, None
-        prev, gauge = gauge, _cone_max(s.coords, g)
+        prev, gauge = gauge, mink_norm(s, g)
         gauges.append(gauge)
         iterates.append(x_next)
         z, x = x, x_next
@@ -1833,26 +1873,38 @@ def asked_fields(asked):
 
 
 @st.composite
-def weighted_problems(draw):
+def engine_problems(draw):
     """A maker of one diagonal affine problem of dimension 1-3 over a real or
-    complex weighted metric, with unit or other weights and gauge base, a
-    given or estimated factor, and maybe a noise-floor test that says
-    stalled once a step's largest coordinate is at most a threshold.  Each
-    call makes a new problem with its own log of the test's questions."""
-    field = draw(st.sampled_from(["real", "complex"]))
+    complex weighted metric with unit or other weights, a discrete metric
+    or a plus metric, with a unit or other gauge base, a given or estimated
+    factor, and maybe a noise-floor test that says stalled once a step's
+    largest coordinate is at most a threshold.  Each call makes a new
+    problem with its own log of the test's questions."""
+    kind = draw(st.sampled_from(["real", "complex", "discrete", "plus"]))
     n = draw(st.integers(1, 3))
     scalar = st.floats(-1e3, 1e3) | EDGE_FLOATS
-    if field == "complex":
-        scalar = st.builds(complex, scalar, scalar)
     # A factor of 1 or -1 repeats a step's size, so the noise-floor test is asked.
     scale = st.sampled_from([0.5, 1.0, -1.0]) | st.floats(-1.25, 1.25)
+    if kind == "complex":
+        scalar = st.builds(complex, scalar, scalar)
+    elif kind == "plus":
+        # Points of the plus metric lie in the cone, and so does every map output.
+        scalar = st.floats(0.0, 1e3) | EDGE_FLOATS
+        scale = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.25)
     diag = draw(st.lists(scale, min_size=n, max_size=n))
     offset = draw(st.lists(scalar, min_size=n, max_size=n))
     x0 = tuple(draw(st.lists(scalar, min_size=n, max_size=n)))
     other = st.sampled_from([0.5, 3.0, 1e-3, 1e300])
     weights = [1.0] * n if draw(st.booleans()) else draw(st.lists(other, min_size=n, max_size=n))
+    if kind in ("real", "complex"):
+        metric = WeightedConeMetric(weights, kind)
+    elif kind == "discrete":
+        metric = DiscreteConeMetric(Vec(weights))
+    else:
+        metric = PlusConeMetric(n)
     base = [1.0] * n if draw(st.booleans()) else draw(st.lists(other, min_size=n, max_size=n))
-    stop = draw(st.lists(st.sampled_from([1e-300, 1e-10, 1e-3]), min_size=n, max_size=n))
+    # A stop above a discrete metric's value lets its runs halt at stop_c.
+    stop = draw(st.lists(st.sampled_from([1e-300, 1e-10, 1e-3, 1e301]), min_size=n, max_size=n))
     lam = draw(st.none() | factor)
     floor = draw(st.none() | st.sampled_from([0.0, 1e-6, 1.0, 1e3, math.inf]))
     max_iter = draw(st.integers(1, 60))
@@ -1864,8 +1916,7 @@ def weighted_problems(draw):
         asked = []
         map_fn = step if floor is None else StallWhen(step, lambda z, s: max(s.coords) <= floor, asked)
         problem = Problem(
-            map_fn, x0, WeightedConeMetric(weights, field), GaugeNorm(SpaceSpec(n, Vec(base))),
-            Vec(stop), max_iter, lam,
+            map_fn, x0, metric, GaugeNorm(SpaceSpec(n, Vec(base))), Vec(stop), max_iter, lam,
         )
         return problem, asked
 
@@ -1877,13 +1928,12 @@ def negate(x):
 
 
 class TestGaugedFromTheIterates:
-    """A weighted run that gauges its steps under a unit base takes each
-    gauge from the two iterates and builds a step only for the noise-floor
-    test, when it is asked; every run ends as the loop that builds and
-    gauges every step."""
+    """A run reads each step through its metric's gaps, whatever the metric,
+    and builds a step only for the noise-floor test, when it is asked;
+    every run ends as the loop that builds and gauges every step."""
 
     @settings(max_examples=300, deadline=None)
-    @given(weighted_problems())
+    @given(engine_problems())
     def test_a_run_ends_as_the_loop_that_builds_every_step(self, make):
         p, asked = make()
         ref_p, ref_asked = make()

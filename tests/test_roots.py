@@ -629,14 +629,14 @@ class TestStallRule:
         assert [prev <= g < math.inf and stalled(z, s) for prev, g, z, s in pairs] == said
 
     def test_an_estimated_wilkinson_12_run_gauges_each_step_once(self, monkeypatch):
-        """Each step is gauged once, from its two iterates; before its
-        certificate the run builds a step only for each question it asks
-        the noise-floor test."""
+        """Each step is gauged once, its largest gap under the unit base,
+        taken from its two iterates; before its certificate the run builds a
+        step only for each question it asks the noise-floor test."""
         gauged, built, asked = [], [], []
-        step_gauge, distance = picard._step_gauge, WeightedConeMetric._distance
+        step_max, distance = picard._step_max, WeightedConeMetric._distance
         discs_disjoint = roots._discs_disjoint
         monkeypatch.setattr(
-            picard, "_step_gauge", lambda *args: gauged.append(args) or step_gauge(*args)
+            picard, "_step_max", lambda *args: gauged.append(args) or step_max(*args)
         )
         monkeypatch.setattr(
             WeightedConeMetric, "_distance", lambda *args: built.append(args) or distance(*args)
