@@ -247,7 +247,7 @@ def test_run_picard(benchmark, case):
 
 
 @pytest.mark.parametrize(
-    "case, steps", [("picard_n200", 216), ("wilkinson12", 242)], ids=["picard_n200", "wilkinson12"]
+    "case, steps", [("picard_n200", 216), ("wilkinson12", 130)], ids=["picard_n200", "wilkinson12"]
 )
 def test_read_steps(benchmark, case, steps):
     """Every step of a run's trace: ``diagonal_run``'s at n=200, measured from
@@ -306,7 +306,7 @@ def wilkinson(m):
 
 def wilkinson_run(m=12):
     """solve_roots on the roots 1..m from the default starts, stopped at 1e-8
-    per root, above its noise floor: halt stop_c after 242 sweeps, with a
+    per root, above its noise floor: halt stop_c after 130 sweeps, with a
     certificate."""
     result = solve_roots(wilkinson(m), stop_c=Vec([1e-8] * m), max_iter=300)
     return result.trace, result.certificate
@@ -322,7 +322,7 @@ def test_weierstrass_step(benchmark, m):
 @pytest.mark.parametrize("m", [3, 12])
 def test_solve_roots(benchmark, m):
     """``solve_roots`` on the roots 1..m as ``wilkinson_run`` calls it: halt
-    stop_c with a certificate, after 12 sweeps at m=3 and 242 at m=12.  The
+    stop_c with a certificate, after 8 sweeps at m=3 and 130 at m=12.  The
     result's ``report`` is not read."""
     result = benchmark(solve_roots, wilkinson(m), stop_c=Vec([1e-8] * m), max_iter=300)
     assert result.halt == "stop_c" and result.certificate is not None

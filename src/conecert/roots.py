@@ -19,6 +19,12 @@ Such a run has no contracting tail and hence no certificate.  The discs are
 built from float corrections with no rounding-error term for ``p(z_i)``, so
 around a multiple root they can look disjoint too.
 
+Without a given start, :func:`default_starts` puts the approximations on
+a circle around the roots' mean, with Cauchy's radius of the polynomial
+shifted there (Aberth's centred starts), and falls back to the circle of
+radius ``1 + max |a_k|`` around 0 where the centred one is not smaller,
+finite and distinct.
+
 The payoff of keeping distances as vectors is measured by
 :func:`compare_bounds`: per-root a posteriori bounds against the single
 max-norm bound broadcast to all roots.  A run's comparison,
@@ -29,6 +35,7 @@ max-norm bound broadcast to all roots.  A run's comparison,
 from __future__ import annotations
 
 import cmath
+import math
 from itertools import combinations
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
@@ -113,18 +120,59 @@ def as_root_vector(values: Sequence) -> tuple[complex, ...]:
     return z
 
 
+def _cauchy_radius(coeffs: Sequence[complex]) -> float:
+    """``1 + max |coeffs|``: inf when a coefficient is not finite or its
+    modulus is beyond the float range."""
+    if not all(map(cmath.isfinite, coeffs)):
+        return math.inf
+    try:
+        return 1.0 + max(map(abs, coeffs))
+    except OverflowError:
+        return math.inf
+
+
+def _circle(r: float, n: int) -> tuple[complex, ...]:
+    """n equispaced points of modulus ``r`` around 0, the first at angle 0.4."""
+    return tuple(r * cmath.exp(1j * (2.0 * cmath.pi * k / n + 0.4)) for k in range(n))
+
+
 def default_starts(p: Polynomial) -> tuple[complex, ...]:
     """Deterministic equispaced starts on a circle enclosing all roots.
 
-    Radius 1 + max coefficient modulus; the fixed angular offset keeps the
-    starts off the real axis, where real-rooted polynomials would otherwise
-    collide.
+    Aberth's centred starts: with ``a_k`` the monic coefficients, the roots'
+    mean is ``c = -a_{n-1}/n``, and the coefficients ``b_k`` of ``p(z + c)``
+    come from a Horner Taylor shift.  The starts are
+    ``c + r_c exp(i(2 pi k/n + 0.4))`` with Cauchy's radius
+    ``r_c = 1 + max |b_k|``, taken when ``r_c`` is below the uncentred
+    radius ``r = 1 + max |a_k|`` and those n starts are finite and pairwise
+    distinct; otherwise the same circle of radius ``r`` around 0.  A
+    modulus beyond the float range counts as inf.  The fixed angular offset
+    keeps the starts off the real axis, where real-rooted polynomials would
+    otherwise collide.  When neither circle is finite, raises
+    ``ValueError``: such a polynomial needs a given start.
     """
     n = p.degree
-    r = 1.0 + max(abs(c) for c in p.coefficients)
-    return tuple(
-        r * cmath.exp(1j * (2.0 * cmath.pi * k / n + 0.4)) for k in range(n)
-    )
+    a = p.coefficients
+    r = _cauchy_radius(a)
+    c = -a[n - 1] / n
+    # Horner's Taylor shift: pass k divides by (z - c) once more and leaves
+    # b_k, the k-th coefficient of p(z + c), in place.
+    b = list(a)
+    for k in range(n):
+        acc = b[n]
+        for j in range(n - 1, k - 1, -1):
+            acc = b[j] = b[j] + c * acc
+    r_c = _cauchy_radius(b)
+    if r_c < r:
+        starts = tuple(c + w for w in _circle(r_c, n))
+        if all(map(cmath.isfinite, starts)) and len(set(starts)) == n:
+            return starts
+    if r == math.inf:
+        raise ValueError(
+            "no finite start circle encloses the roots: the coefficients' moduli"
+            ' overflow; give "z0"'
+        )
+    return _circle(r, n)
 
 
 # The sweep's sort key: an entry's (re, im).
@@ -336,9 +384,14 @@ def solve_roots(
     contracting tail unless ``lam`` was supplied) and the final residual
     moduli; its ``report``, the
     componentwise-versus-broadcast bound comparison over the steps the
-    certificate covers, is built only when read.  ``weights`` that are not
-    one entry per root, or a ``z0`` that is not one finite complex entry per
-    root or that holds two equal entries, raise ``ValueError``.
+    certificate covers, is built only when read.  Without ``z0`` the run
+    starts from :func:`default_starts`: the circle around the roots' mean
+    ``-a_{n-1}/n`` with Cauchy's radius of ``p(z + mean)``, or, where that
+    circle is not smaller than the one of radius ``1 + max |a_k|`` around 0
+    or its starts are not finite and distinct, the latter.  ``weights`` that
+    are not one entry per root, a ``z0`` that is not one finite complex entry
+    per root or that holds two equal entries, or no ``z0`` where neither
+    circle is finite, raise ``ValueError``.
     """
     n = p.degree
     weights = (1.0,) * n if weights is None else tuple(float(w) for w in weights)

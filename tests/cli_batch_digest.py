@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 ROUNDS = range(4)
-GOLDEN = "e32da214e505c98c2560350f83fc37f55d0c1c2cd920c8794c5271d6b3fabbf7"
+GOLDEN = "d955d434409cd4b9e6b44da2ff6f1cdbd3f30b015f491793acb8b26b6ed0e19c"
 UNITS, FILES = 144, 276
 
 

@@ -1,19 +1,21 @@
-"""One sha256 over library runs: every halting decision and every step bit.
+"""One sha256 per workload over library runs: every halting decision and every step bit.
 
 Runs the benchmark's picard-wide and roots-batch units (``bench/workloads.py``'s
 ``PicardWide`` and ``RootsBatch``) for seeds 1-2, rounds 0-1, and hashes each
-unit's outcome: its halt and iterate count (or the name of the exception it
-raised), the ``float.hex`` of every iterate and step coordinate (a complex
-entry as its real and imaginary parts), :func:`certificate_to_dict` of its
-certificate and the certificate's ``start``.  Equal digests mean the engine
-took the same decisions and gave the same bits on the whole fixture.
+unit's outcome into its workload's digest: its halt and iterate count (or the
+name of the exception it raised), the ``float.hex`` of every iterate and step
+coordinate (a complex entry as its real and imaginary parts),
+:func:`certificate_to_dict` of its certificate and the certificate's
+``start``.  Equal digests mean the engine took the same decisions and gave
+the same bits on that workload's part of the fixture; a change to one
+workload's code path moves only that workload's digest.
 
     PYTHONPATH=src python tests/engine_digest.py
 
-prints the digest and the number of units, and exits 1 when they differ from
-the golden values.  The script needs only the standard library, so any
-Python the package accepts can run it; Python 3.10.13, 3.11.7, 3.12.1 and
-3.13.0 all give ``GOLDEN``.
+prints each workload's digest and number of units, and exits 1 when they
+differ from the golden values.  The script needs only the standard library,
+so any Python the package accepts can run it; Python 3.10.13, 3.11.7, 3.12.1
+and 3.13.0 all give ``GOLDEN``.
 """
 
 import hashlib
@@ -24,8 +26,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 ROUNDS = range(2)
-GOLDEN = "4552a45fcec7a2e8d668a0f4cae5c1ef05a4b87de273ab326e8882453a6cf70d"
-UNITS = 92
+# workload name -> (sha256 hex digest, units)
+GOLDEN = {
+    "picard-wide": ("39be192e19967165014bba93bc528794f18ccd5b7839da5ec5f3b210570a3a39", 40),
+    "roots-batch": ("2e70cd8ed4de1122e28916ae5d0bd6f2e78aaf06ed48934e38cb57cd6e65258f", 52),
+}
 
 
 def _hexes(point) -> str:
@@ -38,8 +43,8 @@ def _hexes(point) -> str:
     return " ".join(parts)
 
 
-def engine_digest() -> tuple[str, int]:
-    """``(sha256 hex digest, units)`` of the fixture."""
+def engine_digest() -> dict[str, tuple[str, int]]:
+    """``{workload name: (sha256 hex digest, units)}`` of the fixture."""
     sys.path.insert(0, str(ROOT / "bench"))
     try:
         import workloads
@@ -47,10 +52,12 @@ def engine_digest() -> tuple[str, int]:
         sys.path.remove(str(ROOT / "bench"))
     from conecert.picard import certificate_to_dict
 
-    h = hashlib.sha256()
-    units = 0
-    for seed in SEEDS:
-        for batch in (workloads.PicardWide(seed, False), workloads.RootsBatch(seed, False)):
+    got = {}
+    for workload in (workloads.PicardWide, workloads.RootsBatch):
+        h = hashlib.sha256()
+        units = 0
+        for seed in SEEDS:
+            batch = workload(seed, False)
             for r in ROUNDS:
                 for u in batch.round(r):
                     try:
@@ -69,13 +76,14 @@ def engine_digest() -> tuple[str, int]:
                     start = None if cert is None else cert.start
                     h.update(f"cert {cert_dict} start {start}\n".encode())
                     units += 1
-    return h.hexdigest(), units
+        got[workload.name] = (h.hexdigest(), units)
+    return got
 
 
 if __name__ == "__main__":
     got = engine_digest()
-    digest, units = got
-    print(f"{digest}  ({units} units, Python {sys.version.split()[0]})")
-    if got != (GOLDEN, UNITS):
-        print(f"mismatch: expected {(GOLDEN, UNITS)}", file=sys.stderr)
+    for name, (digest, units) in got.items():
+        print(f"{name}: {digest}  ({units} units, Python {sys.version.split()[0]})")
+    if got != GOLDEN:
+        print(f"mismatch: expected {GOLDEN}", file=sys.stderr)
         sys.exit(1)

@@ -149,7 +149,7 @@ OVERFLOWING_ENTRY = {
 WILKINSON_12 = {"coefficients": [c.real for c in poly_from_roots(range(1, 13))], "max_iter": 300}
 # The step 1e308 is finite; with lambda given the radius 1e308 / (1 - 0.5) is not.
 OVERFLOWING_ROOT_RADIUS = {"coefficients": [-0.5e308, 1.0], "z0": [[-0.5e308, 0]], "lambda": 0.5}
-# Steps contract from iterate 4 on, so the estimated certificate starts there.
+# Steps contract from iterate 3 on, so the estimated certificate starts there.
 TAIL_CUBIC = [0.0, 5.0, -2.0, 1.0]
 CUBIC_ROOTS = {
     "coefficients": [-6.0, 11.0, -6.0, 1.0],
@@ -528,7 +528,7 @@ class TestPicardCommand:
         # One writer: the two certificate.json files are the same bytes.
         assert (out / "certificate.json").read_bytes() == (roots_out / "certificate.json").read_bytes()
         cert = json.loads((out / "certificate.json").read_text())
-        assert cert["certificate"]["lambda_used"] == 0.43163485433436494
+        assert cert["certificate"]["lambda_used"] == 0.5962362184346037
         assert cert["certificate"]["status"] == "heuristic"
 
 
@@ -705,7 +705,7 @@ class TestRootsCommand:
             (CUBIC_ROOTS, "555b8480f21167fcad05b405f9ca414b8f957e442f5afe31c389ee14564514b9"),
             (
                 {"coefficients": CUBIC_ROOTS["coefficients"], "weights": [2, 3, 5]},
-                "1ee2786252e778c6d711a8aa977022386ba72893ebe480078c463636d6e3e01f",
+                "2c0cebee812920154bd82a6ca53d4dbce645623ab250ee7aed6b6989b5f8fa4e",
             ),
         ],
         ids=["default-weights", "explicit-weights"],
@@ -766,6 +766,20 @@ class TestRootsCommand:
         out = tmp_path / "out"
         assert main(["roots", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == tiny_leading_error(coefficients)
+        assert not out.exists()
+
+    def test_no_finite_default_start_asks_for_z0(self, tmp_path, capsys):
+        # |1.5e308 + 1.5e308i| overflows, and so does the centred circle
+        # (its mean is 0): without a "z0" no start circle is finite.
+        cfg = write_cfg(tmp_path, {"coefficients": [[1.5e308, 1.5e308], 0, 1]})
+        out = tmp_path / "out"
+        assert main(["roots", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: no finite start circle encloses the roots: the coefficients'"
+            ' moduli overflow; give "z0"\n'
+        )
+        assert captured.out == ""
         assert not out.exists()
 
     def test_overflow_exits_two_with_repeatable_artifacts(self, tmp_path, capsys):
@@ -1446,12 +1460,12 @@ class TestProblemsAreValues:
             "max_iter": 300,
         }
         library = run_picard(cli._problem_from_config(cfg))
-        assert (library.halt, len(library.trace.step_dists)) == ("noise_floor", 243)
+        assert (library.halt, len(library.trace.step_dists)) == ("noise_floor", 132)
         out = tmp_path / "out"
         assert main(["picard", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         cert = json.loads((out / "certificate.json").read_text())
-        assert (cert["halt"], cert["iterations"]) == ("noise_floor", 243)
+        assert (cert["halt"], cert["iterations"]) == ("noise_floor", 132)
         written = io.StringIO()
         write_trace_csv(written, library.trace)
         assert (out / "trace.csv").read_text() == written.getvalue()

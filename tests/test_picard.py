@@ -2127,16 +2127,16 @@ class TestTraceCsvBytes:
 def test_library_runs_match_the_golden_engine_digest():
     """Every halt, iterate and step bit and every certificate of the
     benchmark's picard-wide and roots-batch units, seeds 1-2, rounds 0-1,
-    under one sha256 (``tests/engine_digest.py``), against that script's
-    golden digest."""
-    from engine_digest import GOLDEN, UNITS, engine_digest
+    under one sha256 per workload (``tests/engine_digest.py``), against that
+    script's golden digests."""
+    from engine_digest import GOLDEN, engine_digest
 
-    assert engine_digest() == (GOLDEN, UNITS)
+    assert engine_digest() == GOLDEN
 
 
 @pytest.mark.parametrize("python", other_pythons())
 def test_engine_digest_script_on_other_pythons(python):
     """The digest script, run as a plain script by another interpreter, finds
-    the same golden digest: the engine decides alike on every Python."""
+    the same golden digests: the engine decides alike on every Python."""
     proc = run_script(python, "engine_digest.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecert import picard, roots
+from conecert.cli import main
 from conecert.gauge import GaugeNorm, mink_norm
 from conecert.metrics import Ball, DiscreteConeMetric, WeightedConeMetric
 from conecert.picard import (
@@ -321,14 +322,34 @@ class TestSweepMatchesItsDefinition:
         assert outcome(weierstrass_step, p, z) == outcome(per_root_sort_step, p, z)
 
 
+def uncentred_starts(p):
+    """The circle of radius 1 + max |a_k| around 0: the starts a polynomial
+    keeps when its centred circle is not smaller, finite and distinct."""
+    n = p.degree
+    r = 1.0 + max(abs(c) for c in p.coefficients)
+    return tuple(r * cmath.exp(1j * (2.0 * cmath.pi * k / n + 0.4)) for k in range(n))
+
+
+def hexes(points):
+    return [(z.real.hex(), z.imag.hex()) for z in points]
+
+
+# Gaussian-integer roots small enough that every coefficient of a degree-12
+# product is an exact integer, and the roots 1..m.
+gaussian_roots = st.lists(
+    st.builds(complex, st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=12
+)
+wilkinson_roots = st.integers(1, 12).map(lambda m: [complex(k) for k in range(1, m + 1)])
+
+
 class TestDefaultStarts:
     def test_circle_and_distinctness(self):
+        # Roots 1, 2, 3: mean 2, and p(z + 2) = z^3 - z, so r_c = 1 + 1.
         starts = default_starts(CUBIC)
         assert len(starts) == 3
         assert len(set(starts)) == 3
-        r = 1.0 + 11.0
         for z in starts:
-            assert abs(z) == pytest.approx(r, rel=1e-12)
+            assert abs(z - 2.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_deterministic(self):
         assert default_starts(CUBIC) == default_starts(CUBIC)
@@ -336,6 +357,66 @@ class TestDefaultStarts:
     def test_off_axis_for_real_rooted(self):
         for z in default_starts(QUAD_REAL):
             assert z.imag != 0.0
+
+    def test_the_overflow_cubic_keeps_the_uncentred_circle(self, tmp_path):
+        # Its mean is 0, so the centred circle is the same one and not smaller.
+        p = Polynomial([1e200, 0.0, 0.0, 1.0])
+        assert hexes(default_starts(p)) == hexes(uncentred_starts(p))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"coefficients": [1e200, 0, 0, 1]}')
+        assert main(["roots", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_centred_starts_that_round_onto_the_centre_keep_the_uncentred_circle(self):
+        # (z - c)^2 with c = 1e20 + 1e20j: p(z + c) is z^2 up to rounding, so
+        # every centred start c + r_c w rounds to c itself.
+        p = Polynomial(poly_from_roots([1e20 + 1e20j] * 2))
+        assert hexes(default_starts(p)) == hexes(uncentred_starts(p))
+        solve_roots(p)
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [[1.5e308 + 1.5e308j, 0, 1], [1.5e308 + 1.5e308j, 1e300, 1]],
+        ids=["mean-0", "mean-far"],
+    )
+    def test_no_finite_circle_asks_for_a_start(self, coefficients):
+        message = (
+            "no finite start circle encloses the roots: the coefficients' moduli"
+            ' overflow; give "z0"'
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_starts(Polynomial(coefficients))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_roots(Polynomial(coefficients))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(gaussian_roots, wilkinson_roots))
+    @example([1j])
+    @example([complex(k) for k in range(1, 13)])
+    def test_starts_lie_on_a_circle_around_the_roots(self, zs):
+        """The starts are finite and distinct, off the real axis when every
+        root is real, and on a circle around the roots' mean or around 0, no
+        larger than the uncentred one, that holds every root."""
+        p = Polynomial(poly_from_roots(zs))
+        n = p.degree
+        starts = default_starts(p)
+        assert len(starts) == n == len(set(starts))
+        assert all(map(cmath.isfinite, starts))
+        if all(z.imag == 0 for z in zs):
+            assert all(z.imag != 0 for z in starts)
+        r = 1.0 + max(abs(c) for c in p.coefficients)
+
+        def circle_holds_the_roots(centre):
+            radii = [abs(z - centre) for z in starts]
+            # Rounding in a start and in the subtraction moves a radius by ulps.
+            return (
+                max(radii) - min(radii) <= 1e-12 * max(radii)
+                and max(radii) <= r * (1 + 1e-12)
+                and all(abs(z - centre) < min(radii) for z in zs)
+            )
+
+        # One start lies on a circle around either centre, so at degree 1
+        # either may hold.
+        assert any(map(circle_holds_the_roots, (-p.coefficients[n - 1] / n, 0j)))
 
 
 class TestSolveRoots:
@@ -472,7 +553,7 @@ class TestSolveRoots:
         assert result.tail_start == 0
 
     def test_engine_run_gives_the_same_tail_certificate(self):
-        # The steps contract from iterate 4 on.  run_picard certifies that
+        # The steps contract from iterate 3 on.  run_picard certifies that
         # tail with no factor given, and solve_roots returns its certificate.
         p = Polynomial([0.0, 5.0, -2.0, 1.0])
         problem = Problem(
@@ -485,10 +566,10 @@ class TestSolveRoots:
         )
         cert = run_picard(problem).certificate
         assert (cert.lambda_source, cert.status) == ("estimated", "heuristic")
-        assert (cert.start, cert.lambda_used) == (4, 0.43163485433436494)
+        assert (cert.start, cert.lambda_used) == (3, 0.5962362184346037)
         result = solve_roots(p)
         assert result.certificate == cert
-        assert (result.tail_start, result.lambda_used) == (4, cert.lambda_used)
+        assert (result.tail_start, result.lambda_used) == (3, cert.lambda_used)
 
     def test_given_lambda_overflow_has_no_certificate(self):
         # The step 1e308 is finite; the radius 1e308 / (1 - 0.5) is not.
@@ -613,7 +694,7 @@ class TestStallRule:
         # at the step the run halted on; a second pass gives the same answers.
         result = solve_roots(WILKINSON_12, max_iter=300)
         trace = result.trace
-        assert (result.halt, len(trace.step_dists)) == ("noise_floor", 243)
+        assert (result.halt, len(trace.step_dists)) == ("noise_floor", 132)
         problem = Problem(
             map_fn=Weierstrass(WILKINSON_12),
             x0=trace.iterates[0],
@@ -625,7 +706,7 @@ class TestStallRule:
         gauges = [mink_norm(s, problem.gauge) for s in trace.step_dists]
         pairs = list(zip([math.inf] + gauges, gauges, trace.iterates, trace.step_dists))
         said = [prev <= g < math.inf and stalled(z, s) for prev, g, z, s in pairs]
-        assert said.index(True) == 242
+        assert said.index(True) == 131
         assert [prev <= g < math.inf and stalled(z, s) for prev, g, z, s in pairs] == said
 
     def test_an_estimated_wilkinson_12_run_gauges_each_step_once(self, monkeypatch):
@@ -646,8 +727,8 @@ class TestStallRule:
         )
         monkeypatch.setattr(picard, "_build_certificate", lambda p, trace, gauges: None)
         result = solve_roots(WILKINSON_12, max_iter=300)
-        assert (result.halt, len(result.trace.step_dists), len(gauged)) == ("noise_floor", 243, 243)
-        assert 0 < len(built) == len(asked) < 243
+        assert (result.halt, len(result.trace.step_dists), len(gauged)) == ("noise_floor", 132, 132)
+        assert 0 < len(built) == len(asked) < 132
 
     def test_the_predicate_is_the_disc_check_and_keeps_no_state(self):
         problem = Problem(
